@@ -1,0 +1,150 @@
+"""Golden report digests: simulate and compare over every shipped preset pair.
+
+Each case runs one CLI command and pins the sha256 of the three report
+files it writes (CSV, breakdown CSV, JSON). A change that is meant to
+alter the reports must say so where it is described; any other change
+must leave these digests as they are.
+
+Each pair gets one feasible and one infeasible delay target, both below
+the pair's baseline delay, so every report mixes a costed reuse row with
+an infeasible one.
+"""
+
+import hashlib
+
+import pytest
+
+from xbarsim.cli import main
+
+# (model, device) -> (feasible target ms, infeasible target ms)
+TARGETS = {
+    ("DeiT-S", "FeFET"): ("7", "1.5"),
+    ("DeiT-S", "SRAM"): ("6", "1.5"),
+    ("DeiT-S", "hybrid"): ("6.5", "1.5"),
+    ("LV-ViT-S", "FeFET"): ("9", "2"),
+    ("LV-ViT-S", "SRAM"): ("8", "2"),
+    ("LV-ViT-S", "hybrid"): ("8.5", "2"),
+    ("BERT-Base", "FeFET"): ("4", "1"),
+    ("BERT-Base", "SRAM"): ("3.5", "1"),
+    ("BERT-Base", "hybrid"): ("3.5", "1"),
+}
+
+SUFFIXES = (".csv", "_breakdown.csv", ".json")
+
+# (command, model, device) -> sha256 of (CSV, breakdown CSV, JSON)
+GOLDEN = {
+    ('simulate', 'DeiT-S', 'FeFET'): (
+        "0ac727142edeab801546830d49585fb75f72e6689479792650d6153dd27bdf73",
+        "6578816323d2bf72a5fd4f16a4356e7cfc4d92ca00fe84dafba657dd92b046ee",
+        "e3e9af714784739101fc83da406d64279a4212c0e0cdd818e1aa7866c5e35e51",
+    ),
+    ('simulate', 'DeiT-S', 'SRAM'): (
+        "3352bbd5388e118d13fe197d3d03a7607e71a1653a48b245cd6fbb0f88306de8",
+        "ec1f3ee9fa580746b0dedca35e57fabe4a74e4ba7e4aad82cf41bf79380a3789",
+        "43feedda420f33f6f27d71e9eac344f1e9e1bc204a127d34c90bb39048870f23",
+    ),
+    ('simulate', 'DeiT-S', 'hybrid'): (
+        "d45f395edf7479d66c0bbdec49bab80247105ce6adb8b3cd50a0560c00ab7ec4",
+        "61f4d70dc5495ce4c95e5dbd5f18d4baeb35ed21eae037673b6c8e67e8596684",
+        "e52602533403016405c80c0399f637638cee2c1f9485ac268795d985313667c9",
+    ),
+    ('simulate', 'LV-ViT-S', 'FeFET'): (
+        "b4a857c82573343f41789e3d34a4dd8a41fc90e354f07ae0cbb8437e3da22cc0",
+        "b526572dd59bd5b23160db9619030ea55fba4869b5878c14528b8b659a850cb6",
+        "f8a2061cc8e2b01d41e8005abe7af643425e3043d0d99c9f05d455586ccbf0df",
+    ),
+    ('simulate', 'LV-ViT-S', 'SRAM'): (
+        "743bc0247f26b204ff32895446413869e174be836c786d5da2c6f3569b4623c3",
+        "bbfb53cb2d75d383aec3e2bfd32dcfcaa17fc1e7501eb67d3abd740fcdb757c2",
+        "1552b5f250cbc5ff0a18bdb05a507dbefdb3acf69b2ad352eb6903ad39e1efad",
+    ),
+    ('simulate', 'LV-ViT-S', 'hybrid'): (
+        "081e0aed02f4b362968644328a6ce096ba7a088f77dfbc6ececd4d7576d44bf9",
+        "ad9742c339fc0739141645fa980aa48211994120ea6ce2637ca59e43b27d4b1f",
+        "47ebe84de0dd140e83f78c57a382e0b390671a4e76c18b92ed559c87f0f81da2",
+    ),
+    ('simulate', 'BERT-Base', 'FeFET'): (
+        "2b43acfe6b081fccd9ce624bb2879d1a13fd37dfe3f11433fa36ebb4a14af4b8",
+        "d7088a2167583820f91ee414bd1177a8773a7edab3b86d2ee0180c74a71d887c",
+        "04b88c19b51f6bd30a512fdb1955288670f0f0379b12294225e071f3dc35b192",
+    ),
+    ('simulate', 'BERT-Base', 'SRAM'): (
+        "6e00909ff4b993fe7cbdcd4bb182c41dfe3bc5046dba59cfbc97320bea14a450",
+        "f621a818ec5e5668b36ec8690e9f07ccf910d9460ee71cf2449bd612f7a02ed0",
+        "defc132e7813f5d6f8132291ca58b6fb3546f934468bfa869b73d03142b6ac76",
+    ),
+    ('simulate', 'BERT-Base', 'hybrid'): (
+        "df69d7b006332491abca341bfbefaf02bac467cd761a95baa6afbed883d20d85",
+        "a32353614bb6dbbdcb200e1c4eeca8871030115142d34a0812b2c575dd4c037d",
+        "8f43f6df6b94abc189dd80bd2f79aa3102c4df4dabdf77ff02fe27e3bb959638",
+    ),
+    ('compare', 'DeiT-S', 'FeFET'): (
+        "de1bb9e906ab3c836cf0dcab05fe9a49d60bc0db1047307e0df4c50109e79e25",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "a226ded6101887be03ee86668b00a5a17a686ff5ce2b46b355e34b9f9c631ae6",
+    ),
+    ('compare', 'DeiT-S', 'SRAM'): (
+        "4237f47743d5757e03fe6d50651aa25aefa873ff891591e3ab9575a34846b3b1",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "6da5885dc7615c2bc855f72b7777ff1f339018b630e55cfbeb63ddea16009da6",
+    ),
+    ('compare', 'DeiT-S', 'hybrid'): (
+        "63a5c3d577d996547ad6a3d85c0df762dd8a3d476e4da6adb377aa81af5b2411",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "1bc67ded979cb81a6f1a2283d0edb496f971a021a3f09e8cb9dc997ae762eb4c",
+    ),
+    ('compare', 'LV-ViT-S', 'FeFET'): (
+        "1fe2b26327989dd043bddc2d6eeb7910ae2c3fa64f0767e733f7e11aac440e5f",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "c3222ee5dcf5e1ee28b345a541fd34123b34273ddce6a9b0d8f0a1d29798430e",
+    ),
+    ('compare', 'LV-ViT-S', 'SRAM'): (
+        "546ce6674dee8934c770fa2b5281d95863e7c769f4e5c9700b1db6e05bedb249",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "ebb2fc496c16729ea92234dcb94261bbb287996157b1d552f24c5106747ef88d",
+    ),
+    ('compare', 'LV-ViT-S', 'hybrid'): (
+        "735f1283ec2765b19e25609036bc389d813ec66a96b72c4cf06cbcd787fca587",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "0049a76e3de4ab44777541fd81f35aeb35153cd6bd468dbd2315926559a98412",
+    ),
+    ('compare', 'BERT-Base', 'FeFET'): (
+        "7db69f7ff644477bd5e4fe58034b1727d9bbdcbce837c51e57c1bf1e2d7a7348",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "374b7729b450201b62788375652e57125fc68a6d8a29cb5e37fb153c1faccda5",
+    ),
+    ('compare', 'BERT-Base', 'SRAM'): (
+        "ec4b6385f8a367c938711d1265b7806bb0abdbd43376c690df42d20197dc481a",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "fb7a5365471a2815907615335b26e37d69606b4c991d8fecbd09ddd35c4a37a7",
+    ),
+    ('compare', 'BERT-Base', 'hybrid'): (
+        "ac8aef521f1b0493d789cdc4f50d26b20c202c9d6dacaf007b72fac3a91f61fd",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "5ca82b7bcfaaa19bf75e765b136697b6bf8a6080aee382a32740c5a42559ad33",
+    ),
+}
+
+
+def report_digests(command, model, device, out_dir):
+    argv = [command, "--model", model, "--device", device, "--name", "golden",
+            "--out", str(out_dir)]
+    for target in TARGETS[(model, device)]:
+        argv += ["--target-delay", target]
+    assert main(argv) == 0
+    digests = []
+    for suffix in SUFFIXES:
+        with open(out_dir / f"golden{suffix}", "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    return tuple(digests)
+
+
+CASES = [(command, model, device) for command in ("simulate", "compare")
+         for model, device in TARGETS]
+
+
+@pytest.mark.parametrize("command,model,device", CASES,
+                         ids=["-".join(case) for case in CASES])
+def test_reports_match_golden(command, model, device, tmp_path):
+    assert report_digests(command, model, device, tmp_path) == \
+        GOLDEN[(command, model, device)]
