@@ -21,20 +21,18 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .cost import apply_token_pruning, apply_weight_sharing, model_cost
+from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
 from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor
-from .mapping import hybrid_assignment
-from .optimize import optimize
-from .patterns import PatternKind
 from .report import (
-    ReportRow,
     Scenario,
     emit,
-    report_meta,
-    resolve_device,
-    run_scenario,
     make_scorer,
     pattern_families,
+    report_meta,
+    resolve,
+    resolve_device,
+    run_compare,
+    run_scenario,
 )
 from .similarity import cka_matrix
 from .workload import ModelConfig, build_model
@@ -51,49 +49,43 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="comma list of report formats (csv, json)")
 
 
-def _formats(arg: str) -> tuple[str, ...]:
-    return tuple(f.strip() for f in arg.split(",") if f.strip())
+def _scenario(args) -> Scenario:
+    return Scenario(args.name, args.model, args.device, tuple(args.target_delay or ()),
+                    args.patterns, args.scorer, args.seed, args.config)
 
 
-def cmd_simulate(args) -> int:
-    scenario = Scenario(
-        name=args.name,
-        model=args.model,
-        device=args.device,
-        target_delays_ms=tuple(args.target_delay or ()),
-        patterns=args.patterns,
-        scorer=args.scorer,
-        seed=args.seed,
-        config_path=args.config,
-    )
-    rows = run_scenario(scenario)
-    paths = emit(rows, args.out, scenario.name, _formats(args.format),
-                 report_meta(scenario))
+def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
+    """Print every row, then write the report files."""
     for row in rows:
         if not row.feasible:
             print(f"target {row.target_delay_ms} ms: infeasible even at maximal reuse")
         else:
             print(
-                f"{row.pattern:>16}  n_reuse={row.n_reuse}  "
+                f"{row.pattern:>24}  n_reuse={row.n_reuse}  "
                 f"D={row.delay_ms:.2f} ms  E={row.energy_mj:.4f} mJ  "
                 f"A={row.area_mm2:.1f} mm2  EDAP={row.edap:.2f} "
                 f"({row.edap_reduction:.2f}x)"
             )
+    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
+    if feasible_only:
+        rows = [row for row in rows if row.feasible]
+    paths = emit(rows, args.out, args.name, formats, meta)
     print("wrote: " + ", ".join(paths))
     return 0
 
 
+def cmd_simulate(args) -> int:
+    scenario = _scenario(args)
+    inputs = resolve(scenario)
+    return _report(args, run_scenario(scenario, inputs), report_meta(scenario, inputs.opts))
+
+
 def cmd_optimize(args) -> int:
-    sc = cfgmod.ScenarioConfig(args.config)
-    cfg = sc.model(args.model)
-    dev = resolve_device(args.device, sc)
-    scenario = Scenario(args.name, args.model, args.device,
-                        patterns=args.patterns, scorer=args.scorer, seed=args.seed)
-    scorer = make_scorer(scenario, cfg)
-    families = pattern_families(args.patterns) if not args.patterns.startswith("explicit") \
-        else (PatternKind.STRIDED,)
-    result = optimize(cfg, dev, sc.tiles(), sc.softmax(), args.target_delay[0],
-                      scorer, sc.cost_options(), families)
+    scenario = _scenario(args)
+    families = pattern_families(scenario.patterns)
+    inputs = resolve(scenario)
+    result = inputs.optimize(args.target_delay[0], make_scorer(scenario, inputs.cfg),
+                             families)
     if not result.feasible:
         print(f"target {result.target_delay_ms} ms infeasible "
               f"(baseline {result.baseline_delay_ms:.2f} ms)")
@@ -139,15 +131,8 @@ def cmd_funcsim(args) -> int:
     else:
         sc = cfgmod.ScenarioConfig(args.config)
         tiles = sc.tiles()
-        if args.device == "hybrid":
-            assignment = hybrid_assignment(
-                cfgmod.load_device_params("FeFET"), cfgmod.load_device_params("SRAM")
-            )
-        else:
-            dev = resolve_device(args.device, sc)
-            assignment = hybrid_assignment(dev, dev)
         ctx = SimContext.crossbar(
-            assignment,
+            resolve_device(args.device, sc),
             tiles,
             adc_bits=args.adc_bits if args.adc_bits else tiles.adc_bits,
             seed=args.seed,
@@ -181,48 +166,10 @@ def cmd_funcsim(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sc = cfgmod.ScenarioConfig(args.config)
-    cfg = sc.model(args.model)
-    dev = resolve_device(args.device, sc)
-    tiles, sp, opts = sc.tiles(), sc.softmax(), sc.cost_options()
-    overhead = sc.pruning_overhead()
-
-    base = model_cost(cfg, 0, dev, tiles, sp, opts)
-    entries = [("baseline", base)]
-    for ws in args.ws:
-        entries.append((f"ws={ws}", apply_weight_sharing(cfg, ws, dev, tiles, sp, opts)))
-    for p in args.prune_ratio:
-        entries.append(
-            (f"prune p={p:.2f}",
-             apply_token_pruning(cfg, p, dev, tiles, sp, opts, overhead))
-        )
-    scenario = Scenario(args.name, args.model, args.device, seed=args.seed)
-    scorer = make_scorer(scenario, cfg)
-    for target in args.target_delay or ():
-        result = optimize(cfg, dev, tiles, sp, target, scorer, opts)
-        if result.feasible:
-            mc = model_cost(cfg, result.optimal_n_reuse, dev, tiles, sp, opts)
-            entries.append((f"reuse@{target}ms {result.best.label()}", mc))
-        else:
-            print(f"reuse target {target} ms infeasible, skipped")
-
-    rows = []
-    for label, mc in entries:
-        rows.append(
-            ReportRow(
-                scenario=args.name, model=args.model, device=args.device,
-                n_reuse=mc.n_reuse, pattern=label,
-                energy_mj=mc.e_vit_mj, delay_ms=mc.d_vit_ms, area_mm2=mc.a_vit_mm2,
-                edap=mc.edap, tops_per_w=mc.tops_per_w, tops_per_mm2=mc.tops_per_mm2,
-                edap_reduction=base.edap / mc.edap,
-            )
-        )
-        print(f"{label:>24}  E={mc.e_vit_mj:.4f} mJ  D={mc.d_vit_ms:.2f} ms  "
-              f"A={mc.a_vit_mm2:.1f} mm2  EDAP={mc.edap:.2f} "
-              f"({base.edap / mc.edap:.2f}x)")
-    paths = emit(rows, args.out, args.name, _formats(args.format), report_meta())
-    print("wrote: " + ", ".join(paths))
-    return 0
+    scenario = _scenario(args)
+    inputs = resolve(scenario)
+    rows = run_compare(scenario, args.ws or [2], args.prune_ratio or [0.3], inputs)
+    return _report(args, rows, report_meta(opts=inputs.opts), feasible_only=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,16 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-ratio", type=float, action="append", default=None,
                    metavar="P")
     p.add_argument("--name", default="compare")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, patterns="all", scorer="cka")
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "ws", None) is None and args.command == "compare":
-        args.ws = [2]
-    if getattr(args, "prune_ratio", None) is None and args.command == "compare":
-        args.prune_ratio = [0.3]
     return args.func(args)
 
 

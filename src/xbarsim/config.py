@@ -4,15 +4,17 @@ Presets live in ``xbarsim/presets/`` (models.ini, devices.ini,
 platform.ini). A user scenario file may carry [model], [device],
 [tiles], [softmax_unit], [digital], [cost], [token_pruning] and
 [noise] sections whose keys override the presets; [model] / [device]
-may also name a preset via ``preset = DeiT-S``.
+may also name a preset via ``preset = DeiT-S``. Any other section, and
+any key the target parameters do not have, is rejected.
 """
 
 from __future__ import annotations
 
 import configparser
-import os
-from dataclasses import fields, replace
+import functools
+from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 from .cost import CostOptions, SoftmaxUnitParams
 from .mapping import DeviceKind, DeviceParams, TileConfig
@@ -20,7 +22,15 @@ from .workload import ModelConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False, "on": True, "off": False}
-_TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str}
+_TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str,
+               "DeviceKind": DeviceKind}
+
+USER_SECTIONS = ("model", "device", "tiles", "softmax_unit", "digital", "cost",
+                 "token_pruning", "noise")
+
+_PRUNING_KEYS = ("predictor_energy_mj", "predictor_delay_ms", "predictor_area_mm2")
+_PRUNING = dict.fromkeys(_PRUNING_KEYS, float)
+_NOISE = {"seed": int, "multiplicative": bool}
 
 
 def _parse(value: str, target_type: type):
@@ -30,171 +40,147 @@ def _parse(value: str, target_type: type):
         except KeyError:
             raise ValueError(f"not a boolean: {value!r}") from None
     if target_type is int:
-        return int(float(value))  # tolerate 100e3 style
+        number = float(value)  # tolerate 100e3 style
+        if not number.is_integer():
+            raise ValueError(f"not an integer: {value!r}")
+        return int(number)
     if target_type is float:
         return float(value)
-    return value
+    return target_type(value) if isinstance(target_type, type) else value
 
 
-def _typed_kwargs(cls, raw: dict, skip: tuple = ()) -> dict:
-    """Convert string values to the dataclass field types of ``cls``."""
-    type_of = {f.name: _TYPE_NAMES.get(f.type, f.type) if isinstance(f.type, str) else f.type
-               for f in fields(cls)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key in skip:
-            continue
-        if key not in type_of:
-            raise ValueError(f"unknown key {key!r} for {cls.__name__}")
-        kwargs[key] = _parse(value, type_of[key])
-    return kwargs
+def _schema(cls) -> dict:
+    """Field name -> type of a dataclass whose annotations are strings."""
+    return {f.name: _TYPE_NAMES.get(f.type, f.type) for f in fields(cls)}
 
 
-def _read_ini(source: str, *, is_text: bool = False) -> configparser.ConfigParser:
+def _typed_kwargs(schema: dict, raw: dict, where: str) -> dict:
+    """Convert string values to the types ``schema`` gives their keys."""
+    unknown = [key for key in raw if key not in schema]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    return {key: _parse(value, schema[key]) for key, value in raw.items()}
+
+
+def _read_ini(text: str, source: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    if is_text:
-        parser.read_string(source)
-    else:
-        if not os.path.exists(source):
-            raise FileNotFoundError(f"config file not found: {source}")
-        parser.read(source)
-    return parser
+    parser.read_string(text, source)
+    return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _preset_parser(filename: str) -> configparser.ConfigParser:
+@functools.cache
+def _preset(filename: str) -> dict[str, dict[str, str]]:
+    """One preset file's sections, parsed once; callers must not mutate them."""
     text = resources.files("xbarsim.presets").joinpath(filename).read_text()
-    return _read_ini(text, is_text=True)
+    return _read_ini(text, filename)
 
 
 def available_models() -> list[str]:
-    return _preset_parser("models.ini").sections()
+    return list(_preset("models.ini"))
 
 
 def available_devices() -> list[str]:
-    return _preset_parser("devices.ini").sections()
-
-
-def load_model_config(name: str, overrides: dict | None = None) -> ModelConfig:
-    parser = _preset_parser("models.ini")
-    if name not in parser:
-        raise ValueError(f"unknown model preset {name!r}; have {parser.sections()}")
-    kwargs = _typed_kwargs(ModelConfig, dict(parser[name]))
-    kwargs.setdefault("name", name)
-    cfg = ModelConfig(**kwargs)
-    return replace(cfg, **_typed_kwargs(ModelConfig, overrides)) if overrides else cfg
-
-
-def load_device_params(name: str, overrides: dict | None = None) -> DeviceParams:
-    parser = _preset_parser("devices.ini")
-    if name not in parser:
-        raise ValueError(f"unknown device preset {name!r}; have {parser.sections()}")
-    kwargs = _typed_kwargs(DeviceParams, dict(parser[name]), skip=("kind",))
-    dev = DeviceParams(kind=DeviceKind(parser[name]["kind"]), **kwargs)
-    if overrides:
-        dev = replace(dev, **_typed_kwargs(DeviceParams, overrides, skip=("kind",)))
-    return dev
-
-
-def _platform() -> configparser.ConfigParser:
-    return _preset_parser("platform.ini")
-
-
-def load_tile_config() -> TileConfig:
-    return TileConfig(**_typed_kwargs(TileConfig, dict(_platform()["tiles"])))
-
-
-def load_softmax_params() -> SoftmaxUnitParams:
-    return SoftmaxUnitParams(
-        **_typed_kwargs(SoftmaxUnitParams, dict(_platform()["softmax_unit"]))
-    )
-
-
-def load_cost_options() -> CostOptions:
-    platform = _platform()
-    raw = dict(platform["cost"])
-    raw.update(platform["digital"])
-    return CostOptions(**_typed_kwargs(CostOptions, raw))
-
-
-def load_pruning_overhead() -> tuple[float, float, float]:
-    """(energy_mJ, delay_ms, area_mm2) of the token-pruning predictors."""
-    section = _platform()["token_pruning"]
-    return (
-        float(section["predictor_energy_mj"]),
-        float(section["predictor_delay_ms"]),
-        float(section["predictor_area_mm2"]),
-    )
-
-
-def load_noise_defaults() -> dict:
-    section = _platform()["noise"]
-    return {
-        "seed": int(section["seed"]),
-        "multiplicative": _parse(section["multiplicative"], bool),
-    }
+    return list(_preset("devices.ini"))
 
 
 class ScenarioConfig:
     """Presets merged with an optional user override file."""
 
     def __init__(self, user_path: str | None = None):
-        self._user = _read_ini(user_path) if user_path else None
+        self._user = _read_ini(Path(user_path).read_text(), user_path) if user_path else {}
+        unknown = [name for name in self._user if name not in USER_SECTIONS]
+        if unknown:
+            raise ValueError(
+                f"unknown section [{unknown[0]}] in {user_path}; "
+                f"allowed: {', '.join(USER_SECTIONS)}"
+            )
 
-    def _user_section(self, name: str) -> dict:
-        if self._user is not None and name in self._user:
-            return dict(self._user[name])
-        return {}
+    def has_section(self, name: str) -> bool:
+        return name in self._user
+
+    def _merged(self, schema: dict, *sections: str) -> dict:
+        """Typed kwargs: the platform presets of ``sections``, then the
+        user's own ``sections``, later keys winning."""
+        raw = {}
+        for source in (_preset("platform.ini"), self._user):
+            for name in sections:
+                raw.update(source.get(name, {}))
+        return _typed_kwargs(schema, raw, "/".join(f"[{s}]" for s in sections))
+
+    def _named(self, section: str, filename: str, name: str | None):
+        """(preset name, preset keys under the user's keys) for [model] or [device]."""
+        user = dict(self._user.get(section, {}))
+        preset = user.pop("preset", None) or name
+        if preset is None:
+            return None, user
+        presets = _preset(filename)
+        if preset not in presets:
+            raise ValueError(f"unknown {section} preset {preset!r}; have {list(presets)}")
+        return preset, {**presets[preset], **user}
 
     def model(self, name: str | None = None) -> ModelConfig:
-        user = self._user_section("model")
-        preset = user.pop("preset", None) or name
-        if preset is None:
-            # a fully self-contained [model] section defines a custom model
-            if user:
-                kwargs = _typed_kwargs(ModelConfig, user)
-                kwargs.setdefault("name", "custom")
-                return ModelConfig(**kwargs)
+        preset, raw = self._named("model", "models.ini", name)
+        if preset is None and not raw:
             raise ValueError("no model named: pass --model or set [model] preset=")
-        return load_model_config(preset, user or None)
+        # a fully self-contained [model] section defines a custom model
+        raw = {"name": preset or "custom", **raw}
+        return ModelConfig(**_typed_kwargs(_schema(ModelConfig), raw, "[model]"))
 
     def device(self, name: str | None = None) -> DeviceParams:
-        user = self._user_section("device")
-        preset = user.pop("preset", None) or name
+        preset, raw = self._named("device", "devices.ini", name)
         if preset is None:
             raise ValueError("no device named: pass --device or set [device] preset=")
-        return load_device_params(preset, user or None)
+        return DeviceParams(**_typed_kwargs(_schema(DeviceParams), raw, "[device]"))
 
     def tiles(self) -> TileConfig:
-        base = load_tile_config()
-        user = self._user_section("tiles")
-        return replace(base, **_typed_kwargs(TileConfig, user)) if user else base
+        return TileConfig(**self._merged(_schema(TileConfig), "tiles"))
 
     def softmax(self) -> SoftmaxUnitParams:
-        base = load_softmax_params()
-        user = self._user_section("softmax_unit")
-        return replace(base, **_typed_kwargs(SoftmaxUnitParams, user)) if user else base
+        return SoftmaxUnitParams(**self._merged(_schema(SoftmaxUnitParams), "softmax_unit"))
 
     def cost_options(self) -> CostOptions:
-        base = load_cost_options()
-        user = dict(self._user_section("cost"))
-        user.update(self._user_section("digital"))
-        return replace(base, **_typed_kwargs(CostOptions, user)) if user else base
+        return CostOptions(**self._merged(_schema(CostOptions), "cost", "digital"))
 
     def pruning_overhead(self) -> tuple[float, float, float]:
-        base = list(load_pruning_overhead())
-        user = self._user_section("token_pruning")
-        keys = ("predictor_energy_mj", "predictor_delay_ms", "predictor_area_mm2")
-        for i, key in enumerate(keys):
-            if key in user:
-                base[i] = float(user[key])
-        return (base[0], base[1], base[2])
+        """(energy_mJ, delay_ms, area_mm2) of the token-pruning predictors."""
+        values = self._merged(_PRUNING, "token_pruning")
+        return tuple(values[key] for key in _PRUNING_KEYS)
 
     def noise(self) -> dict:
-        base = load_noise_defaults()
-        user = self._user_section("noise")
-        if "seed" in user:
-            base["seed"] = int(user["seed"])
-        if "multiplicative" in user:
-            base["multiplicative"] = _parse(user["multiplicative"], bool)
-        return base
+        return self._merged(_NOISE, "noise")
+
+
+def _with_user(section: str, overrides: dict | None) -> ScenarioConfig:
+    sc = ScenarioConfig()
+    if overrides:
+        sc._user[section] = dict(overrides)
+    return sc
+
+
+def load_model_config(name: str, overrides: dict | None = None) -> ModelConfig:
+    return _with_user("model", overrides).model(name)
+
+
+def load_device_params(name: str, overrides: dict | None = None) -> DeviceParams:
+    return _with_user("device", overrides).device(name)
+
+
+def load_tile_config() -> TileConfig:
+    return ScenarioConfig().tiles()
+
+
+def load_softmax_params() -> SoftmaxUnitParams:
+    return ScenarioConfig().softmax()
+
+
+def load_cost_options() -> CostOptions:
+    return ScenarioConfig().cost_options()
+
+
+def load_pruning_overhead() -> tuple[float, float, float]:
+    return ScenarioConfig().pruning_overhead()
+
+
+def load_noise_defaults() -> dict:
+    return ScenarioConfig().noise()

@@ -238,7 +238,7 @@ def _mapped_layer_cost(
     cfg: ModelConfig,
     opts: CostOptions,
 ) -> LayerCost:
-    ldev = device_for(layer, dev)
+    ldev = device_for(layer.kind, dev)
     mapping = crossbars_for_layer(layer, tiles, ldev, cfg.weight_bits)
     return layer_cost(
         layer,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from ..mapping import DeviceAssignment, DeviceParams, TileConfig
+from ..mapping import DeviceAssignment, DeviceParams, TileConfig, device_for
 from ..workload import EncoderSpec, LayerKind, ModelConfig
 from .crossbar import NoiseModel, mvm_bitserial, program_matrix
 from .quant import dequantize, quantize
@@ -152,16 +152,17 @@ class SimStats:
 class SimContext:
     """Per-inference simulation state.
 
-    ``assignment`` maps each layer kind to its device; None runs the
-    whole model in exact float math. Noise magnitudes come from each
-    layer's own device (so hybrid stacks get FeFET variations on FC
-    layers and none on SRAM matmuls); ``device_noise=False`` keeps ADC
-    quantization but silences device variations everywhere. The RNG is
-    derived from the seed at construction, so identical contexts
-    replay identically; parallel inferences should use distinct seeds.
+    ``assignment`` is one device for every layer or maps each layer kind
+    to its device; None runs the whole model in exact float math. Noise
+    magnitudes come from each layer's own device (so hybrid stacks get
+    FeFET variations on FC layers and none on SRAM matmuls);
+    ``device_noise=False`` keeps ADC quantization but silences device
+    variations everywhere. The RNG is derived from the seed at
+    construction, so identical contexts replay identically; parallel
+    inferences should use distinct seeds.
     """
 
-    assignment: DeviceAssignment | None = None
+    assignment: DeviceParams | DeviceAssignment | None = None
     tiles: TileConfig | None = None
     adc_bits: int = 6
     device_noise: bool = True
@@ -180,7 +181,7 @@ class SimContext:
     @classmethod
     def crossbar(
         cls,
-        assignment: DeviceAssignment,
+        assignment: DeviceParams | DeviceAssignment,
         tiles: TileConfig,
         adc_bits: int = 6,
         seed: int = 0,
@@ -205,12 +206,6 @@ class SimContext:
     def simulate_crossbars(self) -> bool:
         return self.assignment is not None
 
-    def _device(self, kind: LayerKind) -> DeviceParams:
-        try:
-            return self.assignment[kind]
-        except KeyError as exc:
-            raise ValueError(f"device assignment misses layer kind {kind}") from exc
-
     def _layer_noise(self, dev: DeviceParams) -> NoiseModel:
         return NoiseModel(
             read_var=dev.read_var if self.device_noise else 0.0,
@@ -226,7 +221,7 @@ class SimContext:
         """x @ w, either exact or through a simulated crossbar."""
         if not self.simulate_crossbars:
             return x @ w
-        dev = self._device(kind)
+        dev = device_for(kind, self.assignment)
         noise = self._layer_noise(dev)
         if cache_key is not None and cache_key in self._static_cache:
             pm, w_scale = self._static_cache[cache_key]

@@ -124,13 +124,13 @@ def crossbars_for_layer(
     return MappingResult(logical, sf, physical, n_tiles)
 
 
-def device_for(layer: LayerSpec, dev: DeviceParams | DeviceAssignment) -> DeviceParams:
+def device_for(kind: LayerKind, dev: DeviceParams | DeviceAssignment) -> DeviceParams:
     if isinstance(dev, DeviceParams):
         return dev
     try:
-        return dev[layer.kind]
+        return dev[kind]
     except KeyError as exc:
-        raise ValueError(f"device assignment misses layer kind {layer.kind}") from exc
+        raise ValueError(f"device assignment misses layer kind {kind}") from exc
 
 
 def hybrid_assignment(
@@ -161,6 +161,6 @@ def model_crossbar_total(
     for layer in layers:
         if layer.kind is LayerKind.SOFTMAX:
             continue
-        mapped = crossbars_for_layer(layer, tiles, device_for(layer, dev), weight_bits)
+        mapped = crossbars_for_layer(layer, tiles, device_for(layer.kind, dev), weight_bits)
         total += mapped.n_xbar_physical * layer.copies
     return total

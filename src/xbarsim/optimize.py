@@ -94,7 +94,7 @@ def optimize(
         return found
     patterns = enumerate_patterns(cfg.n_encoders, found.optimal_n_reuse, families)
     scored = tuple((p, float(scorer(p))) for p in patterns)
-    best = select_best(patterns, scorer)
+    best = select_best(patterns, dict(scored).__getitem__)
     return OptimizationResult(
         found.target_delay_ms,
         True,

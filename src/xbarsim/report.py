@@ -18,11 +18,21 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import config as cfgmod
-from .cost import ModelCost, breakdown, model_cost
-from .mapping import hybrid_assignment
+from .cost import (
+    CostOptions,
+    ModelCost,
+    SoftmaxUnitParams,
+    apply_token_pruning,
+    apply_weight_sharing,
+    breakdown,
+    model_cost,
+)
+from .mapping import DeviceAssignment, DeviceParams, TileConfig, hybrid_assignment
 from .optimize import (
+    OptimizationResult,
     Scorer,
     load_external_scorer,
     make_cka_scorer,
@@ -75,16 +85,23 @@ class ReportRow:
     breakdown: dict | None = None
 
 
+_FAMILIES = {
+    "all": (PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID),
+    "strided": (PatternKind.STRIDED,),
+    "continuous": (PatternKind.CONTINUOUS,),
+    "pyramid": (PatternKind.PYRAMID,),
+}
+
+
 def pattern_families(spec: str) -> tuple[PatternKind, ...]:
-    table = {
-        "all": (PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID),
-        "strided": (PatternKind.STRIDED,),
-        "continuous": (PatternKind.CONTINUOUS,),
-        "pyramid": (PatternKind.PYRAMID,),
-    }
-    if spec not in table:
+    if spec.startswith("explicit:"):
+        raise ValueError(
+            "--patterns explicit:i,j,k fixes one pattern and is simulate-only; "
+            f"pattern ranking takes one of {', '.join(_FAMILIES)}"
+        )
+    if spec not in _FAMILIES:
         raise ValueError(f"unknown pattern family {spec!r}")
-    return table[spec]
+    return _FAMILIES[spec]
 
 
 def make_scorer(scenario: Scenario, cfg: ModelConfig) -> Scorer:
@@ -96,21 +113,60 @@ def make_scorer(scenario: Scenario, cfg: ModelConfig) -> Scorer:
     raise ValueError(f"unknown scorer {scenario.scorer!r}")
 
 
-def resolve_device(name: str, scenario_cfg: cfgmod.ScenarioConfig):
-    if name == "hybrid":
-        return hybrid_assignment(
-            cfgmod.load_device_params("FeFET"), cfgmod.load_device_params("SRAM")
+def resolve_device(name: str, sc: cfgmod.ScenarioConfig):
+    """A device preset under the user's [device] keys, or for "hybrid"
+    the FeFET and SRAM presets paired by ``hybrid_assignment``."""
+    if name != "hybrid":
+        return sc.device(name)
+    if sc.has_section("device"):
+        raise ValueError(
+            "--device hybrid pairs the FeFET and SRAM presets and takes no "
+            "[device] section"
         )
-    return scenario_cfg.device(name)
+    return hybrid_assignment(sc.device("FeFET"), sc.device("SRAM"))
+
+
+class Inputs(NamedTuple):
+    """A scenario's resolved cost-model inputs."""
+
+    cfg: ModelConfig
+    dev: DeviceParams | DeviceAssignment
+    tiles: TileConfig
+    sp: SoftmaxUnitParams
+    opts: CostOptions
+    pruning_overhead: tuple[float, float, float]
+
+    def cost(self, n_reuse: int) -> ModelCost:
+        return model_cost(self.cfg, n_reuse, self.dev, self.tiles, self.sp, self.opts)
+
+    def optimize(self, target: float, scorer: Scorer, families) -> OptimizationResult:
+        return optimize(self.cfg, self.dev, self.tiles, self.sp, target, scorer,
+                        self.opts, families)
+
+
+def resolve(scenario: Scenario) -> Inputs:
+    """The presets under the scenario's config file, resolved once."""
+    sc = cfgmod.ScenarioConfig(scenario.config_path)
+    return Inputs(sc.model(scenario.model), resolve_device(scenario.device, sc),
+                  sc.tiles(), sc.softmax(), sc.cost_options(), sc.pruning_overhead())
 
 
 def _row(
     scenario: Scenario,
-    mc: ModelCost,
+    mc: ModelCost | None,
     pattern: str,
     base_edap: float,
     target: float | None = None,
+    detail: bool = True,
 ) -> ReportRow:
+    """The row for ``mc``, or for an infeasible target when ``mc`` is None.
+
+    Only ``detail`` rows record their target and block breakdown; the
+    compare table's rows carry neither.
+    """
+    if mc is None:
+        return ReportRow(scenario.name, scenario.model, scenario.device, None, pattern,
+                         *[None] * 7, target_delay_ms=target, feasible=False)
     return ReportRow(
         scenario=scenario.name,
         model=scenario.model,
@@ -124,81 +180,97 @@ def _row(
         tops_per_w=mc.tops_per_w,
         tops_per_mm2=mc.tops_per_mm2,
         edap_reduction=base_edap / mc.edap,
-        target_delay_ms=target,
-        breakdown=breakdown(mc),
+        target_delay_ms=target if detail else None,
+        breakdown=breakdown(mc) if detail else None,
     )
 
 
-def run_scenario(scenario: Scenario) -> list[ReportRow]:
+def _target_row(
+    scenario: Scenario,
+    inputs: Inputs,
+    target: float,
+    scorer: Scorer,
+    base_edap: float,
+    detail: bool = True,
+) -> ReportRow:
+    """One delay target: infeasible, met at zero reuse, or the best pattern."""
+    found = inputs.optimize(target, scorer, pattern_families(scenario.patterns))
+    if not found.feasible:
+        return _row(scenario, None, "infeasible", base_edap, target)
+    label = found.best.label() if found.best is not None else "none"
+    if not detail:
+        label = f"reuse@{target}ms {label}"
+    return _row(scenario, inputs.cost(found.optimal_n_reuse), label, base_edap,
+                target, detail)
+
+
+def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[ReportRow]:
     """Baseline row plus one row per delay target, in input order."""
-    sc = cfgmod.ScenarioConfig(scenario.config_path)
-    cfg = sc.model(scenario.model)
-    dev = resolve_device(scenario.device, sc)
-    tiles = sc.tiles()
-    sp = sc.softmax()
-    opts = sc.cost_options()
-
-    base = model_cost(cfg, 0, dev, tiles, sp, opts)
+    inputs = resolve(scenario) if inputs is None else inputs
+    base = inputs.cost(0)
     rows = [_row(scenario, base, "none", base.edap)]
-
     if scenario.patterns.startswith("explicit:"):
-        indices = tuple(
-            int(i) for i in scenario.patterns.split(":", 1)[1].split(",") if i
-        )
-        pat = explicit_pattern(cfg.n_encoders, indices)
-        mc = model_cost(cfg, pat.n_reuse, dev, tiles, sp, opts)
-        rows.append(_row(scenario, mc, pat.label(), base.edap))
+        indices = (int(i) for i in scenario.patterns.split(":", 1)[1].split(",") if i)
+        pat = explicit_pattern(inputs.cfg.n_encoders, indices)
+        rows.append(_row(scenario, inputs.cost(pat.n_reuse), pat.label(), base.edap))
         return rows
-
-    scorer = make_scorer(scenario, cfg)
-    families = pattern_families(scenario.patterns)
-    for target in scenario.target_delays_ms:
-        found = optimize(cfg, dev, tiles, sp, target, scorer, opts, families)
-        if not found.feasible:
-            rows.append(
-                ReportRow(
-                    scenario=scenario.name,
-                    model=scenario.model,
-                    device=scenario.device,
-                    n_reuse=None,
-                    pattern="infeasible",
-                    energy_mj=None,
-                    delay_ms=None,
-                    area_mm2=None,
-                    edap=None,
-                    tops_per_w=None,
-                    tops_per_mm2=None,
-                    edap_reduction=None,
-                    target_delay_ms=target,
-                    feasible=False,
-                )
-            )
-            continue
-        mc = model_cost(cfg, found.optimal_n_reuse, dev, tiles, sp, opts)
-        label = found.best.label() if found.best is not None else "none"
-        rows.append(_row(scenario, mc, label, base.edap, target))
+    scorer = make_scorer(scenario, inputs.cfg)
+    rows += [_target_row(scenario, inputs, t, scorer, base.edap)
+             for t in scenario.target_delays_ms]
     return rows
 
 
-def report_meta(scenario: Scenario | None = None) -> dict:
-    """Report-header facts: conventions of the shipped calibration."""
+def run_compare(
+    scenario: Scenario,
+    ws_groups: "list[int]",
+    prune_ratios: "list[float]",
+    inputs: Inputs | None = None,
+) -> list[ReportRow]:
+    """Baseline, weight sharing, token pruning and attention reuse per target.
+
+    An infeasible reuse target gives an infeasible row, which the
+    compare report leaves out.
+    """
+    inputs = resolve(scenario) if inputs is None else inputs
+    cfg, dev, tiles, sp, opts, overhead = inputs
+    base = inputs.cost(0)
+    entries = [("baseline", base)]
+    entries += [(f"ws={ws}", apply_weight_sharing(cfg, ws, dev, tiles, sp, opts))
+                for ws in ws_groups]
+    entries += [(f"prune p={p:.2f}",
+                 apply_token_pruning(cfg, p, dev, tiles, sp, opts, overhead))
+                for p in prune_ratios]
+    rows = [_row(scenario, mc, label, base.edap, detail=False) for label, mc in entries]
+    scorer = make_scorer(scenario, cfg)
+    rows += [_target_row(scenario, inputs, t, scorer, base.edap, detail=False)
+             for t in scenario.target_delays_ms]
+    return rows
+
+
+def report_meta(scenario: Scenario | None = None, opts: CostOptions | None = None) -> dict:
+    """Report-header facts, stated from the cost options the report used.
+
+    ``opts`` defaults to the scenario's config file over the presets.
+    """
+    if opts is None:
+        opts = cfgmod.ScenarioConfig(scenario and scenario.config_path).cost_options()
+    area = ("rounded up to whole tiles (pad_to_tiles)" if opts.pad_to_tiles
+            else "not rounded to whole tiles (pad_to_tiles off)")
+    tb = ("mapped d x d crossbar FCs (tb_on_crossbars)" if opts.tb_on_crossbars
+          else "calibrated digital constants (zero by default), not as mapped crossbar FCs")
     meta = {
         "accuracy_note": (
             "accuracy columns are intentionally absent: classification "
             "accuracy is not computable by this cost model"
         ),
         "area_convention": (
-            "per-layer areas rounded up to whole tiles (pad_to_tiles), "
-            "stem excluded in the calibrated model presets"
+            f"per-layer areas {area}, stem excluded in the calibrated model presets"
         ),
         "serialization_convention": (
             "device read constants cover one full input presentation; "
             "input_split_bits equals input_bits in the calibrated presets"
         ),
-        "tb_convention": (
-            "transformation blocks charged as calibrated digital constants "
-            "(zero by default), not as mapped crossbar FCs"
-        ),
+        "tb_convention": f"transformation blocks charged as {tb}",
         "units": {
             "energy_mJ": "millijoule",
             "delay_ms": "millisecond",
@@ -271,57 +343,22 @@ def format_breakdown_csv(rows: "list[ReportRow]") -> str:
     return "\n".join(lines) + "\n"
 
 
+# ReportRow field -> JSON key, where the two differ
+_JSON_KEYS = {"energy_mj": "energy_mJ"}
+_FIELDS = {key: name for name, key in _JSON_KEYS.items()}
+
+
 def rows_to_json(rows: "list[ReportRow]", meta: dict | None = None) -> str:
     doc = {
         "meta": meta or report_meta(),
-        "rows": [
-            {
-                "scenario": r.scenario,
-                "model": r.model,
-                "device": r.device,
-                "n_reuse": r.n_reuse,
-                "pattern": r.pattern,
-                "energy_mJ": r.energy_mj,
-                "delay_ms": r.delay_ms,
-                "area_mm2": r.area_mm2,
-                "edap": r.edap,
-                "tops_per_w": r.tops_per_w,
-                "tops_per_mm2": r.tops_per_mm2,
-                "edap_reduction": r.edap_reduction,
-                "target_delay_ms": r.target_delay_ms,
-                "feasible": r.feasible,
-                "breakdown": r.breakdown,
-            }
-            for r in rows
-        ],
+        "rows": [{_JSON_KEYS.get(k, k): v for k, v in vars(r).items()} for r in rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def rows_from_json(text: str) -> "list[ReportRow]":
-    doc = json.loads(text)
-    rows = []
-    for r in doc["rows"]:
-        rows.append(
-            ReportRow(
-                scenario=r["scenario"],
-                model=r["model"],
-                device=r["device"],
-                n_reuse=r["n_reuse"],
-                pattern=r["pattern"],
-                energy_mj=r["energy_mJ"],
-                delay_ms=r["delay_ms"],
-                area_mm2=r["area_mm2"],
-                edap=r["edap"],
-                tops_per_w=r["tops_per_w"],
-                tops_per_mm2=r["tops_per_mm2"],
-                edap_reduction=r["edap_reduction"],
-                target_delay_ms=r["target_delay_ms"],
-                feasible=r["feasible"],
-                breakdown=r["breakdown"],
-            )
-        )
-    return rows
+    return [ReportRow(**{_FIELDS.get(k, k): v for k, v in r.items()})
+            for r in json.loads(text)["rows"]]
 
 
 def emit(
@@ -337,22 +374,17 @@ def emit(
     """
     out_dir = os.environ.get("XBARSIM_OUT_DIR", out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    files = {
+        "csv": ((".csv", format_csv), ("_breakdown.csv", format_breakdown_csv)),
+        "json": ((".json", lambda rows: rows_to_json(rows, meta)),),
+    }
     written = []
     for fmt in formats:
-        if fmt == "csv":
-            path = os.path.join(out_dir, f"{basename}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(format_csv(rows))
-            written.append(path)
-            bpath = os.path.join(out_dir, f"{basename}_breakdown.csv")
-            with open(bpath, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(format_breakdown_csv(rows))
-            written.append(bpath)
-        elif fmt == "json":
-            path = os.path.join(out_dir, f"{basename}.json")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(rows_to_json(rows, meta))
-            written.append(path)
-        else:
+        if fmt not in files:
             raise ValueError(f"unknown report format {fmt!r}")
+        for suffix, render in files[fmt]:
+            path = os.path.join(out_dir, basename + suffix)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(render(rows))
+            written.append(path)
     return written

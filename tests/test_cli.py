@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from xbarsim.cli import main
 
 
@@ -79,3 +81,53 @@ def test_compare_table(tmp_path, capsys):
     assert "baseline" in out and "ws=2" in out and "prune p=0.30" in out
     csv = read(tmp_path / "cmp.csv")
     assert "reuse@7.0ms" in csv
+
+
+def test_compare_target_met_without_reuse(tmp_path, capsys):
+    # the 10.87 ms baseline already meets an 11 ms target
+    rc = main([
+        "compare", "--model", "DeiT-S", "--device", "FeFET",
+        "--target-delay", "11", "--name", "cmp", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    rows = json.loads(read(tmp_path / "cmp.json"))["rows"]
+    assert rows[-1]["pattern"] == "reuse@11.0ms none"
+    assert rows[-1]["n_reuse"] == 0
+    assert rows[-1]["edap_reduction"] == 1.0
+
+
+def test_optimize_rejects_explicit_patterns(tmp_path):
+    with pytest.raises(ValueError, match="simulate-only"):
+        main([
+            "optimize", "--model", "DeiT-S", "--device", "FeFET",
+            "--target-delay", "7", "--patterns", "explicit:2,5,8",
+            "--out", str(tmp_path),
+        ])
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "compare", "funcsim"])
+def test_hybrid_rejects_device_section(command, tmp_path):
+    user = tmp_path / "hybrid.ini"
+    user.write_text("[device]\ne_read_xbar_pj = 300\n")
+    argv = [command, "--device", "hybrid", "--config", str(user),
+            "--out", str(tmp_path / "out")]
+    if command == "funcsim":
+        argv += ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2"]
+    else:
+        argv += ["--target-delay", "7"]
+    with pytest.raises(ValueError, match=r"\[device\]"):
+        main(argv)
+
+
+def test_meta_states_resolved_cost_options(tmp_path):
+    user = tmp_path / "cost.ini"
+    user.write_text("[cost]\ntb_on_crossbars = true\npad_to_tiles = false\n")
+    rc = main([
+        "simulate", "--model", "DeiT-S", "--device", "FeFET", "--config", str(user),
+        "--name", "conv", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    meta = json.loads(read(tmp_path / "conv.json"))["meta"]
+    assert "not rounded to whole tiles" in meta["area_convention"]
+    assert "mapped d x d crossbar FCs" in meta["tb_convention"]
+    assert "digital constants" not in meta["tb_convention"]

@@ -131,3 +131,31 @@ def test_custom_model_without_preset(tmp_path):
     )
     cfg = ScenarioConfig(str(user)).model()
     assert cfg.name == "tiny" and cfg.d == 128 and cfg.n_encoders == 6
+
+
+def test_unknown_section_rejected(tmp_path):
+    user = tmp_path / "typo.ini"
+    user.write_text("[tile]\nxbar_size = 128\n")
+    with pytest.raises(ValueError, match=r"unknown section \[tile\]"):
+        ScenarioConfig(str(user))
+
+
+def test_unknown_token_pruning_key_rejected(tmp_path):
+    user = tmp_path / "pruning.ini"
+    user.write_text("[token_pruning]\npredictor_energy_mJ = 0.5\n")
+    with pytest.raises(ValueError, match="unknown key 'predictor_energy_mJ'"):
+        ScenarioConfig(str(user)).pruning_overhead()
+
+
+def test_token_pruning_override(tmp_path):
+    user = tmp_path / "pruning.ini"
+    user.write_text("[token_pruning]\npredictor_delay_ms = 1.5\n")
+    e, d, a = ScenarioConfig(str(user)).pruning_overhead()
+    assert (e, d, a) == (load_pruning_overhead()[0], 1.5, load_pruning_overhead()[2])
+
+
+def test_int_fields_reject_fractions():
+    with pytest.raises(ValueError, match="not an integer"):
+        load_model_config("DeiT-S", {"n_encoders": "2.7"})
+    assert load_model_config("DeiT-S", {"t": "2e2"}).t == 200
+    assert load_model_config("DeiT-S", {"t": "100e3"}).t == 100_000

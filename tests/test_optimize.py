@@ -11,7 +11,13 @@ from xbarsim.optimize import (
     synthetic_attention_outputs,
 )
 from xbarsim.cost import model_cost
-from xbarsim.patterns import PatternKind, explicit_pattern, gen_continuous, gen_strided
+from xbarsim.patterns import (
+    PatternKind,
+    explicit_pattern,
+    gen_continuous,
+    gen_strided,
+    select_best,
+)
 from xbarsim.similarity import cka_score
 
 
@@ -153,3 +159,16 @@ def test_synthetic_activations_distance_decay():
     adjacent = np.mean([cka_score(acts[i], acts[i + 1]) for i in range(9)])
     distant = np.mean([cka_score(acts[i], acts[i + 5]) for i in range(5)])
     assert adjacent > distant
+
+
+def test_optimize_scores_each_pattern_once(deit, fefet, tiles, softmax_params, cost_opts):
+    scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return scorer(pattern)
+
+    res = optimize(deit, fefet, tiles, softmax_params, 7.0, counting, cost_opts)
+    assert len(calls) == len(res.candidates) > 1
+    assert res.best == select_best([p for p, _ in res.candidates], scorer)
