@@ -25,7 +25,7 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 _TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str,
                "DeviceKind": DeviceKind}
 
-USER_SECTIONS = ("model", "device", "tiles", "softmax_unit", "digital", "cost",
+_USER_SECTIONS = ("model", "device", "tiles", "softmax_unit", "digital", "cost",
                  "token_pruning", "noise")
 
 _PRUNING_KEYS = ("predictor_energy_mj", "predictor_delay_ms", "predictor_area_mm2")
@@ -89,11 +89,11 @@ class ScenarioConfig:
 
     def __init__(self, user_path: str | None = None):
         self._user = _read_ini(Path(user_path).read_text(), user_path) if user_path else {}
-        unknown = [name for name in self._user if name not in USER_SECTIONS]
+        unknown = [name for name in self._user if name not in _USER_SECTIONS]
         if unknown:
             raise ValueError(
                 f"unknown section [{unknown[0]}] in {user_path}; "
-                f"allowed: {', '.join(USER_SECTIONS)}"
+                f"allowed: {', '.join(_USER_SECTIONS)}"
             )
 
     def has_section(self, name: str) -> bool:

@@ -1,16 +1,19 @@
 """Scenario orchestration and CSV/JSON report emission.
 
-A scenario evaluates one model on one device: a baseline row plus one
-row per delay target, each target resolved to its minimal reuse count
-and a concrete reuse pattern picked by the configured scorer. Rows
+A scenario evaluates one model on one device. ``resolve`` turns it into
+cost-model inputs, the presets under its config file, for every
+command. ``run_scenario`` gives a baseline row plus one row per delay
+target, each target resolved to its minimal reuse count and a concrete
+reuse pattern picked by the configured scorer; ``run_compare`` puts
+weight sharing and token pruning beside the same reuse rows. Rows
 carry the headline metrics and EDAP reduction against baseline;
 per-block breakdown shares are emitted alongside (separate CSV, and
 inline in the JSON document).
 
 Emission is deterministic: fixed column order, fixed float formatting,
 no timestamps, so identical scenarios and seeds produce byte-identical
-files. The JSON meta block records the calibration conventions
-(accuracy is intentionally absent: it is not computable here).
+files. The JSON meta block states the conventions of the cost options
+used (accuracy is intentionally absent: it is not computable here).
 """
 
 from __future__ import annotations
@@ -253,7 +256,8 @@ def report_meta(scenario: Scenario | None = None, opts: CostOptions | None = Non
     ``opts`` defaults to the scenario's config file over the presets.
     """
     if opts is None:
-        opts = cfgmod.ScenarioConfig(scenario and scenario.config_path).cost_options()
+        path = scenario.config_path if scenario is not None else None
+        opts = cfgmod.ScenarioConfig(path).cost_options()
     area = ("rounded up to whole tiles (pad_to_tiles)" if opts.pad_to_tiles
             else "not rounded to whole tiles (pad_to_tiles off)")
     tb = ("mapped d x d crossbar FCs (tb_on_crossbars)" if opts.tb_on_crossbars

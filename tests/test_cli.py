@@ -4,6 +4,7 @@ import os
 import pytest
 
 from xbarsim.cli import main
+from xbarsim.report import Scenario, report_meta
 
 
 def read(path):
@@ -131,3 +132,6 @@ def test_meta_states_resolved_cost_options(tmp_path):
     assert "not rounded to whole tiles" in meta["area_convention"]
     assert "mapped d x d crossbar FCs" in meta["tb_convention"]
     assert "digital constants" not in meta["tb_convention"]
+    direct = report_meta(Scenario("conv", "DeiT-S", "FeFET", config_path=str(user)))
+    assert direct["area_convention"] == meta["area_convention"]
+    assert direct["tb_convention"] == meta["tb_convention"]
