@@ -77,7 +77,7 @@ def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
-    return _report(args, run_scenario(scenario, inputs), report_meta(scenario, inputs.opts))
+    return _report(args, run_scenario(scenario, inputs), report_meta(scenario, inputs))
 
 
 def cmd_optimize(args) -> int:
@@ -130,13 +130,14 @@ def cmd_funcsim(args) -> int:
         ctx = SimContext.exact()
     else:
         sc = cfgmod.ScenarioConfig(args.config)
-        tiles = sc.tiles()
+        tiles, noise = sc.tiles(), sc.noise()
         ctx = SimContext.crossbar(
             resolve_device(args.device, sc),
             tiles,
             adc_bits=args.adc_bits if args.adc_bits else tiles.adc_bits,
-            seed=args.seed,
+            seed=noise.get("seed", args.seed),
             device_noise=not args.no_noise,
+            multiplicative=noise["multiplicative"],
             weight_bits=cfg.weight_bits,
             input_bits=cfg.input_bits,
         )
@@ -169,7 +170,7 @@ def cmd_compare(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
     rows = run_compare(scenario, args.ws or [2], args.prune_ratio or [0.3], inputs)
-    return _report(args, rows, report_meta(opts=inputs.opts), feasible_only=True)
+    return _report(args, rows, report_meta(inputs=inputs), feasible_only=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,7 @@ is charged to the feed-forward block via per-encoder constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .mapping import (
@@ -55,7 +55,6 @@ from .workload import (
     attention_layers,
     encoder_macs,
     ffn_layers,
-    mac_count,
     stem_layers,
     stem_macs,
     tb_layer,
@@ -231,108 +230,126 @@ def softmax_cost(cfg: ModelConfig, sp: SoftmaxUnitParams) -> tuple[float, float]
     return e_uj, d_us
 
 
-def _mapped_layer_cost(
-    layer: LayerSpec,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    cfg: ModelConfig,
-    opts: CostOptions,
-) -> LayerCost:
-    ldev = device_for(layer.kind, dev)
-    mapping = crossbars_for_layer(layer, tiles, ldev, cfg.weight_bits)
-    return layer_cost(
-        layer,
-        mapping,
-        ldev,
-        tiles,
-        cfg.input_cycles,
-        pad_to_tiles=opts.pad_to_tiles,
-        read_delay_pe_factor=opts.read_delay_pe_factor,
-    )
+@dataclass(frozen=True)
+class BlockTable:
+    """One configuration's blocks, each costed once.
+
+    ``blocks`` holds one encoder's attn, tb, proj and mlp blocks and the
+    model's stem; ``macs`` counts a full encoder, a reusing encoder and
+    the stem. Model cost is linear in the block counts, so every model
+    cost is an ``assemble`` of tables.
+    """
+
+    blocks: Mapping[str, BlockCost]
+    macs: tuple[int, int, int]
 
 
-def _sum_layers(
-    layers: Sequence[LayerSpec],
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    cfg: ModelConfig,
-    opts: CostOptions,
-) -> BlockCost:
-    total = BlockCost()
-    for layer in layers:
-        lc = _mapped_layer_cost(layer, dev, tiles, cfg, opts)
-        total = total + BlockCost(
-            lc.e_total_uj, lc.d_total_us, lc.area_mm2, lc.weight_area_mm2
-        )
-    return total
-
-
-def attention_block_cost(
+def block_table(
     cfg: ModelConfig,
     dev: DeviceParams | DeviceAssignment,
     tiles: TileConfig,
     sp: SoftmaxUnitParams,
     opts: CostOptions = CostOptions(),
-) -> BlockCost:
-    """Q/K/V reads, K^T and V writes, both matmul reads, softmax."""
-    crossbar_layers = [l for l in attention_layers(cfg) if l.kind is not LayerKind.SOFTMAX]
-    block = _sum_layers(crossbar_layers, dev, tiles, cfg, opts)
-    e_s, d_s = softmax_cost(cfg, sp)
-    return block + BlockCost(e_s, d_s, 0.0, 0.0)
+) -> BlockTable:
+    """Per-encoder blocks and the stem, summed layer by layer.
 
+    attn: Q/K/V reads, K^T and V writes, both matmul reads, softmax.
+    tb: the mapped d x d FC, or the ``tb_*`` constants.
+    proj: the output projection.
+    mlp: both MLP FCs plus the digital vector-unit constants.
+    stem: patch embedding and classifier when ``include_stem`` is set.
+    """
 
-def proj_block_cost(cfg, dev, tiles, opts=CostOptions()) -> BlockCost:
-    proj, _, _ = ffn_layers(cfg)
-    return _sum_layers([proj], dev, tiles, cfg, opts)
+    def block(layers: Sequence[LayerSpec], extra: BlockCost = BlockCost()) -> BlockCost:
+        total = BlockCost()
+        for layer in layers:
+            ldev = device_for(layer.kind, dev)
+            lc = layer_cost(
+                layer,
+                crossbars_for_layer(layer, tiles, ldev, cfg.weight_bits),
+                ldev,
+                tiles,
+                cfg.input_cycles,
+                pad_to_tiles=opts.pad_to_tiles,
+                read_delay_pe_factor=opts.read_delay_pe_factor,
+            )
+            total = total + BlockCost(
+                lc.e_total_uj, lc.d_total_us, lc.area_mm2, lc.weight_area_mm2
+            )
+        return total + extra
 
-
-def mlp_block_cost(cfg, dev, tiles, opts=CostOptions()) -> BlockCost:
-    """Both MLP FCs plus the encoder's digital vector-unit constants."""
-    _, mlp1, mlp2 = ffn_layers(cfg)
-    block = _sum_layers([mlp1, mlp2], dev, tiles, cfg, opts)
-    return block + BlockCost(opts.vec_energy_uj, opts.vec_delay_us, 0.0, 0.0)
-
-
-def tb_block_cost(cfg, dev, tiles, opts=CostOptions()) -> BlockCost:
+    proj, mlp1, mlp2 = ffn_layers(cfg)
     if opts.tb_on_crossbars:
-        return _sum_layers([tb_layer(cfg)], dev, tiles, cfg, opts)
-    return BlockCost(
-        opts.tb_energy_uj, opts.tb_delay_us, opts.tb_area_mm2, opts.tb_area_mm2
-    )
+        tb = block([tb_layer(cfg)])
+    else:
+        tb = BlockCost(opts.tb_energy_uj, opts.tb_delay_us, opts.tb_area_mm2, opts.tb_area_mm2)
+    blocks = {
+        "attn": block(
+            [l for l in attention_layers(cfg) if l.kind is not LayerKind.SOFTMAX],
+            BlockCost(*softmax_cost(cfg, sp)),
+        ),
+        "tb": tb,
+        "proj": block([proj]),
+        "mlp": block([mlp1, mlp2], BlockCost(opts.vec_energy_uj, opts.vec_delay_us)),
+        "stem": block(stem_layers(cfg) if cfg.include_stem else ()),
+    }
+    macs = (encoder_macs(cfg), encoder_macs(cfg, reuses=True), stem_macs(cfg))
+    return BlockTable(blocks, macs)
 
 
-def stem_block_cost(cfg, dev, tiles, opts=CostOptions()) -> BlockCost:
-    if not cfg.include_stem:
-        return BlockCost()
-    return _sum_layers(stem_layers(cfg), dev, tiles, cfg, opts)
-
-
-def _assemble(
-    cfg: ModelConfig,
-    n_reuse: int,
-    blocks: Mapping[str, BlockCost],
-    macs: int,
+def assemble(
+    groups: Sequence[tuple[BlockTable, int, int]],
+    overhead: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    ws: int = 1,
 ) -> ModelCost:
-    e_uj = sum(b.e_uj for b in blocks.values())
-    d_us = sum(b.d_us for b in blocks.values())
-    a_mm2 = sum(b.a_mm2 for b in blocks.values())
-    e_mj = e_uj / 1e3
-    d_ms = d_us / 1e3
-    edap = e_mj * d_ms * a_mm2
-    tops_per_w = macs / (e_mj * 1e9) if e_mj > 0 else math.inf
-    tops_per_mm2 = macs / (d_ms * 1e9 * a_mm2) if d_ms > 0 and a_mm2 > 0 else math.inf
+    """Whole-model cost from block tables scaled by their encoder counts.
+
+    Each group is (table, full encoders, reusing encoders): attn counts
+    the full ones, tb the reusing ones, proj and mlp both. The first
+    table's stem is charged once. ``overhead`` adds a constant
+    (energy_mJ, delay_ms, area_mm2); ``ws`` encoders share one weight
+    set, dividing the weight area of the encoder blocks.
+    """
+    blocks = {name: BlockCost() for name in BLOCK_NAMES}
+    for table, n_full, n_reuse in groups:
+        counts = {"attn": n_full, "tb": n_reuse, "proj": n_full + n_reuse,
+                  "mlp": n_full + n_reuse}
+        for name, count in counts.items():
+            blocks[name] = blocks[name] + table.blocks[name].scaled(count)
+    blocks["stem"] = groups[0][0].blocks["stem"]
+    if ws > 1:
+        for name in ("attn", "tb", "proj", "mlp"):
+            b = blocks[name]
+            shared_w = b.weight_area_mm2 / ws
+            blocks[name] = BlockCost(
+                b.e_uj, b.d_us, b.a_mm2 - b.weight_area_mm2 + shared_w, shared_w
+            )
+
+    e_o, d_o, a_o = overhead
+    e_mj = sum(b.e_uj for b in blocks.values()) / 1e3 + e_o
+    d_ms = sum(b.d_us for b in blocks.values()) / 1e3 + d_o
+    a_mm2 = sum(b.a_mm2 for b in blocks.values()) + a_o
+    macs = groups[0][0].macs[2] + sum(
+        n_full * table.macs[0] + n_reuse * table.macs[1] for table, n_full, n_reuse in groups
+    )
     return ModelCost(
         e_vit_mj=e_mj,
         d_vit_ms=d_ms,
         a_vit_mm2=a_mm2,
-        edap=edap,
-        tops_per_w=tops_per_w,
-        tops_per_mm2=tops_per_mm2,
+        edap=e_mj * d_ms * a_mm2,
+        tops_per_w=macs / (e_mj * 1e9) if e_mj > 0 else math.inf,
+        tops_per_mm2=macs / (d_ms * 1e9 * a_mm2) if d_ms > 0 and a_mm2 > 0 else math.inf,
         macs=macs,
-        n_encoders=cfg.n_encoders,
-        n_reuse=n_reuse,
-        blocks=dict(blocks),
+        n_encoders=sum(n_full + n_reuse for _, n_full, n_reuse in groups),
+        n_reuse=sum(n_reuse for _, _, n_reuse in groups),
+        blocks=blocks,
     )
+
+
+def _reuse_split(cfg: ModelConfig, n_reuse: int) -> tuple[int, int]:
+    if not 0 <= n_reuse <= cfg.n_encoders:
+        raise ValueError(f"n_reuse={n_reuse} out of [0, {cfg.n_encoders}]")
+    return cfg.n_encoders - n_reuse, n_reuse
 
 
 def model_cost(
@@ -349,17 +366,8 @@ def model_cost(
     many there are, so a count is sufficient here; use
     ``model_cost_for`` to cost a built encoder list.
     """
-    if not 0 <= n_reuse <= cfg.n_encoders:
-        raise ValueError(f"n_reuse={n_reuse} out of [0, {cfg.n_encoders}]")
-    n = cfg.n_encoders
-    blocks = {
-        "attn": attention_block_cost(cfg, dev, tiles, sp, opts).scaled(n - n_reuse),
-        "tb": tb_block_cost(cfg, dev, tiles, opts).scaled(n_reuse),
-        "proj": proj_block_cost(cfg, dev, tiles, opts).scaled(n),
-        "mlp": mlp_block_cost(cfg, dev, tiles, opts).scaled(n),
-        "stem": stem_block_cost(cfg, dev, tiles, opts),
-    }
-    return _assemble(cfg, n_reuse, blocks, mac_count(cfg, n_reuse=n_reuse))
+    table = block_table(cfg, dev, tiles, sp, opts)
+    return assemble([(table, *_reuse_split(cfg, n_reuse))])
 
 
 def model_cost_for(
@@ -424,17 +432,8 @@ def apply_weight_sharing(
         raise ValueError("ws must be >= 1")
     if cfg.n_encoders % ws != 0:
         raise ValueError(f"ws={ws} does not divide n_encoders={cfg.n_encoders}")
-    base = model_cost(cfg, n_reuse, dev, tiles, sp, opts)
-    if ws == 1:
-        return base
-    blocks = dict(base.blocks)
-    for name in ("attn", "tb", "proj", "mlp"):
-        b = blocks[name]
-        shared_w = b.weight_area_mm2 / ws
-        blocks[name] = BlockCost(
-            b.e_uj, b.d_us, b.a_mm2 - b.weight_area_mm2 + shared_w, shared_w
-        )
-    return _assemble(cfg, n_reuse, blocks, base.macs)
+    table = block_table(cfg, dev, tiles, sp, opts)
+    return assemble([(table, *_reuse_split(cfg, n_reuse))], ws=ws)
 
 
 def apply_token_pruning(
@@ -459,38 +458,8 @@ def apply_token_pruning(
     if not 0 <= prune_from_encoder < cfg.n_encoders:
         raise ValueError("prune_from_encoder out of range")
     t_pruned = max(1, round(cfg.t * (1.0 - p)))
-    e_o, d_o, a_o = predictor_overhead
-
-    if t_pruned == cfg.t and (e_o, d_o, a_o) == (0.0, 0.0, 0.0):
-        return model_cost(cfg, 0, dev, tiles, sp, opts)
-
-    cfg_pruned = with_tokens(cfg, t_pruned)
-    groups = [(cfg, prune_from_encoder), (cfg_pruned, cfg.n_encoders - prune_from_encoder)]
-    blocks = {name: BlockCost() for name in BLOCK_NAMES}
-    macs = 0
-    for group_cfg, count in groups:
-        if count == 0:
-            continue
-        blocks["attn"] = blocks["attn"] + attention_block_cost(
-            group_cfg, dev, tiles, sp, opts
-        ).scaled(count)
-        blocks["proj"] = blocks["proj"] + proj_block_cost(group_cfg, dev, tiles, opts).scaled(count)
-        blocks["mlp"] = blocks["mlp"] + mlp_block_cost(group_cfg, dev, tiles, opts).scaled(count)
-        macs += encoder_macs(group_cfg) * count
-    blocks["stem"] = stem_block_cost(cfg, dev, tiles, opts)
-    macs += stem_macs(cfg)
-
-    pruned = _assemble(cfg, 0, blocks, macs)
-    e_mj = pruned.e_vit_mj + e_o
-    d_ms = pruned.d_vit_ms + d_o
-    a_mm2 = pruned.a_vit_mm2 + a_o
-    edap = e_mj * d_ms * a_mm2
-    return replace(
-        pruned,
-        e_vit_mj=e_mj,
-        d_vit_ms=d_ms,
-        a_vit_mm2=a_mm2,
-        edap=edap,
-        tops_per_w=macs / (e_mj * 1e9),
-        tops_per_mm2=macs / (d_ms * 1e9 * a_mm2),
-    )
+    tables = {t: block_table(with_tokens(cfg, t), dev, tiles, sp, opts)
+              for t in {cfg.t, t_pruned}}
+    groups = [(tables[cfg.t], prune_from_encoder, 0),
+              (tables[t_pruned], cfg.n_encoders - prune_from_encoder, 0)]
+    return assemble(groups, predictor_overhead)

@@ -183,10 +183,16 @@ def program_matrix(
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProgrammedMatrix:
-    """Tile, slice and differentially program a signed weight matrix."""
+    """Tile, slice and differentially program a signed weight matrix.
+
+    Every tile draws its write noise from one stream, ``rng`` or else a
+    fresh ``noise.rng()``, so no two tiles repeat each other's noise.
+    """
     w_int = np.asarray(w_int, dtype=np.int64)
     if w_int.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
+    if noise is not None and rng is None:
+        rng = noise.rng()
     in_dim, out_dim = w_int.shape
     x = tiles.xbar_size
     n_slices = math.ceil(weight_bits / dev.bits_per_cell)

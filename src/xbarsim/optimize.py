@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cost import CostOptions, SoftmaxUnitParams, model_cost
+from .cost import CostOptions, SoftmaxUnitParams, assemble, block_table
+from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
 from .mapping import DeviceAssignment, DeviceParams, TileConfig
 from .patterns import (
     PatternKind,
@@ -58,17 +59,19 @@ def find_optimal_n_reuse(
 ) -> OptimizationResult:
     """Smallest reuse count whose delay meets the target.
 
-    The count is capped at n_encoders - 1 (every reuser needs some
-    preceding encoder to draw from). An unreachable target yields an
-    explicit infeasible result, never a clamped one.
+    Every count's delay is assembled from one block table, so it equals
+    ``model_cost(cfg, r, ...).d_vit_ms`` bit for bit. The count is
+    capped at n_encoders - 1 (every reuser needs some preceding encoder
+    to draw from). An unreachable target yields an explicit infeasible
+    result, never a clamped one.
     """
     if target_delay_ms <= 0:
         raise ValueError("target delay must be positive")
-    baseline = model_cost(cfg, 0, dev, tiles, sp, opts).d_vit_ms
-    delay = baseline
-    for r in range(cfg.n_encoders):
-        if r > 0:
-            delay = model_cost(cfg, r, dev, tiles, sp, opts).d_vit_ms
+    table = block_table(cfg, dev, tiles, sp, opts)
+    n = cfg.n_encoders
+    baseline = assemble([(table, n, 0)]).d_vit_ms
+    for r in range(n):
+        delay = assemble([(table, n - r, r)]).d_vit_ms
         if delay <= target_delay_ms:
             return OptimizationResult(target_delay_ms, True, r, delay, baseline)
     return OptimizationResult(target_delay_ms, False, None, None, baseline)

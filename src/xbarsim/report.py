@@ -250,16 +250,34 @@ def run_compare(
     return rows
 
 
-def report_meta(scenario: Scenario | None = None, opts: CostOptions | None = None) -> dict:
-    """Report-header facts, stated from the cost options the report used.
+def report_meta(scenario: Scenario | None = None, inputs: Inputs | None = None) -> dict:
+    """Report-header facts, stated from the model and cost options the
+    report used.
 
-    ``opts`` defaults to the scenario's config file over the presets.
+    ``inputs`` defaults to the scenario resolved under its config file;
+    with neither, the calibrated presets' conventions are stated.
     """
-    if opts is None:
-        path = scenario.config_path if scenario is not None else None
-        opts = cfgmod.ScenarioConfig(path).cost_options()
+    if inputs is None and scenario is not None:
+        inputs = resolve(scenario)
+    opts = inputs.opts if inputs is not None else cfgmod.ScenarioConfig().cost_options()
+    cfg = inputs.cfg if inputs is not None else None
     area = ("rounded up to whole tiles (pad_to_tiles)" if opts.pad_to_tiles
             else "not rounded to whole tiles (pad_to_tiles off)")
+    if cfg is not None and cfg.include_stem:
+        stem = "stem (patch embedding and classifier) included as mapped layers"
+    else:
+        stem = "stem excluded in the calibrated model presets"
+    if cfg is not None and cfg.input_cycles > 1:
+        serialization = (
+            f"device read constants cover one {cfg.input_split_bits}-bit input "
+            f"slice; reads repeat over input_bits / input_split_bits = "
+            f"{cfg.input_cycles} cycles"
+        )
+    else:
+        serialization = (
+            "device read constants cover one full input presentation; "
+            "input_split_bits equals input_bits in the calibrated presets"
+        )
     tb = ("mapped d x d crossbar FCs (tb_on_crossbars)" if opts.tb_on_crossbars
           else "calibrated digital constants (zero by default), not as mapped crossbar FCs")
     meta = {
@@ -267,13 +285,8 @@ def report_meta(scenario: Scenario | None = None, opts: CostOptions | None = Non
             "accuracy columns are intentionally absent: classification "
             "accuracy is not computable by this cost model"
         ),
-        "area_convention": (
-            f"per-layer areas {area}, stem excluded in the calibrated model presets"
-        ),
-        "serialization_convention": (
-            "device read constants cover one full input presentation; "
-            "input_split_bits equals input_bits in the calibrated presets"
-        ),
+        "area_convention": f"per-layer areas {area}, {stem}",
+        "serialization_convention": serialization,
         "tb_convention": f"transformation blocks charged as {tb}",
         "units": {
             "energy_mJ": "millijoule",

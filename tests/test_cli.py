@@ -135,3 +135,42 @@ def test_meta_states_resolved_cost_options(tmp_path):
     direct = report_meta(Scenario("conv", "DeiT-S", "FeFET", config_path=str(user)))
     assert direct["area_convention"] == meta["area_convention"]
     assert direct["tb_convention"] == meta["tb_convention"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_meta_states_resolved_model_conventions(command, tmp_path):
+    user = tmp_path / "model.ini"
+    user.write_text("[model]\ninclude_stem = true\ninput_split_bits = 1\n")
+    rc = main([
+        command, "--model", "DeiT-S", "--device", "FeFET", "--config", str(user),
+        "--target-delay", "9", "--name", "conv", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    meta = json.loads(read(tmp_path / "conv.json"))["meta"]
+    assert "stem excluded" not in meta["area_convention"]
+    assert "stem (patch embedding and classifier) included" in meta["area_convention"]
+    serialization = meta["serialization_convention"]
+    assert "input_split_bits equals input_bits" not in serialization
+    assert "one 1-bit input slice" in serialization and "= 8 cycles" in serialization
+
+
+def _funcsim_fefet_output(out, config=None):
+    argv = ["funcsim", "--encoders", "1", "--dim", "16", "--tokens", "8", "--heads", "2",
+            "--device", "FeFET", "--seed", "0", "--out", str(out)]
+    if config is not None:
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
+    return (out / "output.xbt").read_bytes()
+
+
+def test_funcsim_reads_noise_section(tmp_path):
+    default = _funcsim_fefet_output(tmp_path / "default")
+
+    def with_noise(name, keys):
+        path = tmp_path / f"{name}.ini"
+        path.write_text("[noise]\n" + keys)
+        return _funcsim_fefet_output(tmp_path / name, path)
+
+    assert with_noise("additive", "multiplicative = false\n") != default
+    assert with_noise("seed5", "seed = 5\n") != default
+    assert with_noise("seed0", "seed = 0\n") == default

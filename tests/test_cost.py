@@ -11,13 +11,12 @@ from xbarsim.cost import (
     SoftmaxUnitParams,
     apply_token_pruning,
     apply_weight_sharing,
-    attention_block_cost,
+    block_table,
     breakdown,
     layer_cost,
     model_cost,
     model_cost_for,
     softmax_cost,
-    tb_block_cost,
 )
 from xbarsim.mapping import crossbars_for_layer
 from xbarsim.workload import LayerKind, ModelConfig, build_encoder, build_model
@@ -142,8 +141,8 @@ class TestModelCostOracle:
         assert attn.e_uj == 0.0 and attn.d_us == 0.0 and attn.a_mm2 == 0.0
 
     def test_linearity_in_n_reuse(self, deit, fefet, tiles, softmax_params, cost_opts):
-        attn = attention_block_cost(deit, fefet, tiles, softmax_params, cost_opts)
-        tb = tb_block_cost(deit, fefet, tiles, cost_opts)
+        table = block_table(deit, fefet, tiles, softmax_params, cost_opts)
+        attn, tb = table.blocks["attn"], table.blocks["tb"]
         costs = [
             model_cost(deit, r, fefet, tiles, softmax_params, cost_opts)
             for r in range(deit.n_encoders)

@@ -198,6 +198,15 @@ class TestDeterminism:
             outs.append(mvm_bitserial(pm, x, noise, r))
         assert not np.array_equal(outs[0], outs[1])
 
+    def test_tiles_draw_distinct_write_noise_without_a_generator(self, fefet, tiles):
+        noise = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=6, rng_seed=0)
+        w = np.full((2 * tiles.xbar_size, 64), 5)
+        pm = program_matrix(w, fefet, tiles, 8, noise)
+        first = pm.tiles[(0, 0, 0, 0)].conductances
+        assert not np.array_equal(first, pm.tiles[(1, 0, 0, 0)].conductances)
+        replay = program_matrix(w, fefet, tiles, 8, noise)
+        assert np.array_equal(first, replay.tiles[(0, 0, 0, 0)].conductances)
+
 
 def test_dimension_mismatch(fefet, tiles):
     pm = program_matrix(np.zeros((32, 32), dtype=int), fefet, tiles, 8)
