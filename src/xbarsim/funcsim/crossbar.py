@@ -11,15 +11,31 @@ with multiplicative write noise applied at programming time and
 multiplicative read noise at every read, both clipped to the physical
 [G_min, G_max] window.
 
-Inputs are fed one bit-plane at a time. Column currents are digitized
-by a flash ADC whose full scale is the worst-case accumulation
-xbar_size * G_max (fixed, input independent), the G_min offset is
-removed digitally using the plane's popcount, and the per-plane codes
-are combined by shift-and-add. The decoded per-read count is rounded
-to an integer before accumulation, mirroring the digital shift-add
-datapath; with noise off and half an ADC step below half a count
-(adc_bits >= log2(xbar_size) + bits_per_cell for the shipped devices)
-the product is bit-exact.
+Storage: the crossbars that share a row tile are kept side by side as
+one ``CrossbarState`` "stripe" of shape (rows, n_slices * 2 * out_dim),
+its columns ordered (slice, weight sign, column). A column current only
+sums over its own column, so one read of a stripe is the reads of all
+its crossbars at once; ``ProgrammedMatrix.tile`` gives the view of one
+crossbar. Stripes are programmed one at a time from uint8 cell digits.
+
+Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
+bit-plane of both input signs as one batch of reads, drops the reads
+with no set bit in a row tile (they give exactly zero), and reads each
+stripe once per chunk of at most ``CHUNK_ELEMENTS`` currents. Read noise
+is drawn only for the (read, row) pairs whose bit is set, in chunks of
+the same element budget: a row at 0 carries no current whatever its
+noise, so the output distribution is that of drawing every cell. Noisy
+reads need an explicit generator, so that successive reads continue one
+stream instead of repeating it.
+
+Column currents are digitized by a flash ADC whose full scale is the
+worst-case accumulation xbar_size * G_max (fixed, input independent),
+the G_min offset is removed digitally using the plane's popcount, and
+the per-plane codes are combined by shift-and-add. The decoded per-read
+count is rounded to an integer before accumulation, mirroring the
+digital shift-add datapath; with noise off and half an ADC step below
+half a count (adc_bits >= log2(xbar_size) + bits_per_cell for the
+shipped devices) the product is bit-exact.
 """
 
 from __future__ import annotations
@@ -30,6 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mapping import DeviceParams, TileConfig
+
+# Element budget of one read chunk or noise chunk (256 KiB of float64):
+# bounded temporaries keep freed memory from piling up in the heap.
+CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,7 +85,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CrossbarState:
-    """One programmed array: conductances in siemens, clipped to range."""
+    """Programmed conductances in siemens, clipped to range.
+
+    One crossbar, or a stripe of crossbars sharing their rows.
+    """
 
     conductances: np.ndarray
     device: DeviceParams
@@ -80,28 +103,40 @@ class CrossbarState:
         """Column currents for a batch of binary input rows.
 
         Each input row is one physical read; read noise is drawn
-        independently per read and per cell.
+        independently per read and per cell, for the cells of set rows
+        only, from ``rng``, which noisy reads require.
         """
         bits = np.asarray(bit_rows, dtype=np.float64)
         if bits.ndim == 1:
             bits = bits[None, :]
-        if bits.shape[1] != self.conductances.shape[0]:
-            raise ValueError(
-                f"input width {bits.shape[1]} != crossbar rows "
-                f"{self.conductances.shape[0]}"
-            )
         g = self.conductances
+        if bits.shape[1] != g.shape[0]:
+            raise ValueError(
+                f"input width {bits.shape[1]} != crossbar rows {g.shape[0]}"
+            )
+        if np.any((bits != 0) & (bits != 1)):
+            raise ValueError("input rows must be binary")
         if noise is None or noise.read_var == 0.0:
             return bits @ g
         if rng is None:
-            rng = noise.rng()
-        eps = rng.normal(0.0, noise.read_var, size=(bits.shape[0],) + g.shape)
-        if noise.multiplicative:
-            g_read = g[None, :, :] * (1.0 + eps)
-        else:
-            g_read = g[None, :, :] + eps * (self.device.g_max - self.device.g_min)
-        g_read = np.clip(g_read, self.device.g_min, self.device.g_max)
-        return np.einsum("nr,nrc->nc", bits, g_read)
+            raise ValueError("noisy reads need an explicit rng stream")
+        dev = self.device
+        reads, rows = np.nonzero(bits)
+        out = np.zeros((bits.shape[0], g.shape[1]))
+        step = max(1, CHUNK_ELEMENTS // g.shape[1])
+        for a in range(0, reads.size, step):
+            r, c = reads[a:a + step], rows[a:a + step]
+            g_read = rng.normal(0.0, noise.read_var, size=(r.size, g.shape[1]))
+            if noise.multiplicative:
+                g_read += 1.0
+                g_read *= g[c]
+            else:
+                g_read *= dev.g_max - dev.g_min
+                g_read += g[c]
+            np.clip(g_read, dev.g_min, dev.g_max, out=g_read)
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            out[r[starts]] += np.add.reduceat(g_read, starts, axis=0)
+        return out
 
 
 def ideal_conductances(cell_values: np.ndarray, dev: DeviceParams) -> np.ndarray:
@@ -110,6 +145,25 @@ def ideal_conductances(cell_values: np.ndarray, dev: DeviceParams) -> np.ndarray
     if v.size and (v.min() < 0 or v.max() > levels):
         raise ValueError(f"cell values outside [0, {levels}]")
     return dev.g_min + v * (dev.g_max - dev.g_min) / levels
+
+
+def _program(
+    g: np.ndarray,
+    dev: DeviceParams,
+    noise: NoiseModel | None,
+    rng: np.random.Generator | None,
+) -> CrossbarState:
+    """Apply write noise, if any, to ideal conductances."""
+    if noise is None or noise.write_var == 0.0:
+        return CrossbarState(g, dev, False)
+    if rng is None:
+        rng = noise.rng()
+    eps = rng.normal(0.0, noise.write_var, size=g.shape)
+    if noise.multiplicative:
+        g = g * (1.0 + eps)
+    else:
+        g = g + eps * (dev.g_max - dev.g_min)
+    return CrossbarState(np.clip(g, dev.g_min, dev.g_max), dev, True)
 
 
 def program_crossbar(
@@ -127,27 +181,16 @@ def program_crossbar(
         raise ValueError(
             f"tile {cell_values.shape} exceeds crossbar size {xbar_size}"
         )
-    g = ideal_conductances(cell_values, dev)
-    noisy = False
-    if noise is not None and noise.write_var > 0.0:
-        if rng is None:
-            rng = noise.rng()
-        eps = rng.normal(0.0, noise.write_var, size=g.shape)
-        if noise.multiplicative:
-            g = g * (1.0 + eps)
-        else:
-            g = g + eps * (dev.g_max - dev.g_min)
-        g = np.clip(g, dev.g_min, dev.g_max)
-        noisy = True
-    return CrossbarState(g, dev, noisy)
+    return _program(ideal_conductances(cell_values, dev), dev, noise, rng)
 
 
 @dataclass(frozen=True)
 class ProgrammedMatrix:
     """A full signed integer matrix spread over crossbar tiles.
 
-    tiles[(row_block, col_block, slice, sign)] with sign 0 = positive
-    part, 1 = negative part.
+    ``stripes[row_block]`` holds the crossbars of one row tile side by
+    side, columns ordered (slice, sign, column) with sign 0 = positive
+    part, 1 = negative part; ``tile`` gives one crossbar's view.
     """
 
     shape: tuple[int, int]
@@ -155,24 +198,30 @@ class ProgrammedMatrix:
     n_slices: int
     bits_per_cell: int
     device: DeviceParams
-    tiles: dict
+    stripes: tuple[CrossbarState, ...]
+
+    @property
+    def col_blocks(self) -> int:
+        return math.ceil(self.shape[1] / self.xbar_size)
 
     @property
     def n_crossbars(self) -> int:
-        return len(self.tiles)
+        row_blocks = math.ceil(self.shape[0] / self.xbar_size)
+        return row_blocks * self.col_blocks * self.n_slices * 2
 
-
-def _bit_slices(magnitude: np.ndarray, bits_per_cell: int, n_slices: int) -> list[np.ndarray]:
-    """Little-endian base-2^bits_per_cell digits of a non-negative matrix."""
-    out = []
-    rest = magnitude.astype(np.int64)
-    mask = (1 << bits_per_cell) - 1
-    for _ in range(n_slices):
-        out.append(rest & mask)
-        rest >>= bits_per_cell
-    if np.any(rest):
-        raise ValueError("weight magnitudes exceed the sliced range")
-    return out
+    def tile(self, row_block: int, col_block: int, k: int, sign: int) -> CrossbarState:
+        """The crossbar holding slice ``k`` of one sign's part of one tile."""
+        if not (0 <= row_block < len(self.stripes) and 0 <= col_block < self.col_blocks
+                and 0 <= k < self.n_slices and sign in (0, 1)):
+            raise IndexError(f"no crossbar {(row_block, col_block, k, sign)}")
+        stripe = self.stripes[row_block]
+        g = stripe.conductances.reshape(-1, self.n_slices, 2, self.shape[1])
+        x = self.xbar_size
+        return CrossbarState(
+            g[:, k, sign, col_block * x:(col_block + 1) * x],
+            self.device,
+            stripe.programmed_with_noise,
+        )
 
 
 def program_matrix(
@@ -185,8 +234,9 @@ def program_matrix(
 ) -> ProgrammedMatrix:
     """Tile, slice and differentially program a signed weight matrix.
 
-    Every tile draws its write noise from one stream, ``rng`` or else a
-    fresh ``noise.rng()``, so no two tiles repeat each other's noise.
+    Every stripe draws its write noise from one stream, ``rng`` or else
+    a fresh ``noise.rng()``, so no two crossbars repeat each other's
+    noise.
     """
     w_int = np.asarray(w_int, dtype=np.int64)
     if w_int.ndim != 2:
@@ -195,23 +245,23 @@ def program_matrix(
         rng = noise.rng()
     in_dim, out_dim = w_int.shape
     x = tiles.xbar_size
-    n_slices = math.ceil(weight_bits / dev.bits_per_cell)
-    parts = (np.maximum(w_int, 0), np.maximum(-w_int, 0))
+    bpc = dev.bits_per_cell
+    n_slices = math.ceil(weight_bits / bpc)
+    if w_int.size and int(np.abs(w_int).max()) >> (n_slices * bpc):
+        raise ValueError("weight magnitudes exceed the sliced range")
 
-    programmed: dict = {}
-    for rb in range(math.ceil(in_dim / x)):
-        rows = slice(rb * x, min((rb + 1) * x, in_dim))
-        for cb in range(math.ceil(out_dim / x)):
-            cols = slice(cb * x, min((cb + 1) * x, out_dim))
-            for sign, part in enumerate(parts):
-                chunk = part[rows, cols]
-                for k, cells in enumerate(_bit_slices(chunk, dev.bits_per_cell, n_slices)):
-                    programmed[(rb, cb, k, sign)] = program_crossbar(
-                        cells, dev, noise, rng, x
-                    )
-    return ProgrammedMatrix(
-        (in_dim, out_dim), x, n_slices, dev.bits_per_cell, dev, programmed
-    )
+    level_g = ideal_conductances(np.arange(1 << bpc), dev)
+    stripes = []
+    for r0 in range(0, in_dim, x):
+        block = w_int[r0:r0 + x]
+        parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1)
+        digits = np.empty((block.shape[0], n_slices, 2, out_dim), dtype=np.uint8)
+        for k in range(n_slices):
+            digits[:, k] = parts & ((1 << bpc) - 1)
+            parts >>= bpc
+        g = level_g[digits.reshape(block.shape[0], -1)]
+        stripes.append(_program(g, dev, noise, rng))
+    return ProgrammedMatrix((in_dim, out_dim), x, n_slices, bpc, dev, tuple(stripes))
 
 
 def _adc_decode(
@@ -221,14 +271,42 @@ def _adc_decode(
     xbar_size: int,
     adc_bits: int,
 ) -> np.ndarray:
-    """Digitize currents and recover integer dot-product counts."""
+    """Digitize currents and recover integer dot-product counts.
+
+    Works in place: ``currents`` is overwritten with the counts.
+    """
     full_scale = xbar_size * dev.g_max
     n_levels = 2**adc_bits - 1
-    codes = np.clip(np.rint(currents / full_scale * n_levels), 0, n_levels)
-    i_hat = codes * full_scale / n_levels
-    delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
-    counts = (i_hat - dev.g_min * popcount[:, None]) / delta_g
-    return np.rint(counts)
+    c = currents
+    c /= full_scale
+    c *= n_levels
+    np.rint(c, out=c)
+    np.minimum(c, n_levels, out=c)
+    np.maximum(c, 0, out=c)
+    c *= full_scale  # the ADC's reconstructed current
+    c /= n_levels
+    c -= dev.g_min * popcount[:, None]
+    c /= (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
+    return np.rint(c, out=c)
+
+
+def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every bit-plane of both input signs of a non-zero input as one read batch.
+
+    Returns the (reads, in_dim) uint8 bits, each read's input row and
+    its signed plane weight.
+    """
+    planes, weights = [], []
+    for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
+        for plane in range(int(xs.max()).bit_length()):
+            planes.append(((xs >> plane) & 1).astype(np.uint8))
+            weights.append(float(in_sign << plane))
+    n = x_int.shape[0]
+    return (
+        np.concatenate(planes),
+        np.tile(np.arange(n), len(planes)),
+        np.repeat(weights, n),
+    )
 
 
 def mvm_bitserial(
@@ -240,7 +318,8 @@ def mvm_bitserial(
     """Integer matrix product via per-bit-plane analog reads.
 
     ``x_int`` is (n, in_dim) signed; negative inputs run as a second
-    pass on their magnitudes with the result subtracted.
+    set of bit-planes on their magnitudes with the result subtracted.
+    Read noise needs ``rng``.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
@@ -248,35 +327,32 @@ def mvm_bitserial(
     in_dim, out_dim = pm.shape
     if x_int.shape[1] != in_dim:
         raise ValueError(f"input width {x_int.shape[1]} != matrix rows {in_dim}")
-    if noise is not None and rng is None:
-        rng = noise.rng()
+    if noise is not None and noise.read_var > 0.0 and rng is None:
+        raise ValueError("noisy reads need an explicit rng stream")
+    acc = np.zeros((x_int.shape[0], out_dim), dtype=np.float64)
+    if not x_int.any():
+        return acc.astype(np.int64)
     adc_bits = noise.adc_bits if noise is not None else 16
     xsz = pm.xbar_size
-    n = x_int.shape[0]
-    acc = np.zeros((n, out_dim), dtype=np.float64)
+    bits, read_row, read_weight = _bit_planes(x_int)
+    # shift-and-add weight of each stripe column group, ordered (slice, sign)
+    slice_weight = np.array([
+        sgn * float(1 << (k * pm.bits_per_cell))
+        for k in range(pm.n_slices) for sgn in (1, -1)
+    ])
 
-    for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
-        if not xs.any():
-            continue
-        n_planes = int(xs.max()).bit_length()
-        for plane in range(n_planes):
-            bits = ((xs >> plane) & 1).astype(np.float64)
-            for rb in range(math.ceil(in_dim / xsz)):
-                slab = bits[:, rb * xsz: min((rb + 1) * xsz, in_dim)]
-                if not slab.any():
-                    continue
-                popcount = slab.sum(axis=1)
-                for cb in range(math.ceil(out_dim / xsz)):
-                    cols = slice(cb * xsz, min((cb + 1) * xsz, out_dim))
-                    for k in range(pm.n_slices):
-                        slice_weight = 1 << (k * pm.bits_per_cell)
-                        for w_sign, sgn in ((0, 1), (1, -1)):
-                            xbar = pm.tiles[(rb, cb, k, w_sign)]
-                            currents = xbar.read_currents(slab, noise, rng)
-                            counts = _adc_decode(
-                                currents, popcount, pm.device, xsz, adc_bits
-                            )
-                            acc[:, cols] += (
-                                in_sign * sgn * (1 << plane) * slice_weight
-                            ) * counts
+    for rb, stripe in enumerate(pm.stripes):
+        slab = bits[:, rb * xsz:(rb + 1) * xsz]
+        active = np.flatnonzero(slab.any(axis=1))
+        step = max(1, CHUNK_ELEMENTS // stripe.conductances.shape[1])
+        for a in range(0, active.size, step):
+            reads = active[a:a + step]
+            chunk = slab[reads]
+            currents = stripe.read_currents(chunk, noise, rng)
+            counts = _adc_decode(
+                currents, chunk.sum(axis=1), pm.device, xsz, adc_bits
+            ).reshape(reads.size, -1, out_dim)
+            partial = np.einsum("rjo,j->ro", counts, slice_weight)
+            partial *= read_weight[reads, None]
+            np.add.at(acc, read_row[reads], partial)
     return np.rint(acc).astype(np.int64)

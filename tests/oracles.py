@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's aggregation helpers: every cost
 term is written out longhand so the implementation is checked against
-a second, hand-evaluated derivation.
+a second, hand-evaluated derivation. The crossbar oracles are the
+straightforward engine: one read per (bit-plane, input sign, row tile,
+column tile, slice, weight sign) and one Gaussian per read and per cell.
 """
 
 import math
+
+import numpy as np
 
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
 from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
@@ -136,3 +140,65 @@ def random_setup(rng):
         vec_delay_us=rng.uniform(0, 30),
     )
     return cfg, dev, tiles, sp, opts
+
+
+def oracle_read_currents(state, bit_rows, noise=None, rng=None):
+    """Column currents with read noise drawn densely for every cell of every read."""
+    bits = np.asarray(bit_rows, dtype=np.float64)
+    if bits.ndim == 1:
+        bits = bits[None, :]
+    g = state.conductances
+    if noise is None or noise.read_var == 0.0:
+        return bits @ g
+    dev = state.device
+    eps = rng.normal(0.0, noise.read_var, size=(bits.shape[0],) + g.shape)
+    if noise.multiplicative:
+        g_read = g[None, :, :] * (1.0 + eps)
+    else:
+        g_read = g[None, :, :] + eps * (dev.g_max - dev.g_min)
+    g_read = np.clip(g_read, dev.g_min, dev.g_max)
+    return np.einsum("nr,nrc->nc", bits, g_read)
+
+
+def oracle_mvm_bitserial(pm, x_int, noise=None, rng=None):
+    """Bit-serial product read crossbar by crossbar through ``pm.tile``."""
+    x_int = np.asarray(x_int, dtype=np.int64)
+    if x_int.ndim == 1:
+        x_int = x_int[None, :]
+    in_dim, out_dim = pm.shape
+    adc_bits = noise.adc_bits if noise is not None else 16
+    dev, xsz = pm.device, pm.xbar_size
+    full_scale = xsz * dev.g_max
+    n_levels = 2**adc_bits - 1
+    delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
+    acc = np.zeros((x_int.shape[0], out_dim), dtype=np.float64)
+
+    for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
+        if not xs.any():
+            continue
+        for plane in range(int(xs.max()).bit_length()):
+            bits = ((xs >> plane) & 1).astype(np.float64)
+            for rb in range(math.ceil(in_dim / xsz)):
+                slab = bits[:, rb * xsz: min((rb + 1) * xsz, in_dim)]
+                if not slab.any():
+                    continue
+                popcount = slab.sum(axis=1)
+                for cb in range(math.ceil(out_dim / xsz)):
+                    cols = slice(cb * xsz, min((cb + 1) * xsz, out_dim))
+                    for k in range(pm.n_slices):
+                        slice_weight = 1 << (k * pm.bits_per_cell)
+                        for w_sign, sgn in ((0, 1), (1, -1)):
+                            currents = oracle_read_currents(
+                                pm.tile(rb, cb, k, w_sign), slab, noise, rng
+                            )
+                            codes = np.clip(
+                                np.rint(currents / full_scale * n_levels), 0, n_levels
+                            )
+                            i_hat = codes * full_scale / n_levels
+                            counts = np.rint(
+                                (i_hat - dev.g_min * popcount[:, None]) / delta_g
+                            )
+                            acc[:, cols] += (
+                                in_sign * sgn * (1 << plane) * slice_weight
+                            ) * counts
+    return np.rint(acc).astype(np.int64)

@@ -202,10 +202,10 @@ class TestDeterminism:
         noise = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=6, rng_seed=0)
         w = np.full((2 * tiles.xbar_size, 64), 5)
         pm = program_matrix(w, fefet, tiles, 8, noise)
-        first = pm.tiles[(0, 0, 0, 0)].conductances
-        assert not np.array_equal(first, pm.tiles[(1, 0, 0, 0)].conductances)
+        first = pm.tile(0, 0, 0, 0).conductances
+        assert not np.array_equal(first, pm.tile(1, 0, 0, 0).conductances)
         replay = program_matrix(w, fefet, tiles, 8, noise)
-        assert np.array_equal(first, replay.tiles[(0, 0, 0, 0)].conductances)
+        assert np.array_equal(first, replay.tile(0, 0, 0, 0).conductances)
 
 
 def test_dimension_mismatch(fefet, tiles):

@@ -1,0 +1,167 @@
+"""The stripe engine against the per-tile oracles in ``oracles.py``.
+
+Noise-free products must equal the crossbar-by-crossbar oracle bit for
+bit: every per-read count is an integer and every sum of counts is an
+exact integer in float64, so the read batching cannot change a result.
+With read noise on, drawing only the cells of set rows must leave the
+current distribution that of the dense per-cell sampler.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.stats import ks_2samp
+
+from oracles import oracle_mvm_bitserial, oracle_read_currents
+from xbarsim.funcsim.crossbar import (
+    CHUNK_ELEMENTS,
+    CrossbarState,
+    NoiseModel,
+    ideal_conductances,
+    mvm_bitserial,
+    program_crossbar,
+    program_matrix,
+)
+
+
+def _inputs(kind, rng, n, in_dim):
+    if kind == "random":
+        return rng.integers(-127, 128, size=(n, in_dim))
+    if kind == "all_negative":
+        return -rng.integers(1, 128, size=(n, in_dim))
+    # only planes 0 and 5 carry bits; planes 1-4 and 6 are empty
+    return rng.choice([0, 1, 32, 33, -1, -33], size=(n, in_dim))
+
+
+@pytest.mark.parametrize("adc_bits", [4, 6, 8, 16])
+@pytest.mark.parametrize("device", ["fefet", "sram"])
+@pytest.mark.parametrize("kind", ["random", "all_negative", "empty_planes"])
+def test_noise_free_product_equals_the_per_tile_oracle(kind, device, adc_bits,
+                                                       tiles, request):
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(adc_bits)
+    w = rng.integers(-127, 128, size=(100, 150))
+    x = _inputs(kind, rng, 6, 100)
+    noise = NoiseModel(0.0, 0.0, adc_bits=adc_bits)
+    pm = program_matrix(w, dev, tiles, 8)
+    out = mvm_bitserial(pm, x, noise)
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+    if adc_bits == 16:
+        assert np.array_equal(out, x @ w)
+
+
+@pytest.mark.parametrize("shape", [(100, 150), (64, 64), (1, 1), (129, 65)])
+@pytest.mark.parametrize("device", ["fefet", "sram"])
+def test_crossbar_count_follows_the_shape(shape, device, tiles, request):
+    dev = request.getfixturevalue(device)
+    pm = program_matrix(np.ones(shape, dtype=int), dev, tiles, 8)
+    x = tiles.xbar_size
+    slices = math.ceil(8 / dev.bits_per_cell)
+    assert pm.n_crossbars == math.ceil(shape[0] / x) * math.ceil(shape[1] / x) * slices * 2
+
+
+def test_tile_is_the_crossbar_of_one_digit_plane(fefet, tiles):
+    rng = np.random.default_rng(0)
+    w = rng.integers(-127, 128, size=(100, 150))
+    pm = program_matrix(w, fefet, tiles, 8)
+    for rb, cb, k, sign in [(0, 0, 0, 0), (1, 2, 3, 1), (1, 1, 2, 0), (0, 2, 1, 1)]:
+        part = np.maximum(w if sign == 0 else -w, 0)
+        rows = slice(rb * 64, (rb + 1) * 64)
+        cols = slice(cb * 64, (cb + 1) * 64)
+        digits = (part[rows, cols] >> (2 * k)) & 3
+        assert np.array_equal(pm.tile(rb, cb, k, sign).conductances,
+                              ideal_conductances(digits, fefet))
+    with pytest.raises(IndexError):
+        pm.tile(0, 3, 0, 0)
+
+
+@pytest.mark.parametrize("multiplicative", [True, False])
+def test_active_only_reads_match_the_dense_sampler(fefet, multiplicative):
+    # Levels 0 and 3 sit on G_min and G_max, so 30% noise is clipped often.
+    cells = np.random.default_rng(1).choice([0, 3], size=(64, 12))
+    xb = program_crossbar(cells, fefet)
+    bits = np.zeros(64)
+    bits[::3] = 1
+    batch = np.tile(bits, (3000, 1))
+    noise = NoiseModel(read_var=0.3, adc_bits=6, multiplicative=multiplicative)
+    fast = xb.read_currents(batch, noise, np.random.default_rng(2))
+    dense = oracle_read_currents(xb, batch, noise, np.random.default_rng(3))
+    assert np.all(np.abs(fast.mean(axis=0) / dense.mean(axis=0) - 1.0) <= 0.02)
+    assert np.all(np.abs(fast.std(axis=0, ddof=1) / dense.std(axis=0, ddof=1) - 1.0)
+                  <= 0.05)
+    assert ks_2samp(fast.sum(axis=1), dense.sum(axis=1)).pvalue > 0.01
+    # one-hot reads expose single cells: about half of them sit on a clip edge
+    single = xb.read_currents(np.eye(64), noise, np.random.default_rng(4))
+    assert np.mean((single == fefet.g_min) | (single == fefet.g_max)) > 0.4
+
+
+def test_read_noise_is_drawn_for_set_rows_only(fefet):
+    xb = program_crossbar(np.ones((64, 16), dtype=int), fefet)
+    bits = (np.random.default_rng(4).random((40, 64)) < 0.2).astype(np.uint8)
+    noise = NoiseModel(read_var=0.1, adc_bits=6)
+    used, ref = np.random.default_rng(5), np.random.default_rng(5)
+    xb.read_currents(bits, noise, used)
+    ref.normal(size=int(bits.sum()) * 16)
+    assert used.normal() == ref.normal()
+
+
+def test_noisy_reads_require_a_generator(fefet, tiles):
+    noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6)
+    xb = program_crossbar(np.ones((8, 8), dtype=int), fefet)
+    with pytest.raises(ValueError, match="rng"):
+        xb.read_currents(np.ones((2, 8)), noise)
+    pm = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8)
+    with pytest.raises(ValueError, match="rng"):
+        mvm_bitserial(pm, np.ones((2, 8), dtype=int), noise)
+    quiet = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=16)
+    assert np.array_equal(xb.read_currents(np.ones(8), quiet), np.ones((1, 8)) @ xb.conductances)
+    assert np.array_equal(mvm_bitserial(pm, np.ones((2, 8), dtype=int), quiet),
+                          np.full((2, 8), 8))
+
+
+def test_read_rows_must_be_binary(fefet):
+    xb = program_crossbar(np.ones((8, 8), dtype=int), fefet)
+    with pytest.raises(ValueError, match="binary"):
+        xb.read_currents(np.full((1, 8), 2.0))
+
+
+def test_one_read_per_stripe_and_chunk(fefet, tiles, monkeypatch):
+    calls = []
+    read = CrossbarState.read_currents
+
+    def counting(self, bits, noise=None, rng=None):
+        calls.append(np.asarray(bits).shape)
+        return read(self, bits, noise, rng)
+
+    monkeypatch.setattr(CrossbarState, "read_currents", counting)
+    rng = np.random.default_rng(6)
+    w = rng.integers(-127, 128, size=(150, 200))
+    x = rng.integers(-127, 128, size=(32, 150))
+    noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
+    r = noise.rng()
+    pm = program_matrix(w, fefet, tiles, 8, noise, r)
+    mvm_bitserial(pm, x, noise, r)
+    stripe_cols = pm.n_slices * 2 * 200
+    reads = x.shape[0] * 2 * 8  # eight planes per input sign at most
+    read_chunks = math.ceil(reads / max(1, CHUNK_ELEMENTS // stripe_cols))
+    row_blocks = math.ceil(150 / tiles.xbar_size)
+    assert 0 < len(calls) <= row_blocks * read_chunks
+    assert all(n * stripe_cols <= CHUNK_ELEMENTS for n, _ in calls)
+
+
+def test_noisy_product_keeps_temporaries_small(fefet, tiles):
+    rng = np.random.default_rng(7)
+    w = rng.integers(-127, 128, size=(128, 128))
+    x = rng.integers(-127, 128, size=(32, 128))
+    noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
+    r = noise.rng()
+    pm = program_matrix(w, fefet, tiles, 8, noise, r)
+    tracemalloc.start()
+    try:
+        mvm_bitserial(pm, x, noise, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
