@@ -174,6 +174,10 @@ class SimContext:
     stats: SimStats = field(default_factory=SimStats)
     _static_cache: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
+
     @classmethod
     def exact(cls) -> "SimContext":
         return cls()
@@ -199,7 +203,6 @@ class SimContext:
             weight_bits,
             input_bits,
             seed,
-            np.random.default_rng(seed),
         )
 
     @property

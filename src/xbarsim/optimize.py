@@ -32,7 +32,7 @@ from .patterns import (
     reuse_sources,
     select_best,
 )
-from .similarity import cka_score
+from .similarity import centered, cka_score
 from .workload import ModelConfig
 
 Scorer = Callable[[ReusePattern], float]
@@ -116,9 +116,10 @@ def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:
     a forward pass of the unmodified model. Reusing encoder i drops its
     own attention in favour of a transform of encoder source(i)'s, so
     the penalty is their dissimilarity; low totals mean the pattern
-    discards little information.
+    discards little information. Each output is centered once, so a
+    pair's first lookup computes only its cross term.
     """
-    outputs = [np.asarray(a) for a in attention_outputs]
+    outputs = [centered(a) for a in attention_outputs]
     pair_cache: dict[tuple[int, int], float] = {}
 
     def score(pattern: ReusePattern) -> float:

@@ -54,7 +54,7 @@ class ReusePattern:
 
 
 def validate_pattern(p: ReusePattern) -> None:
-    """Structural validity: range, no encoder 0, family layout."""
+    """Structural validity: range, no encoder 0, family parameters and layout."""
     s = p.reuse_set
     if len(set(s)) != len(s):
         raise ValueError(f"duplicate indices in reuse set {s}")
@@ -63,6 +63,10 @@ def validate_pattern(p: ReusePattern) -> None:
             f"reuse set {s} out of range for n_encoders={p.n_encoders} "
             "(encoder 0 can never reuse)"
         )
+    if p.start is not None and (not s or p.start != s[0]):
+        raise ValueError(f"start {p.start} is not the first index of reuse set {s}")
+    if p.n_cont is not None and not 0 <= p.n_cont <= len(s):
+        raise ValueError(f"n_cont {p.n_cont} outside [0, {len(s)}] for reuse set {s}")
     diffs = [b - a for a, b in zip(s, s[1:])]
     if p.kind is PatternKind.STRIDED:
         if p.sl is None or p.sl < 2:
@@ -168,31 +172,52 @@ def enumerate_patterns(
     Deduplicated on the reuse set (the same set can arise from several
     parameterizations); the kept representative is the first generated
     in family order strided < continuous < pyramid, parameters
-    ascending. Output is sorted by reuse set for determinism.
+    ascending (sl, then n_cont, then start). Output is sorted by reuse
+    set for determinism.
+
+    Each (family, sl, n_cont) fixes a step list, hence the offsets of
+    its indices from the start. A set is its smallest index plus its
+    offsets, so two parameterizations give the same set exactly when
+    they share the offsets and the start. The offsets are therefore
+    tried once, by their first parameterization, over every start that
+    fits; a repeat would only give sets already kept, and distinct
+    offsets never collide, so each kept set is constructed once.
     """
     if not 1 <= n_reuse < n_encoders:
         raise ValueError(f"need 1 <= n_reuse < n_encoders, got {n_reuse}/{n_encoders}")
     wanted = set(families)
-    seen: dict[tuple[int, ...], ReusePattern] = {}
+    tried: set[tuple[int, ...]] = set()
+    kept: list[ReusePattern] = []
 
-    def keep(p: ReusePattern | None) -> None:
-        if p is not None and p.reuse_set not in seen:
-            seen[p.reuse_set] = p
+    def keep(kind: PatternKind, steps: list[int], **params: int | None) -> None:
+        offsets = tuple(itertools.accumulate(steps, initial=0))
+        if offsets in tried:
+            return
+        tried.add(offsets)
+        for start in range(1, n_encoders - offsets[-1]):
+            reuse_set = tuple(start + o for o in offsets)
+            kept.append(ReusePattern(kind, n_encoders, reuse_set, start=start, **params))
 
+    # A step list spans n_ones + sl * (n_reuse - 1 - n_ones) encoders; it
+    # fits from start 1 only while that span is at most n_encoders - 2.
+    room = n_encoders - 2
     if PatternKind.STRIDED in wanted:
         for sl in range(2, n_encoders):
-            for start in range(1, n_encoders):
-                keep(gen_strided(n_encoders, n_reuse, sl, start))
+            if sl * (n_reuse - 1) > room:
+                break
+            keep(PatternKind.STRIDED, [sl] * (n_reuse - 1), sl=sl)
     if PatternKind.CONTINUOUS in wanted:
-        for start in range(1, n_encoders):
-            keep(gen_continuous(n_encoders, n_reuse, start))
+        keep(PatternKind.CONTINUOUS, [1] * (n_reuse - 1))
     if PatternKind.PYRAMID in wanted:
         for sl in range(2, n_encoders):
             for n_cont in range(0, n_reuse + 1):
-                for start in range(1, n_encoders):
-                    keep(gen_pyramid(n_encoders, n_reuse, sl, n_cont, start))
+                n_ones = max(n_cont - 1, 0)
+                if n_ones + sl * (n_reuse - 1 - n_ones) <= room:
+                    steps = _pyramid_steps(n_reuse, n_cont, sl)
+                    keep(PatternKind.PYRAMID, steps, sl=sl, n_cont=n_cont)
 
-    return [seen[key] for key in sorted(seen)]
+    kept.sort(key=lambda p: p.reuse_set)
+    return kept
 
 
 def all_explicit_patterns(n_encoders: int, n_reuse: int) -> list[ReusePattern]:

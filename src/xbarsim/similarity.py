@@ -11,42 +11,58 @@ invariant to orthogonal transforms and isotropic scaling.
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 
-def cka_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Linear CKA between two (samples x features) activation matrices.
+class Centered(NamedTuple):
+    """One activation, column-centered, with its self-norm ||Xc^T Xc||_F."""
 
-    Degenerate inputs with no variance score 0 (with a logged
-    diagnostic) rather than raising: a constant activation carries no
-    alignable structure.
+    xc: np.ndarray
+    self_norm: float
+
+
+def centered(a: np.ndarray) -> Centered:
+    """Center a (samples x features) activation and take its self-norm.
+
+    ``cka_score`` needs both for each operand; computing them once per
+    activation lets every pair that shares it compute only the cross term.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim != 2:
         raise ValueError("cka_score expects 2-D activation matrices")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"sample counts differ: {a.shape[0]} vs {b.shape[0]}")
-
     ac = a - a.mean(axis=0, keepdims=True)
-    bc = b - b.mean(axis=0, keepdims=True)
-    cross = np.linalg.norm(bc.T @ ac, "fro") ** 2
-    norm_a = np.linalg.norm(ac.T @ ac, "fro")
-    norm_b = np.linalg.norm(bc.T @ bc, "fro")
-    if norm_a == 0.0 or norm_b == 0.0:
+    return Centered(ac, np.linalg.norm(ac.T @ ac, "fro"))
+
+
+def cka_score(a: np.ndarray | Centered, b: np.ndarray | Centered) -> float:
+    """Linear CKA between two (samples x features) activation matrices.
+
+    Either operand may be a raw array or its ``centered`` record; the
+    score is the same bit for bit. Degenerate inputs with no variance
+    score 0 (with a logged diagnostic) rather than raising: a constant
+    activation carries no alignable structure.
+    """
+    a = a if isinstance(a, Centered) else centered(a)
+    b = b if isinstance(b, Centered) else centered(b)
+    if a.xc.shape[0] != b.xc.shape[0]:
+        raise ValueError(f"sample counts differ: {a.xc.shape[0]} vs {b.xc.shape[0]}")
+    if a.self_norm == 0.0 or b.self_norm == 0.0:
         logger.warning("cka_score: zero-variance input, returning 0")
         return 0.0
-    return float(cross / (norm_a * norm_b))
+    cross = np.linalg.norm(b.xc.T @ a.xc, "fro") ** 2
+    return float(cross / (a.self_norm * b.self_norm))
 
 
 def cka_matrix(activations: "list[np.ndarray]") -> np.ndarray:
     """Pairwise CKA over a list of activation matrices."""
-    n = len(activations)
+    records = [centered(a) for a in activations]
+    n = len(records)
     out = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = cka_score(activations[i], activations[j])
+            out[i, j] = out[j, i] = cka_score(records[i], records[j])
     return out

@@ -5,6 +5,9 @@ term is written out longhand so the implementation is checked against
 a second, hand-evaluated derivation. The crossbar oracles are the
 straightforward engine: one read per (bit-plane, input sign, row tile,
 column tile, slice, weight sign) and one Gaussian per read and per cell.
+The pattern and CKA oracles are the brute-force search: every
+(family, sl, n_cont, start) is generated, and every CKA pair centers
+both operands from scratch.
 """
 
 import math
@@ -13,6 +16,13 @@ import numpy as np
 
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
 from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
+from xbarsim.patterns import (
+    PatternKind,
+    gen_continuous,
+    gen_pyramid,
+    gen_strided,
+    reuse_sources,
+)
 from xbarsim.workload import ModelConfig
 
 
@@ -202,3 +212,60 @@ def oracle_mvm_bitserial(pm, x_int, noise=None, rng=None):
                                 in_sign * sgn * (1 << plane) * slice_weight
                             ) * counts
     return np.rint(acc).astype(np.int64)
+
+
+ALL_FAMILIES = (PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID)
+
+
+def oracle_enumerate_patterns(n_encoders, n_reuse, families=ALL_FAMILIES):
+    """Every (family, sl, n_cont, start) in order; the first of each set is kept."""
+    wanted = set(families)
+    seen = {}
+
+    def keep(p):
+        if p is not None and p.reuse_set not in seen:
+            seen[p.reuse_set] = p
+
+    if PatternKind.STRIDED in wanted:
+        for sl in range(2, n_encoders):
+            for start in range(1, n_encoders):
+                keep(gen_strided(n_encoders, n_reuse, sl, start))
+    if PatternKind.CONTINUOUS in wanted:
+        for start in range(1, n_encoders):
+            keep(gen_continuous(n_encoders, n_reuse, start))
+    if PatternKind.PYRAMID in wanted:
+        for sl in range(2, n_encoders):
+            for n_cont in range(0, n_reuse + 1):
+                for start in range(1, n_encoders):
+                    keep(gen_pyramid(n_encoders, n_reuse, sl, n_cont, start))
+    return [seen[key] for key in sorted(seen)]
+
+
+def oracle_cka_score(a, b):
+    """Linear CKA with both operands centered and normed on every call."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ac = a - a.mean(axis=0, keepdims=True)
+    bc = b - b.mean(axis=0, keepdims=True)
+    cross = np.linalg.norm(bc.T @ ac, "fro") ** 2
+    norm_a = np.linalg.norm(ac.T @ ac, "fro")
+    norm_b = np.linalg.norm(bc.T @ bc, "fro")
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(cross / (norm_a * norm_b))
+
+
+def oracle_cka_scorer(attention_outputs):
+    """Sum over reusers of 1 - CKA(source, reuser), one raw-array pair at a time."""
+    outputs = [np.asarray(a) for a in attention_outputs]
+    pair_cache = {}
+
+    def score(pattern):
+        total = 0.0
+        for i, src in reuse_sources(pattern.reuse_set).items():
+            if (src, i) not in pair_cache:
+                pair_cache[(src, i)] = oracle_cka_score(outputs[src], outputs[i])
+            total += 1.0 - pair_cache[(src, i)]
+        return total
+
+    return score

@@ -18,7 +18,7 @@ from xbarsim.funcsim.forward import (
 )
 from xbarsim.mapping import hybrid_assignment
 from xbarsim.similarity import cka_score
-from xbarsim.workload import build_model
+from xbarsim.workload import LayerKind, build_model
 
 
 def dense_reference(encoders, weights, x, n_heads, scale):
@@ -230,6 +230,14 @@ class TestCrossbarForward:
         corr = np.corrcoef(exact.ravel(), noisy.ravel())[0, 1]
         assert np.all(np.isfinite(noisy))
         assert corr > 0.5
+
+    def test_direct_construction_derives_its_generator(self, fefet, tiles):
+        # A context built without SimContext.crossbar gets the same stream.
+        x = np.random.default_rng(14).standard_normal((4, 40))
+        w = np.random.default_rng(15).standard_normal((40, 24))
+        direct = SimContext(fefet, tiles, seed=3).matmul(x, w, LayerKind.FC_Q)
+        built = SimContext.crossbar(fefet, tiles, seed=3).matmul(x, w, LayerKind.FC_Q)
+        assert direct.tobytes() == built.tobytes()
 
     def test_per_device_noise_assignment(self, fefet, sram, tiles):
         ctx = self._ctx(fefet, sram, tiles)

@@ -1,8 +1,10 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+from oracles import oracle_cka_scorer
 from xbarsim.optimize import (
     find_optimal_n_reuse,
     load_external_scorer,
@@ -13,12 +15,17 @@ from xbarsim.optimize import (
 from xbarsim.cost import model_cost
 from xbarsim.patterns import (
     PatternKind,
+    enumerate_patterns,
     explicit_pattern,
     gen_continuous,
     gen_strided,
     select_best,
 )
-from xbarsim.similarity import cka_score
+from xbarsim.patterns import reuse_sources
+from xbarsim.similarity import Centered, cka_score
+
+# The package re-exports the function optimize(), which hides the module.
+optimize_mod = importlib.import_module("xbarsim.optimize")
 
 
 class TestFindOptimalNReuse:
@@ -101,6 +108,54 @@ class TestCkaScorer:
         scorer = make_cka_scorer(synthetic_attention_outputs(4, seed=0))
         with pytest.raises(ValueError):
             scorer(explicit_pattern(8, (6,)))
+
+
+class TestCkaScorerMatchesPerPairOracle:
+    """Centering once per encoder leaves every score unchanged bit for bit."""
+
+    @staticmethod
+    def _all_patterns(n):
+        return [p for k in range(1, n) for p in enumerate_patterns(n, k)]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_scores_equal_oracle(self, n):
+        acts = synthetic_attention_outputs(n)
+        scorer, oracle = make_cka_scorer(acts), oracle_cka_scorer(acts)
+        for p in self._all_patterns(n):
+            assert scorer(p) == oracle(p), p.label()
+
+    def test_each_encoder_centered_once(self, monkeypatch):
+        acts = synthetic_attention_outputs(12)
+        seen = []
+        center = optimize_mod.centered
+
+        def counting(a):
+            seen.append(a)
+            return center(a)
+
+        monkeypatch.setattr(optimize_mod, "centered", counting)
+        scorer = make_cka_scorer(acts)
+        for p in self._all_patterns(12):
+            scorer(p)
+        assert len(seen) == len(acts)
+        assert all(s is a for s, a in zip(seen, acts))
+
+    def test_cka_score_called_once_per_distinct_pair(self, monkeypatch):
+        acts = synthetic_attention_outputs(12)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return cka_score(a, b)
+
+        monkeypatch.setattr(optimize_mod, "cka_score", counting)
+        scorer = make_cka_scorer(acts)
+        pairs = set()
+        for p in self._all_patterns(12):
+            scorer(p)
+            pairs.update((src, i) for i, src in reuse_sources(p.reuse_set).items())
+        assert len(calls) == len(pairs)
+        assert all(isinstance(x, Centered) for call in calls for x in call)
 
 
 class TestExternalScorer:

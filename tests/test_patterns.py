@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xbarsim.patterns as patterns_mod
+from oracles import ALL_FAMILIES, oracle_enumerate_patterns
 from xbarsim.patterns import (
     PatternKind,
     ReusePattern,
@@ -70,6 +72,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ReusePattern(PatternKind.CONTINUOUS, 9, (1, 3), start=1)
 
+    @pytest.mark.parametrize(
+        "kind, reuse_set, params",
+        [
+            (PatternKind.STRIDED, (3, 5, 7), dict(sl=2, start=1)),
+            (PatternKind.PYRAMID, (3, 5, 7), dict(sl=2, n_cont=0, start=9)),
+            (PatternKind.CONTINUOUS, (3, 4), dict(start=4)),
+        ],
+    )
+    def test_start_must_be_first_index(self, kind, reuse_set, params):
+        with pytest.raises(ValueError, match="start"):
+            ReusePattern(kind, 12, reuse_set, **params)
+        ReusePattern(kind, 12, reuse_set, **{**params, "start": reuse_set[0]})
+
+    def test_n_cont_within_reuse_count(self):
+        # (3, 4, 5) is consecutive, so only the range check can reject it.
+        with pytest.raises(ValueError, match="n_cont"):
+            ReusePattern(PatternKind.PYRAMID, 12, (3, 4, 5), sl=2, n_cont=10)
+        with pytest.raises(ValueError, match="n_cont"):
+            ReusePattern(PatternKind.PYRAMID, 12, (3, 5, 7), sl=2, n_cont=-1)
+        ReusePattern(PatternKind.PYRAMID, 12, (3, 4, 5), sl=2, n_cont=3)
+
     def test_generated_patterns_all_validate(self):
         for p in enumerate_patterns(12, 5):
             validate_pattern(p)
@@ -111,6 +134,46 @@ class TestEnumeration:
             enumerate_patterns(8, 0)
         with pytest.raises(ValueError):
             enumerate_patterns(8, 8)
+
+
+_SUBSETS = {
+    "all": ALL_FAMILIES,
+    "S": (PatternKind.STRIDED,),
+    "C": (PatternKind.CONTINUOUS,),
+    "P": (PatternKind.PYRAMID,),
+    "S+P": (PatternKind.STRIDED, PatternKind.PYRAMID),
+    "C+P": (PatternKind.CONTINUOUS, PatternKind.PYRAMID),
+}
+
+
+class TestEnumerationMatchesBruteForce:
+    """Same list under ==: order, and each set's kind/sl/n_cont/start."""
+
+    @pytest.mark.parametrize("subset", _SUBSETS)
+    def test_every_small_stack(self, subset):
+        families = _SUBSETS[subset]
+        for n in range(2, 17):
+            for k in range(1, n):
+                assert enumerate_patterns(n, k, families) == oracle_enumerate_patterns(
+                    n, k, families
+                ), (n, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 23])
+    def test_deep_stack(self, k):
+        assert enumerate_patterns(24, k) == oracle_enumerate_patterns(24, k)
+
+    @pytest.mark.parametrize("n, k", [(12, 1), (12, 5), (16, 8), (24, 12)])
+    def test_constructs_each_returned_pattern_once(self, monkeypatch, n, k):
+        constructed = []
+        validate = patterns_mod.validate_pattern
+
+        def counting(p):
+            constructed.append(p)
+            validate(p)
+
+        monkeypatch.setattr(patterns_mod, "validate_pattern", counting)
+        result = enumerate_patterns(n, k)
+        assert len(constructed) <= len(result)
 
 
 @given(n=st.integers(3, 12), data=st.data())

@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from xbarsim.similarity import cka_matrix, cka_score
+from oracles import oracle_cka_score
+from xbarsim.similarity import Centered, centered, cka_matrix, cka_score
 
 
 def test_self_similarity_is_one():
@@ -76,3 +77,47 @@ def test_cka_matrix_diagonal_and_symmetry():
     m = cka_matrix(acts)
     assert np.allclose(np.diag(m), 1.0)
     assert np.allclose(m, m.T)
+
+
+def test_centered_records_score_like_raw_arrays():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((32, 16))
+    y = rng.standard_normal((32, 16)) + 0.5 * x
+    raw = cka_score(x, y)
+    assert raw == oracle_cka_score(x, y)
+    assert cka_score(centered(x), centered(y)) == raw
+    assert cka_score(centered(x), y) == raw
+    assert cka_score(x, centered(y)) == raw
+
+
+def test_centered_record_holds_centered_columns_and_self_norm():
+    x = np.arange(12.0).reshape(4, 3) ** 2
+    rec = centered(x)
+    assert isinstance(rec, Centered)
+    assert np.allclose(rec.xc.mean(axis=0), 0.0)
+    assert rec.self_norm == np.linalg.norm(rec.xc.T @ rec.xc, "fro")
+
+
+def test_zero_variance_record_scores_zero(caplog):
+    y = np.random.default_rng(6).standard_normal((10, 4))
+    with caplog.at_level(logging.WARNING):
+        assert cka_score(centered(y), centered(np.ones((10, 4)))) == 0.0
+    assert any("zero-variance" in r.message for r in caplog.records)
+
+
+def test_shape_checks_apply_to_records():
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="sample counts differ"):
+        cka_score(centered(rng.standard_normal((10, 4))), rng.standard_normal((12, 4)))
+    with pytest.raises(ValueError, match="2-D"):
+        cka_score(centered(rng.standard_normal((10, 4))), rng.standard_normal(10))
+
+
+def test_cka_matrix_is_byte_identical_to_pairwise_oracle():
+    rng = np.random.default_rng(10)
+    acts = [rng.standard_normal((24, 12)) for _ in range(6)]
+    expected = np.eye(6)
+    for i in range(6):
+        for j in range(i + 1, 6):
+            expected[i, j] = expected[j, i] = oracle_cka_score(acts[i], acts[j])
+    assert cka_matrix(acts).tobytes() == expected.tobytes()
