@@ -14,6 +14,7 @@ weight sharing, token pruning and attention reuse side by side.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
-from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor
+from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor, toy_config
 from .report import (
     Scenario,
     emit,
@@ -35,7 +36,7 @@ from .report import (
     run_scenario,
 )
 from .similarity import cka_matrix
-from .workload import ModelConfig, build_model
+from .workload import build_model
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -57,8 +58,11 @@ def _scenario(args) -> Scenario:
 def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
     """Print every row, then write the report files."""
     for row in rows:
-        if not row.feasible:
+        if row.pattern == "infeasible":
             print(f"target {row.target_delay_ms} ms: infeasible even at maximal reuse")
+        elif not row.feasible:
+            print(f"target {row.target_delay_ms} ms: infeasible, "
+                  f"{row.pattern.replace('-', ' ')} fits the reuse count it needs")
         else:
             print(
                 f"{row.pattern:>24}  n_reuse={row.n_reuse}  "
@@ -87,8 +91,13 @@ def cmd_optimize(args) -> int:
     result = inputs.optimize(args.target_delay[0], make_scorer(scenario, inputs.cfg),
                              families)
     if not result.feasible:
-        print(f"target {result.target_delay_ms} ms infeasible "
-              f"(baseline {result.baseline_delay_ms:.2f} ms)")
+        if result.optimal_n_reuse is None:
+            print(f"target {result.target_delay_ms} ms infeasible "
+                  f"(baseline {result.baseline_delay_ms:.2f} ms)")
+        else:
+            print(f"target {result.target_delay_ms} ms infeasible: it needs "
+                  f"n_reuse = {result.optimal_n_reuse}, and no {scenario.patterns} "
+                  f"pattern of that count fits {inputs.cfg.n_encoders} encoders")
         return 1
     print(f"optimal n_reuse = {result.optimal_n_reuse} "
           f"(baseline {result.baseline_delay_ms:.2f} ms -> "
@@ -116,10 +125,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_funcsim(args) -> int:
-    cfg = ModelConfig(
-        name="toy", d=args.dim, t=args.tokens, mlp_ratio=2, n_encoders=args.encoders,
-        n_heads=args.heads, include_stem=False,
-    )
+    cfg = toy_config(args.encoders, args.dim, args.tokens, args.heads)
     reuse = tuple(int(i) for i in args.reuse.split(",") if i) if args.reuse else ()
     model = build_model(cfg, reuse)
     weights = make_toy_weights(cfg, seed=args.seed)
@@ -127,11 +133,11 @@ def cmd_funcsim(args) -> int:
     x = rng.standard_normal((cfg.t, cfg.d))
 
     if args.device == "exact":
-        ctx = SimContext.exact()
+        ctx = SimContext()
     else:
         sc = cfgmod.ScenarioConfig(args.config)
         tiles, noise = sc.tiles(), sc.noise()
-        ctx = SimContext.crossbar(
+        ctx = SimContext(
             resolve_device(args.device, sc),
             tiles,
             adc_bits=args.adc_bits if args.adc_bits else tiles.adc_bits,
@@ -173,7 +179,9 @@ def cmd_compare(args) -> int:
     return _report(args, rows, report_meta(inputs=inputs), feasible_only=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="xbarsim",
         description="crossbar cost model and attention-reuse optimizer "

@@ -24,9 +24,11 @@ with no set bit in a row tile (they give exactly zero), and reads each
 stripe once per chunk of at most ``CHUNK_ELEMENTS`` currents. Read noise
 is drawn only for the (read, row) pairs whose bit is set, in chunks of
 the same element budget: a row at 0 carries no current whatever its
-noise, so the output distribution is that of drawing every cell. Noisy
-reads need an explicit generator, so that successive reads continue one
-stream instead of repeating it.
+noise, so the output distribution is that of drawing every cell.
+
+Noisy writes, like noisy reads, draw from the caller's generator and
+raise without one, so successive draws continue one stream instead of
+repeating it; noise-free programming and reads need none.
 
 Column currents are digitized by a flash ADC whose full scale is the
 worst-case accumulation xbar_size * G_max (fixed, input independent),
@@ -54,18 +56,18 @@ CHUNK_ELEMENTS = 1 << 15
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Read/write variation magnitudes plus ADC precision and seeding.
+    """Read/write variation magnitudes plus ADC precision.
 
     ``multiplicative`` selects G * (1 + eps) perturbations; the
     additive alternative draws eps relative to the conductance window.
-    One seed fixes the whole simulation stream; parallel inferences
-    should spawn child generators from it.
+    The model holds no randomness: noisy writes and reads draw from the
+    ``rng`` their caller passes (``SimContext`` owns one per inference,
+    derived from its ``seed``).
     """
 
     read_var: float = 0.0
     write_var: float = 0.0
     adc_bits: int = 6
-    rng_seed: int = 0
     multiplicative: bool = True
 
     def __post_init__(self) -> None:
@@ -73,14 +75,6 @@ class NoiseModel:
             raise ValueError("variations must be in [0, 1)")
         if self.adc_bits < 1:
             raise ValueError("adc_bits must be >= 1")
-
-    @classmethod
-    def for_device(cls, dev: DeviceParams, adc_bits: int = 6, rng_seed: int = 0,
-                   multiplicative: bool = True) -> "NoiseModel":
-        return cls(dev.read_var, dev.write_var, adc_bits, rng_seed, multiplicative)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,6 @@ class CrossbarState:
 
     conductances: np.ndarray
     device: DeviceParams
-    programmed_with_noise: bool
 
     def read_currents(
         self,
@@ -155,15 +148,15 @@ def _program(
 ) -> CrossbarState:
     """Apply write noise, if any, to ideal conductances."""
     if noise is None or noise.write_var == 0.0:
-        return CrossbarState(g, dev, False)
+        return CrossbarState(g, dev)
     if rng is None:
-        rng = noise.rng()
+        raise ValueError("noisy writes need an explicit rng stream")
     eps = rng.normal(0.0, noise.write_var, size=g.shape)
     if noise.multiplicative:
         g = g * (1.0 + eps)
     else:
         g = g + eps * (dev.g_max - dev.g_min)
-    return CrossbarState(np.clip(g, dev.g_min, dev.g_max), dev, True)
+    return CrossbarState(np.clip(g, dev.g_min, dev.g_max), dev)
 
 
 def program_crossbar(
@@ -217,11 +210,7 @@ class ProgrammedMatrix:
         stripe = self.stripes[row_block]
         g = stripe.conductances.reshape(-1, self.n_slices, 2, self.shape[1])
         x = self.xbar_size
-        return CrossbarState(
-            g[:, k, sign, col_block * x:(col_block + 1) * x],
-            self.device,
-            stripe.programmed_with_noise,
-        )
+        return CrossbarState(g[:, k, sign, col_block * x:(col_block + 1) * x], self.device)
 
 
 def program_matrix(
@@ -234,15 +223,12 @@ def program_matrix(
 ) -> ProgrammedMatrix:
     """Tile, slice and differentially program a signed weight matrix.
 
-    Every stripe draws its write noise from one stream, ``rng`` or else
-    a fresh ``noise.rng()``, so no two crossbars repeat each other's
-    noise.
+    Every stripe draws its write noise from ``rng`` in turn, so no two
+    crossbars repeat each other's noise; write noise needs ``rng``.
     """
     w_int = np.asarray(w_int, dtype=np.int64)
     if w_int.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
-    if noise is not None and rng is None:
-        rng = noise.rng()
     in_dim, out_dim = w_int.shape
     x = tiles.xbar_size
     bpc = dev.bits_per_cell

@@ -20,7 +20,7 @@ is where FeFET write variations bite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -157,53 +157,26 @@ class SimContext:
     magnitudes come from each layer's own device (so hybrid stacks get
     FeFET variations on FC layers and none on SRAM matmuls);
     ``device_noise=False`` keeps ADC quantization but silences device
-    variations everywhere. The RNG is derived from the seed at
-    construction, so identical contexts replay identically; parallel
-    inferences should use distinct seeds.
+    variations everywhere. ``rng``, the only source of device noise, is
+    ``default_rng(seed)``, so identical contexts replay identically;
+    parallel inferences should use distinct seeds.
     """
 
     assignment: DeviceParams | DeviceAssignment | None = None
     tiles: TileConfig | None = None
+    _: KW_ONLY
     adc_bits: int = 6
     device_noise: bool = True
     multiplicative: bool = True
     weight_bits: int = 8
     input_bits: int = 8
     seed: int = 0
-    rng: np.random.Generator | None = None
-    stats: SimStats = field(default_factory=SimStats)
-    _static_cache: dict = field(default_factory=dict)
+    rng: np.random.Generator = field(init=False)
+    stats: SimStats = field(init=False, default_factory=SimStats)
+    _static_cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.rng is None:
-            self.rng = np.random.default_rng(self.seed)
-
-    @classmethod
-    def exact(cls) -> "SimContext":
-        return cls()
-
-    @classmethod
-    def crossbar(
-        cls,
-        assignment: DeviceParams | DeviceAssignment,
-        tiles: TileConfig,
-        adc_bits: int = 6,
-        seed: int = 0,
-        device_noise: bool = True,
-        multiplicative: bool = True,
-        weight_bits: int = 8,
-        input_bits: int = 8,
-    ) -> "SimContext":
-        return cls(
-            assignment,
-            tiles,
-            adc_bits,
-            device_noise,
-            multiplicative,
-            weight_bits,
-            input_bits,
-            seed,
-        )
+        self.rng = np.random.default_rng(self.seed)
 
     @property
     def simulate_crossbars(self) -> bool:
@@ -214,7 +187,6 @@ class SimContext:
             read_var=dev.read_var if self.device_noise else 0.0,
             write_var=dev.write_var if self.device_noise else 0.0,
             adc_bits=self.adc_bits,
-            rng_seed=self.seed,
             multiplicative=self.multiplicative,
         )
 
@@ -263,7 +235,7 @@ def attention_forward(
     In crossbar mode the per-head K^T and V matrices are freshly
     programmed (write noise included) before their reads.
     """
-    ctx = ctx or SimContext.exact()
+    ctx = ctx or SimContext()
     t, d = q.shape
     if k.shape != (t, d) or v.shape != (t, d):
         raise ValueError("Q, K, V must share the same t x d shape")
@@ -283,7 +255,7 @@ def attention_forward(
 def tb_forward(attn: np.ndarray, weights: EncoderWeights, ctx: SimContext | None = None,
                cache_key=None) -> np.ndarray:
     """Transformation block: layer norm -> d x d FC -> GELU."""
-    ctx = ctx or SimContext.exact()
+    ctx = ctx or SimContext()
     if weights.tb_weight is None:
         raise ValueError("encoder weights carry no transformation block")
     normed = layer_norm(attn, weights.tb_ln_gamma, weights.tb_ln_beta)
@@ -304,7 +276,7 @@ def model_forward(
     the first non-reusing encoder; the score scale defaults to
     1/sqrt(d).
     """
-    ctx = ctx or SimContext.exact()
+    ctx = ctx or SimContext()
     if len(weights) != len(encoders):
         raise ValueError("one EncoderWeights per encoder required")
     x = np.asarray(x, dtype=np.float64)

@@ -17,7 +17,7 @@ External per-pattern scores from a JSON file are also accepted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,11 +91,18 @@ def optimize(
         PatternKind.PYRAMID,
     ),
 ) -> OptimizationResult:
-    """Reuse-count search followed by pattern enumeration and ranking."""
+    """Reuse-count search followed by pattern enumeration and ranking.
+
+    When no pattern of the chosen families has the reuse count the delay
+    needs, the result is infeasible but keeps that count: a larger count
+    fits no better, since a pattern's span grows with its count.
+    """
     found = find_optimal_n_reuse(cfg, dev, tiles, sp, target_delay_ms, opts)
     if not found.feasible or found.optimal_n_reuse == 0:
         return found
     patterns = enumerate_patterns(cfg.n_encoders, found.optimal_n_reuse, families)
+    if not patterns:
+        return replace(found, feasible=False)
     scored = tuple((p, float(scorer(p))) for p in patterns)
     best = select_best(patterns, dict(scored).__getitem__)
     return OptimizationResult(

@@ -196,10 +196,16 @@ def _target_row(
     base_edap: float,
     detail: bool = True,
 ) -> ReportRow:
-    """One delay target: infeasible, met at zero reuse, or the best pattern."""
+    """One delay target: infeasible, met at zero reuse, or the best pattern.
+
+    A target whose reuse count no pattern of the chosen family has is
+    infeasible under the pattern ``no-<family>-pattern``.
+    """
     found = inputs.optimize(target, scorer, pattern_families(scenario.patterns))
     if not found.feasible:
-        return _row(scenario, None, "infeasible", base_edap, target)
+        reason = ("infeasible" if found.optimal_n_reuse is None
+                  else f"no-{scenario.patterns}-pattern")
+        return _row(scenario, None, reason, base_edap, target)
     label = found.best.label() if found.best is not None else "none"
     if not detail:
         label = f"reuse@{target}ms {label}"

@@ -242,7 +242,7 @@ def test_criterion_09_functional_simulator(fefet, tiles):
     (d) instrumented reuse counter."""
     # (a) 100 random 64x64 8-bit tiles, noise off, high ADC
     rng = np.random.default_rng(0)
-    lossless = NoiseModel(0.0, 0.0, adc_bits=16, rng_seed=0)
+    lossless = NoiseModel(0.0, 0.0, adc_bits=16)
     exact_ok = True
     for _ in range(100):
         w = rng.integers(-127, 128, size=(64, 64))
@@ -253,8 +253,8 @@ def test_criterion_09_functional_simulator(fefet, tiles):
             break
 
     # (b) empirical read/write noise std within 5% of 10% / 20%
-    noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6, rng_seed=42)
-    nrng = noise.rng()
+    noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
+    nrng = np.random.default_rng(42)
     mid = np.ones((64, 64), dtype=int)
     ideal = ideal_conductances(mid, fefet)
     writes = np.concatenate(
@@ -293,7 +293,7 @@ def test_criterion_09_functional_simulator(fefet, tiles):
     model = build_model(cfg, {1, 3})
     weights = make_toy_weights(cfg, seed=0)
     x0 = np.random.default_rng(2).standard_normal((cfg.t, cfg.d))
-    result = model_forward(model, weights, x0, SimContext.exact())
+    result = model_forward(model, weights, x0, SimContext())
     count_ok = result.stats.attention_evals == 2
 
     verdict(
@@ -317,7 +317,7 @@ def test_criterion_10_cka(deit):
     model = build_model(cfg)
     weights = make_toy_weights(cfg, seed=0)
     x0 = np.random.default_rng(1).standard_normal((cfg.t, cfg.d))
-    acts = model_forward(model, weights, x0, SimContext.exact()).attention_outputs
+    acts = model_forward(model, weights, x0, SimContext()).attention_outputs
     n = len(acts)
     adjacent = float(np.mean([cka_score(acts[i], acts[i + 1]) for i in range(n - 1)]))
     distant = float(np.mean(
@@ -376,7 +376,7 @@ def test_criterion_12_determinism(tmp_path):
     tile_cfg = load_tile_config()
 
     def sim():
-        ctx = SimContext.crossbar(assignment, tile_cfg, seed=9)
+        ctx = SimContext(assignment, tile_cfg, seed=9)
         return model_forward(model, weights, x0, ctx).output.tobytes()
 
     sim_ok = sim() == sim()

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from xbarsim.cli import main
+from xbarsim.cli import build_parser, main
 from xbarsim.report import Scenario, report_meta
 
 
@@ -174,3 +174,54 @@ def test_funcsim_reads_noise_section(tmp_path):
     assert with_noise("additive", "multiplicative = false\n") != default
     assert with_noise("seed5", "seed = 5\n") != default
     assert with_noise("seed0", "seed = 0\n") == default
+
+
+def test_strided_target_without_a_pattern_is_an_infeasible_row(tmp_path, capsys):
+    rc = main([
+        "simulate", "--model", "DeiT-S", "--device", "FeFET", "--patterns", "strided",
+        "--target-delay", "8", "--target-delay", "5", "--target-delay", "1.5",
+        "--name", "strided", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "target 5.0 ms: infeasible, no strided pattern fits" in out
+    assert "target 1.5 ms: infeasible even at maximal reuse" in out
+    assert out.count("maximal reuse") == 1
+    rows = json.loads(read(tmp_path / "strided.json"))["rows"]
+    assert [(r["pattern"], r["feasible"]) for r in rows[2:]] == [
+        ("no-strided-pattern", False), ("infeasible", False)]
+    assert rows[2]["target_delay_ms"] == 5.0 and rows[2]["n_reuse"] is None
+    assert read(tmp_path / "strided.csv").splitlines()[3] == \
+        "strided,DeiT-S,FeFET,,no-strided-pattern,,,,,,,"
+
+
+def test_optimize_strided_target_without_a_pattern(tmp_path, capsys):
+    rc = main([
+        "optimize", "--model", "DeiT-S", "--device", "FeFET", "--patterns", "strided",
+        "--target-delay", "5", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "needs n_reuse = 8, and no strided pattern" in out
+    assert not os.path.exists(tmp_path / "optimize_patterns.json")
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    runs = [
+        ["simulate", "--model", "DeiT-S", "--device", "FeFET",
+         "--target-delay", "9", "--target-delay", "7"],
+        ["simulate", "--model", "BERT-Base", "--device", "SRAM",
+         "--target-delay", "4", "--target-delay", "1"],
+    ]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"cached{i}")]) == 0
+        fresh = build_parser.__wrapped__().parse_args(
+            argv + ["--out", str(tmp_path / f"fresh{i}")])
+        assert fresh.func(fresh) == 0
+    for i in range(len(runs)):
+        for name in ("scenario.csv", "scenario_breakdown.csv", "scenario.json"):
+            cached = read(tmp_path / f"cached{i}" / name)
+            assert cached == read(tmp_path / f"fresh{i}" / name)
+        # header, baseline and exactly this call's two targets
+        assert len(read(tmp_path / f"cached{i}" / "scenario.csv").splitlines()) == 4

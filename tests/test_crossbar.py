@@ -15,24 +15,23 @@ from xbarsim.funcsim.crossbar import (
     program_matrix,
 )
 
-NO_NOISE_HI_ADC = NoiseModel(read_var=0.0, write_var=0.0, adc_bits=16, rng_seed=0)
+NO_NOISE_HI_ADC = NoiseModel(read_var=0.0, write_var=0.0, adc_bits=16)
 
 
 class TestProgramming:
     def test_sram_programs_exactly(self, sram):
         values = np.array([[0, 1], [1, 0]])
-        xb = program_crossbar(values, sram, NoiseModel(0.0, 0.0, 6, 0))
+        xb = program_crossbar(values, sram, NoiseModel(0.0, 0.0, 6))
         assert np.array_equal(xb.conductances, ideal_conductances(values, sram))
-        assert not xb.programmed_with_noise
 
     def test_zero_weights_give_min_conductance(self, fefet):
         xb = program_crossbar(np.zeros((8, 8), dtype=int), fefet, None)
         assert np.all(xb.conductances == fefet.g_min)
 
     def test_conductances_stay_in_physical_window(self, fefet):
-        noise = NoiseModel(read_var=0.0, write_var=0.5, adc_bits=6, rng_seed=0)
+        noise = NoiseModel(read_var=0.0, write_var=0.5, adc_bits=6)
         values = np.full((64, 64), 3)  # top level, noise would overshoot
-        xb = program_crossbar(values, fefet, noise, noise.rng())
+        xb = program_crossbar(values, fefet, noise, np.random.default_rng(0))
         assert xb.conductances.max() <= fefet.g_max
         assert xb.conductances.min() >= fefet.g_min
 
@@ -46,8 +45,8 @@ class TestProgramming:
 
     def test_write_noise_std_matches_configuration(self, fefet):
         # ~1e5 mid-range cells; sample std must sit within 5% of 20%
-        noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6, rng_seed=42)
-        rng = noise.rng()
+        noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
+        rng = np.random.default_rng(42)
         values = np.ones((64, 64), dtype=int)
         ideal = ideal_conductances(values, fefet)
         rel = []
@@ -59,8 +58,8 @@ class TestProgramming:
         assert abs(rel.std(ddof=1) / 0.2 - 1.0) <= 0.05
 
     def test_read_noise_std_matches_configuration(self, fefet):
-        noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6, rng_seed=7)
-        rng = noise.rng()
+        noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6)
+        rng = np.random.default_rng(7)
         xb = program_crossbar(np.ones((64, 64), dtype=int), fefet, None)
         eye = np.eye(64)
         rel = []
@@ -72,10 +71,10 @@ class TestProgramming:
         assert abs(rel.std(ddof=1) / 0.1 - 1.0) <= 0.05
 
     def test_additive_noise_mode(self, fefet):
-        noise = NoiseModel(read_var=0.0, write_var=0.1, adc_bits=6, rng_seed=0,
-                           multiplicative=False)
-        xb = program_crossbar(np.ones((16, 16), dtype=int), fefet, noise, noise.rng())
-        assert xb.programmed_with_noise
+        noise = NoiseModel(read_var=0.0, write_var=0.1, adc_bits=6, multiplicative=False)
+        values = np.ones((16, 16), dtype=int)
+        xb = program_crossbar(values, fefet, noise, np.random.default_rng(0))
+        assert not np.array_equal(xb.conductances, ideal_conductances(values, fefet))
         assert xb.conductances.min() >= fefet.g_min
 
 
@@ -90,7 +89,7 @@ class TestMvmExactness:
 
     def test_exact_at_threshold_adc(self, fefet, tiles):
         # log2(xbar_size) + bits_per_cell = 8 is the lossless boundary
-        noise = NoiseModel(0.0, 0.0, adc_bits=8, rng_seed=0)
+        noise = NoiseModel(0.0, 0.0, adc_bits=8)
         rng = np.random.default_rng(1)
         for _ in range(5):
             w = rng.integers(-127, 128, size=(64, 64))
@@ -144,7 +143,7 @@ def adc_error_bound(dev, xbar_size, adc_bits, n_slices, bits_per_cell, max_magni
 
 class TestAdcQuantization:
     def test_low_adc_error_within_analytic_bound(self, fefet, tiles):
-        noise = NoiseModel(0.0, 0.0, adc_bits=6, rng_seed=0)
+        noise = NoiseModel(0.0, 0.0, adc_bits=6)
         bound = adc_error_bound(fefet, 64, 6, n_slices=4, bits_per_cell=2,
                                 max_magnitude=127)
         rng = np.random.default_rng(6)
@@ -166,7 +165,7 @@ class TestAdcQuantization:
         exact = x @ w
         errs = []
         for adc in (4, 6, 8):
-            out = mvm_bitserial(pm, x, NoiseModel(0.0, 0.0, adc, 0))
+            out = mvm_bitserial(pm, x, NoiseModel(0.0, 0.0, adc))
             errs.append(np.abs(out - exact).max())
         assert errs[0] >= errs[1] >= errs[2]
         assert errs[2] == 0
@@ -174,13 +173,13 @@ class TestAdcQuantization:
 
 class TestDeterminism:
     def test_same_seed_same_result(self, fefet, tiles):
-        noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6, rng_seed=11)
+        noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
         rng = np.random.default_rng(8)
         w = rng.integers(-127, 128, size=(64, 64))
         x = rng.integers(-127, 128, size=(4, 64))
 
         def run():
-            r = noise.rng()
+            r = np.random.default_rng(11)
             pm = program_matrix(w, fefet, tiles, 8, noise, r)
             return mvm_bitserial(pm, x, noise, r)
 
@@ -191,21 +190,28 @@ class TestDeterminism:
         w = rng.integers(-127, 128, size=(64, 64))
         x = rng.integers(-127, 128, size=(4, 64))
         outs = []
+        noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
         for seed in (1, 2):
-            noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6, rng_seed=seed)
-            r = noise.rng()
+            r = np.random.default_rng(seed)
             pm = program_matrix(w, fefet, tiles, 8, noise, r)
             outs.append(mvm_bitserial(pm, x, noise, r))
         assert not np.array_equal(outs[0], outs[1])
 
-    def test_tiles_draw_distinct_write_noise_without_a_generator(self, fefet, tiles):
-        noise = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=6, rng_seed=0)
+    def test_tiles_draw_distinct_write_noise_from_one_generator(self, fefet, tiles):
+        noise = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=6)
         w = np.full((2 * tiles.xbar_size, 64), 5)
-        pm = program_matrix(w, fefet, tiles, 8, noise)
+        pm = program_matrix(w, fefet, tiles, 8, noise, np.random.default_rng(0))
         first = pm.tile(0, 0, 0, 0).conductances
         assert not np.array_equal(first, pm.tile(1, 0, 0, 0).conductances)
-        replay = program_matrix(w, fefet, tiles, 8, noise)
+        replay = program_matrix(w, fefet, tiles, 8, noise, np.random.default_rng(0))
         assert np.array_equal(first, replay.tile(0, 0, 0, 0).conductances)
+
+    def test_noisy_writes_require_a_generator(self, fefet, tiles):
+        noise = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=6)
+        with pytest.raises(ValueError, match="rng"):
+            program_matrix(np.full((64, 64), 5), fefet, tiles, 8, noise)
+        with pytest.raises(ValueError, match="rng"):
+            program_crossbar(np.ones((8, 8), dtype=int), fefet, noise)
 
 
 def test_dimension_mismatch(fefet, tiles):

@@ -140,7 +140,7 @@ def test_one_read_per_stripe_and_chunk(fefet, tiles, monkeypatch):
     w = rng.integers(-127, 128, size=(150, 200))
     x = rng.integers(-127, 128, size=(32, 150))
     noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
-    r = noise.rng()
+    r = np.random.default_rng(0)
     pm = program_matrix(w, fefet, tiles, 8, noise, r)
     mvm_bitserial(pm, x, noise, r)
     stripe_cols = pm.n_slices * 2 * 200
@@ -156,7 +156,7 @@ def test_noisy_product_keeps_temporaries_small(fefet, tiles):
     w = rng.integers(-127, 128, size=(128, 128))
     x = rng.integers(-127, 128, size=(32, 128))
     noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
-    r = noise.rng()
+    r = np.random.default_rng(0)
     pm = program_matrix(w, fefet, tiles, 8, noise, r)
     tracemalloc.start()
     try:

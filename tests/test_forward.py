@@ -18,7 +18,7 @@ from xbarsim.funcsim.forward import (
 )
 from xbarsim.mapping import hybrid_assignment
 from xbarsim.similarity import cka_score
-from xbarsim.workload import LayerKind, build_model
+from xbarsim.workload import build_model
 
 
 def dense_reference(encoders, weights, x, n_heads, scale):
@@ -159,7 +159,7 @@ class TestModelForward:
         model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(7).standard_normal((cfg.t, cfg.d))
-        result = model_forward(model, weights, x, SimContext.exact())
+        result = model_forward(model, weights, x, SimContext())
         ref_out, ref_attn = dense_reference(
             model, weights, x, cfg.n_heads, 1.0 / math.sqrt(cfg.d)
         )
@@ -172,7 +172,7 @@ class TestModelForward:
         model = build_model(cfg, {2, 4})
         weights = make_toy_weights(cfg, seed=1)
         x = np.random.default_rng(8).standard_normal((cfg.t, cfg.d))
-        result = model_forward(model, weights, x, SimContext.exact())
+        result = model_forward(model, weights, x, SimContext())
         ref_out, _ = dense_reference(model, weights, x, cfg.n_heads,
                                      1.0 / math.sqrt(cfg.d))
         assert np.allclose(result.output, ref_out, atol=1e-10)
@@ -182,7 +182,7 @@ class TestModelForward:
         model = build_model(cfg, {1, 3})
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(9).standard_normal((cfg.t, cfg.d))
-        result = model_forward(model, weights, x, SimContext.exact())
+        result = model_forward(model, weights, x, SimContext())
         assert result.stats.attention_evals == 2
         assert len(result.attention_outputs) == 4
 
@@ -192,7 +192,7 @@ class TestModelForward:
         weights = make_toy_weights(cfg, seed=0)
         x = np.zeros((cfg.t, cfg.d))
         with pytest.raises(ValueError, match="reuse source"):
-            model_forward(model[1:], weights[1:], x, SimContext.exact())
+            model_forward(model[1:], weights[1:], x, SimContext())
 
     def test_weight_count_checked(self):
         cfg = toy_config(n_encoders=4)
@@ -205,8 +205,8 @@ class TestModelForward:
 class TestCrossbarForward:
     def _ctx(self, fefet, sram, tiles, seed=0, device_noise=True):
         assignment = hybrid_assignment(fefet, sram)
-        return SimContext.crossbar(assignment, tiles, adc_bits=tiles.adc_bits,
-                                   seed=seed, device_noise=device_noise)
+        return SimContext(assignment, tiles, adc_bits=tiles.adc_bits,
+                          seed=seed, device_noise=device_noise)
 
     def test_deterministic_per_seed(self, fefet, sram, tiles):
         cfg = toy_config(n_encoders=3)
@@ -224,20 +224,19 @@ class TestCrossbarForward:
         model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=2)
         x = np.random.default_rng(11).standard_normal((cfg.t, cfg.d))
-        exact = model_forward(model, weights, x, SimContext.exact()).output
+        exact = model_forward(model, weights, x, SimContext()).output
         noisy = model_forward(model, weights, x,
                               self._ctx(fefet, sram, tiles, seed=1)).output
         corr = np.corrcoef(exact.ravel(), noisy.ravel())[0, 1]
         assert np.all(np.isfinite(noisy))
         assert corr > 0.5
 
-    def test_direct_construction_derives_its_generator(self, fefet, tiles):
-        # A context built without SimContext.crossbar gets the same stream.
-        x = np.random.default_rng(14).standard_normal((4, 40))
-        w = np.random.default_rng(15).standard_normal((40, 24))
-        direct = SimContext(fefet, tiles, seed=3).matmul(x, w, LayerKind.FC_Q)
-        built = SimContext.crossbar(fefet, tiles, seed=3).matmul(x, w, LayerKind.FC_Q)
-        assert direct.tobytes() == built.tobytes()
+    def test_settings_after_tiles_are_keyword_only(self, fefet, tiles):
+        with pytest.raises(TypeError):
+            SimContext(fefet, tiles, 6)
+        for derived in ("rng", "stats", "_static_cache"):
+            with pytest.raises(TypeError):
+                SimContext(fefet, tiles, **{derived: None})
 
     def test_per_device_noise_assignment(self, fefet, sram, tiles):
         ctx = self._ctx(fefet, sram, tiles)
@@ -255,8 +254,8 @@ class TestCrossbarForward:
         weights = make_toy_weights(cfg, seed=3)
         x = np.random.default_rng(12).standard_normal((cfg.t, cfg.d))
         assignment = hybrid_assignment(sram, sram)
-        on = SimContext.crossbar(assignment, tiles, seed=0, device_noise=True)
-        off = SimContext.crossbar(assignment, tiles, seed=0, device_noise=False)
+        on = SimContext(assignment, tiles, seed=0, device_noise=True)
+        off = SimContext(assignment, tiles, seed=0, device_noise=False)
         assert np.array_equal(
             model_forward(model, weights, x, on).output,
             model_forward(model, weights, x, off).output,
@@ -282,7 +281,7 @@ class TestToyModelCkaTrend:
         model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(1).standard_normal((cfg.t, cfg.d))
-        acts = model_forward(model, weights, x, SimContext.exact()).attention_outputs
+        acts = model_forward(model, weights, x, SimContext()).attention_outputs
         n = len(acts)
         adjacent = np.mean([cka_score(acts[i], acts[i + 1]) for i in range(n - 1)])
         distant = np.mean(
@@ -295,6 +294,6 @@ class TestToyModelCkaTrend:
         model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(2).standard_normal((cfg.t, cfg.d))
-        acts = model_forward(model, weights, x, SimContext.exact()).attention_outputs
+        acts = model_forward(model, weights, x, SimContext()).attention_outputs
         for a in acts:
             assert abs(cka_score(a, a) - 1.0) < 1e-9

@@ -1,4 +1,5 @@
-"""Golden report digests: simulate and compare over every shipped preset pair.
+"""Golden digests: simulate and compare reports over every shipped preset
+pair, and the funcsim output on every crossbar device.
 
 Each case runs one CLI command and pins the sha256 of the three report
 files it writes (CSV, breakdown CSV, JSON). A change that is meant to
@@ -148,3 +149,24 @@ CASES = [(command, model, device) for command in ("simulate", "compare")
 def test_reports_match_golden(command, model, device, tmp_path):
     assert report_digests(command, model, device, tmp_path) == \
         GOLDEN[(command, model, device)]
+
+
+# device -> sha256 of output.xbt from ``funcsim --encoders 2 --seed 0``
+FUNCSIM_GOLDEN = {
+    "FeFET": "d2758600e621c818b169eea49c5126bd844f92a184ebc3a10961a3a796e8583c",
+    "hybrid": "0c57900ad18a2c8c6aab325d100380c5afcacffa2b169d1cb2201f102c2d35f9",
+    "SRAM": "053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
+}
+
+
+@pytest.mark.parametrize("device", list(FUNCSIM_GOLDEN))
+def test_funcsim_output_matches_golden(device, tmp_path):
+    """The functional simulator's output, noise draws included.
+
+    As with the reports, a change that is meant to alter these digests
+    must say so where it is described.
+    """
+    assert main(["funcsim", "--encoders", "2", "--seed", "0", "--device", device,
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "output.xbt", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == FUNCSIM_GOLDEN[device]

@@ -208,6 +208,18 @@ class TestOptimize:
                        families=(PatternKind.CONTINUOUS,))
         assert all(p.kind is PatternKind.CONTINUOUS for p, _ in res.candidates)
 
+    def test_family_without_a_pattern_of_the_count(self, deit, fefet, tiles,
+                                                   softmax_params, cost_opts):
+        # 5 ms needs 8 reusers of 12; the shortest strided set of 8 spans 15
+        assert enumerate_patterns(deit.n_encoders, 8, (PatternKind.STRIDED,)) == []
+        scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
+        res = optimize(deit, fefet, tiles, softmax_params, 5.0, scorer, cost_opts,
+                       families=(PatternKind.STRIDED,))
+        found = find_optimal_n_reuse(deit, fefet, tiles, softmax_params, 5.0, cost_opts)
+        assert not res.feasible
+        assert res.optimal_n_reuse == found.optimal_n_reuse == 8
+        assert res.candidates == () and res.best is None
+
 
 def test_synthetic_activations_distance_decay():
     acts = synthetic_attention_outputs(10, seed=11)
