@@ -3,15 +3,7 @@ of transformer encoders on in-memory-computing crossbar hardware."""
 
 __version__ = "0.1.0"
 
-from .workload import (
-    EncoderSpec,
-    LayerKind,
-    LayerSpec,
-    ModelConfig,
-    build_encoder,
-    build_model,
-    mac_count,
-)
+from .workload import LayerKind, LayerSpec, ModelConfig, mac_count
 from .patterns import (
     PatternKind,
     ReusePattern,
@@ -30,7 +22,6 @@ from .mapping import (
     TileConfig,
     crossbars_for_layer,
     hybrid_assignment,
-    model_crossbar_total,
 )
 from .cost import (
     BlockCost,
@@ -43,7 +34,6 @@ from .cost import (
     breakdown,
     layer_cost,
     model_cost,
-    model_cost_for,
     softmax_cost,
 )
 from .similarity import cka_matrix, cka_score

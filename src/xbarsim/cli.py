@@ -36,7 +36,6 @@ from .report import (
     run_scenario,
 )
 from .similarity import cka_matrix
-from .workload import build_model
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -48,6 +47,15 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--format", default="csv,json",
                    help="comma list of report formats (csv, json)")
+
+
+class _AppendOnce(argparse.Action):
+    """``append`` that makes a second use a usage error instead of a list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, [values])
 
 
 def _scenario(args) -> Scenario:
@@ -127,7 +135,6 @@ def cmd_optimize(args) -> int:
 def cmd_funcsim(args) -> int:
     cfg = toy_config(args.encoders, args.dim, args.tokens, args.heads)
     reuse = tuple(int(i) for i in args.reuse.split(",") if i) if args.reuse else ()
-    model = build_model(cfg, reuse)
     weights = make_toy_weights(cfg, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((cfg.t, cfg.d))
@@ -148,7 +155,7 @@ def cmd_funcsim(args) -> int:
             input_bits=cfg.input_bits,
         )
 
-    result = model_forward(model, weights, x, ctx)
+    result = model_forward(cfg, weights, x, ctx, reuse)
     cka = cka_matrix(result.attention_outputs)
     os.makedirs(args.out, exist_ok=True)
     save_tensor(os.path.join(args.out, "output.xbt"), result.output)
@@ -200,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="reuse search plus pattern ranking")
     _common_flags(p)
-    p.add_argument("--target-delay", type=float, action="append", required=True,
-                   metavar="MS")
+    p.add_argument("--target-delay", type=float, action=_AppendOnce, required=True,
+                   metavar="MS", help="the one delay target to search")
     p.add_argument("--patterns", default="all")
     p.add_argument("--scorer", default="cka")
     p.add_argument("--name", default="optimize")

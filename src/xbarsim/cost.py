@@ -48,7 +48,7 @@ from .mapping import (
 )
 from .workload import (
     WEIGHT_KINDS,
-    EncoderSpec,
+    WRITE_KINDS,
     LayerKind,
     LayerSpec,
     ModelConfig,
@@ -202,7 +202,7 @@ def layer_cost(
 
     e_read_uj = layer.t_l * n_phys * dev.e_read_xbar_pj * input_cycles / 1e6
     d_read_us = layer.t_l * dev.d_read_xbar_us * pe_factor * input_cycles
-    if layer.requires_write:
+    if layer.kind in WRITE_KINDS:
         e_write_uj = n_phys * dev.e_write_xbar_pj / 1e6
         d_write_us = dev.d_write_xbar_us * pe_factor
     else:
@@ -363,29 +363,10 @@ def model_cost(
     """Whole-model cost for an isotropic stack with ``n_reuse`` reusers.
 
     Where a reusing encoder sits does not matter for cost, only how
-    many there are, so a count is sufficient here; use
-    ``model_cost_for`` to cost a built encoder list.
+    many there are, so a count is sufficient here.
     """
     table = block_table(cfg, dev, tiles, sp, opts)
     return assemble([(table, *_reuse_split(cfg, n_reuse))])
-
-
-def model_cost_for(
-    model: Sequence[EncoderSpec],
-    cfg: ModelConfig,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    sp: SoftmaxUnitParams,
-    opts: CostOptions = CostOptions(),
-    n_reuse: int | None = None,
-) -> ModelCost:
-    """Cost of a built encoder stack; rejects an inconsistent n_reuse."""
-    if len(model) != cfg.n_encoders:
-        raise ValueError(f"model has {len(model)} encoders, config says {cfg.n_encoders}")
-    actual = sum(1 for enc in model if enc.reuses_attention)
-    if n_reuse is not None and n_reuse != actual:
-        raise ValueError(f"n_reuse={n_reuse} but model contains {actual} reusing encoders")
-    return model_cost(cfg, actual, dev, tiles, sp, opts)
 
 
 def breakdown(mc: ModelCost) -> dict[str, dict[str, float]]:

@@ -10,25 +10,28 @@ Encoders are pre-norm: x += Proj(Attn(LN1(x))); x += MLP(LN2(x)).
 A reusing encoder replaces Attn(LN1(x)) with TB(a_src), where a_src is
 the source encoder's concatenated attention output and TB is
 layer-norm -> d x d FC -> GELU. Attention scales scores by 1/sqrt(d)
-by default (the embedding width, as the platform defines it).
+(the embedding width, as the platform defines it).
 
-Static weights are programmed once per forward call; the K^T and V
-matmul arrays are re-programmed at every attention evaluation, which
-is where FeFET write variations bite.
+Every crossbar matmul call programs its matrix before reading it. Each
+static weight is used once per forward call, so it is programmed once
+per call; the K^T and V matmul arrays are programmed at every attention
+evaluation, which is where FeFET write variations bite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass, field
+from typing import Iterable
 
 import numpy as np
 from scipy.special import erf
 
 from ..mapping import DeviceAssignment, DeviceParams, TileConfig, device_for
-from ..workload import EncoderSpec, LayerKind, ModelConfig
+from ..patterns import explicit_pattern, reuse_sources
+from ..workload import LayerKind, ModelConfig
 from .crossbar import NoiseModel, mvm_bitserial, program_matrix
-from .quant import dequantize, quantize
+from .quant import quantize
 
 
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -173,7 +176,6 @@ class SimContext:
     seed: int = 0
     rng: np.random.Generator = field(init=False)
     stats: SimStats = field(init=False, default_factory=SimStats)
-    _static_cache: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.seed)
@@ -190,29 +192,19 @@ class SimContext:
             multiplicative=self.multiplicative,
         )
 
-    def matmul(
-        self, x: np.ndarray, w: np.ndarray, kind: LayerKind, cache_key=None
-    ) -> np.ndarray:
-        """x @ w, either exact or through a simulated crossbar."""
+    def matmul(self, x: np.ndarray, w: np.ndarray, kind: LayerKind) -> np.ndarray:
+        """x @ w, either exact or through a freshly programmed crossbar."""
         if not self.simulate_crossbars:
             return x @ w
         dev = device_for(kind, self.assignment)
         noise = self._layer_noise(dev)
-        if cache_key is not None and cache_key in self._static_cache:
-            pm, w_scale = self._static_cache[cache_key]
-        else:
-            qw = quantize(w, self.weight_bits, signed=True)
-            pm = program_matrix(
-                qw.values, dev, self.tiles, self.weight_bits, noise, self.rng
-            )
-            w_scale = qw.scale
-            self.stats.matmul_programmings += 1
-            if cache_key is not None:
-                self._static_cache[cache_key] = (pm, w_scale)
+        qw = quantize(w, self.weight_bits, signed=True)
+        pm = program_matrix(qw.values, dev, self.tiles, self.weight_bits, noise, self.rng)
+        self.stats.matmul_programmings += 1
         qx = quantize(x, self.input_bits, signed=True)
         out_int = mvm_bitserial(pm, qx.values, noise, self.rng)
         self.stats.crossbar_matmuls += 1
-        return out_int.astype(np.float64) * (qx.scale * w_scale)
+        return out_int.astype(np.float64) * (qx.scale * qw.scale)
 
 
 @dataclass
@@ -252,61 +244,50 @@ def attention_forward(
     return np.concatenate(heads, axis=1)
 
 
-def tb_forward(attn: np.ndarray, weights: EncoderWeights, ctx: SimContext | None = None,
-               cache_key=None) -> np.ndarray:
+def tb_forward(attn: np.ndarray, weights: EncoderWeights,
+               ctx: SimContext | None = None) -> np.ndarray:
     """Transformation block: layer norm -> d x d FC -> GELU."""
     ctx = ctx or SimContext()
     if weights.tb_weight is None:
         raise ValueError("encoder weights carry no transformation block")
     normed = layer_norm(attn, weights.tb_ln_gamma, weights.tb_ln_beta)
-    return gelu(ctx.matmul(normed, weights.tb_weight, LayerKind.TB_FC, cache_key))
+    return gelu(ctx.matmul(normed, weights.tb_weight, LayerKind.TB_FC))
 
 
 def model_forward(
-    encoders: "list[EncoderSpec]",
+    cfg: ModelConfig,
     weights: "list[EncoderWeights]",
     x: np.ndarray,
     ctx: SimContext | None = None,
-    attn_scale: float | None = None,
-    n_heads: int | None = None,
+    reuse: Iterable[int] = (),
 ) -> ForwardResult:
-    """Run the encoder stack, capturing per-encoder attention outputs.
+    """Run the ``cfg`` stack, capturing per-encoder attention outputs.
 
-    Head count defaults to inferring from the per-head matmul layer of
-    the first non-reusing encoder; the score scale defaults to
-    1/sqrt(d).
+    Encoders in ``reuse`` take the attention of the nearest preceding
+    encoder outside it, through their transformation block.
     """
+    sources = reuse_sources(explicit_pattern(cfg.n_encoders, reuse).reuse_set)
     ctx = ctx or SimContext()
-    if len(weights) != len(encoders):
+    if len(weights) != cfg.n_encoders:
         raise ValueError("one EncoderWeights per encoder required")
     x = np.asarray(x, dtype=np.float64)
-    t, d = x.shape
-    if n_heads is None:
-        per_head = [
-            l for enc in encoders if not enc.reuses_attention
-            for l in enc.layers if l.per_head
-        ]
-        n_heads = per_head[0].copies if per_head else 1
-    scale = attn_scale if attn_scale is not None else 1.0 / math.sqrt(d)
+    scale = 1.0 / math.sqrt(cfg.d)
 
     attn_outputs: list[np.ndarray] = []
     stats = ctx.stats
-    for enc, w in zip(encoders, weights):
-        if enc.reuses_attention:
-            if enc.reuse_source is None or enc.reuse_source >= len(attn_outputs):
-                raise ValueError(f"encoder {enc.index}: missing reuse source output")
-            a = tb_forward(attn_outputs[enc.reuse_source], w, ctx,
-                           cache_key=("tb", enc.index))
+    for i, w in enumerate(weights):
+        if i in sources:
+            a = tb_forward(attn_outputs[sources[i]], w, ctx)
         else:
             h = layer_norm(x, w.ln1_gamma, w.ln1_beta)
-            q = ctx.matmul(h, w.wq, LayerKind.FC_Q, ("wq", enc.index))
-            k = ctx.matmul(h, w.wk, LayerKind.FC_K, ("wk", enc.index))
-            v = ctx.matmul(h, w.wv, LayerKind.FC_V, ("wv", enc.index))
-            a = attention_forward(q, k, v, n_heads, scale, ctx)
+            q = ctx.matmul(h, w.wq, LayerKind.FC_Q)
+            k = ctx.matmul(h, w.wk, LayerKind.FC_K)
+            v = ctx.matmul(h, w.wv, LayerKind.FC_V)
+            a = attention_forward(q, k, v, cfg.n_heads, scale, ctx)
             stats.attention_evals += 1
         attn_outputs.append(a)
-        x = x + ctx.matmul(a, w.wproj, LayerKind.FC_PROJ, ("wproj", enc.index))
+        x = x + ctx.matmul(a, w.wproj, LayerKind.FC_PROJ)
         h2 = layer_norm(x, w.ln2_gamma, w.ln2_beta)
-        hidden = gelu(ctx.matmul(h2, w.w1, LayerKind.FC_MLP1, ("w1", enc.index)))
-        x = x + ctx.matmul(hidden, w.w2, LayerKind.FC_MLP2, ("w2", enc.index))
+        hidden = gelu(ctx.matmul(h2, w.w1, LayerKind.FC_MLP1))
+        x = x + ctx.matmul(hidden, w.w2, LayerKind.FC_MLP2)
     return ForwardResult(x, attn_outputs, stats)

@@ -9,16 +9,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuantizedMatrix:
-    """Integer tensor with an affine dequantization rule.
+    """Integer tensor with a linear dequantization rule.
 
-    real ~= (values - zero_point) * scale. Signed tensors use the
-    symmetric range [-(2^(b-1) - 1), 2^(b-1) - 1] with zero_point 0;
-    unsigned ones use [0, 2^b - 1].
+    real ~= values * scale, so real zero is integer zero. Signed tensors
+    use the symmetric range [-(2^(b-1) - 1), 2^(b-1) - 1]; unsigned ones
+    use [0, 2^b - 1].
     """
 
     values: np.ndarray
     scale: float
-    zero_point: int
     bits: int
     signed: bool
 
@@ -44,17 +43,15 @@ def quantize(x: np.ndarray, bits: int, signed: bool = True) -> QuantizedMatrix:
     if signed:
         qmax = 2 ** (bits - 1) - 1
         amax = float(np.max(np.abs(x))) if x.size else 0.0
-        zero_point = 0
     else:
         if x.size and float(x.min()) < 0.0:
             raise ValueError("unsigned quantization needs non-negative input")
         qmax = 2**bits - 1
         amax = float(x.max()) if x.size else 0.0
-        zero_point = 0
     scale = amax / qmax if amax > 0.0 else 1.0
     values = np.clip(np.rint(x / scale), -qmax if signed else 0, qmax).astype(np.int64)
-    return QuantizedMatrix(values, scale, zero_point, bits, signed)
+    return QuantizedMatrix(values, scale, bits, signed)
 
 
 def dequantize(q: QuantizedMatrix) -> np.ndarray:
-    return (q.values.astype(np.float64) - q.zero_point) * q.scale
+    return q.values.astype(np.float64) * q.scale

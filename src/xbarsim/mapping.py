@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .workload import EncoderSpec, LayerKind, LayerSpec
+from .workload import LayerKind, LayerSpec
 
 
 class DeviceKind(Enum):
@@ -106,20 +106,18 @@ def crossbars_for_layer(
     tiles: TileConfig,
     dev: DeviceParams,
     weight_bits: int,
-    differential_columns: bool = False,
 ) -> MappingResult:
     """Crossbar demand for one layer instance (one head, for matmuls).
 
-    ``differential_columns`` doubles the count for strict accounting of
-    positive/negative column pairs holding signed weights; the default
-    follows the usual convention of quoting single-ended array counts.
+    Counts are single-ended: signed weights are not charged a second,
+    negative column array.
     """
     if layer.kind is LayerKind.SOFTMAX:
         raise ValueError("softmax runs on the digital unit, not on crossbars")
     x = tiles.xbar_size
     logical = math.ceil(layer.in_dim / x) * math.ceil(layer.out_dim / x)
     sf = slice_factor(weight_bits, dev)
-    physical = logical * sf * (2 if differential_columns else 1)
+    physical = logical * sf
     n_tiles = math.ceil(physical / tiles.xbars_per_tile)
     return MappingResult(logical, sf, physical, n_tiles)
 
@@ -146,21 +144,3 @@ def hybrid_assignment(
     table[LayerKind.MATMUL_SV] = matmul_device
     return table
 
-
-def model_crossbar_total(
-    model: Sequence[EncoderSpec],
-    tiles: TileConfig,
-    dev: DeviceParams | DeviceAssignment,
-    weight_bits: int,
-    extra_layers: Iterable[LayerSpec] = (),
-) -> int:
-    """Physical crossbars over all mappable layers (per-head counted)."""
-    total = 0
-    layers = [l for enc in model for l in enc.layers]
-    layers.extend(extra_layers)
-    for layer in layers:
-        if layer.kind is LayerKind.SOFTMAX:
-            continue
-        mapped = crossbars_for_layer(layer, tiles, device_for(layer.kind, dev), weight_bits)
-        total += mapped.n_xbar_physical * layer.copies
-    return total

@@ -1,10 +1,11 @@
 """Transformer encoder workloads as explicit per-layer dimension lists.
 
-A workload is a stack of encoders, each described by the layers that
-actually touch crossbars (fully-connected projections, the two dynamic
-matmuls) plus the digital softmax. Encoders that reuse a previous
-encoder's attention replace the whole attention group with a single
-d x d transformation FC.
+A workload is a ``ModelConfig``: a stack of identically shaped
+encoders, each described by the layers that actually touch crossbars
+(fully-connected projections, the two dynamic matmuls) plus the
+digital softmax. A reuse set names the encoders that take a previous
+encoder's attention; they replace the whole attention group with a
+single d x d transformation FC.
 
 Dimension conventions:
     d        embedding width
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
-from .patterns import ReusePattern, reuse_sources
+from .patterns import ReusePattern, explicit_pattern
 
 
 class LayerKind(Enum):
@@ -54,17 +55,6 @@ WEIGHT_KINDS = frozenset(
         LayerKind.TB_FC,
         LayerKind.PATCH_EMBED,
         LayerKind.CLASSIFIER,
-    }
-)
-
-ATTENTION_KINDS = frozenset(
-    {
-        LayerKind.FC_Q,
-        LayerKind.FC_K,
-        LayerKind.FC_V,
-        LayerKind.MATMUL_QKT,
-        LayerKind.SOFTMAX,
-        LayerKind.MATMUL_SV,
     }
 )
 
@@ -138,15 +128,9 @@ class LayerSpec:
     in_dim: int
     out_dim: int
     t_l: int
-    per_head: bool = False
-    requires_write: bool = False
     copies: int = 1
 
     def __post_init__(self) -> None:
-        if self.per_head and self.kind not in (LayerKind.MATMUL_QKT, LayerKind.MATMUL_SV):
-            raise ValueError(f"per_head set on non-matmul layer {self.kind}")
-        if self.requires_write and self.kind not in WRITE_KINDS:
-            raise ValueError(f"requires_write set on static layer {self.kind}")
         if min(self.in_dim, self.out_dim, self.t_l, self.copies) < 1:
             raise ValueError("layer dimensions must be >= 1")
 
@@ -156,32 +140,6 @@ class LayerSpec:
         if self.kind is LayerKind.SOFTMAX:
             return 0
         return self.t_l * self.in_dim * self.out_dim * self.copies
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    index: int
-    reuses_attention: bool
-    reuse_source: int | None
-    layers: tuple[LayerSpec, ...]
-
-    def __post_init__(self) -> None:
-        kinds = {layer.kind for layer in self.layers}
-        if self.reuses_attention:
-            if self.index == 0:
-                raise ValueError("encoder 0 cannot reuse attention (no source exists)")
-            if self.reuse_source is None or self.reuse_source >= self.index:
-                raise ValueError(
-                    f"encoder {self.index}: reuse_source must precede it, "
-                    f"got {self.reuse_source}"
-                )
-            if LayerKind.TB_FC not in kinds or kinds & ATTENTION_KINDS:
-                raise ValueError("reusing encoder must hold a TB and no attention layers")
-        else:
-            if self.reuse_source is not None:
-                raise ValueError("non-reusing encoder cannot have a reuse_source")
-            if LayerKind.TB_FC in kinds:
-                raise ValueError("non-reusing encoder cannot hold a TB")
 
 
 def attention_layers(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
@@ -196,9 +154,9 @@ def attention_layers(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
         LayerSpec(LayerKind.FC_Q, d, d, t),
         LayerSpec(LayerKind.FC_K, d, d, t),
         LayerSpec(LayerKind.FC_V, d, d, t),
-        LayerSpec(LayerKind.MATMUL_QKT, d_h, t, t, per_head=True, requires_write=True, copies=h),
+        LayerSpec(LayerKind.MATMUL_QKT, d_h, t, t, copies=h),
         LayerSpec(LayerKind.SOFTMAX, t, t, t),
-        LayerSpec(LayerKind.MATMUL_SV, t, d_h, t, per_head=True, requires_write=True, copies=h),
+        LayerSpec(LayerKind.MATMUL_SV, t, d_h, t, copies=h),
     )
 
 
@@ -223,68 +181,10 @@ def stem_layers(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
     )
 
 
-def build_encoder(
-    cfg: ModelConfig,
-    reuses: bool = False,
-    index: int = 0,
-    reuse_source: int | None = None,
-) -> EncoderSpec:
-    """Build one encoder; a reusing encoder is TB + projection + MLP."""
-    if reuses:
-        if index == 0:
-            index = 1  # standalone construction; encoder 0 can never reuse
-        if reuse_source is None:
-            reuse_source = index - 1
-        layers = (tb_layer(cfg),) + ffn_layers(cfg)
-        return EncoderSpec(index, True, reuse_source, layers)
-    layers = attention_layers(cfg) + ffn_layers(cfg)
-    return EncoderSpec(index, False, None, layers)
-
-
-def build_model(
-    cfg: ModelConfig,
-    pattern: ReusePattern | Iterable[int] | None = None,
-) -> list[EncoderSpec]:
-    """Build the encoder stack with the given reuse pattern applied.
-
-    Each reusing encoder draws from the nearest preceding non-reusing
-    encoder, so continuous runs all share one source.
-    """
-    if pattern is None:
-        reuse_set: frozenset[int] = frozenset()
-    elif isinstance(pattern, ReusePattern):
-        if pattern.n_encoders != cfg.n_encoders:
-            raise ValueError(
-                f"pattern built for {pattern.n_encoders} encoders, "
-                f"model has {cfg.n_encoders}"
-            )
-        reuse_set = frozenset(pattern.reuse_set)
-    else:
-        reuse_set = frozenset(int(i) for i in pattern)
-
-    if reuse_set:
-        if 0 in reuse_set:
-            raise ValueError("encoder 0 cannot reuse attention")
-        out_of_range = sorted(i for i in reuse_set if i < 0 or i >= cfg.n_encoders)
-        if out_of_range:
-            raise ValueError(
-                f"reuse indices {out_of_range} out of range for "
-                f"{cfg.n_encoders} encoders"
-            )
-
-    sources = reuse_sources(reuse_set)
-    encoders = []
-    for i in range(cfg.n_encoders):
-        if i in reuse_set:
-            encoders.append(build_encoder(cfg, reuses=True, index=i, reuse_source=sources[i]))
-        else:
-            encoders.append(build_encoder(cfg, reuses=False, index=i))
-    return encoders
-
-
 def encoder_macs(cfg: ModelConfig, reuses: bool = False) -> int:
-    enc = build_encoder(cfg, reuses=reuses)
-    return sum(layer.macs for layer in enc.layers)
+    """MACs of one encoder; a reusing one swaps attention for its TB."""
+    attention = (tb_layer(cfg),) if reuses else attention_layers(cfg)
+    return sum(layer.macs for layer in attention + ffn_layers(cfg))
 
 
 def stem_macs(cfg: ModelConfig) -> int:
@@ -300,21 +200,18 @@ def mac_count(
 ) -> int:
     """Multiply-accumulates per inference; softmax contributes none.
 
-    One MAC counts as one operation (not two FLOPs). Either a pattern
-    or a plain reuse count can be given; the count form relies on all
-    encoders having identical shape.
+    One MAC counts as one operation (not two FLOPs). Either a reuse
+    set, validated like ``model_forward``'s, or a plain reuse count can
+    be given; the count form relies on all encoders having identical
+    shape.
     """
     if pattern is not None and n_reuse is not None:
         raise ValueError("give either a pattern or n_reuse, not both")
-    if n_reuse is None:
-        if pattern is None:
-            r = 0
-        elif isinstance(pattern, ReusePattern):
-            r = len(pattern.reuse_set)
-        else:
-            r = len(frozenset(pattern))
+    if pattern is not None:
+        reuse = pattern.reuse_set if isinstance(pattern, ReusePattern) else pattern
+        r = explicit_pattern(cfg.n_encoders, reuse).n_reuse
     else:
-        r = n_reuse
+        r = n_reuse or 0
     if r < 0 or r > cfg.n_encoders:
         raise ValueError(f"n_reuse={r} out of range")
     full = encoder_macs(cfg, reuses=False)

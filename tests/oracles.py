@@ -23,7 +23,7 @@ from xbarsim.patterns import (
     gen_strided,
     reuse_sources,
 )
-from xbarsim.workload import ModelConfig
+from xbarsim.workload import ModelConfig, attention_layers, ffn_layers, tb_layer
 
 
 def oracle_model_cost(cfg, dev, tiles, sp, opts, n_reuse):
@@ -92,13 +92,13 @@ def oracle_model_cost(cfg, dev, tiles, sp, opts, n_reuse):
     return e / 1e3, dd / 1e3, a
 
 
-def oracle_layer_rows(t_l, n_phys, dev, tiles, cycles, requires_write, pe_on=True):
+def oracle_layer_rows(t_l, n_phys, dev, tiles, cycles, written, pe_on=True):
     """Per-layer cost rows -> (e_read_uj, e_write_uj, d_read_us, d_write_us)."""
     pe = tiles.n_xbar_per_pe if pe_on else 1
     e_read = t_l * n_phys * dev.e_read_xbar_pj * cycles / 1e6
     d_read = t_l * dev.d_read_xbar_us * pe * cycles
-    e_write = n_phys * dev.e_write_xbar_pj / 1e6 if requires_write else 0.0
-    d_write = dev.d_write_xbar_us * pe if requires_write else 0.0
+    e_write = n_phys * dev.e_write_xbar_pj / 1e6 if written else 0.0
+    d_write = dev.d_write_xbar_us * pe if written else 0.0
     return e_read, e_write, d_read, d_write
 
 
@@ -269,3 +269,9 @@ def oracle_cka_scorer(attention_outputs):
         return total
 
     return score
+
+
+def encoder_layers(cfg, reuses=False):
+    """The layers of one encoder, from the per-group layer builders."""
+    attention = (tb_layer(cfg),) if reuses else attention_layers(cfg)
+    return attention + ffn_layers(cfg)

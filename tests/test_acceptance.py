@@ -44,7 +44,7 @@ from xbarsim.optimize import find_optimal_n_reuse
 from xbarsim.patterns import all_explicit_patterns, enumerate_patterns, validate_pattern
 from xbarsim.report import Scenario, emit, report_meta, run_scenario
 from xbarsim.similarity import cka_score
-from xbarsim.workload import LayerKind, LayerSpec, build_model
+from xbarsim.workload import LayerKind, LayerSpec, attention_layers
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -87,10 +87,8 @@ def test_criterion_02_cost_table_fidelity():
             worst = max(worst, abs(got / want - 1.0))
 
         # per-layer rows on the Q projection and the SV matmul
-        from xbarsim.workload import build_encoder
-
-        enc = build_encoder(cfg)
-        for layer in (enc.layers[0], enc.layers[5]):
+        layers = attention_layers(cfg)
+        for layer in (layers[0], layers[5]):
             mapped = crossbars_for_layer(layer, tiles, dev, cfg.weight_bits)
             lc = layer_cost(
                 layer, mapped, dev, tiles, cfg.input_cycles,
@@ -99,7 +97,8 @@ def test_criterion_02_cost_table_fidelity():
             )
             e_r, e_w, d_r, d_w = oracle_layer_rows(
                 layer.t_l, mapped.n_xbar_physical * layer.copies, dev, tiles,
-                cfg.input_cycles, layer.requires_write, opts.read_delay_pe_factor,
+                cfg.input_cycles, layer.kind is LayerKind.MATMUL_SV,
+                opts.read_delay_pe_factor,
             )
             for got, want in ((lc.e_read_uj, e_r), (lc.e_write_uj, e_w),
                               (lc.d_read_us, d_r), (lc.d_write_us, d_w)):
@@ -290,10 +289,9 @@ def test_criterion_09_functional_simulator(fefet, tiles):
 
     # (d) reuse {1, 3} on 4 encoders computes attention exactly twice
     cfg = toy_config(n_encoders=4)
-    model = build_model(cfg, {1, 3})
     weights = make_toy_weights(cfg, seed=0)
     x0 = np.random.default_rng(2).standard_normal((cfg.t, cfg.d))
-    result = model_forward(model, weights, x0, SimContext())
+    result = model_forward(cfg, weights, x0, SimContext(), reuse={1, 3})
     count_ok = result.stats.attention_evals == 2
 
     verdict(
@@ -314,10 +312,9 @@ def test_criterion_10_cka(deit):
     sym_ok = abs(cka_score(x, y) - cka_score(y, x)) <= 1e-12
 
     cfg = toy_config()
-    model = build_model(cfg)
     weights = make_toy_weights(cfg, seed=0)
     x0 = np.random.default_rng(1).standard_normal((cfg.t, cfg.d))
-    acts = model_forward(model, weights, x0, SimContext()).attention_outputs
+    acts = model_forward(cfg, weights, x0, SimContext()).attention_outputs
     n = len(acts)
     adjacent = float(np.mean([cka_score(acts[i], acts[i + 1]) for i in range(n - 1)]))
     distant = float(np.mean(
@@ -369,7 +366,6 @@ def test_criterion_12_determinism(tmp_path):
     from xbarsim.mapping import hybrid_assignment
 
     cfg = toy_config(n_encoders=3)
-    model = build_model(cfg)
     weights = make_toy_weights(cfg, seed=9)
     x0 = np.random.default_rng(9).standard_normal((cfg.t, cfg.d))
     assignment = hybrid_assignment(load_device_params("FeFET"), load_device_params("SRAM"))
@@ -377,7 +373,7 @@ def test_criterion_12_determinism(tmp_path):
 
     def sim():
         ctx = SimContext(assignment, tile_cfg, seed=9)
-        return model_forward(model, weights, x0, ctx).output.tobytes()
+        return model_forward(cfg, weights, x0, ctx).output.tobytes()
 
     sim_ok = sim() == sim()
     verdict(

@@ -1,6 +1,7 @@
 """The block table behind every model cost: model_cost, the reuse-count
 search, weight sharing and token pruning all assemble it."""
 
+import dataclasses
 import importlib
 import math
 
@@ -10,6 +11,7 @@ from xbarsim import cost
 from xbarsim.config import ScenarioConfig
 from xbarsim.cost import BLOCK_NAMES, block_table, model_cost
 from xbarsim.report import resolve_device
+from xbarsim.workload import mac_count
 
 opt = importlib.import_module("xbarsim.optimize")  # the package re-exports optimize()
 
@@ -47,6 +49,15 @@ def test_model_cost_is_the_table_scaled_by_block_counts(model, device):
         assert math.isclose(sum(b.e_uj for b in blocks) / 1e3, mc.e_vit_mj, rel_tol=1e-12)
         assert math.isclose(sum(b.d_us for b in blocks) / 1e3, mc.d_vit_ms, rel_tol=1e-12)
         assert math.isclose(sum(b.a_mm2 for b in blocks), mc.a_vit_mm2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("include_stem", [False, True])
+@pytest.mark.parametrize("model,device", GRID)
+def test_table_macs_equal_the_mac_count(model, device, include_stem):
+    cfg, dev, tiles, sp, opts = _inputs(model, device)
+    cfg = dataclasses.replace(cfg, include_stem=include_stem)
+    for r in range(cfg.n_encoders + 1):
+        assert model_cost(cfg, r, dev, tiles, sp, opts).macs == mac_count(cfg, n_reuse=r)
 
 
 def test_search_builds_one_table(monkeypatch):

@@ -49,6 +49,17 @@ def test_optimize_infeasible_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+def test_optimize_rejects_a_second_target(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "optimize", "--model", "DeiT-S", "--device", "FeFET",
+            "--target-delay", "7", "--target-delay", "4", "--out", str(tmp_path),
+        ])
+    assert exc.value.code == 2
+    assert "--target-delay may be given only once" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_funcsim_exact_with_reuse(tmp_path, capsys):
     rc = main([
         "funcsim", "--encoders", "4", "--dim", "32", "--tokens", "16",

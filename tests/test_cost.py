@@ -15,11 +15,10 @@ from xbarsim.cost import (
     breakdown,
     layer_cost,
     model_cost,
-    model_cost_for,
     softmax_cost,
 )
 from xbarsim.mapping import crossbars_for_layer
-from xbarsim.workload import LayerKind, ModelConfig, build_encoder, build_model
+from xbarsim.workload import LayerKind, ModelConfig, attention_layers
 
 REL = 1e-12
 
@@ -29,7 +28,7 @@ def close(a, b, rel=REL):
 
 
 def get_layer(cfg, kind):
-    for layer in build_encoder(cfg).layers:
+    for layer in encoder_layers(cfg):
         if layer.kind is kind:
             return layer
     raise KeyError(kind)
@@ -114,7 +113,7 @@ class TestSoftmaxCost:
         assert e_uj == 0.0
 
 
-from oracles import oracle_model_cost, random_setup
+from oracles import encoder_layers, oracle_model_cost, random_setup
 
 
 class TestModelCostOracle:
@@ -153,16 +152,31 @@ class TestModelCostOracle:
             assert close(a.a_vit_mm2 - b.a_vit_mm2, attn.a_mm2 - tb.a_mm2, rel=1e-9)
 
     def test_pattern_position_does_not_matter(self, deit, fefet, tiles, softmax_params, cost_opts):
+        # Walk the stack encoder by encoder and sum the rows of the layers
+        # each one holds: wherever the three reusers sit, the per-layer sums
+        # equal the count-based model cost.
+        opts = dataclasses.replace(cost_opts, tb_on_crossbars=True)
+        ref = model_cost(deit, 3, fefet, tiles, softmax_params, opts)
         for pattern in [{1, 2, 3}, {3, 6, 9}, {9, 10, 11}]:
-            model = build_model(deit, pattern)
-            mc = model_cost_for(model, deit, fefet, tiles, softmax_params, cost_opts)
-            ref = model_cost(deit, 3, fefet, tiles, softmax_params, cost_opts)
-            assert mc == ref
-
-    def test_inconsistent_n_reuse_rejected(self, deit, fefet, tiles, softmax_params, cost_opts):
-        model = build_model(deit, {1, 3})
-        with pytest.raises(ValueError, match="reusing"):
-            model_cost_for(model, deit, fefet, tiles, softmax_params, cost_opts, n_reuse=3)
+            e_uj, d_us, a_mm2 = 0.0, 0.0, 0.0
+            for i in range(deit.n_encoders):
+                for layer in encoder_layers(deit, reuses=i in pattern):
+                    if layer.kind is LayerKind.SOFTMAX:
+                        e, d = softmax_cost(deit, softmax_params)
+                        e_uj, d_us = e_uj + e, d_us + d
+                        continue
+                    mapped = crossbars_for_layer(layer, tiles, fefet, deit.weight_bits)
+                    lc = layer_cost(layer, mapped, fefet, tiles, deit.input_cycles,
+                                    pad_to_tiles=opts.pad_to_tiles,
+                                    read_delay_pe_factor=opts.read_delay_pe_factor)
+                    e_uj += lc.e_total_uj
+                    d_us += lc.d_total_us
+                    a_mm2 += lc.area_mm2
+                e_uj += opts.vec_energy_uj
+                d_us += opts.vec_delay_us
+            assert close(e_uj / 1e3, ref.e_vit_mj)
+            assert close(d_us / 1e3, ref.d_vit_ms)
+            assert close(a_mm2, ref.a_vit_mm2)
 
     def test_positive_costs(self, deit, fefet, tiles, softmax_params, cost_opts):
         mc = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
@@ -299,7 +313,7 @@ class TestTokenPruning:
                           include_stem=False)
         def qkt_macs(c):
             return sum(
-                l.macs for l in build_encoder(c).layers if l.kind is LayerKind.MATMUL_QKT
+                l.macs for l in attention_layers(c) if l.kind is LayerKind.MATMUL_QKT
             )
         half = dataclasses.replace(cfg, t=32)
         assert qkt_macs(half) * 4 == qkt_macs(cfg)

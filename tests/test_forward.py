@@ -18,18 +18,21 @@ from xbarsim.funcsim.forward import (
 )
 from xbarsim.mapping import hybrid_assignment
 from xbarsim.similarity import cka_score
-from xbarsim.workload import build_model
 
 
-def dense_reference(encoders, weights, x, n_heads, scale):
-    """Independent flat implementation of the same encoder arithmetic."""
+def dense_reference(sources, weights, x, n_heads, scale):
+    """Independent flat implementation of the same encoder arithmetic.
+
+    ``sources`` maps each reusing encoder to the encoder whose attention
+    output it transforms.
+    """
     x = np.array(x, dtype=np.float64)
     t, d = x.shape
     d_h = d // n_heads
     attn_outputs = []
-    for enc, w in zip(encoders, weights):
-        if enc.reuses_attention:
-            src = attn_outputs[enc.reuse_source]
+    for i, w in enumerate(weights):
+        if i in sources:
+            src = attn_outputs[sources[i]]
             mu = src.mean(-1, keepdims=True)
             sd = np.sqrt(src.var(-1, keepdims=True) + 1e-6)
             normed = (src - mu) / sd * w.tb_ln_gamma + w.tb_ln_beta
@@ -156,12 +159,11 @@ class TestAttentionForward:
 class TestModelForward:
     def test_exact_mode_matches_dense_reference(self):
         cfg = toy_config()
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(7).standard_normal((cfg.t, cfg.d))
-        result = model_forward(model, weights, x, SimContext())
+        result = model_forward(cfg, weights, x, SimContext())
         ref_out, ref_attn = dense_reference(
-            model, weights, x, cfg.n_heads, 1.0 / math.sqrt(cfg.d)
+            {}, weights, x, cfg.n_heads, 1.0 / math.sqrt(cfg.d)
         )
         assert np.allclose(result.output, ref_out, atol=1e-10)
         for a, b in zip(result.attention_outputs, ref_attn):
@@ -169,37 +171,26 @@ class TestModelForward:
 
     def test_reuse_model_matches_dense_reference(self):
         cfg = toy_config(n_encoders=6)
-        model = build_model(cfg, {2, 4})
         weights = make_toy_weights(cfg, seed=1)
         x = np.random.default_rng(8).standard_normal((cfg.t, cfg.d))
-        result = model_forward(model, weights, x, SimContext())
-        ref_out, _ = dense_reference(model, weights, x, cfg.n_heads,
+        result = model_forward(cfg, weights, x, SimContext(), reuse={2, 4})
+        ref_out, _ = dense_reference({2: 1, 4: 3}, weights, x, cfg.n_heads,
                                      1.0 / math.sqrt(cfg.d))
         assert np.allclose(result.output, ref_out, atol=1e-10)
 
     def test_attention_counted_once_per_non_reuser(self):
         cfg = toy_config(n_encoders=4)
-        model = build_model(cfg, {1, 3})
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(9).standard_normal((cfg.t, cfg.d))
-        result = model_forward(model, weights, x, SimContext())
+        result = model_forward(cfg, weights, x, SimContext(), reuse={1, 3})
         assert result.stats.attention_evals == 2
         assert len(result.attention_outputs) == 4
 
-    def test_missing_reuse_source_rejected(self):
-        cfg = toy_config(n_encoders=4)
-        model = build_model(cfg, {1})
-        weights = make_toy_weights(cfg, seed=0)
-        x = np.zeros((cfg.t, cfg.d))
-        with pytest.raises(ValueError, match="reuse source"):
-            model_forward(model[1:], weights[1:], x, SimContext())
-
     def test_weight_count_checked(self):
         cfg = toy_config(n_encoders=4)
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)[:-1]
         with pytest.raises(ValueError):
-            model_forward(model, weights, np.zeros((cfg.t, cfg.d)))
+            model_forward(cfg, weights, np.zeros((cfg.t, cfg.d)))
 
 
 class TestCrossbarForward:
@@ -210,22 +201,20 @@ class TestCrossbarForward:
 
     def test_deterministic_per_seed(self, fefet, sram, tiles):
         cfg = toy_config(n_encoders=3)
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(10).standard_normal((cfg.t, cfg.d))
-        r1 = model_forward(model, weights, x, self._ctx(fefet, sram, tiles, seed=5))
-        r2 = model_forward(model, weights, x, self._ctx(fefet, sram, tiles, seed=5))
+        r1 = model_forward(cfg, weights, x, self._ctx(fefet, sram, tiles, seed=5))
+        r2 = model_forward(cfg, weights, x, self._ctx(fefet, sram, tiles, seed=5))
         assert np.array_equal(r1.output, r2.output)
-        r3 = model_forward(model, weights, x, self._ctx(fefet, sram, tiles, seed=6))
+        r3 = model_forward(cfg, weights, x, self._ctx(fefet, sram, tiles, seed=6))
         assert not np.array_equal(r1.output, r3.output)
 
     def test_tracks_exact_output(self, fefet, sram, tiles):
         cfg = toy_config(n_encoders=4)
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=2)
         x = np.random.default_rng(11).standard_normal((cfg.t, cfg.d))
-        exact = model_forward(model, weights, x, SimContext()).output
-        noisy = model_forward(model, weights, x,
+        exact = model_forward(cfg, weights, x, SimContext()).output
+        noisy = model_forward(cfg, weights, x,
                               self._ctx(fefet, sram, tiles, seed=1)).output
         corr = np.corrcoef(exact.ravel(), noisy.ravel())[0, 1]
         assert np.all(np.isfinite(noisy))
@@ -234,7 +223,7 @@ class TestCrossbarForward:
     def test_settings_after_tiles_are_keyword_only(self, fefet, tiles):
         with pytest.raises(TypeError):
             SimContext(fefet, tiles, 6)
-        for derived in ("rng", "stats", "_static_cache"):
+        for derived in ("rng", "stats"):
             with pytest.raises(TypeError):
                 SimContext(fefet, tiles, **{derived: None})
 
@@ -250,25 +239,38 @@ class TestCrossbarForward:
         # With zero device variation, only ADC quantization acts, so the
         # noise switch cannot change the result.
         cfg = toy_config(n_encoders=2)
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=3)
         x = np.random.default_rng(12).standard_normal((cfg.t, cfg.d))
         assignment = hybrid_assignment(sram, sram)
         on = SimContext(assignment, tiles, seed=0, device_noise=True)
         off = SimContext(assignment, tiles, seed=0, device_noise=False)
         assert np.array_equal(
-            model_forward(model, weights, x, on).output,
-            model_forward(model, weights, x, off).output,
+            model_forward(cfg, weights, x, on).output,
+            model_forward(cfg, weights, x, off).output,
         )
+
+    def test_reused_context_programs_the_weights_it_is_given(self, sram, tiles):
+        # A second forward on a used context must not read arrays programmed
+        # for the first call's weights.
+        cfg = toy_config(n_encoders=2)
+        x = np.random.default_rng(14).standard_normal((cfg.t, cfg.d))
+        first, second = make_toy_weights(cfg, seed=0), make_toy_weights(cfg, seed=7)
+
+        def fresh():
+            return SimContext(sram, tiles, adc_bits=10, device_noise=False)
+
+        used = fresh()
+        model_forward(cfg, first, x, used)
+        again = model_forward(cfg, second, x, used).output
+        assert again.tobytes() == model_forward(cfg, second, x, fresh()).output.tobytes()
 
     def test_matmul_rewrites_per_attention(self, fefet, sram, tiles):
         cfg = toy_config(n_encoders=2)
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(13).standard_normal((cfg.t, cfg.d))
         ctx = self._ctx(fefet, sram, tiles)
-        result = model_forward(model, weights, x, ctx)
-        # static layers (6 per encoder incl. TB cache) programmed once;
+        result = model_forward(cfg, weights, x, ctx)
+        # the 6 static layers of each encoder are programmed once;
         # every attention re-programs 2 * n_heads dynamic matmuls
         dynamic = 2 * cfg.n_heads * result.stats.attention_evals
         static = 6 * cfg.n_encoders
@@ -278,10 +280,9 @@ class TestCrossbarForward:
 class TestToyModelCkaTrend:
     def test_adjacent_encoders_more_similar_than_distant(self):
         cfg = toy_config()
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(1).standard_normal((cfg.t, cfg.d))
-        acts = model_forward(model, weights, x, SimContext()).attention_outputs
+        acts = model_forward(cfg, weights, x, SimContext()).attention_outputs
         n = len(acts)
         adjacent = np.mean([cka_score(acts[i], acts[i + 1]) for i in range(n - 1)])
         distant = np.mean(
@@ -291,9 +292,8 @@ class TestToyModelCkaTrend:
 
     def test_self_similarity_one_on_toy_outputs(self):
         cfg = toy_config(n_encoders=2)
-        model = build_model(cfg)
         weights = make_toy_weights(cfg, seed=0)
         x = np.random.default_rng(2).standard_normal((cfg.t, cfg.d))
-        acts = model_forward(model, weights, x, SimContext()).attention_outputs
+        acts = model_forward(cfg, weights, x, SimContext()).attention_outputs
         for a in acts:
             assert abs(cka_score(a, a) - 1.0) < 1e-9

@@ -151,22 +151,38 @@ def test_reports_match_golden(command, model, device, tmp_path):
         GOLDEN[(command, model, device)]
 
 
-# device -> sha256 of output.xbt from ``funcsim --encoders 2 --seed 0``
+# (device, extra funcsim flags) -> sha256 of output.xbt from
+# ``funcsim --seed 0`` with those flags
 FUNCSIM_GOLDEN = {
-    "FeFET": "d2758600e621c818b169eea49c5126bd844f92a184ebc3a10961a3a796e8583c",
-    "hybrid": "0c57900ad18a2c8c6aab325d100380c5afcacffa2b169d1cb2201f102c2d35f9",
-    "SRAM": "053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
+    ("FeFET", "--encoders 2"):
+        "d2758600e621c818b169eea49c5126bd844f92a184ebc3a10961a3a796e8583c",
+    ("hybrid", "--encoders 2"):
+        "0c57900ad18a2c8c6aab325d100380c5afcacffa2b169d1cb2201f102c2d35f9",
+    ("SRAM", "--encoders 2"):
+        "053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
+    ("FeFET", "--encoders 4 --reuse 1,3"):
+        "603d97ab1d00bd20a9a9e8cd6eb8eb3f0c1ce3db65fe5fb138071eaac85b1eb1",
+    ("SRAM", "--encoders 4 --reuse 1,3"):
+        "9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
+    ("hybrid", "--encoders 4 --reuse 1,3"):
+        "752e4712c8c0c04611d92656b771c8cc57b1c5ae850a114497898d43adb60305",
 }
 
 
-@pytest.mark.parametrize("device", list(FUNCSIM_GOLDEN))
-def test_funcsim_output_matches_golden(device, tmp_path):
+def _funcsim_id(case):
+    device, flags = case
+    return device if flags == "--encoders 2" else f"{device}-reuse-1,3"
+
+
+@pytest.mark.parametrize("case", list(FUNCSIM_GOLDEN), ids=_funcsim_id)
+def test_funcsim_output_matches_golden(case, tmp_path):
     """The functional simulator's output, noise draws included.
 
     As with the reports, a change that is meant to alter these digests
     must say so where it is described.
     """
-    assert main(["funcsim", "--encoders", "2", "--seed", "0", "--device", device,
+    device, flags = case
+    assert main(["funcsim", *flags.split(), "--seed", "0", "--device", device,
                  "--out", str(tmp_path)]) == 0
     with open(tmp_path / "output.xbt", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == FUNCSIM_GOLDEN[device]
+        assert hashlib.sha256(fh.read()).hexdigest() == FUNCSIM_GOLDEN[case]

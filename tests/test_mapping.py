@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import encoder_layers
 from xbarsim.mapping import (
     DeviceKind,
     DeviceParams,
     TileConfig,
     crossbars_for_layer,
     hybrid_assignment,
-    model_crossbar_total,
     slice_factor,
 )
-from xbarsim.workload import LayerKind, LayerSpec, build_encoder, build_model
+from xbarsim.workload import LayerKind, LayerSpec
 
 
 def brute_force_tiling(in_dim: int, out_dim: int, xbar: int) -> int:
@@ -89,30 +89,35 @@ def test_monotonicity(in_dim, out_dim, delta, xbar, fefet):
 
 
 class TestModelTotals:
-    def _logical_total(self, enc, tiles, dev):
+    def _total(self, layers, tiles, dev, field="n_xbar_logical"):
         return sum(
-            crossbars_for_layer(l, tiles, dev, 8).n_xbar_logical * l.copies
-            for l in enc.layers
+            getattr(crossbars_for_layer(l, tiles, dev, 8), field) * l.copies
+            for l in layers
             if l.kind is not LayerKind.SOFTMAX
+        )
+
+    def _model_total(self, cfg, reuse, tiles, dev):
+        """Physical crossbars over every encoder of the stack."""
+        return sum(
+            self._total(encoder_layers(cfg, i in reuse), tiles, dev, "n_xbar_physical")
+            for i in range(cfg.n_encoders)
         )
 
     def test_deit_encoder_logical_breakdown(self, deit, fefet, tiles):
         # Q,K,V,Proj: 4*36; MLP pair: 144+144; per-head matmuls: 6*4 + 6*4
-        enc = build_encoder(deit)
-        assert self._logical_total(enc, tiles, fefet) == 480
+        assert self._total(encoder_layers(deit), tiles, fefet) == 480
 
     def test_deit_reusing_encoder_logical(self, deit, fefet, tiles):
-        enc = build_encoder(deit, reuses=True, index=1)
-        assert self._logical_total(enc, tiles, fefet) == 360  # 36 TB + 36 proj + 288 MLP
+        layers = encoder_layers(deit, reuses=True)
+        assert self._total(layers, tiles, fefet) == 360  # 36 TB + 36 proj + 288 MLP
 
     def test_model_total_physical(self, deit, fefet, tiles):
-        model = build_model(deit)
-        total = model_crossbar_total(model, tiles, fefet, deit.weight_bits)
+        total = self._model_total(deit, set(), tiles, fefet)
         assert total == 480 * 4 * deit.n_encoders  # slice factor 4
 
     def test_reuse_lowers_total(self, deit, fefet, tiles):
-        base = model_crossbar_total(build_model(deit), tiles, fefet, 8)
-        reused = model_crossbar_total(build_model(deit, {1, 3}), tiles, fefet, 8)
+        base = self._model_total(deit, set(), tiles, fefet)
+        reused = self._model_total(deit, {1, 3}, tiles, fefet)
         assert reused == base - 2 * (480 - 360) * 4
 
 
@@ -126,7 +131,7 @@ class TestHybridAssignment:
 
     def test_slice_factor_changes_only_for_matmuls(self, deit, fefet, sram, tiles):
         table = hybrid_assignment(fefet, sram)
-        for layer in build_encoder(deit).layers:
+        for layer in encoder_layers(deit):
             if layer.kind is LayerKind.SOFTMAX:
                 continue
             uniform = crossbars_for_layer(layer, tiles, fefet, 8)
@@ -157,10 +162,3 @@ def test_sram_preset_is_variation_free(sram):
     assert sram.read_var == 0.0
     assert sram.write_var == 0.0
 
-
-def test_differential_columns_flag(fefet, tiles):
-    layer = fc_layer(384, 384)
-    single = crossbars_for_layer(layer, tiles, fefet, 8)
-    paired = crossbars_for_layer(layer, tiles, fefet, 8, differential_columns=True)
-    assert paired.n_xbar_physical == 2 * single.n_xbar_physical
-    assert paired.n_xbar_logical == single.n_xbar_logical

@@ -15,10 +15,10 @@ def test_roundtrip_within_one_step():
 
 
 def test_signed_range():
-    x = np.array([[-5.0, 5.0]])
+    x = np.array([[-5.0, 0.0, 5.0]])
     q = quantize(x, bits=8)
     assert q.values.min() == -127 and q.values.max() == 127
-    assert q.zero_point == 0
+    assert q.values[0, 1] == 0  # real zero is integer zero
 
 
 def test_unsigned_range():
@@ -40,7 +40,7 @@ def test_zero_input():
 
 def test_out_of_range_values_rejected():
     with pytest.raises(ValueError):
-        QuantizedMatrix(np.array([300]), 1.0, 0, 8, signed=True)
+        QuantizedMatrix(np.array([300]), 1.0, 8, signed=True)
 
 
 @given(

@@ -1,15 +1,17 @@
-import dataclasses
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import encoder_layers
+from xbarsim.funcsim.forward import make_toy_weights, model_forward, toy_config
+from xbarsim.patterns import reuse_sources
 from xbarsim.workload import (
-    EncoderSpec,
+    WEIGHT_KINDS,
+    WRITE_KINDS,
     LayerKind,
     ModelConfig,
-    build_encoder,
-    build_model,
+    attention_layers,
     encoder_macs,
     mac_count,
     stem_macs,
@@ -48,79 +50,85 @@ def brute_force_macs(cfg: ModelConfig, reuse_set=frozenset()) -> int:
 
 
 class TestBuildEncoder:
+    """The layer lists of a full and of a reusing encoder."""
+
     def test_deit_standard_layers(self, deit):
-        enc = build_encoder(deit, reuses=False)
-        assert [l.kind for l in enc.layers] == STANDARD_ORDER
-        qkt = enc.layers[3]
+        layers = encoder_layers(deit)
+        assert [l.kind for l in layers] == STANDARD_ORDER
+        qkt = layers[3]
         assert (qkt.in_dim, qkt.out_dim, qkt.t_l) == (64, 197, 197)
-        assert qkt.per_head and qkt.requires_write and qkt.copies == 6
-        sv = enc.layers[5]
+        assert qkt.copies == 6
+        sv = layers[5]
         assert (sv.in_dim, sv.out_dim) == (197, 64)
-        assert sv.per_head and sv.requires_write
-        mlp1, mlp2 = enc.layers[7], enc.layers[8]
+        assert sv.copies == 6
+        mlp1, mlp2 = layers[7], layers[8]
         assert (mlp1.in_dim, mlp1.out_dim) == (384, 1536)
         assert (mlp2.in_dim, mlp2.out_dim) == (1536, 384)
 
     def test_deit_reusing_layers(self, deit):
-        enc = build_encoder(deit, reuses=True, index=1)
-        kinds = [l.kind for l in enc.layers]
+        layers = encoder_layers(deit, reuses=True)
+        kinds = [l.kind for l in layers]
         assert kinds == [
             LayerKind.TB_FC,
             LayerKind.FC_PROJ,
             LayerKind.FC_MLP1,
             LayerKind.FC_MLP2,
         ]
-        tb = enc.layers[0]
+        tb = layers[0]
         assert (tb.in_dim, tb.out_dim) == (384, 384)
-        assert enc.reuse_source == 0
 
     def test_single_head_degenerate(self):
         cfg = ModelConfig("one-head", d=128, t=16, mlp_ratio=2, n_encoders=2, n_heads=1)
-        enc = build_encoder(cfg)
-        qkt = [l for l in enc.layers if l.kind is LayerKind.MATMUL_QKT][0]
+        qkt = [l for l in attention_layers(cfg) if l.kind is LayerKind.MATMUL_QKT][0]
         assert qkt.in_dim == cfg.d
         assert qkt.copies == 1
 
     def test_layer_count_invariant(self, deit):
-        assert len(build_encoder(deit).layers) == 9
-        weight_bearing = [
-            l for l in build_encoder(deit, reuses=True, index=2).layers
-        ]
-        assert len(weight_bearing) == 4
+        assert len(encoder_layers(deit)) == 9
+        assert len(encoder_layers(deit, reuses=True)) == 4
 
-    def test_requires_write_only_matmuls(self, deit):
-        for layer in build_encoder(deit).layers:
-            if layer.requires_write:
-                assert layer.kind in (LayerKind.MATMUL_QKT, LayerKind.MATMUL_SV)
+    def test_only_the_matmuls_are_written(self, deit):
+        written = {l.kind for l in encoder_layers(deit) if l.kind in WRITE_KINDS}
+        assert written == {LayerKind.MATMUL_QKT, LayerKind.MATMUL_SV}
+        assert not {l.kind for l in encoder_layers(deit, reuses=True)} & WRITE_KINDS
+        assert not WEIGHT_KINDS & WRITE_KINDS
 
 
 class TestBuildModel:
-    def test_reuse_sources_skip_pattern(self, deit):
-        model = build_model(dataclasses.replace(deit, n_encoders=4), {1, 3})
-        assert [e.reuses_attention for e in model] == [False, True, False, True]
-        assert model[1].reuse_source == 0
-        assert model[3].reuse_source == 2
+    """A reuse set and the attention source of each of its encoders."""
 
-    def test_continuous_shares_single_source(self, deit):
-        model = build_model(dataclasses.replace(deit, n_encoders=4), {1, 2})
-        assert model[1].reuse_source == 0
-        assert model[2].reuse_source == 0
+    def _forward(self, reuse):
+        cfg = toy_config(n_encoders=4, d=16, t=4, n_heads=2)
+        weights = make_toy_weights(cfg, seed=0)
+        x = np.random.default_rng(0).standard_normal((cfg.t, cfg.d))
+        return model_forward(cfg, weights, x, reuse=reuse)
 
-    def test_empty_pattern_all_standard(self, deit):
-        model = build_model(deit)
-        assert len(model) == deit.n_encoders
-        assert not any(e.reuses_attention for e in model)
+    def test_reuse_sources_skip_pattern(self):
+        assert reuse_sources({1, 3}) == {1: 0, 3: 2}
+        result = self._forward({1, 3})
+        assert result.stats.attention_evals == 2
 
-    def test_encoder_zero_rejected(self, deit):
+    def test_continuous_shares_single_source(self):
+        assert reuse_sources({1, 2}) == {1: 0, 2: 0}
+
+    def test_empty_pattern_all_standard(self):
+        result = self._forward(())
+        assert result.stats.attention_evals == 4
+        assert len(result.attention_outputs) == 4
+
+    def test_encoder_zero_rejected(self):
         with pytest.raises(ValueError, match="encoder 0"):
-            build_model(deit, {0, 2})
+            self._forward({0, 2})
 
-    def test_out_of_range_rejected(self, deit):
+    def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            build_model(deit, {1, deit.n_encoders})
+            self._forward({1, 4})
 
-    def test_pure_function(self, deit):
-        assert build_model(deit, {1, 3}) == build_model(deit, {1, 3})
+    def test_pure_function(self):
+        a, b = self._forward({1, 3}), self._forward({1, 3})
+        assert np.array_equal(a.output, b.output)
+        assert all(np.array_equal(p, q)
+                   for p, q in zip(a.attention_outputs, b.attention_outputs))
 
 
 class TestMacCount:
@@ -150,6 +158,12 @@ class TestMacCount:
         with pytest.raises(ValueError):
             mac_count(deit, {1}, n_reuse=1)
 
+    def test_rejects_a_reuse_set_the_model_cannot_hold(self, deit):
+        with pytest.raises(ValueError, match="encoder 0"):
+            mac_count(deit, {0})
+        with pytest.raises(ValueError, match="out of range"):
+            mac_count(deit, {1, deit.n_encoders})
+
     def test_stem_off_by_config(self, deit):
         assert stem_macs(deit) == 0
 
@@ -157,20 +171,22 @@ class TestMacCount:
         cfg = ModelConfig("empty", d=64, t=8, mlp_ratio=2, n_encoders=0, n_heads=2,
                           include_stem=False)
         assert mac_count(cfg) == 0
-        assert build_model(cfg) == []
+        x = np.ones((cfg.t, cfg.d))
+        result = model_forward(cfg, [], x)
+        assert np.array_equal(result.output, x) and result.attention_outputs == []
 
 
 @given(
-    d_per_head=st.integers(8, 64),
+    head_dim=st.integers(8, 64),
     heads=st.integers(1, 8),
     t=st.integers(2, 256),
     n_enc=st.integers(1, 16),
     mlp_ratio=st.integers(1, 4),
 )
 @settings(max_examples=50, deadline=None)
-def test_mac_count_oracle_property(d_per_head, heads, t, n_enc, mlp_ratio):
+def test_mac_count_oracle_property(head_dim, heads, t, n_enc, mlp_ratio):
     cfg = ModelConfig(
-        "prop", d=d_per_head * heads, t=t, mlp_ratio=mlp_ratio,
+        "prop", d=head_dim * heads, t=t, mlp_ratio=mlp_ratio,
         n_encoders=n_enc, n_heads=heads, include_stem=False,
     )
     assert mac_count(cfg) == brute_force_macs(cfg)
@@ -185,10 +201,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig("bad", d=64, t=0, mlp_ratio=2, n_encoders=1, n_heads=2)
 
-
-def test_encoder_spec_validation(deit):
-    layers = build_encoder(deit, reuses=True, index=2).layers
-    with pytest.raises(ValueError):
-        EncoderSpec(0, True, None, layers)
-    with pytest.raises(ValueError):
-        EncoderSpec(2, True, 3, layers)
