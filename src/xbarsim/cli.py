@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -144,10 +145,11 @@ def cmd_funcsim(args) -> int:
     else:
         sc = cfgmod.ScenarioConfig(args.config)
         tiles, noise = sc.tiles(), sc.noise()
+        if args.adc_bits is not None:
+            tiles = replace(tiles, adc_bits=args.adc_bits)
         ctx = SimContext(
             resolve_device(args.device, sc),
             tiles,
-            adc_bits=args.adc_bits if args.adc_bits else tiles.adc_bits,
             seed=noise.get("seed", args.seed),
             device_noise=not args.no_noise,
             multiplicative=noise["multiplicative"],
@@ -223,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="exact",
                    choices=["exact", "FeFET", "SRAM", "hybrid"])
     p.add_argument("--no-noise", action="store_true")
-    p.add_argument("--adc-bits", type=int, default=None)
+    p.add_argument("--adc-bits", type=int, default=None,
+                   help="ADC resolution (default: [tiles] adc_bits)")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
@@ -242,8 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; an input the command rejects is a usage error (exit 2)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.exit(2, f"xbarsim {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

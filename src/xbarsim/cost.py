@@ -49,7 +49,6 @@ from .mapping import (
 from .workload import (
     WEIGHT_KINDS,
     WRITE_KINDS,
-    LayerKind,
     LayerSpec,
     ModelConfig,
     attention_layers,
@@ -193,8 +192,6 @@ def layer_cost(
     read_delay_pe_factor: bool = True,
 ) -> LayerCost:
     """Rows of the per-layer cost table for one (possibly multi-head) layer."""
-    if layer.kind is LayerKind.SOFTMAX:
-        raise ValueError("softmax is costed by softmax_cost, not layer_cost")
     if input_cycles < 1:
         raise ValueError("input_cycles must be >= 1")
     n_phys = mapping.n_xbar_physical * layer.copies
@@ -284,10 +281,7 @@ def block_table(
     else:
         tb = BlockCost(opts.tb_energy_uj, opts.tb_delay_us, opts.tb_area_mm2, opts.tb_area_mm2)
     blocks = {
-        "attn": block(
-            [l for l in attention_layers(cfg) if l.kind is not LayerKind.SOFTMAX],
-            BlockCost(*softmax_cost(cfg, sp)),
-        ),
+        "attn": block(attention_layers(cfg), BlockCost(*softmax_cost(cfg, sp))),
         "tb": tb,
         "proj": block([proj]),
         "mlp": block([mlp1, mlp2], BlockCost(opts.vec_energy_uj, opts.vec_delay_us)),

@@ -1,13 +1,12 @@
 """Toy-scale functional simulation of crossbar-mapped encoder inference."""
 
-from .quant import QuantizedMatrix, dequantize, quantize
+from .quant import QuantizedMatrix, quantize
 from .crossbar import (
     CrossbarState,
     NoiseModel,
     ProgrammedMatrix,
     ideal_conductances,
     mvm_bitserial,
-    program_crossbar,
     program_matrix,
 )
 from .forward import (

@@ -16,7 +16,9 @@ one ``CrossbarState`` "stripe" of shape (rows, n_slices * 2 * out_dim),
 its columns ordered (slice, weight sign, column). A column current only
 sums over its own column, so one read of a stripe is the reads of all
 its crossbars at once; ``ProgrammedMatrix.tile`` gives the view of one
-crossbar. Stripes are programmed one at a time from uint8 cell digits.
+crossbar. ``program_matrix`` is the only way to program crossbars: it
+tiles a whole signed matrix and programs one stripe at a time from
+uint8 cell digits.
 
 Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
 bit-plane of both input signs as one batch of reads, drops the reads
@@ -33,11 +35,13 @@ repeating it; noise-free programming and reads need none.
 Column currents are digitized by a flash ADC whose full scale is the
 worst-case accumulation xbar_size * G_max (fixed, input independent),
 the G_min offset is removed digitally using the plane's popcount, and
-the per-plane codes are combined by shift-and-add. The decoded per-read
-count is rounded to an integer before accumulation, mirroring the
-digital shift-add datapath; with noise off and half an ADC step below
-half a count (adc_bits >= log2(xbar_size) + bits_per_cell for the
-shipped devices) the product is bit-exact.
+the per-plane codes are combined by shift-and-add. The ADC resolution
+is ``NoiseModel.adc_bits``; ``SimContext`` sets it from
+``TileConfig.adc_bits``. The decoded per-read count is rounded to an
+integer before accumulation, mirroring the digital shift-add datapath;
+with noise off and half an ADC step below half a count (adc_bits >=
+log2(xbar_size) + bits_per_cell for the shipped devices) the product is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -140,43 +144,6 @@ def ideal_conductances(cell_values: np.ndarray, dev: DeviceParams) -> np.ndarray
     return dev.g_min + v * (dev.g_max - dev.g_min) / levels
 
 
-def _program(
-    g: np.ndarray,
-    dev: DeviceParams,
-    noise: NoiseModel | None,
-    rng: np.random.Generator | None,
-) -> CrossbarState:
-    """Apply write noise, if any, to ideal conductances."""
-    if noise is None or noise.write_var == 0.0:
-        return CrossbarState(g, dev)
-    if rng is None:
-        raise ValueError("noisy writes need an explicit rng stream")
-    eps = rng.normal(0.0, noise.write_var, size=g.shape)
-    if noise.multiplicative:
-        g = g * (1.0 + eps)
-    else:
-        g = g + eps * (dev.g_max - dev.g_min)
-    return CrossbarState(np.clip(g, dev.g_min, dev.g_max), dev)
-
-
-def program_crossbar(
-    cell_values: np.ndarray,
-    dev: DeviceParams,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-    xbar_size: int = 64,
-) -> CrossbarState:
-    """Program one tile of cell values (each in [0, 2^bits_per_cell - 1])."""
-    cell_values = np.asarray(cell_values)
-    if cell_values.ndim != 2:
-        raise ValueError("cell_values must be 2-D")
-    if cell_values.shape[0] > xbar_size or cell_values.shape[1] > xbar_size:
-        raise ValueError(
-            f"tile {cell_values.shape} exceeds crossbar size {xbar_size}"
-        )
-    return _program(ideal_conductances(cell_values, dev), dev, noise, rng)
-
-
 @dataclass(frozen=True)
 class ProgrammedMatrix:
     """A full signed integer matrix spread over crossbar tiles.
@@ -235,6 +202,9 @@ def program_matrix(
     n_slices = math.ceil(weight_bits / bpc)
     if w_int.size and int(np.abs(w_int).max()) >> (n_slices * bpc):
         raise ValueError("weight magnitudes exceed the sliced range")
+    write_var = noise.write_var if noise is not None else 0.0
+    if write_var > 0.0 and rng is None:
+        raise ValueError("noisy writes need an explicit rng stream")
 
     level_g = ideal_conductances(np.arange(1 << bpc), dev)
     stripes = []
@@ -246,7 +216,14 @@ def program_matrix(
             digits[:, k] = parts & ((1 << bpc) - 1)
             parts >>= bpc
         g = level_g[digits.reshape(block.shape[0], -1)]
-        stripes.append(_program(g, dev, noise, rng))
+        if write_var > 0.0:
+            eps = rng.normal(0.0, write_var, size=g.shape)
+            if noise.multiplicative:
+                g = g * (1.0 + eps)
+            else:
+                g = g + eps * (dev.g_max - dev.g_min)
+            g = np.clip(g, dev.g_min, dev.g_max)
+        stripes.append(CrossbarState(g, dev))
     return ProgrammedMatrix((in_dim, out_dim), x, n_slices, bpc, dev, tuple(stripes))
 
 

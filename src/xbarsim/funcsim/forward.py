@@ -1,10 +1,11 @@
 """Functional forward pass of an encoder stack, exact or crossbar-backed.
 
 Every matrix product can either run as plain float math (exact mode)
-or through the quantize -> program -> bit-serial read -> dequantize
-pipeline with per-layer device assignment. Elementwise work (layer
-norm, softmax, GELU, residual adds) always runs in float, mirroring
-the digital units of the platform.
+or through the quantize -> program -> bit-serial read -> ADC pipeline
+with per-layer device assignment, its integer result rescaled by the
+two quantization scales. Elementwise work (layer norm, softmax, GELU,
+residual adds) always runs in float, mirroring the digital units of
+the platform.
 
 Encoders are pre-norm: x += Proj(Attn(LN1(x))); x += MLP(LN2(x)).
 A reusing encoder replaces Attn(LN1(x)) with TB(a_src), where a_src is
@@ -73,9 +74,9 @@ class EncoderWeights:
     ln1_beta: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
-    tb_weight: np.ndarray | None = None
-    tb_ln_gamma: np.ndarray | None = None
-    tb_ln_beta: np.ndarray | None = None
+    tb_weight: np.ndarray
+    tb_ln_gamma: np.ndarray
+    tb_ln_beta: np.ndarray
 
 
 def toy_config(
@@ -88,26 +89,22 @@ def toy_config(
     )
 
 
-def make_toy_weights(
-    cfg: ModelConfig,
-    seed: int = 0,
-    weight_scale: float | None = None,
-    depth_mixing: float = 0.8,
-) -> list[EncoderWeights]:
+# Share of each toy weight carried over from the previous encoder.
+DEPTH_MIXING = 0.8
+
+
+def make_toy_weights(cfg: ModelConfig, seed: int = 0) -> list[EncoderWeights]:
     """Random weights for every encoder, TB weights included.
 
-    The default scale is the usual 1/sqrt(d) fan-in init. Parameters
-    evolve smoothly with depth (variance-preserving mixing controlled
-    by ``depth_mixing``), mimicking the gradual specialization of
-    trained stacks: adjacent encoders compute strongly correlated
-    attention, distant ones drift apart. Set depth_mixing=0 for fully
-    independent encoders.
+    Each matrix starts from the usual 1/sqrt(fan-in) init. Parameters
+    evolve smoothly with depth (variance-preserving mixing with weight
+    ``DEPTH_MIXING``), mimicking the gradual specialization of trained
+    stacks: adjacent encoders compute strongly correlated attention,
+    distant ones drift apart.
     """
-    if not 0.0 <= depth_mixing < 1.0:
-        raise ValueError("depth_mixing must be in [0, 1)")
     rng = np.random.default_rng(seed)
     d, m = cfg.d, cfg.mlp_dim
-    s = weight_scale if weight_scale is not None else 1.0 / math.sqrt(d)
+    s = 1.0 / math.sqrt(d)
     shapes = {
         "wq": (d, d, s),
         "wk": (d, d, s),
@@ -118,7 +115,7 @@ def make_toy_weights(
         "tb_weight": (d, d, s),
     }
 
-    fresh = math.sqrt(1.0 - depth_mixing**2)
+    fresh = math.sqrt(1.0 - DEPTH_MIXING**2)
     previous: dict[str, np.ndarray] = {}
     weights = []
     for i in range(cfg.n_encoders):
@@ -128,7 +125,7 @@ def make_toy_weights(
             if i == 0:
                 current[name] = draw
             else:
-                current[name] = depth_mixing * previous[name] + fresh * draw
+                current[name] = DEPTH_MIXING * previous[name] + fresh * draw
         previous = current
         weights.append(
             EncoderWeights(
@@ -156,19 +153,19 @@ class SimContext:
     """Per-inference simulation state.
 
     ``assignment`` is one device for every layer or maps each layer kind
-    to its device; None runs the whole model in exact float math. Noise
-    magnitudes come from each layer's own device (so hybrid stacks get
-    FeFET variations on FC layers and none on SRAM matmuls);
-    ``device_noise=False`` keeps ADC quantization but silences device
-    variations everywhere. ``rng``, the only source of device noise, is
-    ``default_rng(seed)``, so identical contexts replay identically;
-    parallel inferences should use distinct seeds.
+    to its device; None runs the whole model in exact float math.
+    ``tiles`` gives the crossbar size and the ADC resolution
+    (``tiles.adc_bits``). Noise magnitudes come from each layer's own
+    device (so hybrid stacks get FeFET variations on FC layers and none
+    on SRAM matmuls); ``device_noise=False`` keeps ADC quantization but
+    silences device variations everywhere. ``rng``, the only source of
+    device noise, is ``default_rng(seed)``, so identical contexts replay
+    identically; parallel inferences should use distinct seeds.
     """
 
     assignment: DeviceParams | DeviceAssignment | None = None
-    tiles: TileConfig | None = None
+    tiles: TileConfig = TileConfig()
     _: KW_ONLY
-    adc_bits: int = 6
     device_noise: bool = True
     multiplicative: bool = True
     weight_bits: int = 8
@@ -180,28 +177,24 @@ class SimContext:
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.seed)
 
-    @property
-    def simulate_crossbars(self) -> bool:
-        return self.assignment is not None
-
     def _layer_noise(self, dev: DeviceParams) -> NoiseModel:
         return NoiseModel(
             read_var=dev.read_var if self.device_noise else 0.0,
             write_var=dev.write_var if self.device_noise else 0.0,
-            adc_bits=self.adc_bits,
+            adc_bits=self.tiles.adc_bits,
             multiplicative=self.multiplicative,
         )
 
     def matmul(self, x: np.ndarray, w: np.ndarray, kind: LayerKind) -> np.ndarray:
         """x @ w, either exact or through a freshly programmed crossbar."""
-        if not self.simulate_crossbars:
+        if self.assignment is None:
             return x @ w
         dev = device_for(kind, self.assignment)
         noise = self._layer_noise(dev)
-        qw = quantize(w, self.weight_bits, signed=True)
+        qw = quantize(w, self.weight_bits)
         pm = program_matrix(qw.values, dev, self.tiles, self.weight_bits, noise, self.rng)
         self.stats.matmul_programmings += 1
-        qx = quantize(x, self.input_bits, signed=True)
+        qx = quantize(x, self.input_bits)
         out_int = mvm_bitserial(pm, qx.values, noise, self.rng)
         self.stats.crossbar_matmuls += 1
         return out_int.astype(np.float64) * (qx.scale * qw.scale)
@@ -248,8 +241,6 @@ def tb_forward(attn: np.ndarray, weights: EncoderWeights,
                ctx: SimContext | None = None) -> np.ndarray:
     """Transformation block: layer norm -> d x d FC -> GELU."""
     ctx = ctx or SimContext()
-    if weights.tb_weight is None:
-        raise ValueError("encoder weights carry no transformation block")
     normed = layer_norm(attn, weights.tb_ln_gamma, weights.tb_ln_beta)
     return gelu(ctx.matmul(normed, weights.tb_weight, LayerKind.TB_FC))
 

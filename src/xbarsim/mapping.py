@@ -6,8 +6,8 @@ A layer with weight matrix in_dim x out_dim needs
 
 arrays of unit cell precision. Multi-bit weights are bit-sliced across
 ceil(weight_bits / bits_per_cell) physical column groups, so the
-physical count is logical * slice_factor. Softmax never maps to
-crossbars (it runs on a digital unit) and is rejected here.
+physical count is logical * slice_factor. Softmax runs on a digital
+unit and has no layer here.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class MappingResult:
 
 DeviceAssignment = Mapping[LayerKind, DeviceParams]
 
-MAPPABLE_KINDS = frozenset(k for k in LayerKind if k is not LayerKind.SOFTMAX)
-
-
 def slice_factor(weight_bits: int, dev: DeviceParams) -> int:
     return math.ceil(weight_bits / dev.bits_per_cell)
 
@@ -112,8 +109,6 @@ def crossbars_for_layer(
     Counts are single-ended: signed weights are not charged a second,
     negative column array.
     """
-    if layer.kind is LayerKind.SOFTMAX:
-        raise ValueError("softmax runs on the digital unit, not on crossbars")
     x = tiles.xbar_size
     logical = math.ceil(layer.in_dim / x) * math.ceil(layer.out_dim / x)
     sf = slice_factor(weight_bits, dev)
@@ -139,7 +134,7 @@ def hybrid_assignment(
     The usual pairing is noise-sensitive matmuls on SRAM with
     everything else on denser FeFET.
     """
-    table = {kind: fc_device for kind in MAPPABLE_KINDS}
+    table = {kind: fc_device for kind in LayerKind}
     table[LayerKind.MATMUL_QKT] = matmul_device
     table[LayerKind.MATMUL_SV] = matmul_device
     return table

@@ -166,14 +166,7 @@ def load_external_scorer(path: str) -> Scorer:
     return score
 
 
-def synthetic_attention_outputs(
-    n_encoders: int,
-    t: int = 32,
-    d: int = 64,
-    seed: int = 0,
-    base_innovation: float = 0.6,
-    innovation_decay: float = 0.82,
-) -> list[np.ndarray]:
+def synthetic_attention_outputs(n_encoders: int, seed: int = 0) -> list[np.ndarray]:
     """Synthetic per-encoder attention outputs with realistic structure.
 
     Consecutive encoders evolve by variance-preserving mixing with
@@ -183,10 +176,11 @@ def synthetic_attention_outputs(
     CKA proxy needs (prefer later starts; larger strides sit deeper).
     """
     rng = np.random.default_rng(seed)
-    outputs = [rng.standard_normal((t, d))]
+    shape = (32, 64)  # (tokens, width), as in the toy model
+    outputs = [rng.standard_normal(shape)]
     for i in range(1, n_encoders):
-        alpha = base_innovation * innovation_decay**i
-        fresh = rng.standard_normal((t, d))
+        alpha = 0.6 * 0.82**i  # innovation rate, decaying with depth
+        fresh = rng.standard_normal(shape)
         mixed = np.sqrt(1.0 - alpha**2) * outputs[-1] + alpha * fresh
         outputs.append(mixed)
     return outputs

@@ -395,16 +395,17 @@ def emit(
 
     The XBARSIM_OUT_DIR environment variable overrides ``out_dir``.
     """
-    out_dir = os.environ.get("XBARSIM_OUT_DIR", out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     files = {
         "csv": ((".csv", format_csv), ("_breakdown.csv", format_breakdown_csv)),
         "json": ((".json", lambda rows: rows_to_json(rows, meta)),),
     }
+    unknown = [fmt for fmt in formats if fmt not in files]
+    if unknown:
+        raise ValueError(f"unknown report format {unknown[0]!r}")
+    out_dir = os.environ.get("XBARSIM_OUT_DIR", out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     for fmt in formats:
-        if fmt not in files:
-            raise ValueError(f"unknown report format {fmt!r}")
         for suffix, render in files[fmt]:
             path = os.path.join(out_dir, basename + suffix)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

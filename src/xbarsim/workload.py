@@ -1,11 +1,11 @@
 """Transformer encoder workloads as explicit per-layer dimension lists.
 
 A workload is a ``ModelConfig``: a stack of identically shaped
-encoders, each described by the layers that actually touch crossbars
-(fully-connected projections, the two dynamic matmuls) plus the
-digital softmax. A reuse set names the encoders that take a previous
-encoder's attention; they replace the whole attention group with a
-single d x d transformation FC.
+encoders, each described by the layers that touch crossbars
+(fully-connected projections, the two dynamic matmuls); the digital
+softmax between the matmuls is costed on its own. A reuse set names
+the encoders that take a previous encoder's attention; they replace
+the whole attention group with a single d x d transformation FC.
 
 Dimension conventions:
     d        embedding width
@@ -28,7 +28,6 @@ class LayerKind(Enum):
     FC_K = "fc_k"
     FC_V = "fc_v"
     MATMUL_QKT = "matmul_qkt"
-    SOFTMAX = "softmax"
     MATMUL_SV = "matmul_sv"
     FC_PROJ = "fc_proj"
     FC_MLP1 = "fc_mlp1"
@@ -117,7 +116,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One mappable layer (or the digital softmax) of an encoder.
+    """One mappable layer of an encoder.
 
     ``copies`` counts parallel physical instances: the per-head matmuls
     exist once per attention head. Costs that sum over crossbars
@@ -136,14 +135,12 @@ class LayerSpec:
 
     @property
     def macs(self) -> int:
-        """Multiply-accumulates per inference (0 for softmax)."""
-        if self.kind is LayerKind.SOFTMAX:
-            return 0
+        """Multiply-accumulates per inference."""
         return self.t_l * self.in_dim * self.out_dim * self.copies
 
 
 def attention_layers(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
-    """Q/K/V projections, per-head QK^T, softmax and per-head SV.
+    """Q/K/V projections, per-head QK^T and per-head SV.
 
     The QK^T array stores K^T (head_dim x t per head) and the SV array
     stores V (t x head_dim per head); both are rewritten per inference.
@@ -155,7 +152,6 @@ def attention_layers(cfg: ModelConfig) -> tuple[LayerSpec, ...]:
         LayerSpec(LayerKind.FC_K, d, d, t),
         LayerSpec(LayerKind.FC_V, d, d, t),
         LayerSpec(LayerKind.MATMUL_QKT, d_h, t, t, copies=h),
-        LayerSpec(LayerKind.SOFTMAX, t, t, t),
         LayerSpec(LayerKind.MATMUL_SV, t, d_h, t, copies=h),
     )
 

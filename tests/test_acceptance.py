@@ -29,7 +29,6 @@ from xbarsim.funcsim.crossbar import (
     NoiseModel,
     ideal_conductances,
     mvm_bitserial,
-    program_crossbar,
     program_matrix,
 )
 from xbarsim.funcsim.forward import (
@@ -88,7 +87,7 @@ def test_criterion_02_cost_table_fidelity():
 
         # per-layer rows on the Q projection and the SV matmul
         layers = attention_layers(cfg)
-        for layer in (layers[0], layers[5]):
+        for layer in (layers[0], layers[4]):
             mapped = crossbars_for_layer(layer, tiles, dev, cfg.weight_bits)
             lc = layer_cost(
                 layer, mapped, dev, tiles, cfg.input_cycles,
@@ -257,10 +256,11 @@ def test_criterion_09_functional_simulator(fefet, tiles):
     mid = np.ones((64, 64), dtype=int)
     ideal = ideal_conductances(mid, fefet)
     writes = np.concatenate(
-        [(program_crossbar(mid, fefet, noise, nrng).conductances / ideal - 1.0).ravel()
+        [(program_matrix(mid, fefet, tiles, 2, noise, nrng).tile(0, 0, 0, 0).conductances
+          / ideal - 1.0).ravel()
          for _ in range(25)]
     )
-    xb = program_crossbar(mid, fefet, None)
+    xb = program_matrix(mid, fefet, tiles, 2).tile(0, 0, 0, 0)
     eye = np.eye(64)
     reads = np.concatenate(
         [(xb.read_currents(eye, noise, nrng) / xb.conductances - 1.0).ravel()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -108,17 +109,42 @@ def test_compare_target_met_without_reuse(tmp_path, capsys):
     assert rows[-1]["edap_reduction"] == 1.0
 
 
-def test_optimize_rejects_explicit_patterns(tmp_path):
-    with pytest.raises(ValueError, match="simulate-only"):
-        main([
-            "optimize", "--model", "DeiT-S", "--device", "FeFET",
-            "--target-delay", "7", "--patterns", "explicit:2,5,8",
-            "--out", str(tmp_path),
-        ])
+def usage_error(argv, capsys):
+    """stderr of a ``main`` call that must end in a one-line usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"xbarsim {argv[0]}: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_optimize_rejects_explicit_patterns(tmp_path, capsys):
+    err = usage_error([
+        "optimize", "--model", "DeiT-S", "--device", "FeFET",
+        "--target-delay", "7", "--patterns", "explicit:2,5,8",
+        "--out", str(tmp_path),
+    ], capsys)
+    assert re.search("simulate-only", err)
+
+
+FUNCSIM_TOY = ["--dim", "16", "--tokens", "4", "--device", "FeFET"]
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["funcsim", "--encoders", "2", "--reuse", "0", *FUNCSIM_TOY], "out of range"),
+    (["funcsim", "--encoders", "1", "--heads", "3", *FUNCSIM_TOY], "not divisible"),
+    (["funcsim", "--encoders", "1", "--adc-bits", "0", *FUNCSIM_TOY], "must be >= 1"),
+    (["simulate", "--target-delay", "-1"], "must be positive"),
+], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0", "simulate-target-delay"])
+def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert re.search(match, usage_error([*argv, "--out", str(out)], capsys))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare", "funcsim"])
-def test_hybrid_rejects_device_section(command, tmp_path):
+def test_hybrid_rejects_device_section(command, tmp_path, capsys):
     user = tmp_path / "hybrid.ini"
     user.write_text("[device]\ne_read_xbar_pj = 300\n")
     argv = [command, "--device", "hybrid", "--config", str(user),
@@ -127,8 +153,7 @@ def test_hybrid_rejects_device_section(command, tmp_path):
         argv += ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2"]
     else:
         argv += ["--target-delay", "7"]
-    with pytest.raises(ValueError, match=r"\[device\]"):
-        main(argv)
+    assert re.search(r"\[device\]", usage_error(argv, capsys))
 
 
 def test_meta_states_resolved_cost_options(tmp_path):

@@ -82,13 +82,6 @@ class TestLayerCost:
         assert close(raw.area_mm2, 144 * 0.03)
         assert close(padded.area_mm2, 192 * 0.03)  # 144 -> 3 whole tiles
 
-    def test_softmax_layer_rejected(self, deit, fefet, tiles):
-        sm = get_layer(deit, LayerKind.SOFTMAX)
-        q = get_layer(deit, LayerKind.FC_Q)
-        mapped = crossbars_for_layer(q, tiles, fefet, 8)
-        with pytest.raises(ValueError):
-            layer_cost(sm, mapped, fefet, tiles, 1)
-
 
 class TestSoftmaxCost:
     def test_head_factor_on_energy_only(self):
@@ -160,11 +153,10 @@ class TestModelCostOracle:
         for pattern in [{1, 2, 3}, {3, 6, 9}, {9, 10, 11}]:
             e_uj, d_us, a_mm2 = 0.0, 0.0, 0.0
             for i in range(deit.n_encoders):
+                if i not in pattern:
+                    e, d = softmax_cost(deit, softmax_params)
+                    e_uj, d_us = e_uj + e, d_us + d
                 for layer in encoder_layers(deit, reuses=i in pattern):
-                    if layer.kind is LayerKind.SOFTMAX:
-                        e, d = softmax_cost(deit, softmax_params)
-                        e_uj, d_us = e_uj + e, d_us + d
-                        continue
                     mapped = crossbars_for_layer(layer, tiles, fefet, deit.weight_bits)
                     lc = layer_cost(layer, mapped, fefet, tiles, deit.input_cycles,
                                     pad_to_tiles=opts.pad_to_tiles,

@@ -11,39 +11,42 @@ from xbarsim.funcsim.crossbar import (
     NoiseModel,
     ideal_conductances,
     mvm_bitserial,
-    program_crossbar,
     program_matrix,
 )
 
 NO_NOISE_HI_ADC = NoiseModel(read_var=0.0, write_var=0.0, adc_bits=16)
 
 
+def one_crossbar(cells, dev, tiles, noise=None, rng=None):
+    """The crossbar holding ``cells``: the positive part of a one-slice matrix."""
+    return program_matrix(cells, dev, tiles, dev.bits_per_cell, noise, rng).tile(0, 0, 0, 0)
+
+
 class TestProgramming:
-    def test_sram_programs_exactly(self, sram):
+    def test_sram_programs_exactly(self, sram, tiles):
         values = np.array([[0, 1], [1, 0]])
-        xb = program_crossbar(values, sram, NoiseModel(0.0, 0.0, 6))
-        assert np.array_equal(xb.conductances, ideal_conductances(values, sram))
+        stripe = program_matrix(values, sram, tiles, 1, NoiseModel(0.0, 0.0, 6)).stripes[0]
+        # columns (sign, column): the positive part, then the empty negative part
+        cells = np.hstack([values, np.zeros_like(values)])
+        assert np.array_equal(stripe.conductances, ideal_conductances(cells, sram))
 
-    def test_zero_weights_give_min_conductance(self, fefet):
-        xb = program_crossbar(np.zeros((8, 8), dtype=int), fefet, None)
-        assert np.all(xb.conductances == fefet.g_min)
+    def test_zero_weights_give_min_conductance(self, fefet, tiles):
+        stripe = program_matrix(np.zeros((8, 8), dtype=int), fefet, tiles, 8).stripes[0]
+        assert np.all(stripe.conductances == fefet.g_min)
 
-    def test_conductances_stay_in_physical_window(self, fefet):
+    def test_conductances_stay_in_physical_window(self, fefet, tiles):
         noise = NoiseModel(read_var=0.0, write_var=0.5, adc_bits=6)
         values = np.full((64, 64), 3)  # top level, noise would overshoot
-        xb = program_crossbar(values, fefet, noise, np.random.default_rng(0))
-        assert xb.conductances.max() <= fefet.g_max
-        assert xb.conductances.min() >= fefet.g_min
-
-    def test_oversized_tile_rejected(self, fefet):
-        with pytest.raises(ValueError, match="exceeds"):
-            program_crossbar(np.zeros((65, 64), dtype=int), fefet, None, xbar_size=64)
+        stripe = program_matrix(values, fefet, tiles, 2, noise,
+                                np.random.default_rng(0)).stripes[0]
+        assert stripe.conductances.max() <= fefet.g_max
+        assert stripe.conductances.min() >= fefet.g_min
 
     def test_cell_values_validated(self, fefet):
         with pytest.raises(ValueError):
             ideal_conductances(np.array([[4]]), fefet)  # 2-bit cells hold 0..3
 
-    def test_write_noise_std_matches_configuration(self, fefet):
+    def test_write_noise_std_matches_configuration(self, fefet, tiles):
         # ~1e5 mid-range cells; sample std must sit within 5% of 20%
         noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6)
         rng = np.random.default_rng(42)
@@ -51,16 +54,16 @@ class TestProgramming:
         ideal = ideal_conductances(values, fefet)
         rel = []
         for _ in range(25):
-            xb = program_crossbar(values, fefet, noise, rng)
+            xb = one_crossbar(values, fefet, tiles, noise, rng)
             rel.append((xb.conductances / ideal - 1.0).ravel())
         rel = np.concatenate(rel)
         assert rel.size >= 100_000
         assert abs(rel.std(ddof=1) / 0.2 - 1.0) <= 0.05
 
-    def test_read_noise_std_matches_configuration(self, fefet):
+    def test_read_noise_std_matches_configuration(self, fefet, tiles):
         noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6)
         rng = np.random.default_rng(7)
-        xb = program_crossbar(np.ones((64, 64), dtype=int), fefet, None)
+        xb = one_crossbar(np.ones((64, 64), dtype=int), fefet, tiles)
         eye = np.eye(64)
         rel = []
         for _ in range(25):
@@ -70,10 +73,10 @@ class TestProgramming:
         assert rel.size >= 100_000
         assert abs(rel.std(ddof=1) / 0.1 - 1.0) <= 0.05
 
-    def test_additive_noise_mode(self, fefet):
+    def test_additive_noise_mode(self, fefet, tiles):
         noise = NoiseModel(read_var=0.0, write_var=0.1, adc_bits=6, multiplicative=False)
         values = np.ones((16, 16), dtype=int)
-        xb = program_crossbar(values, fefet, noise, np.random.default_rng(0))
+        xb = one_crossbar(values, fefet, tiles, noise, np.random.default_rng(0))
         assert not np.array_equal(xb.conductances, ideal_conductances(values, fefet))
         assert xb.conductances.min() >= fefet.g_min
 
@@ -210,8 +213,6 @@ class TestDeterminism:
         noise = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=6)
         with pytest.raises(ValueError, match="rng"):
             program_matrix(np.full((64, 64), 5), fefet, tiles, 8, noise)
-        with pytest.raises(ValueError, match="rng"):
-            program_crossbar(np.ones((8, 8), dtype=int), fefet, noise)
 
 
 def test_dimension_mismatch(fefet, tiles):
@@ -220,7 +221,7 @@ def test_dimension_mismatch(fefet, tiles):
         mvm_bitserial(pm, np.zeros((2, 33), dtype=int), NO_NOISE_HI_ADC)
 
 
-def test_read_currents_validates_width(fefet):
-    xb = program_crossbar(np.ones((8, 8), dtype=int), fefet, None)
+def test_read_currents_validates_width(fefet, tiles):
+    xb = one_crossbar(np.ones((8, 8), dtype=int), fefet, tiles)
     with pytest.raises(ValueError):
         xb.read_currents(np.ones((1, 9)))

@@ -21,7 +21,6 @@ from xbarsim.funcsim.crossbar import (
     NoiseModel,
     ideal_conductances,
     mvm_bitserial,
-    program_crossbar,
     program_matrix,
 )
 
@@ -78,10 +77,10 @@ def test_tile_is_the_crossbar_of_one_digit_plane(fefet, tiles):
 
 
 @pytest.mark.parametrize("multiplicative", [True, False])
-def test_active_only_reads_match_the_dense_sampler(fefet, multiplicative):
+def test_active_only_reads_match_the_dense_sampler(fefet, tiles, multiplicative):
     # Levels 0 and 3 sit on G_min and G_max, so 30% noise is clipped often.
     cells = np.random.default_rng(1).choice([0, 3], size=(64, 12))
-    xb = program_crossbar(cells, fefet)
+    xb = program_matrix(cells, fefet, tiles, 2).tile(0, 0, 0, 0)
     bits = np.zeros(64)
     bits[::3] = 1
     batch = np.tile(bits, (3000, 1))
@@ -97,8 +96,8 @@ def test_active_only_reads_match_the_dense_sampler(fefet, multiplicative):
     assert np.mean((single == fefet.g_min) | (single == fefet.g_max)) > 0.4
 
 
-def test_read_noise_is_drawn_for_set_rows_only(fefet):
-    xb = program_crossbar(np.ones((64, 16), dtype=int), fefet)
+def test_read_noise_is_drawn_for_set_rows_only(fefet, tiles):
+    xb = program_matrix(np.ones((64, 16), dtype=int), fefet, tiles, 2).tile(0, 0, 0, 0)
     bits = (np.random.default_rng(4).random((40, 64)) < 0.2).astype(np.uint8)
     noise = NoiseModel(read_var=0.1, adc_bits=6)
     used, ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -109,10 +108,10 @@ def test_read_noise_is_drawn_for_set_rows_only(fefet):
 
 def test_noisy_reads_require_a_generator(fefet, tiles):
     noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6)
-    xb = program_crossbar(np.ones((8, 8), dtype=int), fefet)
+    pm = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8)
+    xb = pm.tile(0, 0, 0, 0)
     with pytest.raises(ValueError, match="rng"):
         xb.read_currents(np.ones((2, 8)), noise)
-    pm = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8)
     with pytest.raises(ValueError, match="rng"):
         mvm_bitserial(pm, np.ones((2, 8), dtype=int), noise)
     quiet = NoiseModel(read_var=0.0, write_var=0.2, adc_bits=16)
@@ -121,8 +120,8 @@ def test_noisy_reads_require_a_generator(fefet, tiles):
                           np.full((2, 8), 8))
 
 
-def test_read_rows_must_be_binary(fefet):
-    xb = program_crossbar(np.ones((8, 8), dtype=int), fefet)
+def test_read_rows_must_be_binary(fefet, tiles):
+    xb = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8).stripes[0]
     with pytest.raises(ValueError, match="binary"):
         xb.read_currents(np.full((1, 8), 2.0))
 

@@ -1,11 +1,13 @@
 """Functional forward-pass tests against a flat dense reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xbarsim.funcsim.forward import (
+    EncoderWeights,
     SimContext,
     attention_forward,
     gelu,
@@ -16,8 +18,9 @@ from xbarsim.funcsim.forward import (
     tb_forward,
     toy_config,
 )
-from xbarsim.mapping import hybrid_assignment
+from xbarsim.mapping import TileConfig, hybrid_assignment
 from xbarsim.similarity import cka_score
+from xbarsim.workload import LayerKind
 
 
 def dense_reference(sources, weights, x, n_heads, scale):
@@ -123,11 +126,12 @@ class TestTbForward:
         assert np.allclose(tb_forward(x, w), expected, atol=1e-12)
 
     def test_missing_tb_weights(self):
+        # every encoder carries a transformation block: its weights are required
         cfg = toy_config(n_encoders=1)
         w = make_toy_weights(cfg, seed=0)[0]
-        w.tb_weight = None
-        with pytest.raises(ValueError):
-            tb_forward(np.zeros((4, cfg.d)), w)
+        without_tb = {k: v for k, v in vars(w).items() if not k.startswith("tb_")}
+        with pytest.raises(TypeError, match="tb_weight"):
+            EncoderWeights(**without_tb)
 
 
 class TestAttentionForward:
@@ -196,8 +200,7 @@ class TestModelForward:
 class TestCrossbarForward:
     def _ctx(self, fefet, sram, tiles, seed=0, device_noise=True):
         assignment = hybrid_assignment(fefet, sram)
-        return SimContext(assignment, tiles, adc_bits=tiles.adc_bits,
-                          seed=seed, device_noise=device_noise)
+        return SimContext(assignment, tiles, seed=seed, device_noise=device_noise)
 
     def test_deterministic_per_seed(self, fefet, sram, tiles):
         cfg = toy_config(n_encoders=3)
@@ -223,9 +226,29 @@ class TestCrossbarForward:
     def test_settings_after_tiles_are_keyword_only(self, fefet, tiles):
         with pytest.raises(TypeError):
             SimContext(fefet, tiles, 6)
-        for derived in ("rng", "stats"):
+        # derived state, and the ADC resolution, which only ``tiles`` sets
+        for rejected in ("rng", "stats", "adc_bits"):
             with pytest.raises(TypeError):
-                SimContext(fefet, tiles, **{derived: None})
+                SimContext(fefet, tiles, **{rejected: None})
+
+    def test_adc_bits_come_from_tiles(self, fefet):
+        rng = np.random.default_rng(15)
+        x, w = rng.standard_normal((8, 64)), rng.standard_normal((64, 16))
+
+        def product(adc_bits):
+            ctx = SimContext(fefet, TileConfig(adc_bits=adc_bits), device_noise=False)
+            return ctx.matmul(x, w, LayerKind.FC_Q)
+
+        coarse, fine = product(4), product(12)
+        assert not np.array_equal(coarse, fine)
+        assert np.abs(fine - x @ w).max() < np.abs(coarse - x @ w).max()
+
+    def test_tiles_default_to_the_tile_config_defaults(self, fefet):
+        rng = np.random.default_rng(16)
+        x, w = rng.standard_normal((8, 64)), rng.standard_normal((64, 16))
+        default = SimContext(fefet, device_noise=False).matmul(x, w, LayerKind.FC_Q)
+        explicit = SimContext(fefet, TileConfig(), device_noise=False)
+        assert np.array_equal(default, explicit.matmul(x, w, LayerKind.FC_Q))
 
     def test_per_device_noise_assignment(self, fefet, sram, tiles):
         ctx = self._ctx(fefet, sram, tiles)
@@ -257,7 +280,7 @@ class TestCrossbarForward:
         first, second = make_toy_weights(cfg, seed=0), make_toy_weights(cfg, seed=7)
 
         def fresh():
-            return SimContext(sram, tiles, adc_bits=10, device_noise=False)
+            return SimContext(sram, replace(tiles, adc_bits=10), device_noise=False)
 
         used = fresh()
         model_forward(cfg, first, x, used)

@@ -166,12 +166,26 @@ FUNCSIM_GOLDEN = {
         "9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
     ("hybrid", "--encoders 4 --reuse 1,3"):
         "752e4712c8c0c04611d92656b771c8cc57b1c5ae850a114497898d43adb60305",
+    ("FeFET", "--encoders 2 --adc-bits 8"):
+        "599fd6f043e0a7e2006782590cc921bf4540d6c07d0f268c137331ca79772845",
+    ("hybrid", "--encoders 2 --adc-bits 8"):
+        "5350008de03c7349317ca90f660da2f4155301d78d3efce6aeb614ef8145a8ed",
+    ("FeFET", "--encoders 2 --adc-bits 4 --no-noise"):
+        "b24b14928e25fafab58b87897c3ef8375f441996321c8c87ace910452c6817c3",
+    ("SRAM", "--encoders 2 --adc-bits 4 --no-noise"):
+        "e3fd393594a976c98bb6694085e34b2d6966ca4932d1efb4ae266040f8daf773",
+    ("hybrid", "--encoders 2 --adc-bits 4 --no-noise"):
+        "7f0fa21c9acccc8020520ebdad55e541de0a1e2a7980b0301b425ce8d95df934",
 }
 
 
 def _funcsim_id(case):
+    """``device`` plus the flags past ``--encoders 2``, as in ``FeFET-adc-bits-8``."""
     device, flags = case
-    return device if flags == "--encoders 2" else f"{device}-reuse-1,3"
+    if flags == "--encoders 4 --reuse 1,3":
+        return f"{device}-reuse-1,3"
+    extra = flags.removeprefix("--encoders 2").split()
+    return "-".join([device, *(f.removeprefix("--") for f in extra)])
 
 
 @pytest.mark.parametrize("case", list(FUNCSIM_GOLDEN), ids=_funcsim_id)

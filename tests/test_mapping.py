@@ -43,11 +43,6 @@ class TestCrossbarsForLayer:
         mapped = crossbars_for_layer(fc_layer(384, 384), tiles, fefet, 8)
         assert mapped.n_tiles == 3  # ceil(144 / 64)
 
-    def test_softmax_rejected(self, fefet, tiles):
-        layer = LayerSpec(LayerKind.SOFTMAX, 8, 8, 8)
-        with pytest.raises(ValueError, match="digital"):
-            crossbars_for_layer(layer, tiles, fefet, 8)
-
     def test_matches_brute_force_sample(self, fefet):
         for in_dim, out_dim, xbar in [(1, 1, 64), (65, 64, 64), (197, 384, 64),
                                       (4096, 4096, 64), (100, 300, 128)]:
@@ -93,7 +88,6 @@ class TestModelTotals:
         return sum(
             getattr(crossbars_for_layer(l, tiles, dev, 8), field) * l.copies
             for l in layers
-            if l.kind is not LayerKind.SOFTMAX
         )
 
     def _model_total(self, cfg, reuse, tiles, dev):
@@ -125,15 +119,11 @@ class TestHybridAssignment:
     def test_total_coverage(self, fefet, sram):
         table = hybrid_assignment(fefet, sram)
         for kind in LayerKind:
-            if kind is LayerKind.SOFTMAX:
-                continue
             assert kind in table
 
     def test_slice_factor_changes_only_for_matmuls(self, deit, fefet, sram, tiles):
         table = hybrid_assignment(fefet, sram)
         for layer in encoder_layers(deit):
-            if layer.kind is LayerKind.SOFTMAX:
-                continue
             uniform = crossbars_for_layer(layer, tiles, fefet, 8)
             hybrid = crossbars_for_layer(layer, tiles, table[layer.kind], 8)
             if layer.kind in (LayerKind.MATMUL_QKT, LayerKind.MATMUL_SV):

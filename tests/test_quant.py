@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xbarsim.funcsim.quant import QuantizedMatrix, dequantize, quantize
+from xbarsim.funcsim.quant import quantize
 
 
 def test_roundtrip_within_one_step():
     rng = np.random.default_rng(0)
     x = rng.normal(0, 3, size=(32, 32))
     q = quantize(x, bits=8)
-    assert np.max(np.abs(dequantize(q) - x)) <= q.scale / 2 + 1e-12
+    assert np.max(np.abs(q.values * q.scale - x)) <= q.scale / 2 + 1e-12
 
 
 def test_signed_range():
@@ -21,26 +21,18 @@ def test_signed_range():
     assert q.values[0, 1] == 0  # real zero is integer zero
 
 
-def test_unsigned_range():
-    x = np.array([[0.0, 1.0]])
-    q = quantize(x, bits=8, signed=False)
-    assert q.values.min() == 0 and q.values.max() == 255
-
-
-def test_unsigned_rejects_negative():
-    with pytest.raises(ValueError):
-        quantize(np.array([-1.0]), bits=8, signed=False)
+def test_fewer_than_two_bits_rejected():
+    # one signed bit leaves no non-zero level
+    for bits in (0, 1):
+        with pytest.raises(ValueError, match="bits >= 2"):
+            quantize(np.array([1.0]), bits=bits)
+    assert quantize(np.array([-3.0, 3.0]), bits=2).values.tolist() == [-1, 1]
 
 
 def test_zero_input():
     q = quantize(np.zeros((4, 4)), bits=8)
     assert np.all(q.values == 0)
-    assert np.all(dequantize(q) == 0.0)
-
-
-def test_out_of_range_values_rejected():
-    with pytest.raises(ValueError):
-        QuantizedMatrix(np.array([300]), 1.0, 8, signed=True)
+    assert np.all(q.values * q.scale == 0.0)
 
 
 @given(
@@ -54,6 +46,5 @@ def test_out_of_range_values_rejected():
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_property(x, bits):
     q = quantize(x, bits=bits)
-    assert np.max(np.abs(dequantize(q) - x)) <= q.scale / 2 + 1e-9
-    lo, hi = q.range
-    assert q.values.min() >= lo and q.values.max() <= hi
+    assert np.max(np.abs(q.values * q.scale - x)) <= q.scale / 2 + 1e-9
+    assert np.abs(q.values).max() <= 2 ** (bits - 1) - 1

@@ -148,8 +148,11 @@ class TestEmission:
         assert all(str(override) in p for p in paths)
 
     def test_unknown_format(self, deit_rows, tmp_path):
-        with pytest.raises(ValueError):
-            emit(deit_rows, str(tmp_path), "x", ("xml",))
+        # every format is checked before any file is written
+        for formats in (("xml",), ("csv", "xml")):
+            with pytest.raises(ValueError, match="xml"):
+                emit(deit_rows, str(tmp_path), "x", formats)
+            assert os.listdir(tmp_path) == []
 
     def test_meta_records_conventions(self):
         meta = report_meta(DEIT_SCENARIO)

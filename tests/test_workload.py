@@ -22,7 +22,6 @@ STANDARD_ORDER = [
     LayerKind.FC_K,
     LayerKind.FC_V,
     LayerKind.MATMUL_QKT,
-    LayerKind.SOFTMAX,
     LayerKind.MATMUL_SV,
     LayerKind.FC_PROJ,
     LayerKind.FC_MLP1,
@@ -58,10 +57,10 @@ class TestBuildEncoder:
         qkt = layers[3]
         assert (qkt.in_dim, qkt.out_dim, qkt.t_l) == (64, 197, 197)
         assert qkt.copies == 6
-        sv = layers[5]
+        sv = layers[4]
         assert (sv.in_dim, sv.out_dim) == (197, 64)
         assert sv.copies == 6
-        mlp1, mlp2 = layers[7], layers[8]
+        mlp1, mlp2 = layers[6], layers[7]
         assert (mlp1.in_dim, mlp1.out_dim) == (384, 1536)
         assert (mlp2.in_dim, mlp2.out_dim) == (1536, 384)
 
@@ -84,7 +83,7 @@ class TestBuildEncoder:
         assert qkt.copies == 1
 
     def test_layer_count_invariant(self, deit):
-        assert len(encoder_layers(deit)) == 9
+        assert len(encoder_layers(deit)) == 8
         assert len(encoder_layers(deit, reuses=True)) == 4
 
     def test_only_the_matmuls_are_written(self, deit):
