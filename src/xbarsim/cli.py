@@ -140,22 +140,20 @@ def cmd_funcsim(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((cfg.t, cfg.d))
 
-    if args.device == "exact":
-        ctx = SimContext()
-    else:
-        sc = cfgmod.ScenarioConfig(args.config)
-        tiles, noise = sc.tiles(), sc.noise()
-        if args.adc_bits is not None:
-            tiles = replace(tiles, adc_bits=args.adc_bits)
-        ctx = SimContext(
-            resolve_device(args.device, sc),
-            tiles,
-            seed=noise.get("seed", args.seed),
-            device_noise=not args.no_noise,
-            multiplicative=noise["multiplicative"],
-            weight_bits=cfg.weight_bits,
-            input_bits=cfg.input_bits,
-        )
+    # settings are read and validated for every device, exact included
+    sc = cfgmod.ScenarioConfig(args.config)
+    tiles, noise = sc.tiles(), sc.noise()
+    if args.adc_bits is not None:
+        tiles = replace(tiles, adc_bits=args.adc_bits)
+    ctx = SimContext(
+        None if args.device == "exact" else resolve_device(args.device, sc),
+        tiles,
+        seed=noise.get("seed", args.seed),
+        device_noise=not args.no_noise,
+        multiplicative=noise["multiplicative"],
+        weight_bits=cfg.weight_bits,
+        input_bits=cfg.input_bits,
+    )
 
     result = model_forward(cfg, weights, x, ctx, reuse)
     cka = cka_matrix(result.attention_outputs)

@@ -36,12 +36,12 @@ Column currents are digitized by a flash ADC whose full scale is the
 worst-case accumulation xbar_size * G_max (fixed, input independent),
 the G_min offset is removed digitally using the plane's popcount, and
 the per-plane codes are combined by shift-and-add. The ADC resolution
-is ``NoiseModel.adc_bits``; ``SimContext`` sets it from
-``TileConfig.adc_bits``. The decoded per-read count is rounded to an
-integer before accumulation, mirroring the digital shift-add datapath;
-with noise off and half an ADC step below half a count (adc_bits >=
-log2(xbar_size) + bits_per_cell for the shipped devices) the product is
-bit-exact.
+is ``NoiseModel.adc_bits``, which defaults to ``TileConfig.adc_bits``;
+``SimContext`` sets it from its tiles. The decoded per-read count is
+rounded to an integer before accumulation, mirroring the digital
+shift-add datapath; with noise off and half an ADC step below half a
+count (adc_bits >= log2(xbar_size) + bits_per_cell for the shipped
+devices) the product is bit-exact.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class NoiseModel:
 
     read_var: float = 0.0
     write_var: float = 0.0
-    adc_bits: int = 6
+    adc_bits: int = TileConfig.adc_bits
     multiplicative: bool = True
 
     def __post_init__(self) -> None:
@@ -94,7 +94,7 @@ class CrossbarState:
     def read_currents(
         self,
         bit_rows: np.ndarray,
-        noise: NoiseModel | None = None,
+        noise: NoiseModel = NoiseModel(),
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Column currents for a batch of binary input rows.
@@ -113,7 +113,7 @@ class CrossbarState:
             )
         if np.any((bits != 0) & (bits != 1)):
             raise ValueError("input rows must be binary")
-        if noise is None or noise.read_var == 0.0:
+        if noise.read_var == 0.0:
             return bits @ g
         if rng is None:
             raise ValueError("noisy reads need an explicit rng stream")
@@ -185,7 +185,7 @@ def program_matrix(
     dev: DeviceParams,
     tiles: TileConfig,
     weight_bits: int,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     rng: np.random.Generator | None = None,
 ) -> ProgrammedMatrix:
     """Tile, slice and differentially program a signed weight matrix.
@@ -202,8 +202,7 @@ def program_matrix(
     n_slices = math.ceil(weight_bits / bpc)
     if w_int.size and int(np.abs(w_int).max()) >> (n_slices * bpc):
         raise ValueError("weight magnitudes exceed the sliced range")
-    write_var = noise.write_var if noise is not None else 0.0
-    if write_var > 0.0 and rng is None:
+    if noise.write_var > 0.0 and rng is None:
         raise ValueError("noisy writes need an explicit rng stream")
 
     level_g = ideal_conductances(np.arange(1 << bpc), dev)
@@ -216,8 +215,8 @@ def program_matrix(
             digits[:, k] = parts & ((1 << bpc) - 1)
             parts >>= bpc
         g = level_g[digits.reshape(block.shape[0], -1)]
-        if write_var > 0.0:
-            eps = rng.normal(0.0, write_var, size=g.shape)
+        if noise.write_var > 0.0:
+            eps = rng.normal(0.0, noise.write_var, size=g.shape)
             if noise.multiplicative:
                 g = g * (1.0 + eps)
             else:
@@ -275,7 +274,7 @@ def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def mvm_bitserial(
     pm: ProgrammedMatrix,
     x_int: np.ndarray,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Integer matrix product via per-bit-plane analog reads.
@@ -290,12 +289,11 @@ def mvm_bitserial(
     in_dim, out_dim = pm.shape
     if x_int.shape[1] != in_dim:
         raise ValueError(f"input width {x_int.shape[1]} != matrix rows {in_dim}")
-    if noise is not None and noise.read_var > 0.0 and rng is None:
+    if noise.read_var > 0.0 and rng is None:
         raise ValueError("noisy reads need an explicit rng stream")
     acc = np.zeros((x_int.shape[0], out_dim), dtype=np.float64)
     if not x_int.any():
         return acc.astype(np.int64)
-    adc_bits = noise.adc_bits if noise is not None else 16
     xsz = pm.xbar_size
     bits, read_row, read_weight = _bit_planes(x_int)
     # shift-and-add weight of each stripe column group, ordered (slice, sign)
@@ -313,7 +311,7 @@ def mvm_bitserial(
             chunk = slab[reads]
             currents = stripe.read_currents(chunk, noise, rng)
             counts = _adc_decode(
-                currents, chunk.sum(axis=1), pm.device, xsz, adc_bits
+                currents, chunk.sum(axis=1), pm.device, xsz, noise.adc_bits
             ).reshape(reads.size, -1, out_dim)
             partial = np.einsum("rjo,j->ro", counts, slice_weight)
             partial *= read_weight[reads, None]

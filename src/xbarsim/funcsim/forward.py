@@ -7,11 +7,13 @@ two quantization scales. Elementwise work (layer norm, softmax, GELU,
 residual adds) always runs in float, mirroring the digital units of
 the platform.
 
-Encoders are pre-norm: x += Proj(Attn(LN1(x))); x += MLP(LN2(x)).
-A reusing encoder replaces Attn(LN1(x)) with TB(a_src), where a_src is
+Encoders are pre-norm: x += Proj(Attn(LN(x))); x += MLP(LN(x)).
+A reusing encoder replaces Attn(LN(x)) with TB(a_src), where a_src is
 the source encoder's concatenated attention output and TB is
-layer-norm -> d x d FC -> GELU. Attention scales scores by 1/sqrt(d)
-(the embedding width, as the platform defines it).
+layer-norm -> d x d FC -> GELU. Layer norm has no affine parameters.
+Attention scales scores by 1/sqrt(d) (the embedding width, as the
+platform defines it). Weights are keyed by ``LayerKind`` and shaped by
+the cost model's layer specs, so both engines describe one encoder.
 
 Every crossbar matmul call programs its matrix before reading it. Each
 static weight is used once per forward call, so it is programmed once
@@ -30,7 +32,14 @@ from scipy.special import erf
 
 from ..mapping import DeviceAssignment, DeviceParams, TileConfig, device_for
 from ..patterns import explicit_pattern, reuse_sources
-from ..workload import LayerKind, ModelConfig
+from ..workload import (
+    WEIGHT_KINDS,
+    LayerKind,
+    ModelConfig,
+    attention_layers,
+    ffn_layers,
+    tb_layer,
+)
 from .crossbar import NoiseModel, mvm_bitserial, program_matrix
 from .quant import quantize
 
@@ -50,33 +59,15 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def layer_norm(
-    x: np.ndarray, gamma: np.ndarray | float = 1.0, beta: np.ndarray | float = 0.0,
-    eps: float = 1e-6,
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    return (x - mean) / np.sqrt(var + eps)
 
 
-@dataclass
-class EncoderWeights:
-    """Bias-free toy encoder parameters (d x d unless noted)."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wproj: np.ndarray
-    w1: np.ndarray  # d x mlp_dim
-    w2: np.ndarray  # mlp_dim x d
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    tb_weight: np.ndarray
-    tb_ln_gamma: np.ndarray
-    tb_ln_beta: np.ndarray
+# One encoder's bias-free weight matrices, keyed by the layer they feed.
+EncoderWeights = dict[LayerKind, np.ndarray]
 
 
 def toy_config(
@@ -96,48 +87,27 @@ DEPTH_MIXING = 0.8
 def make_toy_weights(cfg: ModelConfig, seed: int = 0) -> list[EncoderWeights]:
     """Random weights for every encoder, TB weights included.
 
-    Each matrix starts from the usual 1/sqrt(fan-in) init. Parameters
-    evolve smoothly with depth (variance-preserving mixing with weight
-    ``DEPTH_MIXING``), mimicking the gradual specialization of trained
-    stacks: adjacent encoders compute strongly correlated attention,
-    distant ones drift apart.
+    Every weight layer of the cost model's encoder (Q, K, V, PROJ, MLP1,
+    MLP2, TB, in that draw order) gets an (in_dim, out_dim) matrix from
+    its ``LayerSpec``, starting from the usual 1/sqrt(in_dim) init.
+    Parameters evolve smoothly with depth (variance-preserving mixing
+    with weight ``DEPTH_MIXING``), mimicking the gradual specialization
+    of trained stacks: adjacent encoders compute strongly correlated
+    attention, distant ones drift apart.
     """
     rng = np.random.default_rng(seed)
-    d, m = cfg.d, cfg.mlp_dim
-    s = 1.0 / math.sqrt(d)
-    shapes = {
-        "wq": (d, d, s),
-        "wk": (d, d, s),
-        "wv": (d, d, s),
-        "wproj": (d, d, s),
-        "w1": (d, m, s),
-        "w2": (m, d, 1.0 / math.sqrt(m)),
-        "tb_weight": (d, d, s),
-    }
-
+    layers = [layer for layer in attention_layers(cfg) + ffn_layers(cfg) + (tb_layer(cfg),)
+              if layer.kind in WEIGHT_KINDS]
     fresh = math.sqrt(1.0 - DEPTH_MIXING**2)
-    previous: dict[str, np.ndarray] = {}
-    weights = []
+    weights: list[EncoderWeights] = []
     for i in range(cfg.n_encoders):
         current = {}
-        for name, (rows, cols, scale) in shapes.items():
-            draw = rng.normal(0.0, scale, size=(rows, cols))
-            if i == 0:
-                current[name] = draw
-            else:
-                current[name] = DEPTH_MIXING * previous[name] + fresh * draw
-        previous = current
-        weights.append(
-            EncoderWeights(
-                **current,
-                ln1_gamma=np.ones(d),
-                ln1_beta=np.zeros(d),
-                ln2_gamma=np.ones(d),
-                ln2_beta=np.zeros(d),
-                tb_ln_gamma=np.ones(d),
-                tb_ln_beta=np.zeros(d),
-            )
-        )
+        for layer in layers:
+            draw = rng.normal(0.0, 1.0 / math.sqrt(layer.in_dim),
+                              size=(layer.in_dim, layer.out_dim))
+            current[layer.kind] = (draw if i == 0 else
+                                   DEPTH_MIXING * weights[-1][layer.kind] + fresh * draw)
+        weights.append(current)
     return weights
 
 
@@ -241,8 +211,7 @@ def tb_forward(attn: np.ndarray, weights: EncoderWeights,
                ctx: SimContext | None = None) -> np.ndarray:
     """Transformation block: layer norm -> d x d FC -> GELU."""
     ctx = ctx or SimContext()
-    normed = layer_norm(attn, weights.tb_ln_gamma, weights.tb_ln_beta)
-    return gelu(ctx.matmul(normed, weights.tb_weight, LayerKind.TB_FC))
+    return gelu(ctx.matmul(layer_norm(attn), weights[LayerKind.TB_FC], LayerKind.TB_FC))
 
 
 def model_forward(
@@ -265,20 +234,17 @@ def model_forward(
     scale = 1.0 / math.sqrt(cfg.d)
 
     attn_outputs: list[np.ndarray] = []
-    stats = ctx.stats
     for i, w in enumerate(weights):
         if i in sources:
             a = tb_forward(attn_outputs[sources[i]], w, ctx)
         else:
-            h = layer_norm(x, w.ln1_gamma, w.ln1_beta)
-            q = ctx.matmul(h, w.wq, LayerKind.FC_Q)
-            k = ctx.matmul(h, w.wk, LayerKind.FC_K)
-            v = ctx.matmul(h, w.wv, LayerKind.FC_V)
+            h = layer_norm(x)
+            q, k, v = (ctx.matmul(h, w[kind], kind)
+                       for kind in (LayerKind.FC_Q, LayerKind.FC_K, LayerKind.FC_V))
             a = attention_forward(q, k, v, cfg.n_heads, scale, ctx)
-            stats.attention_evals += 1
+            ctx.stats.attention_evals += 1
         attn_outputs.append(a)
-        x = x + ctx.matmul(a, w.wproj, LayerKind.FC_PROJ)
-        h2 = layer_norm(x, w.ln2_gamma, w.ln2_beta)
-        hidden = gelu(ctx.matmul(h2, w.w1, LayerKind.FC_MLP1))
-        x = x + ctx.matmul(hidden, w.w2, LayerKind.FC_MLP2)
-    return ForwardResult(x, attn_outputs, stats)
+        x = x + ctx.matmul(a, w[LayerKind.FC_PROJ], LayerKind.FC_PROJ)
+        hidden = gelu(ctx.matmul(layer_norm(x), w[LayerKind.FC_MLP1], LayerKind.FC_MLP1))
+        x = x + ctx.matmul(hidden, w[LayerKind.FC_MLP2], LayerKind.FC_MLP2)
+    return ForwardResult(x, attn_outputs, ctx.stats)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cost import CostOptions, SoftmaxUnitParams, assemble, block_table
+from .cost import CostOptions, ModelCost, SoftmaxUnitParams, assemble, block_table
 from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
 from .mapping import DeviceAssignment, DeviceParams, TileConfig
 from .patterns import (
@@ -40,13 +40,19 @@ Scorer = Callable[[ReusePattern], float]
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """``cost`` is the whole-model cost at ``optimal_n_reuse``."""
+
     target_delay_ms: float
     feasible: bool
     optimal_n_reuse: int | None
-    achieved_delay_ms: float | None
+    cost: ModelCost | None
     baseline_delay_ms: float
     candidates: tuple[tuple[ReusePattern, float], ...] = ()
     best: ReusePattern | None = None
+
+    @property
+    def achieved_delay_ms(self) -> float | None:
+        return None if self.cost is None else self.cost.d_vit_ms
 
 
 def find_optimal_n_reuse(
@@ -59,11 +65,11 @@ def find_optimal_n_reuse(
 ) -> OptimizationResult:
     """Smallest reuse count whose delay meets the target.
 
-    Every count's delay is assembled from one block table, so it equals
-    ``model_cost(cfg, r, ...).d_vit_ms`` bit for bit. The count is
-    capped at n_encoders - 1 (every reuser needs some preceding encoder
-    to draw from). An unreachable target yields an explicit infeasible
-    result, never a clamped one.
+    Every count's cost is assembled from one block table, so the result
+    keeps ``model_cost(cfg, r, ...)`` bit for bit. The count is capped at
+    n_encoders - 1 (every reuser needs some preceding encoder to draw
+    from). An unreachable target yields an explicit infeasible result,
+    never a clamped one.
     """
     if target_delay_ms <= 0:
         raise ValueError("target delay must be positive")
@@ -71,9 +77,9 @@ def find_optimal_n_reuse(
     n = cfg.n_encoders
     baseline = assemble([(table, n, 0)]).d_vit_ms
     for r in range(n):
-        delay = assemble([(table, n - r, r)]).d_vit_ms
-        if delay <= target_delay_ms:
-            return OptimizationResult(target_delay_ms, True, r, delay, baseline)
+        cost = assemble([(table, n - r, r)])
+        if cost.d_vit_ms <= target_delay_ms:
+            return OptimizationResult(target_delay_ms, True, r, cost, baseline)
     return OptimizationResult(target_delay_ms, False, None, None, baseline)
 
 
@@ -104,16 +110,8 @@ def optimize(
     if not patterns:
         return replace(found, feasible=False)
     scored = tuple((p, float(scorer(p))) for p in patterns)
-    best = select_best(patterns, dict(scored).__getitem__)
-    return OptimizationResult(
-        found.target_delay_ms,
-        True,
-        found.optimal_n_reuse,
-        found.achieved_delay_ms,
-        found.baseline_delay_ms,
-        scored,
-        best,
-    )
+    return replace(found, candidates=scored,
+                   best=select_best(patterns, dict(scored).__getitem__))
 
 
 def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:

@@ -209,8 +209,7 @@ def _target_row(
     label = found.best.label() if found.best is not None else "none"
     if not detail:
         label = f"reuse@{target}ms {label}"
-    return _row(scenario, inputs.cost(found.optimal_n_reuse), label, base_edap,
-                target, detail)
+    return _row(scenario, found.cost, label, base_edap, target, detail)
 
 
 def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[ReportRow]:
@@ -219,6 +218,9 @@ def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[Repor
     base = inputs.cost(0)
     rows = [_row(scenario, base, "none", base.edap)]
     if scenario.patterns.startswith("explicit:"):
+        if scenario.target_delays_ms:
+            raise ValueError("--patterns explicit:i,j,k fixes the reuse set and "
+                             "takes no --target-delay")
         indices = (int(i) for i in scenario.patterns.split(":", 1)[1].split(",") if i)
         pat = explicit_pattern(inputs.cfg.n_encoders, indices)
         rows.append(_row(scenario, inputs.cost(pat.n_reuse), pat.label(), base.edap))
@@ -402,6 +404,8 @@ def emit(
     unknown = [fmt for fmt in formats if fmt not in files]
     if unknown:
         raise ValueError(f"unknown report format {unknown[0]!r}")
+    if not formats:
+        raise ValueError("no report format given")
     out_dir = os.environ.get("XBARSIM_OUT_DIR", out_dir)
     os.makedirs(out_dir, exist_ok=True)
     written = []

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
+from xbarsim.funcsim.crossbar import NoiseModel
 from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
 from xbarsim.patterns import (
     PatternKind,
@@ -152,13 +153,13 @@ def random_setup(rng):
     return cfg, dev, tiles, sp, opts
 
 
-def oracle_read_currents(state, bit_rows, noise=None, rng=None):
+def oracle_read_currents(state, bit_rows, noise=NoiseModel(), rng=None):
     """Column currents with read noise drawn densely for every cell of every read."""
     bits = np.asarray(bit_rows, dtype=np.float64)
     if bits.ndim == 1:
         bits = bits[None, :]
     g = state.conductances
-    if noise is None or noise.read_var == 0.0:
+    if noise.read_var == 0.0:
         return bits @ g
     dev = state.device
     eps = rng.normal(0.0, noise.read_var, size=(bits.shape[0],) + g.shape)
@@ -170,16 +171,15 @@ def oracle_read_currents(state, bit_rows, noise=None, rng=None):
     return np.einsum("nr,nrc->nc", bits, g_read)
 
 
-def oracle_mvm_bitserial(pm, x_int, noise=None, rng=None):
+def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
     """Bit-serial product read crossbar by crossbar through ``pm.tile``."""
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
         x_int = x_int[None, :]
     in_dim, out_dim = pm.shape
-    adc_bits = noise.adc_bits if noise is not None else 16
     dev, xsz = pm.device, pm.xbar_size
     full_scale = xsz * dev.g_max
-    n_levels = 2**adc_bits - 1
+    n_levels = 2**noise.adc_bits - 1
     delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
     acc = np.zeros((x_int.shape[0], out_dim), dtype=np.float64)
 

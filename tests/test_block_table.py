@@ -8,6 +8,7 @@ import math
 import pytest
 
 from xbarsim import cost
+from xbarsim.cli import main
 from xbarsim.config import ScenarioConfig
 from xbarsim.cost import BLOCK_NAMES, block_table, model_cost
 from xbarsim.report import resolve_device
@@ -81,3 +82,22 @@ def test_search_builds_one_table(monkeypatch):
     res = opt.find_optimal_n_reuse(cfg, dev, tiles, sp, 1e-3, opts)  # visits every r
     assert not res.feasible
     assert calls == {"table": 1, "layers": layers_per_table}
+
+
+def test_simulate_costs_each_target_from_its_search(monkeypatch, tmp_path):
+    # one table for the baseline and one per target search; the rows reuse
+    # the searches' costs instead of building a table again
+    calls = []
+    real_table = cost.block_table
+
+    def counted_table(*args, **kwargs):
+        calls.append(args[0].name)
+        return real_table(*args, **kwargs)
+
+    monkeypatch.setattr(cost, "block_table", counted_table)
+    monkeypatch.setattr(opt, "block_table", counted_table)
+    argv = ["simulate", "--model", "DeiT-S", "--device", "FeFET", "--out", str(tmp_path)]
+    for target in ("9", "7", "6", "4"):
+        argv += ["--target-delay", target]
+    assert main(argv) == 0
+    assert calls == ["DeiT-S"] * 5

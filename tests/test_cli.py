@@ -131,13 +131,28 @@ def test_optimize_rejects_explicit_patterns(tmp_path, capsys):
 FUNCSIM_TOY = ["--dim", "16", "--tokens", "4", "--device", "FeFET"]
 
 
+EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
+             "--device", "exact"]
+
+
 @pytest.mark.parametrize("argv,match", [
     (["funcsim", "--encoders", "2", "--reuse", "0", *FUNCSIM_TOY], "out of range"),
     (["funcsim", "--encoders", "1", "--heads", "3", *FUNCSIM_TOY], "not divisible"),
     (["funcsim", "--encoders", "1", "--adc-bits", "0", *FUNCSIM_TOY], "must be >= 1"),
+    (["funcsim", *EXACT_TOY, "--adc-bits", "0"], "must be >= 1"),
+    (["funcsim", *EXACT_TOY, "--config", "BAD_TILES_INI"], "bogus_key"),
     (["simulate", "--target-delay", "-1"], "must be positive"),
-], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0", "simulate-target-delay"])
+    (["simulate", "--patterns", "explicit:3,5", "--target-delay", "7"],
+     "takes no --target-delay"),
+    (["simulate", "--format", ",", "--target-delay", "7"], "no report format"),
+], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
+        "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
+        "simulate-target-delay", "simulate-explicit-with-target",
+        "simulate-empty-format"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
+    bad_tiles = tmp_path / "bad.ini"
+    bad_tiles.write_text("[tiles]\nbogus_key = 1\n")
+    argv = [str(bad_tiles) if a == "BAD_TILES_INI" else a for a in argv]
     out = tmp_path / "out"
     assert re.search(match, usage_error([*argv, "--out", str(out)], capsys))
     assert not out.exists()

@@ -17,7 +17,7 @@ from xbarsim.funcsim.crossbar import (
 NO_NOISE_HI_ADC = NoiseModel(read_var=0.0, write_var=0.0, adc_bits=16)
 
 
-def one_crossbar(cells, dev, tiles, noise=None, rng=None):
+def one_crossbar(cells, dev, tiles, noise=NoiseModel(), rng=None):
     """The crossbar holding ``cells``: the positive part of a one-slice matrix."""
     return program_matrix(cells, dev, tiles, dev.bits_per_cell, noise, rng).tile(0, 0, 0, 0)
 
@@ -119,6 +119,14 @@ class TestMvmExactness:
         x = np.random.default_rng(4).integers(-127, 128, size=(7, 64))
         pm = program_matrix(w, fefet, tiles, 8)
         assert np.array_equal(mvm_bitserial(pm, x, NO_NOISE_HI_ADC), x)
+
+    def test_default_noise_model_is_the_engine_default(self, fefet, tiles):
+        # one ADC default: a product without a noise model decodes like NoiseModel()
+        rng = np.random.default_rng(6)
+        w = rng.integers(-127, 128, size=(64, 64))
+        x = rng.integers(-127, 128, size=(8, 64))
+        pm = program_matrix(w, fefet, tiles, 8)
+        assert np.array_equal(mvm_bitserial(pm, x), mvm_bitserial(pm, x, NoiseModel()))
 
     def test_vector_input(self, fefet, tiles):
         rng = np.random.default_rng(5)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from xbarsim.funcsim.forward import (
-    EncoderWeights,
     SimContext,
     attention_forward,
     gelu,
@@ -20,7 +19,13 @@ from xbarsim.funcsim.forward import (
 )
 from xbarsim.mapping import TileConfig, hybrid_assignment
 from xbarsim.similarity import cka_score
-from xbarsim.workload import LayerKind
+from xbarsim.workload import (
+    WEIGHT_KINDS,
+    LayerKind,
+    attention_layers,
+    ffn_layers,
+    tb_layer,
+)
 
 
 def dense_reference(sources, weights, x, n_heads, scale):
@@ -38,14 +43,14 @@ def dense_reference(sources, weights, x, n_heads, scale):
             src = attn_outputs[sources[i]]
             mu = src.mean(-1, keepdims=True)
             sd = np.sqrt(src.var(-1, keepdims=True) + 1e-6)
-            normed = (src - mu) / sd * w.tb_ln_gamma + w.tb_ln_beta
-            z = normed @ w.tb_weight
+            z = (src - mu) / sd @ w[LayerKind.TB_FC]
             a = 0.5 * z * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
         else:
             mu = x.mean(-1, keepdims=True)
             sd = np.sqrt(x.var(-1, keepdims=True) + 1e-6)
-            h = (x - mu) / sd * w.ln1_gamma + w.ln1_beta
-            q, k, v = h @ w.wq, h @ w.wk, h @ w.wv
+            h = (x - mu) / sd
+            q, k, v = (h @ w[LayerKind.FC_Q], h @ w[LayerKind.FC_K],
+                       h @ w[LayerKind.FC_V])
             parts = []
             for head in range(n_heads):
                 sl = slice(head * d_h, (head + 1) * d_h)
@@ -56,13 +61,12 @@ def dense_reference(sources, weights, x, n_heads, scale):
                 parts.append(probs @ v[:, sl])
             a = np.concatenate(parts, axis=1)
         attn_outputs.append(a)
-        x = x + a @ w.wproj
+        x = x + a @ w[LayerKind.FC_PROJ]
         mu = x.mean(-1, keepdims=True)
         sd = np.sqrt(x.var(-1, keepdims=True) + 1e-6)
-        h2 = (x - mu) / sd * w.ln2_gamma + w.ln2_beta
-        z = h2 @ w.w1
+        z = (x - mu) / sd @ w[LayerKind.FC_MLP1]
         hidden = 0.5 * z * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
-        x = x + hidden @ w.w2
+        x = x + hidden @ w[LayerKind.FC_MLP2]
     return x, attn_outputs
 
 
@@ -120,18 +124,23 @@ class TestTbForward:
     def test_identity_affine_is_gelu_of_layernorm(self):
         cfg = toy_config(n_encoders=1)
         w = make_toy_weights(cfg, seed=0)[0]
-        w.tb_weight = np.eye(cfg.d)
+        w[LayerKind.TB_FC] = np.eye(cfg.d)
         x = np.random.default_rng(4).standard_normal((cfg.t, cfg.d))
-        expected = gelu(layer_norm(x, w.tb_ln_gamma, w.tb_ln_beta))
+        expected = gelu(layer_norm(x))
         assert np.allclose(tb_forward(x, w), expected, atol=1e-12)
 
-    def test_missing_tb_weights(self):
-        # every encoder carries a transformation block: its weights are required
-        cfg = toy_config(n_encoders=1)
-        w = make_toy_weights(cfg, seed=0)[0]
-        without_tb = {k: v for k, v in vars(w).items() if not k.startswith("tb_")}
-        with pytest.raises(TypeError, match="tb_weight"):
-            EncoderWeights(**without_tb)
+
+class TestToyWeights:
+    def test_one_matrix_per_weight_layer_shaped_by_its_spec(self):
+        cfg = replace(toy_config(n_encoders=3), mlp_ratio=3)
+        specs = attention_layers(cfg) + ffn_layers(cfg) + (tb_layer(cfg),)
+        shapes = {s.kind: (s.in_dim, s.out_dim) for s in specs if s.kind in WEIGHT_KINDS}
+        assert len(shapes) == 7
+        weights = make_toy_weights(cfg, seed=0)
+        assert len(weights) == cfg.n_encoders
+        for w in weights:
+            assert {kind: m.shape for kind, m in w.items()} == shapes
+        assert weights[0][LayerKind.FC_MLP1].shape == (cfg.d, 3 * cfg.d)
 
 
 class TestAttentionForward:

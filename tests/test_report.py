@@ -149,8 +149,9 @@ class TestEmission:
 
     def test_unknown_format(self, deit_rows, tmp_path):
         # every format is checked before any file is written
-        for formats in (("xml",), ("csv", "xml")):
-            with pytest.raises(ValueError, match="xml"):
+        for formats, match in ((("xml",), "xml"), (("csv", "xml"), "xml"),
+                               ((), "no report format")):
+            with pytest.raises(ValueError, match=match):
                 emit(deit_rows, str(tmp_path), "x", formats)
             assert os.listdir(tmp_path) == []
 
