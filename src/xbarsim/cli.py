@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -28,26 +27,30 @@ from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor, t
 from .report import (
     Scenario,
     emit,
+    json_text,
     make_scorer,
+    out_dir,
     pattern_families,
     report_meta,
     resolve,
     resolve_device,
     run_compare,
     run_scenario,
+    write_text,
 )
 from .similarity import cka_matrix
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, report: bool = True) -> None:
     p.add_argument("--model", default="DeiT-S", help="model preset name")
     p.add_argument("--device", default="FeFET",
                    help="device preset name, or 'hybrid' (FeFET FCs + SRAM matmuls)")
     p.add_argument("--config", default=None, help="INI file overriding the presets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--format", default="csv,json",
-                   help="comma list of report formats (csv, json)")
+    if report:
+        p.add_argument("--format", default="csv,json",
+                       help="comma list of report formats (csv, json)")
 
 
 class _AppendOnce(argparse.Action):
@@ -115,21 +118,14 @@ def cmd_optimize(args) -> int:
     for pattern, score in ranked[:10]:
         marker = " <- selected" if pattern == result.best else ""
         print(f"  {pattern.kind.value:<12} {pattern.label():<20} score={score:.4f}{marker}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{args.name}_patterns.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "n_reuse": result.optimal_n_reuse,
-                    "achieved_delay_ms": result.achieved_delay_ms,
-                    "best": result.best.label() if result.best else None,
-                    "candidates": {p.label(): s for p, s in ranked},
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        print(f"wrote: {path}")
+    path = os.path.join(out_dir(args.out), f"{args.name}_patterns.json")
+    write_text(path, json_text({
+        "n_reuse": result.optimal_n_reuse,
+        "achieved_delay_ms": result.achieved_delay_ms,
+        "best": result.best.label() if result.best else None,
+        "candidates": {p.label(): s for p, s in ranked},
+    }))
+    print(f"wrote: {path}")
     return 0
 
 
@@ -142,6 +138,8 @@ def cmd_funcsim(args) -> int:
 
     # settings are read and validated for every device, exact included
     sc = cfgmod.ScenarioConfig(args.config)
+    if args.device == "exact" and sc.has_section("device"):
+        raise ValueError("--device exact runs on no crossbar and takes no [device] section")
     tiles, noise = sc.tiles(), sc.noise()
     if args.adc_bits is not None:
         tiles = replace(tiles, adc_bits=args.adc_bits)
@@ -157,10 +155,10 @@ def cmd_funcsim(args) -> int:
 
     result = model_forward(cfg, weights, x, ctx, reuse)
     cka = cka_matrix(result.attention_outputs)
-    os.makedirs(args.out, exist_ok=True)
-    save_tensor(os.path.join(args.out, "output.xbt"), result.output)
+    out = out_dir(args.out)
+    save_tensor(os.path.join(out, "output.xbt"), result.output)
     for i, a in enumerate(result.attention_outputs):
-        save_tensor(os.path.join(args.out, f"attn_{i:02d}.xbt"), a)
+        save_tensor(os.path.join(out, f"attn_{i:02d}.xbt"), a)
     summary = {
         "device": args.device,
         "seed": args.seed,
@@ -171,9 +169,7 @@ def cmd_funcsim(args) -> int:
         "cka_adjacent_mean": float(np.mean(np.diag(cka, 1))) if cfg.n_encoders > 1 else 1.0,
         "cka": [[round(float(v), 6) for v in row] for row in cka],
     }
-    with open(os.path.join(args.out, "funcsim_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(out, "funcsim_summary.json"), json_text(summary))
     print(f"attention evaluated {result.stats.attention_evals}x "
           f"over {cfg.n_encoders} encoders; outputs in {args.out}")
     return 0
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="reuse search plus pattern ranking")
-    _common_flags(p)
+    _common_flags(p, report=False)
     p.add_argument("--target-delay", type=float, action=_AppendOnce, required=True,
                    metavar="MS", help="the one delay target to search")
     p.add_argument("--patterns", default="all")

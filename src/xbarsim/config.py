@@ -88,7 +88,10 @@ class ScenarioConfig:
     """Presets merged with an optional user override file."""
 
     def __init__(self, user_path: str | None = None):
-        self._user = _read_ini(Path(user_path).read_text(), user_path) if user_path else {}
+        try:
+            self._user = _read_ini(Path(user_path).read_text(), user_path) if user_path else {}
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {user_path}: {exc.strerror}") from None
         unknown = [name for name in self._user if name not in _USER_SECTIONS]
         if unknown:
             raise ValueError(

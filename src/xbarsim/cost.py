@@ -35,7 +35,7 @@ is charged to the feed-forward block via per-encoder constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .mapping import (
@@ -57,7 +57,6 @@ from .workload import (
     stem_layers,
     stem_macs,
     tb_layer,
-    with_tokens,
 )
 
 
@@ -340,12 +339,6 @@ def assemble(
     )
 
 
-def _reuse_split(cfg: ModelConfig, n_reuse: int) -> tuple[int, int]:
-    if not 0 <= n_reuse <= cfg.n_encoders:
-        raise ValueError(f"n_reuse={n_reuse} out of [0, {cfg.n_encoders}]")
-    return cfg.n_encoders - n_reuse, n_reuse
-
-
 def model_cost(
     cfg: ModelConfig,
     n_reuse: int,
@@ -359,8 +352,10 @@ def model_cost(
     Where a reusing encoder sits does not matter for cost, only how
     many there are, so a count is sufficient here.
     """
+    if not 0 <= n_reuse <= cfg.n_encoders:
+        raise ValueError(f"n_reuse={n_reuse} out of [0, {cfg.n_encoders}]")
     table = block_table(cfg, dev, tiles, sp, opts)
-    return assemble([(table, *_reuse_split(cfg, n_reuse))])
+    return assemble([(table, cfg.n_encoders - n_reuse, n_reuse)])
 
 
 def breakdown(mc: ModelCost) -> dict[str, dict[str, float]]:
@@ -395,7 +390,6 @@ def apply_weight_sharing(
     tiles: TileConfig,
     sp: SoftmaxUnitParams,
     opts: CostOptions = CostOptions(),
-    n_reuse: int = 0,
 ) -> ModelCost:
     """ws encoders share one weight set: weight area shrinks, E/D do not.
 
@@ -408,7 +402,7 @@ def apply_weight_sharing(
     if cfg.n_encoders % ws != 0:
         raise ValueError(f"ws={ws} does not divide n_encoders={cfg.n_encoders}")
     table = block_table(cfg, dev, tiles, sp, opts)
-    return assemble([(table, *_reuse_split(cfg, n_reuse))], ws=ws)
+    return assemble([(table, cfg.n_encoders, 0)], ws=ws)
 
 
 def apply_token_pruning(
@@ -433,7 +427,7 @@ def apply_token_pruning(
     if not 0 <= prune_from_encoder < cfg.n_encoders:
         raise ValueError("prune_from_encoder out of range")
     t_pruned = max(1, round(cfg.t * (1.0 - p)))
-    tables = {t: block_table(with_tokens(cfg, t), dev, tiles, sp, opts)
+    tables = {t: block_table(replace(cfg, t=t), dev, tiles, sp, opts)
               for t in {cfg.t, t_pruned}}
     groups = [(tables[cfg.t], prune_from_encoder, 0),
               (tables[t_pruned], cfg.n_encoders - prune_from_encoder, 0)]

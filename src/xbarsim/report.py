@@ -1,4 +1,4 @@
-"""Scenario orchestration and CSV/JSON report emission.
+"""Scenario orchestration, and the layout of every file the CLI writes.
 
 A scenario evaluates one model on one device. ``resolve`` turns it into
 cost-model inputs, the presets under its config file, for every
@@ -14,6 +14,8 @@ Emission is deterministic: fixed column order, fixed float formatting,
 no timestamps, so identical scenarios and seeds produce byte-identical
 files. The JSON meta block states the conventions of the cost options
 used (accuracy is intentionally absent: it is not computable here).
+Every file a command writes is encoded by ``json_text`` (JSON) and
+written by ``write_text`` under ``out_dir``.
 """
 
 from __future__ import annotations
@@ -45,12 +47,26 @@ from .optimize import (
 from .patterns import PatternKind, explicit_pattern
 from .workload import ModelConfig
 
-CSV_HEADER = (
-    "scenario,model,device,n_reuse,pattern,energy_mJ,delay_ms,area_mm2,"
-    "edap,tops_per_w,tops_per_mm2,edap_reduction"
+# (CSV header, ReportRow field, decimals or None for text)
+CSV_COLUMNS = (
+    ("scenario", "scenario", None),
+    ("model", "model", None),
+    ("device", "device", None),
+    ("n_reuse", "n_reuse", None),
+    ("pattern", "pattern", None),
+    ("energy_mJ", "energy_mj", 4),
+    ("delay_ms", "delay_ms", 2),
+    ("area_mm2", "area_mm2", 2),
+    ("edap", "edap", 2),
+    ("tops_per_w", "tops_per_w", 2),
+    ("tops_per_mm2", "tops_per_mm2", 6),
+    ("edap_reduction", "edap_reduction", 2),
 )
+CSV_HEADER = ",".join(header for header, _, _ in CSV_COLUMNS)
 
-BREAKDOWN_HEADER = "scenario,pattern,block,e_share,d_share,a_share,edap_share"
+# the share kinds of ``cost.breakdown``, one breakdown column each
+SHARES = ("e", "d", "a", "edap")
+BREAKDOWN_HEADER = "scenario,pattern,block," + ",".join(f"{s}_share" for s in SHARES)
 
 
 @dataclass(frozen=True)
@@ -304,81 +320,61 @@ def report_meta(scenario: Scenario | None = None, inputs: Inputs | None = None) 
         },
     }
     if scenario is not None:
-        meta["scenario"] = {
-            "name": scenario.name,
-            "model": scenario.model,
-            "device": scenario.device,
-            "target_delays_ms": list(scenario.target_delays_ms),
-            "patterns": scenario.patterns,
-            "scorer": scenario.scorer,
-            "seed": scenario.seed,
-        }
+        meta["scenario"] = {k: v for k, v in vars(scenario).items() if k != "config_path"}
     return meta
 
 
-def _fmt(value: float | int | None, decimals: int) -> str:
+def _cell(value, decimals: int | None) -> str:
     if value is None:
         return ""
-    return f"{value:.{decimals}f}"
+    return str(value) if decimals is None else f"{value:.{decimals}f}"
 
 
 def format_csv(rows: "list[ReportRow]") -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario,
-                    r.model,
-                    r.device,
-                    "" if r.n_reuse is None else str(r.n_reuse),
-                    r.pattern,
-                    _fmt(r.energy_mj, 4),
-                    _fmt(r.delay_ms, 2),
-                    _fmt(r.area_mm2, 2),
-                    _fmt(r.edap, 2),
-                    _fmt(r.tops_per_w, 2),
-                    _fmt(r.tops_per_mm2, 6),
-                    _fmt(r.edap_reduction, 2),
-                ]
-            )
-        )
+    lines += [",".join(_cell(getattr(r, field), decimals)
+                       for _, field, decimals in CSV_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def format_breakdown_csv(rows: "list[ReportRow]") -> str:
     lines = [BREAKDOWN_HEADER]
-    for r in rows:
-        if not r.breakdown:
-            continue
-        for block in sorted(r.breakdown["e"]):
-            lines.append(
-                ",".join(
-                    [
-                        r.scenario,
-                        r.pattern,
-                        block,
-                        _fmt(r.breakdown["e"][block], 4),
-                        _fmt(r.breakdown["d"][block], 4),
-                        _fmt(r.breakdown["a"][block], 4),
-                        _fmt(r.breakdown["edap"][block], 4),
-                    ]
-                )
-            )
+    lines += [",".join([r.scenario, r.pattern, block,
+                        *(_cell(r.breakdown[share][block], 4) for share in SHARES)])
+              for r in rows if r.breakdown for block in sorted(r.breakdown["e"])]
     return "\n".join(lines) + "\n"
 
 
-# ReportRow field -> JSON key, where the two differ
-_JSON_KEYS = {"energy_mj": "energy_mJ"}
-_FIELDS = {key: name for name, key in _JSON_KEYS.items()}
+# ReportRow field -> JSON key: the CSV header, where the two differ
+_JSON_KEYS = {field: header for header, field, _ in CSV_COLUMNS if header != field}
+_FIELDS = {key: field for field, key in _JSON_KEYS.items()}
+
+
+def json_text(doc) -> str:
+    """The one JSON encoding of every file the CLI writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path: str, text: str) -> str:
+    """Write ``text`` as UTF-8 with LF line ends; returns ``path``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
+def out_dir(path: str) -> str:
+    """The directory ``--out`` names, created if missing."""
+    if not path:
+        raise ValueError("--out must name a directory")
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 def rows_to_json(rows: "list[ReportRow]", meta: dict | None = None) -> str:
-    doc = {
+    return json_text({
         "meta": meta or report_meta(),
         "rows": [{_JSON_KEYS.get(k, k): v for k, v in vars(r).items()} for r in rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def rows_from_json(text: str) -> "list[ReportRow]":
@@ -388,31 +384,24 @@ def rows_from_json(text: str) -> "list[ReportRow]":
 
 def emit(
     rows: "list[ReportRow]",
-    out_dir: str,
+    directory: str,
     basename: str,
     formats: "tuple[str, ...]" = ("csv", "json"),
     meta: dict | None = None,
 ) -> list[str]:
-    """Write the report files; returns the paths written.
-
-    The XBARSIM_OUT_DIR environment variable overrides ``out_dir``.
-    """
+    """Write the report files under ``out_dir(directory)``; returns the
+    paths written. Every format is checked before anything is written."""
     files = {
         "csv": ((".csv", format_csv), ("_breakdown.csv", format_breakdown_csv)),
         "json": ((".json", lambda rows: rows_to_json(rows, meta)),),
     }
-    unknown = [fmt for fmt in formats if fmt not in files]
-    if unknown:
-        raise ValueError(f"unknown report format {unknown[0]!r}")
+    for i, fmt in enumerate(formats):
+        if fmt not in files:
+            raise ValueError(f"unknown report format {fmt!r}")
+        if fmt in formats[:i]:
+            raise ValueError(f"report format {fmt!r} given twice")
     if not formats:
         raise ValueError("no report format given")
-    out_dir = os.environ.get("XBARSIM_OUT_DIR", out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for fmt in formats:
-        for suffix, render in files[fmt]:
-            path = os.path.join(out_dir, basename + suffix)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render(rows))
-            written.append(path)
-    return written
+    directory = out_dir(directory)
+    return [write_text(os.path.join(directory, basename + suffix), render(rows))
+            for fmt in formats for suffix, render in files[fmt]]

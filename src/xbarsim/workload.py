@@ -16,7 +16,7 @@ Dimension conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -213,8 +213,3 @@ def mac_count(
     full = encoder_macs(cfg, reuses=False)
     reusing = encoder_macs(cfg, reuses=True)
     return (cfg.n_encoders - r) * full + r * reusing + stem_macs(cfg)
-
-
-def with_tokens(cfg: ModelConfig, t: int) -> ModelConfig:
-    """Copy of the config with a different token count (token pruning)."""
-    return replace(cfg, t=t)

@@ -141,21 +141,48 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["funcsim", "--encoders", "1", "--adc-bits", "0", *FUNCSIM_TOY], "must be >= 1"),
     (["funcsim", *EXACT_TOY, "--adc-bits", "0"], "must be >= 1"),
     (["funcsim", *EXACT_TOY, "--config", "BAD_TILES_INI"], "bogus_key"),
+    (["funcsim", *EXACT_TOY, "--config", "DEVICE_INI"], r"takes no \[device\]"),
+    (["simulate", "--config", "MISSING_INI", "--target-delay", "7"],
+     "cannot read config file .*missing.ini"),
     (["simulate", "--target-delay", "-1"], "must be positive"),
     (["simulate", "--patterns", "explicit:3,5", "--target-delay", "7"],
      "takes no --target-delay"),
     (["simulate", "--format", ",", "--target-delay", "7"], "no report format"),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
+        "funcsim-exact-device-section", "simulate-missing-config",
         "simulate-target-delay", "simulate-explicit-with-target",
         "simulate-empty-format"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
-    bad_tiles = tmp_path / "bad.ini"
-    bad_tiles.write_text("[tiles]\nbogus_key = 1\n")
-    argv = [str(bad_tiles) if a == "BAD_TILES_INI" else a for a in argv]
+    inis = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
+            "MISSING_INI": tmp_path / "missing.ini"}
+    inis["BAD_TILES_INI"].write_text("[tiles]\nbogus_key = 1\n")
+    inis["DEVICE_INI"].write_text("[device]\nbogus_key = 1\n")
+    argv = [str(inis.get(a, a)) for a in argv]
     out = tmp_path / "out"
     assert re.search(match, usage_error([*argv, "--out", str(out)], capsys))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "compare", "funcsim"])
+def test_empty_out_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", ""]
+    if command == "funcsim":
+        argv += EXACT_TOY
+    else:
+        argv += ["--target-delay", "7"]
+    assert "--out must name a directory" in usage_error(argv, capsys)
+    assert os.listdir(tmp_path) == []
+
+
+def test_optimize_takes_no_format(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--target-delay", "7", "--format", "xml",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format xml" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare", "funcsim"])

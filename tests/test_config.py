@@ -119,7 +119,7 @@ def test_scenario_without_file_uses_presets():
 
 
 def test_missing_config_file():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ValueError, match="cannot read config file /nonexistent/path.ini"):
         ScenarioConfig("/nonexistent/path.ini")
 
 

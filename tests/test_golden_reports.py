@@ -1,5 +1,6 @@
 """Golden digests: simulate and compare reports over every shipped preset
-pair, and the funcsim output on every crossbar device.
+pair, the funcsim output and summary on every crossbar device, and one
+optimize patterns file.
 
 Each case runs one CLI command and pins the sha256 of the three report
 files it writes (CSV, breakdown CSV, JSON). A change that is meant to
@@ -127,17 +128,18 @@ GOLDEN = {
 }
 
 
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def report_digests(command, model, device, out_dir):
     argv = [command, "--model", model, "--device", device, "--name", "golden",
             "--out", str(out_dir)]
     for target in TARGETS[(model, device)]:
         argv += ["--target-delay", target]
     assert main(argv) == 0
-    digests = []
-    for suffix in SUFFIXES:
-        with open(out_dir / f"golden{suffix}", "rb") as fh:
-            digests.append(hashlib.sha256(fh.read()).hexdigest())
-    return tuple(digests)
+    return tuple(_digest(out_dir / f"golden{suffix}") for suffix in SUFFIXES)
 
 
 CASES = [(command, model, device) for command in ("simulate", "compare")
@@ -151,31 +153,44 @@ def test_reports_match_golden(command, model, device, tmp_path):
         GOLDEN[(command, model, device)]
 
 
-# (device, extra funcsim flags) -> sha256 of output.xbt from
+FUNCSIM_FILES = ("output.xbt", "funcsim_summary.json")
+
+# (device, extra funcsim flags) -> sha256 of FUNCSIM_FILES from
 # ``funcsim --seed 0`` with those flags
 FUNCSIM_GOLDEN = {
     ("FeFET", "--encoders 2"):
-        "d2758600e621c818b169eea49c5126bd844f92a184ebc3a10961a3a796e8583c",
+        ("d2758600e621c818b169eea49c5126bd844f92a184ebc3a10961a3a796e8583c",
+         "238c6a79f7b216f3a456554b52a5db19d061a6cbbe06fa66c5f2996f2e52e065"),
     ("hybrid", "--encoders 2"):
-        "0c57900ad18a2c8c6aab325d100380c5afcacffa2b169d1cb2201f102c2d35f9",
+        ("0c57900ad18a2c8c6aab325d100380c5afcacffa2b169d1cb2201f102c2d35f9",
+         "08197f74e51171ba7d024f7c0dbded7ccfa7fa9c5a8a1d4b4fc2ca1c23159e78"),
     ("SRAM", "--encoders 2"):
-        "053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
+        ("053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
+         "3caa429c3165dc12b4e243dee939eebf9cbf155712bd1a1f9dfbb4aa04be8a2e"),
     ("FeFET", "--encoders 4 --reuse 1,3"):
-        "603d97ab1d00bd20a9a9e8cd6eb8eb3f0c1ce3db65fe5fb138071eaac85b1eb1",
+        ("603d97ab1d00bd20a9a9e8cd6eb8eb3f0c1ce3db65fe5fb138071eaac85b1eb1",
+         "0579b6222484e7a526c860cafe5e6b5179d168261ea98cdf73096a5a9f6d0c17"),
     ("SRAM", "--encoders 4 --reuse 1,3"):
-        "9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
+        ("9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
+         "0ac51ec01af0ad9545ac2490eeaac1ac62aa4b79b1df0d4351bd575912beeb4f"),
     ("hybrid", "--encoders 4 --reuse 1,3"):
-        "752e4712c8c0c04611d92656b771c8cc57b1c5ae850a114497898d43adb60305",
+        ("752e4712c8c0c04611d92656b771c8cc57b1c5ae850a114497898d43adb60305",
+         "2218ede2059f47a5a1750de5721966c26b2755a7ad5ed838f277140108aef83f"),
     ("FeFET", "--encoders 2 --adc-bits 8"):
-        "599fd6f043e0a7e2006782590cc921bf4540d6c07d0f268c137331ca79772845",
+        ("599fd6f043e0a7e2006782590cc921bf4540d6c07d0f268c137331ca79772845",
+         "a66abe9d64b68b8f49e18c28e00b89738a9a46077d6ad4f2b0d1956699ff6462"),
     ("hybrid", "--encoders 2 --adc-bits 8"):
-        "5350008de03c7349317ca90f660da2f4155301d78d3efce6aeb614ef8145a8ed",
+        ("5350008de03c7349317ca90f660da2f4155301d78d3efce6aeb614ef8145a8ed",
+         "7f8e3c6f9dbe706939f0a45a2acb94e2e0c7715f52f91bf023332dd2cf4ee815"),
     ("FeFET", "--encoders 2 --adc-bits 4 --no-noise"):
-        "b24b14928e25fafab58b87897c3ef8375f441996321c8c87ace910452c6817c3",
+        ("b24b14928e25fafab58b87897c3ef8375f441996321c8c87ace910452c6817c3",
+         "7e82c70b198bcf0a52ae8e57f956ad3679d8f5bb647a13625973c69128435551"),
     ("SRAM", "--encoders 2 --adc-bits 4 --no-noise"):
-        "e3fd393594a976c98bb6694085e34b2d6966ca4932d1efb4ae266040f8daf773",
+        ("e3fd393594a976c98bb6694085e34b2d6966ca4932d1efb4ae266040f8daf773",
+         "b6296002e7252e008f5ed96db7a5ac6df59050e58fc496e1bb58180fb32c059f"),
     ("hybrid", "--encoders 2 --adc-bits 4 --no-noise"):
-        "7f0fa21c9acccc8020520ebdad55e541de0a1e2a7980b0301b425ce8d95df934",
+        ("7f0fa21c9acccc8020520ebdad55e541de0a1e2a7980b0301b425ce8d95df934",
+         "6d4c3e00b32254f4a893df03e2bfe93f3bfa1261bf2ab961eebc5be0919cbf87"),
 }
 
 
@@ -198,5 +213,16 @@ def test_funcsim_output_matches_golden(case, tmp_path):
     device, flags = case
     assert main(["funcsim", *flags.split(), "--seed", "0", "--device", device,
                  "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "output.xbt", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == FUNCSIM_GOLDEN[case]
+    assert tuple(_digest(tmp_path / name) for name in FUNCSIM_FILES) == \
+        FUNCSIM_GOLDEN[case]
+
+
+# sha256 of optimize_patterns.json from ``optimize --model DeiT-S
+# --device FeFET --target-delay 7``
+OPTIMIZE_GOLDEN = "dc651e39da800d23950a96ca8059c0eefbb22bbc8c8ed23be58416b4c1ef02aa"
+
+
+def test_optimize_patterns_match_golden(tmp_path):
+    assert main(["optimize", "--model", "DeiT-S", "--device", "FeFET",
+                 "--target-delay", "7", "--out", str(tmp_path)]) == 0
+    assert _digest(tmp_path / "optimize_patterns.json") == OPTIMIZE_GOLDEN

@@ -141,16 +141,10 @@ class TestEmission:
 
         assert run("a") == run("b")
 
-    def test_out_dir_env_override(self, deit_rows, tmp_path, monkeypatch):
-        override = tmp_path / "env_dir"
-        monkeypatch.setenv("XBARSIM_OUT_DIR", str(override))
-        paths = emit(deit_rows, str(tmp_path / "ignored"), "x", ("csv",))
-        assert all(str(override) in p for p in paths)
-
     def test_unknown_format(self, deit_rows, tmp_path):
         # every format is checked before any file is written
         for formats, match in ((("xml",), "xml"), (("csv", "xml"), "xml"),
-                               ((), "no report format")):
+                               ((), "no report format"), (("csv", "csv"), "given twice")):
             with pytest.raises(ValueError, match=match):
                 emit(deit_rows, str(tmp_path), "x", formats)
             assert os.listdir(tmp_path) == []
