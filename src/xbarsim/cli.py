@@ -26,6 +26,7 @@ from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this bind
 from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor, toy_config
 from .report import (
     Scenario,
+    check_out,
     emit,
     json_text,
     make_scorer,
@@ -243,6 +244,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_out(args.out)  # before any work: a forward or search can take seconds
         return args.func(args)
     except ValueError as exc:
         parser.exit(2, f"xbarsim {args.command}: error: {exc}\n")

@@ -28,7 +28,6 @@ from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.special import erf
 
 from ..mapping import DeviceAssignment, DeviceParams, TileConfig, device_for
 from ..patterns import explicit_pattern, reuse_sources
@@ -55,6 +54,9 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
+    # only GELU needs scipy, and the cost commands never call it
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 

@@ -47,22 +47,23 @@ from .optimize import (
 from .patterns import PatternKind, explicit_pattern
 from .workload import ModelConfig
 
-# (CSV header, ReportRow field, decimals or None for text)
+# (CSV header, ReportRow field, decimals or None for text,
+#  unit stated in the JSON meta block or None)
 CSV_COLUMNS = (
-    ("scenario", "scenario", None),
-    ("model", "model", None),
-    ("device", "device", None),
-    ("n_reuse", "n_reuse", None),
-    ("pattern", "pattern", None),
-    ("energy_mJ", "energy_mj", 4),
-    ("delay_ms", "delay_ms", 2),
-    ("area_mm2", "area_mm2", 2),
-    ("edap", "edap", 2),
-    ("tops_per_w", "tops_per_w", 2),
-    ("tops_per_mm2", "tops_per_mm2", 6),
-    ("edap_reduction", "edap_reduction", 2),
+    ("scenario", "scenario", None, None),
+    ("model", "model", None, None),
+    ("device", "device", None, None),
+    ("n_reuse", "n_reuse", None, None),
+    ("pattern", "pattern", None, None),
+    ("energy_mJ", "energy_mj", 4, "millijoule"),
+    ("delay_ms", "delay_ms", 2, "millisecond"),
+    ("area_mm2", "area_mm2", 2, "square millimetre"),
+    ("edap", "edap", 2, "mJ*ms*mm2"),
+    ("tops_per_w", "tops_per_w", 2, None),
+    ("tops_per_mm2", "tops_per_mm2", 6, None),
+    ("edap_reduction", "edap_reduction", 2, None),
 )
-CSV_HEADER = ",".join(header for header, _, _ in CSV_COLUMNS)
+CSV_HEADER = ",".join(header for header, *_ in CSV_COLUMNS)
 
 # the share kinds of ``cost.breakdown``, one breakdown column each
 SHARES = ("e", "d", "a", "edap")
@@ -312,12 +313,7 @@ def report_meta(scenario: Scenario | None = None, inputs: Inputs | None = None) 
         "area_convention": f"per-layer areas {area}, {stem}",
         "serialization_convention": serialization,
         "tb_convention": f"transformation blocks charged as {tb}",
-        "units": {
-            "energy_mJ": "millijoule",
-            "delay_ms": "millisecond",
-            "area_mm2": "square millimetre",
-            "edap": "mJ*ms*mm2",
-        },
+        "units": {header: unit for header, *_, unit in CSV_COLUMNS if unit},
     }
     if scenario is not None:
         meta["scenario"] = {k: v for k, v in vars(scenario).items() if k != "config_path"}
@@ -333,7 +329,7 @@ def _cell(value, decimals: int | None) -> str:
 def format_csv(rows: "list[ReportRow]") -> str:
     lines = [CSV_HEADER]
     lines += [",".join(_cell(getattr(r, field), decimals)
-                       for _, field, decimals in CSV_COLUMNS) for r in rows]
+                       for _, field, decimals, _ in CSV_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -346,7 +342,7 @@ def format_breakdown_csv(rows: "list[ReportRow]") -> str:
 
 
 # ReportRow field -> JSON key: the CSV header, where the two differ
-_JSON_KEYS = {field: header for header, field, _ in CSV_COLUMNS if header != field}
+_JSON_KEYS = {field: header for header, field, *_ in CSV_COLUMNS if header != field}
 _FIELDS = {key: field for field, key in _JSON_KEYS.items()}
 
 
@@ -362,11 +358,18 @@ def write_text(path: str, text: str) -> str:
     return path
 
 
-def out_dir(path: str) -> str:
-    """The directory ``--out`` names, created if missing."""
+def check_out(path: str) -> str:
+    """``path`` if it can name an output directory, which is not created."""
     if not path:
         raise ValueError("--out must name a directory")
-    os.makedirs(path, exist_ok=True)
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"--out {path!r} exists and is not a directory")
+    return path
+
+
+def out_dir(path: str) -> str:
+    """The directory ``--out`` names, created if missing."""
+    os.makedirs(check_out(path), exist_ok=True)
     return path
 
 

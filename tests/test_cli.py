@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -164,16 +166,58 @@ def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
     assert not out.exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before --out was checked")
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare", "funcsim"])
 def test_empty_out_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    """An empty --out, or one naming a file, is rejected before any
+    forward pass or reuse search runs, and nothing is created."""
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--out", ""]
+    monkeypatch.setattr("xbarsim.cli.model_forward", _must_not_run)
+    monkeypatch.setattr("xbarsim.report.optimize", _must_not_run)
+    argv = [command]
     if command == "funcsim":
-        argv += EXACT_TOY
+        argv += ["--encoders", "2", "--device", "FeFET"]
     else:
-        argv += ["--target-delay", "7"]
-    assert "--out must name a directory" in usage_error(argv, capsys)
+        argv += ["--target-delay", "0.5"]  # infeasible: optimize never reaches its output directory
+    assert "--out must name a directory" in usage_error([*argv, "--out", ""], capsys)
     assert os.listdir(tmp_path) == []
+    (tmp_path / "taken").write_text("")
+    err = usage_error([*argv, "--out", "taken"], capsys)
+    assert "--out 'taken' exists and is not a directory" in err
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+# Runs in a fresh interpreter, so only the CLI's own imports are loaded.
+COST_PATH_IMPORTS = """
+import json, sys
+from xbarsim.cli import main
+out = sys.argv[1]
+codes = [main([*argv, "--out", out]) for argv in (
+    ["simulate", "--target-delay", "7"],
+    ["compare", "--target-delay", "7"],
+    ["optimize", "--target-delay", "7"],
+)]
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+codes.append(main(["funcsim", "--encoders", "1", "--device", "SRAM", "--out", out]))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_cost_commands_do_not_import_scipy(tmp_path):
+    import xbarsim
+
+    src = os.path.dirname(os.path.dirname(xbarsim.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", COST_PATH_IMPORTS, str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120, check=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy"] == []
+    assert result["codes"] == [0, 0, 0, 0]
+    assert os.path.exists(tmp_path / "funcsim_summary.json")
 
 
 def test_optimize_takes_no_format(tmp_path, capsys):

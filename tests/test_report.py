@@ -155,6 +155,10 @@ class TestEmission:
         assert "tile" in meta["area_convention"]
         assert meta["scenario"]["model"] == "DeiT-S"
 
+    def test_every_unit_names_a_csv_column(self):
+        units = report_meta(DEIT_SCENARIO)["units"]
+        assert units and set(units) <= set(CSV_HEADER.split(","))
+
     def test_breakdown_csv_contains_blocks(self, deit_rows, tmp_path):
         paths = emit(deit_rows, str(tmp_path), "bd", ("csv",))
         bd = [p for p in paths if p.endswith("_breakdown.csv")][0]
