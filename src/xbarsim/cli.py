@@ -131,6 +131,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_funcsim(args) -> int:
+    if args.encoders < 1:
+        raise ValueError(f"--encoders must be >= 1, got {args.encoders}")
     cfg = toy_config(args.encoders, args.dim, args.tokens, args.heads)
     reuse = tuple(int(i) for i in args.reuse.split(",") if i) if args.reuse else ()
     weights = make_toy_weights(cfg, seed=args.seed)

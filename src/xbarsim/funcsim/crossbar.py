@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mapping import DeviceParams, TileConfig
+from ..mapping import DIFFERENTIAL_ARRAYS, DeviceParams, TileConfig
 
 # Element budget of one read chunk or noise chunk (256 KiB of float64):
 # bounded temporaries keep freed memory from piling up in the heap.
@@ -167,7 +167,7 @@ class ProgrammedMatrix:
     @property
     def n_crossbars(self) -> int:
         row_blocks = math.ceil(self.shape[0] / self.xbar_size)
-        return row_blocks * self.col_blocks * self.n_slices * 2
+        return row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
 
     def tile(self, row_block: int, col_block: int, k: int, sign: int) -> CrossbarState:
         """The crossbar holding slice ``k`` of one sign's part of one tile."""

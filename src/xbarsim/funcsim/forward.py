@@ -54,11 +54,11 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # only GELU needs scipy, and the cost commands never call it
-    from scipy.special import erf
-
+    """Exact GELU, 0.5·x·(1 + erf(x/√2)), with the standard library's erf."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    z = x / math.sqrt(2.0)
+    erf = np.fromiter(map(math.erf, z.ravel().tolist()), np.float64, count=z.size)
+    return 0.5 * x * (1.0 + erf.reshape(z.shape))
 
 
 def layer_norm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -94,6 +94,13 @@ class MappingResult:
 
 DeviceAssignment = Mapping[LayerKind, DeviceParams]
 
+# Arrays per mapped crossbar in the functional simulator: a signed weight
+# is held as a positive and a negative column array. The cost model
+# counts single-ended (one array per crossbar, see crossbars_for_layer),
+# so the shipped energy and area numbers charge no negative arrays.
+DIFFERENTIAL_ARRAYS = 2
+
+
 def slice_factor(weight_bits: int, dev: DeviceParams) -> int:
     return math.ceil(weight_bits / dev.bits_per_cell)
 
@@ -107,7 +114,8 @@ def crossbars_for_layer(
     """Crossbar demand for one layer instance (one head, for matmuls).
 
     Counts are single-ended: signed weights are not charged a second,
-    negative column array.
+    negative column array. The functional simulator programs
+    ``DIFFERENTIAL_ARRAYS`` times this count.
     """
     x = tiles.xbar_size
     logical = math.ceil(layer.in_dim / x) * math.ceil(layer.out_dim / x)

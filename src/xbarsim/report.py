@@ -167,7 +167,11 @@ class Inputs(NamedTuple):
 def resolve(scenario: Scenario) -> Inputs:
     """The presets under the scenario's config file, resolved once."""
     sc = cfgmod.ScenarioConfig(scenario.config_path)
-    return Inputs(sc.model(scenario.model), resolve_device(scenario.device, sc),
+    cfg = sc.model(scenario.model)
+    if cfg.n_encoders < 1:
+        raise ValueError(f"model {cfg.name} has n_encoders = {cfg.n_encoders}; "
+                         "a scenario needs at least one encoder")
+    return Inputs(cfg, resolve_device(scenario.device, sc),
                   sc.tiles(), sc.softmax(), sc.cost_options(), sc.pruning_overhead())
 
 

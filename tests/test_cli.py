@@ -150,16 +150,22 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["simulate", "--patterns", "explicit:3,5", "--target-delay", "7"],
      "takes no --target-delay"),
     (["simulate", "--format", ",", "--target-delay", "7"], "no report format"),
+    (["funcsim", "--encoders", "0", *FUNCSIM_TOY], "--encoders must be >= 1, got 0"),
+    *(([command, "--config", "EMPTY_MODEL_INI", "--target-delay", "5"],
+       "model DeiT-S has n_encoders = 0") for command in ("simulate", "optimize", "compare")),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
         "funcsim-exact-device-section", "simulate-missing-config",
         "simulate-target-delay", "simulate-explicit-with-target",
-        "simulate-empty-format"])
+        "simulate-empty-format", "funcsim-empty-model", "simulate-empty-model",
+        "optimize-empty-model", "compare-empty-model"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
     inis = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
-            "MISSING_INI": tmp_path / "missing.ini"}
+            "MISSING_INI": tmp_path / "missing.ini",
+            "EMPTY_MODEL_INI": tmp_path / "empty.ini"}
     inis["BAD_TILES_INI"].write_text("[tiles]\nbogus_key = 1\n")
     inis["DEVICE_INI"].write_text("[device]\nbogus_key = 1\n")
+    inis["EMPTY_MODEL_INI"].write_text("[model]\nn_encoders = 0\n")
     argv = [str(inis.get(a, a)) for a in argv]
     out = tmp_path / "out"
     assert re.search(match, usage_error([*argv, "--out", str(out)], capsys))
@@ -191,32 +197,35 @@ def test_empty_out_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
 
 
 # Runs in a fresh interpreter, so only the CLI's own imports are loaded.
-COST_PATH_IMPORTS = """
+ALL_COMMAND_IMPORTS = """
 import json, sys
 from xbarsim.cli import main
 out = sys.argv[1]
+toy = ["--encoders", "2", "--reuse", "1", "--dim", "16", "--tokens", "4", "--heads", "2"]
 codes = [main([*argv, "--out", out]) for argv in (
     ["simulate", "--target-delay", "7"],
     ["compare", "--target-delay", "7"],
     ["optimize", "--target-delay", "7"],
+    *(["funcsim", *toy, "--device", device] for device in ("exact", "SRAM", "FeFET", "hybrid")),
 )]
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-codes.append(main(["funcsim", "--encoders", "1", "--device", "SRAM", "--out", out]))
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_cost_commands_do_not_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
+    """The runtime needs numpy only: no command, the functional forward
+    pass (GELU included) on every device among them, loads scipy."""
     import xbarsim
 
     src = os.path.dirname(os.path.dirname(xbarsim.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", COST_PATH_IMPORTS, str(tmp_path)],
+    run = subprocess.run([sys.executable, "-c", ALL_COMMAND_IMPORTS, str(tmp_path)],
                          capture_output=True, text=True, env=env, timeout=120, check=True)
     result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 7
     assert result["scipy"] == []
-    assert result["codes"] == [0, 0, 0, 0]
     assert os.path.exists(tmp_path / "funcsim_summary.json")
 
 

@@ -113,6 +113,29 @@ class TestElementwise:
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0)
         assert gelu(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_gelu_is_the_stdlib_erf_formula_bit_for_bit(self):
+        x = np.random.default_rng(3).normal(0.0, 3.0, size=(64, 48))
+        x[0, :6] = [0.0, -0.0, 5e-324, -1e-300, -40.0, 40.0]
+        expected = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
+                             for v in x.ravel().tolist()]).reshape(x.shape)
+        assert np.array_equal(gelu(x).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (4, 5)], ids=str)
+    def test_gelu_keeps_the_input_shape(self, shape):
+        x = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) - 2.5
+        out = gelu(x)
+        assert np.shape(out) == shape
+        assert np.array_equal(np.ravel(out), gelu(x.ravel()))
+
+    def test_gelu_is_within_a_few_ulp_of_scipy_erf(self):
+        """math.erf and scipy's erf may round apart in their last bits;
+        GELU then moves by at most 4 x 0.5·|x|·2^-52."""
+        from scipy.special import erf
+
+        x = np.random.default_rng(5).normal(0.0, 3.0, size=400_000)
+        reference = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        assert np.all(np.abs(gelu(x) - reference) <= 4 * 0.5 * np.abs(x) * 2.0**-52)
+
 
 class TestTbForward:
     def test_shape_preserved(self):
