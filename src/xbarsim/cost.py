@@ -233,11 +233,13 @@ class BlockTable:
     ``blocks`` holds one encoder's attn, tb, proj and mlp blocks and the
     model's stem; ``macs`` counts a full encoder, a reusing encoder and
     the stem. Model cost is linear in the block counts, so every model
-    cost is an ``assemble`` of tables.
+    cost is an ``assemble`` of tables. ``inputs`` records the (cfg, dev,
+    tiles, sp, opts) it was costed from.
     """
 
     blocks: Mapping[str, BlockCost]
     macs: tuple[int, int, int]
+    inputs: tuple = field(default=(), compare=False, repr=False)
 
 
 def block_table(
@@ -287,7 +289,7 @@ def block_table(
         "stem": block(stem_layers(cfg) if cfg.include_stem else ()),
     }
     macs = (encoder_macs(cfg), encoder_macs(cfg, reuses=True), stem_macs(cfg))
-    return BlockTable(blocks, macs)
+    return BlockTable(blocks, macs, (cfg, dev, tiles, sp, opts))
 
 
 def assemble(
@@ -337,6 +339,23 @@ def assemble(
         n_reuse=sum(n_reuse for _, _, n_reuse in groups),
         blocks=blocks,
     )
+
+
+def table_for(
+    cfg: ModelConfig,
+    dev: DeviceParams | DeviceAssignment,
+    tiles: TileConfig,
+    sp: SoftmaxUnitParams,
+    opts: CostOptions,
+    table: BlockTable | None,
+) -> BlockTable:
+    """``table`` if the caller built it from exactly these inputs, else a
+    new ``block_table``; a table of other inputs would cost silently wrong."""
+    if table is None:
+        return block_table(cfg, dev, tiles, sp, opts)
+    if table.inputs != (cfg, dev, tiles, sp, opts):
+        raise ValueError("the block table was built from other inputs")
+    return table
 
 
 def model_cost(
@@ -390,19 +409,23 @@ def apply_weight_sharing(
     tiles: TileConfig,
     sp: SoftmaxUnitParams,
     opts: CostOptions = CostOptions(),
+    *,
+    table: BlockTable | None = None,
 ) -> ModelCost:
     """ws encoders share one weight set: weight area shrinks, E/D do not.
 
     Dynamic K^T / V arrays stay per-encoder (they buffer activations),
     and the stem is already unshared. Energy and delay are returned
-    bit-identical to the unshared model.
+    bit-identical to the unshared model. ``table`` is this
+    configuration's ``block_table``, when the caller has built it
+    (``table_for``).
     """
     if ws < 1:
         raise ValueError("ws must be >= 1")
     if cfg.n_encoders % ws != 0:
         raise ValueError(f"ws={ws} does not divide n_encoders={cfg.n_encoders}")
-    table = block_table(cfg, dev, tiles, sp, opts)
-    return assemble([(table, cfg.n_encoders, 0)], ws=ws)
+    return assemble([(table_for(cfg, dev, tiles, sp, opts, table), cfg.n_encoders, 0)],
+                    ws=ws)
 
 
 def apply_token_pruning(
@@ -414,21 +437,26 @@ def apply_token_pruning(
     opts: CostOptions = CostOptions(),
     predictor_overhead: tuple[float, float, float] = (0.0, 0.0, 0.0),
     prune_from_encoder: int = 0,
+    *,
+    table: BlockTable | None = None,
 ) -> ModelCost:
     """Drop a fraction p of tokens from ``prune_from_encoder`` onward.
 
     The standalone predictor networks that pick the tokens are charged
     as a constant (energy_mJ, delay_ms, area_mm2) overhead; shipped
     configs carry a CALIBRATED default. The stem always sees the full
-    token count (pruning happens after embedding).
+    token count (pruning happens after embedding). ``table`` is the
+    unpruned configuration's ``block_table``, when the caller has built
+    it (``table_for``); only the reduced-token table is built then.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {p}")
     if not 0 <= prune_from_encoder < cfg.n_encoders:
         raise ValueError("prune_from_encoder out of range")
     t_pruned = max(1, round(cfg.t * (1.0 - p)))
-    tables = {t: block_table(replace(cfg, t=t), dev, tiles, sp, opts)
-              for t in {cfg.t, t_pruned}}
-    groups = [(tables[cfg.t], prune_from_encoder, 0),
-              (tables[t_pruned], cfg.n_encoders - prune_from_encoder, 0)]
+    full = table_for(cfg, dev, tiles, sp, opts, table)
+    pruned = (full if t_pruned == cfg.t
+              else block_table(replace(cfg, t=t_pruned), dev, tiles, sp, opts))
+    groups = [(full, prune_from_encoder, 0),
+              (pruned, cfg.n_encoders - prune_from_encoder, 0)]
     return assemble(groups, predictor_overhead)

@@ -1,8 +1,10 @@
 """Delay-targeted reuse search and pattern ranking.
 
-The search sweeps the reuse count upward from zero and stops at the
+The search reads a delay ladder, the model cost at every reuse count
+assembled from one block table, upward from zero and stops at the
 first count whose modelled delay meets the target; because the stack
-is isotropic the count fully determines cost. Which encoders to pick
+is isotropic the count fully determines cost. One ladder serves every
+target of a configuration. Which encoders to pick
 is then a quality question: candidates come from the uniform pattern
 families and are ranked by a pluggable scorer (lower is better).
 
@@ -17,12 +19,20 @@ External per-pattern scores from a JSON file are also accepted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cost import CostOptions, ModelCost, SoftmaxUnitParams, assemble, block_table
+from .cost import (
+    BlockTable,
+    CostOptions,
+    ModelCost,
+    SoftmaxUnitParams,
+    assemble,
+    block_table,
+)
 from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
 from .mapping import DeviceAssignment, DeviceParams, TileConfig
 from .patterns import (
@@ -55,6 +65,60 @@ class OptimizationResult:
         return None if self.cost is None else self.cost.d_vit_ms
 
 
+def check_target(target_delay_ms: float) -> None:
+    """A delay target must be a positive, finite number of milliseconds."""
+    if not (math.isfinite(target_delay_ms) and target_delay_ms > 0):
+        raise ValueError(f"target delay must be positive and finite, got {target_delay_ms}")
+
+
+def delay_ladder(table: BlockTable, n_encoders: int) -> tuple[ModelCost, ...]:
+    """The model cost at every reuse count r = 0 .. n_encoders - 1.
+
+    Entry r is ``model_cost(cfg, r, ...)`` bit for bit, assembled from
+    the configuration's one block table. The count stops at
+    n_encoders - 1: every reuser needs some preceding encoder to draw from.
+    """
+    if n_encoders < 1:
+        raise ValueError(f"a delay search needs at least one encoder, got {n_encoders}")
+    return tuple(assemble([(table, n_encoders - r, r)]) for r in range(n_encoders))
+
+
+def search_ladder(ladder: Sequence[ModelCost], target_delay_ms: float) -> OptimizationResult:
+    """Smallest reuse count on ``delay_ladder`` whose delay meets the target.
+
+    An unreachable target yields an explicit infeasible result, never a
+    clamped one.
+    """
+    check_target(target_delay_ms)
+    baseline = ladder[0].d_vit_ms
+    for r, cost in enumerate(ladder):
+        if cost.d_vit_ms <= target_delay_ms:
+            return OptimizationResult(target_delay_ms, True, r, cost, baseline)
+    return OptimizationResult(target_delay_ms, False, None, None, baseline)
+
+
+def rank_patterns(
+    found: OptimizationResult,
+    n_encoders: int,
+    scorer: Scorer,
+    families: Iterable[PatternKind],
+) -> OptimizationResult:
+    """``found`` with the patterns of its reuse count scored and the best picked.
+
+    When no pattern of the chosen families has the reuse count the delay
+    needs, the result is infeasible but keeps that count: a larger count
+    fits no better, since a pattern's span grows with its count.
+    """
+    if not found.feasible or found.optimal_n_reuse == 0:
+        return found
+    patterns = enumerate_patterns(n_encoders, found.optimal_n_reuse, families)
+    if not patterns:
+        return replace(found, feasible=False)
+    scored = tuple((p, float(scorer(p))) for p in patterns)
+    return replace(found, candidates=scored,
+                   best=select_best(patterns, dict(scored).__getitem__))
+
+
 def find_optimal_n_reuse(
     cfg: ModelConfig,
     dev: DeviceParams | DeviceAssignment,
@@ -65,22 +129,12 @@ def find_optimal_n_reuse(
 ) -> OptimizationResult:
     """Smallest reuse count whose delay meets the target.
 
-    Every count's cost is assembled from one block table, so the result
-    keeps ``model_cost(cfg, r, ...)`` bit for bit. The count is capped at
-    n_encoders - 1 (every reuser needs some preceding encoder to draw
-    from). An unreachable target yields an explicit infeasible result,
-    never a clamped one.
+    ``search_ladder`` over the ``delay_ladder`` of one block table, so
+    the cost is ``model_cost(cfg, r, ...)`` bit for bit. A caller with
+    several targets builds the ladder once and searches it per target.
     """
-    if target_delay_ms <= 0:
-        raise ValueError("target delay must be positive")
     table = block_table(cfg, dev, tiles, sp, opts)
-    n = cfg.n_encoders
-    baseline = assemble([(table, n, 0)]).d_vit_ms
-    for r in range(n):
-        cost = assemble([(table, n - r, r)])
-        if cost.d_vit_ms <= target_delay_ms:
-            return OptimizationResult(target_delay_ms, True, r, cost, baseline)
-    return OptimizationResult(target_delay_ms, False, None, None, baseline)
+    return search_ladder(delay_ladder(table, cfg.n_encoders), target_delay_ms)
 
 
 def optimize(
@@ -97,21 +151,10 @@ def optimize(
         PatternKind.PYRAMID,
     ),
 ) -> OptimizationResult:
-    """Reuse-count search followed by pattern enumeration and ranking.
-
-    When no pattern of the chosen families has the reuse count the delay
-    needs, the result is infeasible but keeps that count: a larger count
-    fits no better, since a pattern's span grows with its count.
-    """
+    """Reuse-count search followed by pattern enumeration and ranking:
+    ``rank_patterns`` of ``find_optimal_n_reuse``."""
     found = find_optimal_n_reuse(cfg, dev, tiles, sp, target_delay_ms, opts)
-    if not found.feasible or found.optimal_n_reuse == 0:
-        return found
-    patterns = enumerate_patterns(cfg.n_encoders, found.optimal_n_reuse, families)
-    if not patterns:
-        return replace(found, feasible=False)
-    scored = tuple((p, float(scorer(p))) for p in patterns)
-    return replace(found, candidates=scored,
-                   best=select_best(patterns, dict(scored).__getitem__))
+    return rank_patterns(found, cfg.n_encoders, scorer, families)
 
 
 def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:

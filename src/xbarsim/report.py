@@ -2,10 +2,13 @@
 
 A scenario evaluates one model on one device. ``resolve`` turns it into
 cost-model inputs, the presets under its config file, for every
-command. ``run_scenario`` gives a baseline row plus one row per delay
-target, each target resolved to its minimal reuse count and a concrete
+command, and costs the scenario once: one block table, and from it the
+delay ladder, the model cost at every reuse count. ``run_scenario``
+gives a baseline row plus one row per delay target, each target
+resolved on that ladder to its minimal reuse count and a concrete
 reuse pattern picked by the configured scorer; ``run_compare`` puts
-weight sharing and token pruning beside the same reuse rows. Rows
+weight sharing, assembled from the same table, and token pruning
+beside the same reuse rows. Rows
 carry the headline metrics and EDAP reduction against baseline;
 per-block breakdown shares are emitted alongside (separate CSV, and
 inline in the JSON document).
@@ -27,11 +30,13 @@ from typing import NamedTuple
 
 from . import config as cfgmod
 from .cost import (
+    BlockTable,
     CostOptions,
     ModelCost,
     SoftmaxUnitParams,
     apply_token_pruning,
     apply_weight_sharing,
+    block_table,
     breakdown,
     model_cost,
 )
@@ -39,9 +44,12 @@ from .mapping import DeviceAssignment, DeviceParams, TileConfig, hybrid_assignme
 from .optimize import (
     OptimizationResult,
     Scorer,
+    check_target,
+    delay_ladder,
     load_external_scorer,
     make_cka_scorer,
-    optimize,
+    rank_patterns,
+    search_ladder,
     synthetic_attention_outputs,
 )
 from .patterns import PatternKind, explicit_pattern
@@ -82,8 +90,8 @@ class Scenario:
     config_path: str | None = None
 
     def __post_init__(self) -> None:
-        if any(t <= 0 for t in self.target_delays_ms):
-            raise ValueError("target delays must be positive")
+        for target in self.target_delays_ms:
+            check_target(target)
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,8 @@ def resolve_device(name: str, sc: cfgmod.ScenarioConfig):
 
 
 class Inputs(NamedTuple):
-    """A scenario's resolved cost-model inputs."""
+    """A scenario's resolved cost-model inputs, with the block table and
+    delay ladder they give."""
 
     cfg: ModelConfig
     dev: DeviceParams | DeviceAssignment
@@ -155,24 +164,33 @@ class Inputs(NamedTuple):
     sp: SoftmaxUnitParams
     opts: CostOptions
     pruning_overhead: tuple[float, float, float]
+    table: BlockTable
+    ladder: tuple[ModelCost, ...]
 
-    def cost(self, n_reuse: int) -> ModelCost:
-        return model_cost(self.cfg, n_reuse, self.dev, self.tiles, self.sp, self.opts)
+    def baseline(self) -> ModelCost:
+        """The cost without reuse, equal to ``ladder[0]``. It is costed by
+        ``model_cost``, the call bench/test_bench.py traces in a simulate op."""
+        return model_cost(self.cfg, 0, self.dev, self.tiles, self.sp, self.opts)
 
     def optimize(self, target: float, scorer: Scorer, families) -> OptimizationResult:
-        return optimize(self.cfg, self.dev, self.tiles, self.sp, target, scorer,
-                        self.opts, families)
+        """``optimize`` for one target, searched on the scenario's ladder."""
+        return rank_patterns(search_ladder(self.ladder, target), self.cfg.n_encoders,
+                             scorer, families)
 
 
 def resolve(scenario: Scenario) -> Inputs:
-    """The presets under the scenario's config file, resolved once."""
+    """The presets under the scenario's config file, resolved once, and
+    the block table and delay ladder every target of it reads."""
     sc = cfgmod.ScenarioConfig(scenario.config_path)
     cfg = sc.model(scenario.model)
     if cfg.n_encoders < 1:
         raise ValueError(f"model {cfg.name} has n_encoders = {cfg.n_encoders}; "
                          "a scenario needs at least one encoder")
-    return Inputs(cfg, resolve_device(scenario.device, sc),
-                  sc.tiles(), sc.softmax(), sc.cost_options(), sc.pruning_overhead())
+    dev, tiles, sp, opts = (resolve_device(scenario.device, sc), sc.tiles(),
+                            sc.softmax(), sc.cost_options())
+    table = block_table(cfg, dev, tiles, sp, opts)
+    return Inputs(cfg, dev, tiles, sp, opts, sc.pruning_overhead(), table,
+                  delay_ladder(table, cfg.n_encoders))
 
 
 def _row(
@@ -236,7 +254,7 @@ def _target_row(
 def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[ReportRow]:
     """Baseline row plus one row per delay target, in input order."""
     inputs = resolve(scenario) if inputs is None else inputs
-    base = inputs.cost(0)
+    base = inputs.baseline()
     rows = [_row(scenario, base, "none", base.edap)]
     if scenario.patterns.startswith("explicit:"):
         if scenario.target_delays_ms:
@@ -244,7 +262,7 @@ def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[Repor
                              "takes no --target-delay")
         indices = (int(i) for i in scenario.patterns.split(":", 1)[1].split(",") if i)
         pat = explicit_pattern(inputs.cfg.n_encoders, indices)
-        rows.append(_row(scenario, inputs.cost(pat.n_reuse), pat.label(), base.edap))
+        rows.append(_row(scenario, inputs.ladder[pat.n_reuse], pat.label(), base.edap))
         return rows
     scorer = make_scorer(scenario, inputs.cfg)
     rows += [_target_row(scenario, inputs, t, scorer, base.edap)
@@ -264,13 +282,14 @@ def run_compare(
     compare report leaves out.
     """
     inputs = resolve(scenario) if inputs is None else inputs
-    cfg, dev, tiles, sp, opts, overhead = inputs
-    base = inputs.cost(0)
+    cfg, dev, tiles, sp, opts, overhead, table, _ = inputs
+    base = inputs.baseline()
     entries = [("baseline", base)]
-    entries += [(f"ws={ws}", apply_weight_sharing(cfg, ws, dev, tiles, sp, opts))
+    entries += [(f"ws={ws}", apply_weight_sharing(cfg, ws, dev, tiles, sp, opts,
+                                                  table=table))
                 for ws in ws_groups]
     entries += [(f"prune p={p:.2f}",
-                 apply_token_pruning(cfg, p, dev, tiles, sp, opts, overhead))
+                 apply_token_pruning(cfg, p, dev, tiles, sp, opts, overhead, table=table))
                 for p in prune_ratios]
     rows = [_row(scenario, mc, label, base.edap, detail=False) for label, mc in entries]
     scorer = make_scorer(scenario, cfg)

@@ -1,5 +1,6 @@
 """The block table behind every model cost: model_cost, the reuse-count
-search, weight sharing and token pruning all assemble it."""
+search, weight sharing and token pruning all assemble it, and one
+delay ladder per scenario serves every target."""
 
 import dataclasses
 import importlib
@@ -7,7 +8,7 @@ import math
 
 import pytest
 
-from xbarsim import cost
+from xbarsim import cost, report
 from xbarsim.cli import main
 from xbarsim.config import ScenarioConfig
 from xbarsim.cost import BLOCK_NAMES, block_table, model_cost
@@ -37,6 +38,31 @@ def test_search_meets_each_model_delay_exactly(model, device):
 
 
 @pytest.mark.parametrize("model,device", GRID)
+def test_ladder_search_equals_a_brute_force_scan(model, device):
+    inputs = report.resolve(report.Scenario("ladder", model, device))
+    cfg, dev, tiles, sp, opts = _inputs(model, device)
+    costs = [model_cost(cfg, r, dev, tiles, sp, opts) for r in range(cfg.n_encoders)]
+    # every ladder delay and its neighbours; the one below the smallest
+    # delay is infeasible
+    targets = {math.nextafter(c.d_vit_ms, direction)
+               for c in costs for direction in (-math.inf, math.inf)}
+    targets |= {c.d_vit_ms for c in costs}
+    for target in sorted(targets):
+        met = [r for r, c in enumerate(costs) if c.d_vit_ms <= target]
+        for found in (inputs.optimize(target, lambda p: 0.0, report.pattern_families("all")),
+                      opt.find_optimal_n_reuse(cfg, dev, tiles, sp, target, opts)):
+            if not met:
+                assert not found.feasible
+                assert found.optimal_n_reuse is None and found.cost is None
+                continue
+            assert found.feasible and found.optimal_n_reuse == met[0]
+            for field in dataclasses.fields(found.cost):
+                assert (getattr(found.cost, field.name)
+                        == getattr(costs[met[0]], field.name)), field.name
+            assert found.baseline_delay_ms == costs[0].d_vit_ms
+
+
+@pytest.mark.parametrize("model,device", GRID)
 def test_model_cost_is_the_table_scaled_by_block_counts(model, device):
     cfg, dev, tiles, sp, opts = _inputs(model, device)
     table = block_table(cfg, dev, tiles, sp, opts)
@@ -59,6 +85,21 @@ def test_table_macs_equal_the_mac_count(model, device, include_stem):
     cfg = dataclasses.replace(cfg, include_stem=include_stem)
     for r in range(cfg.n_encoders + 1):
         assert model_cost(cfg, r, dev, tiles, sp, opts).macs == mac_count(cfg, n_reuse=r)
+
+
+def test_transforms_take_only_a_table_of_their_own_inputs():
+    cfg, dev, tiles, sp, opts = _inputs("DeiT-S", "FeFET")
+    table = block_table(cfg, dev, tiles, sp, opts)
+    for transform, arg in ((cost.apply_weight_sharing, 2), (cost.apply_token_pruning, 0.3)):
+        assert (transform(cfg, arg, dev, tiles, sp, opts, table=table)
+                == transform(cfg, arg, dev, tiles, sp, opts))
+        padded = dataclasses.replace(opts, pad_to_tiles=not opts.pad_to_tiles)
+        others = [block_table(dataclasses.replace(cfg, t=cfg.t - 1), dev, tiles, sp, opts),
+                  block_table(cfg, _inputs("DeiT-S", "SRAM")[1], tiles, sp, opts),
+                  block_table(cfg, dev, tiles, sp, padded)]
+        for other in others:
+            with pytest.raises(ValueError, match="built from other inputs"):
+                transform(cfg, arg, dev, tiles, sp, opts, table=other)
 
 
 def test_search_builds_one_table(monkeypatch):
@@ -84,9 +125,9 @@ def test_search_builds_one_table(monkeypatch):
     assert calls == {"table": 1, "layers": layers_per_table}
 
 
-def test_simulate_costs_each_target_from_its_search(monkeypatch, tmp_path):
-    # one table for the baseline and one per target search; the rows reuse
-    # the searches' costs instead of building a table again
+def _tables_per_run(monkeypatch, tmp_path, command: str) -> list[list[str]]:
+    """The block tables ``command`` builds for DeiT-S on FeFET, run with 1
+    and with 4 delay targets: the model name of each table, per run."""
     calls = []
     real_table = cost.block_table
 
@@ -94,10 +135,26 @@ def test_simulate_costs_each_target_from_its_search(monkeypatch, tmp_path):
         calls.append(args[0].name)
         return real_table(*args, **kwargs)
 
-    monkeypatch.setattr(cost, "block_table", counted_table)
-    monkeypatch.setattr(opt, "block_table", counted_table)
-    argv = ["simulate", "--model", "DeiT-S", "--device", "FeFET", "--out", str(tmp_path)]
-    for target in ("9", "7", "6", "4"):
-        argv += ["--target-delay", target]
-    assert main(argv) == 0
-    assert calls == ["DeiT-S"] * 5
+    for module in (cost, opt, report):
+        monkeypatch.setattr(module, "block_table", counted_table)
+    runs = []
+    for targets in (["7"], ["9", "7", "6", "4"]):
+        argv = [command, "--model", "DeiT-S", "--device", "FeFET", "--out", str(tmp_path)]
+        for target in targets:
+            argv += ["--target-delay", target]
+        calls.clear()
+        assert main(argv) == 0
+        runs.append(list(calls))
+    return runs
+
+
+def test_simulate_costs_each_target_from_its_search(monkeypatch, tmp_path):
+    # one table for the model_cost baseline and one for the scenario's delay
+    # ladder, which every target searches; no count depends on the targets
+    assert _tables_per_run(monkeypatch, tmp_path, "simulate") == [["DeiT-S"] * 2] * 2
+
+
+def test_compare_costs_each_target_from_one_ladder(monkeypatch, tmp_path):
+    # simulate's two tables, plus the reduced-token table of the one default
+    # pruning ratio; weight sharing assembles the scenario's table
+    assert _tables_per_run(monkeypatch, tmp_path, "compare") == [["DeiT-S"] * 3] * 2

@@ -147,6 +147,10 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["simulate", "--config", "MISSING_INI", "--target-delay", "7"],
      "cannot read config file .*missing.ini"),
     (["simulate", "--target-delay", "-1"], "must be positive"),
+    (["simulate", "--target-delay", "7", "--target-delay", "nan"],
+     "must be positive and finite, got nan"),
+    (["compare", "--target-delay", "inf"], "must be positive and finite, got inf"),
+    (["optimize", "--target-delay", "nan"], "must be positive and finite, got nan"),
     (["simulate", "--patterns", "explicit:3,5", "--target-delay", "7"],
      "takes no --target-delay"),
     (["simulate", "--format", ",", "--target-delay", "7"], "no report format"),
@@ -156,7 +160,8 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
         "funcsim-exact-device-section", "simulate-missing-config",
-        "simulate-target-delay", "simulate-explicit-with-target",
+        "simulate-target-delay", "simulate-nan-target", "compare-inf-target",
+        "optimize-nan-target", "simulate-explicit-with-target",
         "simulate-empty-format", "funcsim-empty-model", "simulate-empty-model",
         "optimize-empty-model", "compare-empty-model"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
@@ -182,7 +187,8 @@ def test_empty_out_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
     forward pass or reuse search runs, and nothing is created."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("xbarsim.cli.model_forward", _must_not_run)
-    monkeypatch.setattr("xbarsim.report.optimize", _must_not_run)
+    for costing in ("block_table", "delay_ladder", "search_ladder"):
+        monkeypatch.setattr(f"xbarsim.report.{costing}", _must_not_run)
     argv = [command]
     if command == "funcsim":
         argv += ["--encoders", "2", "--device", "FeFET"]

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +75,20 @@ class TestFindOptimalNReuse:
     def test_invalid_target(self, deit, fefet, tiles, softmax_params, cost_opts):
         with pytest.raises(ValueError):
             find_optimal_n_reuse(deit, fefet, tiles, softmax_params, 0.0, cost_opts)
+
+    def test_empty_stack_has_no_search(self, deit, fefet, tiles, softmax_params, cost_opts):
+        empty = dataclasses.replace(deit, n_encoders=0)
+        with pytest.raises(ValueError, match="at least one encoder, got 0"):
+            find_optimal_n_reuse(empty, fefet, tiles, softmax_params, 7.0, cost_opts)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, deit, fefet, tiles, softmax_params, cost_opts, target):
+        # nan compares false against every delay, and inf is met at zero reuse;
+        # either would reach the report as a JSON NaN or Infinity
+        with pytest.raises(ValueError, match="positive and finite"):
+            find_optimal_n_reuse(deit, fefet, tiles, softmax_params, target, cost_opts)
+        with pytest.raises(ValueError, match="positive and finite"):
+            optimize(deit, fefet, tiles, softmax_params, target, lambda p: 0.0, cost_opts)
 
 
 class TestCkaScorer:
