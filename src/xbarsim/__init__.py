@@ -25,12 +25,14 @@ from .mapping import (
 )
 from .cost import (
     BlockCost,
+    BlockTable,
     CostOptions,
     LayerCost,
     ModelCost,
     SoftmaxUnitParams,
     apply_token_pruning,
     apply_weight_sharing,
+    block_table,
     breakdown,
     layer_cost,
     model_cost,
@@ -50,6 +52,7 @@ from .config import (
     load_cost_options,
     load_device_params,
     load_model_config,
+    load_pruning_overhead,
     load_softmax_params,
     load_tile_config,
 )

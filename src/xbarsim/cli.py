@@ -86,7 +86,7 @@ def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
     formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     if feasible_only:
         rows = [row for row in rows if row.feasible]
-    paths = emit(rows, args.out, args.name, formats, meta)
+    paths = emit(rows, args.out, args.name, formats, meta=meta)
     print("wrote: " + ", ".join(paths))
     return 0
 
@@ -94,15 +94,15 @@ def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
-    return _report(args, run_scenario(scenario, inputs), report_meta(scenario, inputs))
+    return _report(args, run_scenario(scenario, inputs), report_meta(inputs, scenario))
 
 
 def cmd_optimize(args) -> int:
     scenario = _scenario(args)
     families = pattern_families(scenario.patterns)
     inputs = resolve(scenario)
-    result = inputs.optimize(args.target_delay[0], make_scorer(scenario, inputs.cfg),
-                             families)
+    cfg = inputs.table.cfg
+    result = inputs.optimize(args.target_delay[0], make_scorer(scenario, cfg), families)
     if not result.feasible:
         if result.optimal_n_reuse is None:
             print(f"target {result.target_delay_ms} ms infeasible "
@@ -110,7 +110,7 @@ def cmd_optimize(args) -> int:
         else:
             print(f"target {result.target_delay_ms} ms infeasible: it needs "
                   f"n_reuse = {result.optimal_n_reuse}, and no {scenario.patterns} "
-                  f"pattern of that count fits {inputs.cfg.n_encoders} encoders")
+                  f"pattern of that count fits {cfg.n_encoders} encoders")
         return 1
     print(f"optimal n_reuse = {result.optimal_n_reuse} "
           f"(baseline {result.baseline_delay_ms:.2f} ms -> "
@@ -182,7 +182,7 @@ def cmd_compare(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
     rows = run_compare(scenario, args.ws or [2], args.prune_ratio or [0.3], inputs)
-    return _report(args, rows, report_meta(inputs=inputs), feasible_only=True)
+    return _report(args, rows, report_meta(inputs), feasible_only=True)
 
 
 @functools.cache

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import functools
+import math
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -45,7 +46,10 @@ def _parse(value: str, target_type: type):
             raise ValueError(f"not an integer: {value!r}")
         return int(number)
     if target_type is float:
-        return float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"not a finite number: {value!r}")
+        return number
     return target_type(value) if isinstance(target_type, type) else value
 
 
@@ -59,7 +63,13 @@ def _typed_kwargs(schema: dict, raw: dict, where: str) -> dict:
     unknown = [key for key in raw if key not in schema]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    return {key: _parse(value, schema[key]) for key, value in raw.items()}
+    typed = {}
+    for key, value in raw.items():
+        try:
+            typed[key] = _parse(value, schema[key])
+        except ValueError as exc:
+            raise ValueError(f"{key} in {where}: {exc}") from None
+    return typed
 
 
 def _read_ini(text: str, source: str) -> dict[str, dict[str, str]]:
@@ -148,6 +158,9 @@ class ScenarioConfig:
     def pruning_overhead(self) -> tuple[float, float, float]:
         """(energy_mJ, delay_ms, area_mm2) of the token-pruning predictors."""
         values = self._merged(_PRUNING, "token_pruning")
+        negative = [key for key in _PRUNING_KEYS if values[key] < 0]
+        if negative:
+            raise ValueError(f"[token_pruning] {negative[0]} must be non-negative")
         return tuple(values[key] for key in _PRUNING_KEYS)
 
     def noise(self) -> dict:

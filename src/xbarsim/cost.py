@@ -60,6 +60,12 @@ from .workload import (
 )
 
 
+def _check_non_negative(params, attrs: Sequence[str]) -> None:
+    for attr in attrs:
+        if getattr(params, attr) < 0:
+            raise ValueError(f"{attr} must be non-negative")
+
+
 @dataclass(frozen=True)
 class SoftmaxUnitParams:
     """Per-elementary-operation cost of the digital softmax unit.
@@ -79,10 +85,8 @@ class SoftmaxUnitParams:
 
     def __post_init__(self) -> None:
         # Zero is tolerated so degenerate unit configurations stay expressible.
-        for attr in ("e_select_pj", "e_exponent_pj", "e_div_pj",
-                     "d_select_ns", "d_exponent_ns", "d_div_ns"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be non-negative")
+        _check_non_negative(self, ("e_select_pj", "e_exponent_pj", "e_div_pj",
+                                   "d_select_ns", "d_exponent_ns", "d_div_ns"))
 
     @property
     def e_total_pj(self) -> float:
@@ -116,6 +120,10 @@ class CostOptions:
     tb_area_mm2: float = 0.0
     vec_energy_uj: float = 0.0
     vec_delay_us: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self, ("tb_energy_uj", "tb_delay_us", "tb_area_mm2",
+                                   "vec_energy_uj", "vec_delay_us"))
 
 
 @dataclass(frozen=True)
@@ -228,18 +236,22 @@ def softmax_cost(cfg: ModelConfig, sp: SoftmaxUnitParams) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class BlockTable:
-    """One configuration's blocks, each costed once.
+    """One configuration's blocks, each costed once, and the inputs they
+    were costed from.
 
     ``blocks`` holds one encoder's attn, tb, proj and mlp blocks and the
     model's stem; ``macs`` counts a full encoder, a reusing encoder and
     the stem. Model cost is linear in the block counts, so every model
-    cost is an ``assemble`` of tables. ``inputs`` records the (cfg, dev,
-    tiles, sp, opts) it was costed from.
+    cost is an ``assemble`` of tables.
     """
 
     blocks: Mapping[str, BlockCost]
     macs: tuple[int, int, int]
-    inputs: tuple = field(default=(), compare=False, repr=False)
+    cfg: ModelConfig
+    dev: DeviceParams | DeviceAssignment
+    tiles: TileConfig
+    sp: SoftmaxUnitParams
+    opts: CostOptions
 
 
 def block_table(
@@ -289,7 +301,7 @@ def block_table(
         "stem": block(stem_layers(cfg) if cfg.include_stem else ()),
     }
     macs = (encoder_macs(cfg), encoder_macs(cfg, reuses=True), stem_macs(cfg))
-    return BlockTable(blocks, macs, (cfg, dev, tiles, sp, opts))
+    return BlockTable(blocks, macs, cfg, dev, tiles, sp, opts)
 
 
 def assemble(
@@ -341,23 +353,6 @@ def assemble(
     )
 
 
-def table_for(
-    cfg: ModelConfig,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    sp: SoftmaxUnitParams,
-    opts: CostOptions,
-    table: BlockTable | None,
-) -> BlockTable:
-    """``table`` if the caller built it from exactly these inputs, else a
-    new ``block_table``; a table of other inputs would cost silently wrong."""
-    if table is None:
-        return block_table(cfg, dev, tiles, sp, opts)
-    if table.inputs != (cfg, dev, tiles, sp, opts):
-        raise ValueError("the block table was built from other inputs")
-    return table
-
-
 def model_cost(
     cfg: ModelConfig,
     n_reuse: int,
@@ -402,61 +397,43 @@ def breakdown(mc: ModelCost) -> dict[str, dict[str, float]]:
     return shares
 
 
-def apply_weight_sharing(
-    cfg: ModelConfig,
-    ws: int,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    sp: SoftmaxUnitParams,
-    opts: CostOptions = CostOptions(),
-    *,
-    table: BlockTable | None = None,
-) -> ModelCost:
+def apply_weight_sharing(table: BlockTable, ws: int) -> ModelCost:
     """ws encoders share one weight set: weight area shrinks, E/D do not.
 
     Dynamic K^T / V arrays stay per-encoder (they buffer activations),
     and the stem is already unshared. Energy and delay are returned
-    bit-identical to the unshared model. ``table`` is this
-    configuration's ``block_table``, when the caller has built it
-    (``table_for``).
+    bit-identical to the unshared model of ``table``.
     """
+    n = table.cfg.n_encoders
     if ws < 1:
         raise ValueError("ws must be >= 1")
-    if cfg.n_encoders % ws != 0:
-        raise ValueError(f"ws={ws} does not divide n_encoders={cfg.n_encoders}")
-    return assemble([(table_for(cfg, dev, tiles, sp, opts, table), cfg.n_encoders, 0)],
-                    ws=ws)
+    if n % ws != 0:
+        raise ValueError(f"ws={ws} does not divide n_encoders={n}")
+    return assemble([(table, n, 0)], ws=ws)
 
 
 def apply_token_pruning(
-    cfg: ModelConfig,
+    table: BlockTable,
     p: float,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    sp: SoftmaxUnitParams,
-    opts: CostOptions = CostOptions(),
     predictor_overhead: tuple[float, float, float] = (0.0, 0.0, 0.0),
     prune_from_encoder: int = 0,
-    *,
-    table: BlockTable | None = None,
 ) -> ModelCost:
     """Drop a fraction p of tokens from ``prune_from_encoder`` onward.
 
     The standalone predictor networks that pick the tokens are charged
     as a constant (energy_mJ, delay_ms, area_mm2) overhead; shipped
     configs carry a CALIBRATED default. The stem always sees the full
-    token count (pruning happens after embedding). ``table`` is the
-    unpruned configuration's ``block_table``, when the caller has built
-    it (``table_for``); only the reduced-token table is built then.
+    token count (pruning happens after embedding). Only the
+    reduced-token table is built; ``table`` costs the unpruned encoders.
     """
+    cfg = table.cfg
     if not 0.0 <= p < 1.0:
         raise ValueError(f"pruning ratio must be in [0, 1), got {p}")
     if not 0 <= prune_from_encoder < cfg.n_encoders:
         raise ValueError("prune_from_encoder out of range")
     t_pruned = max(1, round(cfg.t * (1.0 - p)))
-    full = table_for(cfg, dev, tiles, sp, opts, table)
-    pruned = (full if t_pruned == cfg.t
-              else block_table(replace(cfg, t=t_pruned), dev, tiles, sp, opts))
-    groups = [(full, prune_from_encoder, 0),
+    pruned = (table if t_pruned == cfg.t else block_table(
+        replace(cfg, t=t_pruned), table.dev, table.tiles, table.sp, table.opts))
+    groups = [(table, prune_from_encoder, 0),
               (pruned, cfg.n_encoders - prune_from_encoder, 0)]
     return assemble(groups, predictor_overhead)

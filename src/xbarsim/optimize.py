@@ -71,13 +71,14 @@ def check_target(target_delay_ms: float) -> None:
         raise ValueError(f"target delay must be positive and finite, got {target_delay_ms}")
 
 
-def delay_ladder(table: BlockTable, n_encoders: int) -> tuple[ModelCost, ...]:
+def delay_ladder(table: BlockTable) -> tuple[ModelCost, ...]:
     """The model cost at every reuse count r = 0 .. n_encoders - 1.
 
-    Entry r is ``model_cost(cfg, r, ...)`` bit for bit, assembled from
-    the configuration's one block table. The count stops at
+    Entry r is ``model_cost(cfg, r, ...)`` of the inputs of ``table``
+    bit for bit, assembled from that one table. The count stops at
     n_encoders - 1: every reuser needs some preceding encoder to draw from.
     """
+    n_encoders = table.cfg.n_encoders
     if n_encoders < 1:
         raise ValueError(f"a delay search needs at least one encoder, got {n_encoders}")
     return tuple(assemble([(table, n_encoders - r, r)]) for r in range(n_encoders))
@@ -133,8 +134,8 @@ def find_optimal_n_reuse(
     the cost is ``model_cost(cfg, r, ...)`` bit for bit. A caller with
     several targets builds the ladder once and searches it per target.
     """
-    table = block_table(cfg, dev, tiles, sp, opts)
-    return search_ladder(delay_ladder(table, cfg.n_encoders), target_delay_ms)
+    return search_ladder(delay_ladder(block_table(cfg, dev, tiles, sp, opts)),
+                         target_delay_ms)
 
 
 def optimize(
@@ -189,12 +190,20 @@ def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:
 
 def load_external_scorer(path: str) -> Scorer:
     """Scores from a JSON file mapping "i,j,k" reuse sets to floats."""
-    with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
-    scores = {
-        tuple(sorted(int(i) for i in key.split(","))): float(value)
-        for key, value in table.items()
-    }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            table = json.load(fh)
+        scores = {
+            tuple(sorted(int(i) for i in key.split(","))): float(value)
+            for key, value in table.items()
+        }
+        if not all(map(math.isfinite, scores.values())):
+            raise ValueError("a score is not finite")
+    except OSError as exc:
+        raise ValueError(f"cannot read score file {path}: {exc.strerror}") from None
+    except (ValueError, TypeError, AttributeError):
+        raise ValueError(f"score file {path} is not a JSON object mapping "
+                         '"i,j,k" reuse sets to finite numbers') from None
 
     def score(pattern: ReusePattern) -> float:
         try:

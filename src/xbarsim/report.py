@@ -15,8 +15,9 @@ inline in the JSON document).
 
 Emission is deterministic: fixed column order, fixed float formatting,
 no timestamps, so identical scenarios and seeds produce byte-identical
-files. The JSON meta block states the conventions of the cost options
-used (accuracy is intentionally absent: it is not computable here).
+files. The JSON meta block states the conventions of the model and
+cost options the rows were costed from, the block table of ``resolve``
+(accuracy is intentionally absent: it is not computable here).
 Every file a command writes is encoded by ``json_text`` (JSON) and
 written by ``write_text`` under ``out_dir``.
 """
@@ -31,16 +32,14 @@ from typing import NamedTuple
 from . import config as cfgmod
 from .cost import (
     BlockTable,
-    CostOptions,
     ModelCost,
-    SoftmaxUnitParams,
     apply_token_pruning,
     apply_weight_sharing,
     block_table,
     breakdown,
     model_cost,
 )
-from .mapping import DeviceAssignment, DeviceParams, TileConfig, hybrid_assignment
+from .mapping import hybrid_assignment
 from .optimize import (
     OptimizationResult,
     Scorer,
@@ -155,27 +154,23 @@ def resolve_device(name: str, sc: cfgmod.ScenarioConfig):
 
 
 class Inputs(NamedTuple):
-    """A scenario's resolved cost-model inputs, with the block table and
-    delay ladder they give."""
+    """A scenario costed once: the block table of its resolved inputs,
+    the delay ladder of that table, and the token-pruning overhead."""
 
-    cfg: ModelConfig
-    dev: DeviceParams | DeviceAssignment
-    tiles: TileConfig
-    sp: SoftmaxUnitParams
-    opts: CostOptions
-    pruning_overhead: tuple[float, float, float]
     table: BlockTable
     ladder: tuple[ModelCost, ...]
+    pruning_overhead: tuple[float, float, float]
 
     def baseline(self) -> ModelCost:
         """The cost without reuse, equal to ``ladder[0]``. It is costed by
         ``model_cost``, the call bench/test_bench.py traces in a simulate op."""
-        return model_cost(self.cfg, 0, self.dev, self.tiles, self.sp, self.opts)
+        t = self.table
+        return model_cost(t.cfg, 0, t.dev, t.tiles, t.sp, t.opts)
 
     def optimize(self, target: float, scorer: Scorer, families) -> OptimizationResult:
         """``optimize`` for one target, searched on the scenario's ladder."""
-        return rank_patterns(search_ladder(self.ladder, target), self.cfg.n_encoders,
-                             scorer, families)
+        return rank_patterns(search_ladder(self.ladder, target),
+                             self.table.cfg.n_encoders, scorer, families)
 
 
 def resolve(scenario: Scenario) -> Inputs:
@@ -186,11 +181,9 @@ def resolve(scenario: Scenario) -> Inputs:
     if cfg.n_encoders < 1:
         raise ValueError(f"model {cfg.name} has n_encoders = {cfg.n_encoders}; "
                          "a scenario needs at least one encoder")
-    dev, tiles, sp, opts = (resolve_device(scenario.device, sc), sc.tiles(),
-                            sc.softmax(), sc.cost_options())
-    table = block_table(cfg, dev, tiles, sp, opts)
-    return Inputs(cfg, dev, tiles, sp, opts, sc.pruning_overhead(), table,
-                  delay_ladder(table, cfg.n_encoders))
+    table = block_table(cfg, resolve_device(scenario.device, sc), sc.tiles(),
+                        sc.softmax(), sc.cost_options())
+    return Inputs(table, delay_ladder(table), sc.pruning_overhead())
 
 
 def _row(
@@ -261,10 +254,10 @@ def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[Repor
             raise ValueError("--patterns explicit:i,j,k fixes the reuse set and "
                              "takes no --target-delay")
         indices = (int(i) for i in scenario.patterns.split(":", 1)[1].split(",") if i)
-        pat = explicit_pattern(inputs.cfg.n_encoders, indices)
+        pat = explicit_pattern(inputs.table.cfg.n_encoders, indices)
         rows.append(_row(scenario, inputs.ladder[pat.n_reuse], pat.label(), base.edap))
         return rows
-    scorer = make_scorer(scenario, inputs.cfg)
+    scorer = make_scorer(scenario, inputs.table.cfg)
     rows += [_target_row(scenario, inputs, t, scorer, base.edap)
              for t in scenario.target_delays_ms]
     return rows
@@ -282,40 +275,31 @@ def run_compare(
     compare report leaves out.
     """
     inputs = resolve(scenario) if inputs is None else inputs
-    cfg, dev, tiles, sp, opts, overhead, table, _ = inputs
+    table = inputs.table
     base = inputs.baseline()
     entries = [("baseline", base)]
-    entries += [(f"ws={ws}", apply_weight_sharing(cfg, ws, dev, tiles, sp, opts,
-                                                  table=table))
-                for ws in ws_groups]
-    entries += [(f"prune p={p:.2f}",
-                 apply_token_pruning(cfg, p, dev, tiles, sp, opts, overhead, table=table))
+    entries += [(f"ws={ws}", apply_weight_sharing(table, ws)) for ws in ws_groups]
+    entries += [(f"prune p={p:.2f}", apply_token_pruning(table, p, inputs.pruning_overhead))
                 for p in prune_ratios]
     rows = [_row(scenario, mc, label, base.edap, detail=False) for label, mc in entries]
-    scorer = make_scorer(scenario, cfg)
+    scorer = make_scorer(scenario, table.cfg)
     rows += [_target_row(scenario, inputs, t, scorer, base.edap, detail=False)
              for t in scenario.target_delays_ms]
     return rows
 
 
-def report_meta(scenario: Scenario | None = None, inputs: Inputs | None = None) -> dict:
-    """Report-header facts, stated from the model and cost options the
-    report used.
-
-    ``inputs`` defaults to the scenario resolved under its config file;
-    with neither, the calibrated presets' conventions are stated.
-    """
-    if inputs is None and scenario is not None:
-        inputs = resolve(scenario)
-    opts = inputs.opts if inputs is not None else cfgmod.ScenarioConfig().cost_options()
-    cfg = inputs.cfg if inputs is not None else None
+def report_meta(inputs: Inputs, scenario: Scenario | None = None) -> dict:
+    """Report-header facts, stated from the model and cost options of
+    ``inputs``, the ones the report was costed from; with ``scenario``,
+    also the scenario itself."""
+    cfg, opts = inputs.table.cfg, inputs.table.opts
     area = ("rounded up to whole tiles (pad_to_tiles)" if opts.pad_to_tiles
             else "not rounded to whole tiles (pad_to_tiles off)")
-    if cfg is not None and cfg.include_stem:
+    if cfg.include_stem:
         stem = "stem (patch embedding and classifier) included as mapped layers"
     else:
         stem = "stem excluded in the calibrated model presets"
-    if cfg is not None and cfg.input_cycles > 1:
+    if cfg.input_cycles > 1:
         serialization = (
             f"device read constants cover one {cfg.input_split_bits}-bit input "
             f"slice; reads repeat over input_bits / input_split_bits = "
@@ -396,9 +380,9 @@ def out_dir(path: str) -> str:
     return path
 
 
-def rows_to_json(rows: "list[ReportRow]", meta: dict | None = None) -> str:
+def rows_to_json(rows: "list[ReportRow]", meta: dict) -> str:
     return json_text({
-        "meta": meta or report_meta(),
+        "meta": meta,
         "rows": [{_JSON_KEYS.get(k, k): v for k, v in vars(r).items()} for r in rows],
     })
 
@@ -413,10 +397,12 @@ def emit(
     directory: str,
     basename: str,
     formats: "tuple[str, ...]" = ("csv", "json"),
-    meta: dict | None = None,
+    *,
+    meta: dict,
 ) -> list[str]:
-    """Write the report files under ``out_dir(directory)``; returns the
-    paths written. Every format is checked before anything is written."""
+    """Write the report files under ``out_dir(directory)``, the JSON with
+    ``meta`` as its header; returns the paths written. Every format is
+    checked before anything is written."""
     files = {
         "csv": ((".csv", format_csv), ("_breakdown.csv", format_breakdown_csv)),
         "json": ((".json", lambda rows: rows_to_json(rows, meta)),),

@@ -1,11 +1,13 @@
 import pytest
 
 from xbarsim import (
+    BlockTable,
     CostOptions,
     DeviceParams,
     ModelConfig,
     SoftmaxUnitParams,
     TileConfig,
+    block_table,
     load_cost_options,
     load_device_params,
     load_model_config,
@@ -42,6 +44,12 @@ def cost_opts() -> CostOptions:
 @pytest.fixture(scope="session")
 def deit() -> ModelConfig:
     return load_model_config("DeiT-S")
+
+
+@pytest.fixture(scope="session")
+def deit_table(deit, fefet, tiles, softmax_params, cost_opts) -> BlockTable:
+    """DeiT-S on FeFET under the preset tiles, softmax unit and cost options."""
+    return block_table(deit, fefet, tiles, softmax_params, cost_opts)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ PASS/FAIL line per criterion.
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from xbarsim.funcsim.forward import (
 from xbarsim.mapping import TileConfig, crossbars_for_layer
 from xbarsim.optimize import find_optimal_n_reuse
 from xbarsim.patterns import all_explicit_patterns, enumerate_patterns, validate_pattern
-from xbarsim.report import Scenario, emit, report_meta, run_scenario
+from xbarsim.report import Scenario, emit, report_meta, resolve, run_scenario
 from xbarsim.similarity import cka_score
 from xbarsim.workload import LayerKind, LayerSpec, attention_layers
 
@@ -328,16 +329,17 @@ def test_criterion_10_cka(deit):
     )
 
 
-def test_criterion_11_baseline_transforms(deit, fefet, tiles, softmax_params, cost_opts):
+def test_criterion_11_baseline_transforms(deit_table, deit, fefet, tiles, softmax_params,
+                                          cost_opts):
     """ws=2 is area-only (E, D bitwise equal); token pruning p=0 is identity."""
     base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-    shared = apply_weight_sharing(deit, 2, fefet, tiles, softmax_params, cost_opts)
+    shared = apply_weight_sharing(deit_table, 2)
     ws_ok = (
         shared.e_vit_mj == base.e_vit_mj
         and shared.d_vit_ms == base.d_vit_ms
         and shared.a_vit_mm2 < base.a_vit_mm2
     )
-    pruned = apply_token_pruning(deit, 0.0, fefet, tiles, softmax_params, cost_opts)
+    pruned = apply_token_pruning(deit_table, 0.0)
     prune_ok = pruned == base
     verdict(
         "11 baseline-transforms",
@@ -354,10 +356,11 @@ def test_criterion_12_determinism(tmp_path):
     )
 
     def run(sub):
-        rows = run_scenario(scenario)
+        inputs = resolve(scenario)
+        rows = run_scenario(scenario, inputs)
         paths = emit(rows, str(tmp_path / sub), "det", ("csv", "json"),
-                     report_meta(scenario))
-        return [open(p, "rb").read() for p in sorted(paths)]
+                     meta=report_meta(inputs, scenario))
+        return [Path(p).read_bytes() for p in sorted(paths)]
 
     files_ok = run("first") == run("second")
 

@@ -87,19 +87,14 @@ def test_table_macs_equal_the_mac_count(model, device, include_stem):
         assert model_cost(cfg, r, dev, tiles, sp, opts).macs == mac_count(cfg, n_reuse=r)
 
 
-def test_transforms_take_only_a_table_of_their_own_inputs():
-    cfg, dev, tiles, sp, opts = _inputs("DeiT-S", "FeFET")
+def test_token_pruning_builds_its_reduced_table_from_the_tables_inputs():
+    cfg, dev, tiles, sp, opts = _inputs("DeiT-S", "SRAM")
+    opts = dataclasses.replace(opts, pad_to_tiles=not opts.pad_to_tiles)
     table = block_table(cfg, dev, tiles, sp, opts)
-    for transform, arg in ((cost.apply_weight_sharing, 2), (cost.apply_token_pruning, 0.3)):
-        assert (transform(cfg, arg, dev, tiles, sp, opts, table=table)
-                == transform(cfg, arg, dev, tiles, sp, opts))
-        padded = dataclasses.replace(opts, pad_to_tiles=not opts.pad_to_tiles)
-        others = [block_table(dataclasses.replace(cfg, t=cfg.t - 1), dev, tiles, sp, opts),
-                  block_table(cfg, _inputs("DeiT-S", "SRAM")[1], tiles, sp, opts),
-                  block_table(cfg, dev, tiles, sp, padded)]
-        for other in others:
-            with pytest.raises(ValueError, match="built from other inputs"):
-                transform(cfg, arg, dev, tiles, sp, opts, table=other)
+    assert (table.cfg, table.dev, table.tiles, table.sp, table.opts) == (cfg, dev, tiles, sp, opts)
+    reduced = block_table(dataclasses.replace(cfg, t=round(cfg.t / 2)), dev, tiles, sp, opts)
+    assert (cost.apply_token_pruning(table, 0.5, prune_from_encoder=4)
+            == cost.assemble([(table, 4, 0), (reduced, cfg.n_encoders - 4, 0)]))
 
 
 def test_search_builds_one_table(monkeypatch):

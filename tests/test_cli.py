@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from xbarsim.cli import build_parser, main
-from xbarsim.report import Scenario, report_meta
+from xbarsim.report import Scenario, report_meta, resolve
 
 
 def read(path):
@@ -157,23 +157,65 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["funcsim", "--encoders", "0", *FUNCSIM_TOY], "--encoders must be >= 1, got 0"),
     *(([command, "--config", "EMPTY_MODEL_INI", "--target-delay", "5"],
        "model DeiT-S has n_encoders = 0") for command in ("simulate", "optimize", "compare")),
+    (["simulate", "--scorer", "external:MISSING_JSON", "--target-delay", "7"],
+     "cannot read score file .*missing.json: No such file"),
+    (["simulate", "--scorer", "external:LIST_JSON", "--target-delay", "7"],
+     "score file .*list.json is not a JSON object"),
+    (["simulate", "--scorer", "external:NAN_JSON", "--target-delay", "7"],
+     "score file .*nan.json is not a JSON object .* to finite numbers"),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
         "funcsim-exact-device-section", "simulate-missing-config",
         "simulate-target-delay", "simulate-nan-target", "compare-inf-target",
         "optimize-nan-target", "simulate-explicit-with-target",
         "simulate-empty-format", "funcsim-empty-model", "simulate-empty-model",
-        "optimize-empty-model", "compare-empty-model"])
+        "optimize-empty-model", "compare-empty-model", "simulate-missing-scores",
+        "simulate-list-scores", "simulate-nan-scores"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
-    inis = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
-            "MISSING_INI": tmp_path / "missing.ini",
-            "EMPTY_MODEL_INI": tmp_path / "empty.ini"}
-    inis["BAD_TILES_INI"].write_text("[tiles]\nbogus_key = 1\n")
-    inis["DEVICE_INI"].write_text("[device]\nbogus_key = 1\n")
-    inis["EMPTY_MODEL_INI"].write_text("[model]\nn_encoders = 0\n")
-    argv = [str(inis.get(a, a)) for a in argv]
+    files = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
+             "MISSING_INI": tmp_path / "missing.ini",
+             "EMPTY_MODEL_INI": tmp_path / "empty.ini",
+             "external:MISSING_JSON": f"external:{tmp_path / 'missing.json'}",
+             "external:LIST_JSON": f"external:{tmp_path / 'list.json'}",
+             "external:NAN_JSON": f"external:{tmp_path / 'nan.json'}"}
+    files["BAD_TILES_INI"].write_text("[tiles]\nbogus_key = 1\n")
+    files["DEVICE_INI"].write_text("[device]\nbogus_key = 1\n")
+    files["EMPTY_MODEL_INI"].write_text("[model]\nn_encoders = 0\n")
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    (tmp_path / "nan.json").write_text('{"1,2": 0.5, "5,7,9": NaN}\n')
+    argv = [str(files.get(a, a)) for a in argv]
     out = tmp_path / "out"
     assert re.search(match, usage_error([*argv, "--out", str(out)], capsys))
+    assert not out.exists()
+
+
+# config text -> the error it must give: a non-finite value, or a negative
+# cost constant, would be costed into NaN, infinite or impossible rows
+BAD_VALUES = {
+    "device-nan": ("[device]\ne_read_xbar_pj = nan\n",
+                   r"e_read_xbar_pj in \[device\]: not a finite number: 'nan'"),
+    "digital-inf": ("[digital]\nvec_delay_us = inf\n",
+                    r"vec_delay_us in \[cost\]/\[digital\]: not a finite number: 'inf'"),
+    "model-inf": ("[model]\nmlp_ratio = inf\n",
+                  r"mlp_ratio in \[model\]: not a finite number: 'inf'"),
+    "digital-negative": ("[digital]\nvec_delay_us = -500\n",
+                         "vec_delay_us must be non-negative"),
+    "cost-negative": ("[cost]\ntb_area_mm2 = -1\n", "tb_area_mm2 must be non-negative"),
+    "pruning-negative": ("[token_pruning]\npredictor_delay_ms = -5\n",
+                         r"\[token_pruning\] predictor_delay_ms must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_non_finite_or_negative_config_value_is_a_usage_error(case, command, tmp_path,
+                                                              capsys):
+    text, match = BAD_VALUES[case]
+    user = tmp_path / "bad.ini"
+    user.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(user), "--target-delay", "7", "--out", str(out)]
+    assert re.search(match, usage_error(argv, capsys))
     assert not out.exists()
 
 
@@ -269,7 +311,8 @@ def test_meta_states_resolved_cost_options(tmp_path):
     assert "not rounded to whole tiles" in meta["area_convention"]
     assert "mapped d x d crossbar FCs" in meta["tb_convention"]
     assert "digital constants" not in meta["tb_convention"]
-    direct = report_meta(Scenario("conv", "DeiT-S", "FeFET", config_path=str(user)))
+    scenario = Scenario("conv", "DeiT-S", "FeFET", config_path=str(user))
+    direct = report_meta(resolve(scenario), scenario)
     assert direct["area_convention"] == meta["area_convention"]
     assert direct["tb_convention"] == meta["tb_convention"]
 

@@ -250,54 +250,56 @@ class TestBreakdown:
 
 
 class TestWeightSharing:
-    def test_area_only_reduction(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_area_only_reduction(self, deit_table, deit, fefet, tiles, softmax_params,
+                                 cost_opts):
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        shared = apply_weight_sharing(deit, 2, fefet, tiles, softmax_params, cost_opts)
+        shared = apply_weight_sharing(deit_table, 2)
         assert shared.e_vit_mj == base.e_vit_mj  # bitwise
         assert shared.d_vit_ms == base.d_vit_ms  # bitwise
         assert shared.a_vit_mm2 < base.a_vit_mm2
         assert shared.tops_per_w == base.tops_per_w
 
-    def test_identity_at_ws_one(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_identity_at_ws_one(self, deit_table, deit, fefet, tiles, softmax_params,
+                                cost_opts):
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        assert apply_weight_sharing(deit, 1, fefet, tiles, softmax_params, cost_opts) == base
+        assert apply_weight_sharing(deit_table, 1) == base
 
-    def test_ws3_divides_weight_area(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_ws3_divides_weight_area(self, deit_table, deit, fefet, tiles, softmax_params,
+                                     cost_opts):
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        shared = apply_weight_sharing(deit, 3, fefet, tiles, softmax_params, cost_opts)
+        shared = apply_weight_sharing(deit_table, 3)
         weight_area = sum(b.weight_area_mm2 for b in base.blocks.values())
         stem_w = base.blocks["stem"].weight_area_mm2
         expected = base.a_vit_mm2 - (weight_area - stem_w) + (weight_area - stem_w) / 3
         assert close(shared.a_vit_mm2, expected)
 
-    def test_edap_reduction_roughly_2x(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_edap_reduction_roughly_2x(self, deit_table, deit, fefet, tiles, softmax_params,
+                                       cost_opts):
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        shared = apply_weight_sharing(deit, 2, fefet, tiles, softmax_params, cost_opts)
+        shared = apply_weight_sharing(deit_table, 2)
         assert 1.5 <= base.edap / shared.edap <= 2.1
 
-    def test_invalid_ws(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_invalid_ws(self, deit_table):
         with pytest.raises(ValueError):
-            apply_weight_sharing(deit, 0, fefet, tiles, softmax_params, cost_opts)
+            apply_weight_sharing(deit_table, 0)
         with pytest.raises(ValueError):
-            apply_weight_sharing(deit, 5, fefet, tiles, softmax_params, cost_opts)
+            apply_weight_sharing(deit_table, 5)
 
 
 class TestTokenPruning:
-    def test_p_zero_is_identity(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_p_zero_is_identity(self, deit_table, deit, fefet, tiles, softmax_params,
+                                cost_opts):
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        pruned = apply_token_pruning(deit, 0.0, fefet, tiles, softmax_params, cost_opts)
+        pruned = apply_token_pruning(deit_table, 0.0)
         assert pruned == base
 
     def test_calibrated_overhead_lands_near_published_factor(
-        self, deit, fefet, tiles, softmax_params, cost_opts
+        self, deit_table, deit, fefet, tiles, softmax_params, cost_opts
     ):
         from xbarsim.config import load_pruning_overhead
 
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        pruned = apply_token_pruning(
-            deit, 0.3, fefet, tiles, softmax_params, cost_opts,
-            predictor_overhead=load_pruning_overhead(),
-        )
+        pruned = apply_token_pruning(deit_table, 0.3, load_pruning_overhead())
         assert 1.15 <= base.edap / pruned.edap <= 1.45  # published claim ~1.3x
 
     def test_quadratic_token_dependence_of_qkt(self, fefet, tiles, softmax_params):
@@ -310,25 +312,25 @@ class TestTokenPruning:
         half = dataclasses.replace(cfg, t=32)
         assert qkt_macs(half) * 4 == qkt_macs(cfg)
 
-    def test_pruned_delay_reflects_token_cut(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_pruned_delay_reflects_token_cut(self, deit_table, deit, fefet, tiles,
+                                             softmax_params, cost_opts):
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-        pruned = apply_token_pruning(deit, 0.3, fefet, tiles, softmax_params, cost_opts)
+        pruned = apply_token_pruning(deit_table, 0.3)
         assert pruned.d_vit_ms < base.d_vit_ms
         assert pruned.e_vit_mj < base.e_vit_mj
 
-    def test_prune_from_middle(self, deit, fefet, tiles, softmax_params, cost_opts):
-        all_enc = apply_token_pruning(deit, 0.3, fefet, tiles, softmax_params, cost_opts)
-        from_six = apply_token_pruning(
-            deit, 0.3, fefet, tiles, softmax_params, cost_opts, prune_from_encoder=6
-        )
+    def test_prune_from_middle(self, deit_table, deit, fefet, tiles, softmax_params,
+                               cost_opts):
+        all_enc = apply_token_pruning(deit_table, 0.3)
+        from_six = apply_token_pruning(deit_table, 0.3, prune_from_encoder=6)
         base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
         assert all_enc.d_vit_ms < from_six.d_vit_ms < base.d_vit_ms
 
-    def test_invalid_ratio(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_invalid_ratio(self, deit_table):
         with pytest.raises(ValueError):
-            apply_token_pruning(deit, 1.0, fefet, tiles, softmax_params, cost_opts)
+            apply_token_pruning(deit_table, 1.0)
         with pytest.raises(ValueError):
-            apply_token_pruning(deit, -0.1, fefet, tiles, softmax_params, cost_opts)
+            apply_token_pruning(deit_table, -0.1)
 
 
 class TestHybridCost:

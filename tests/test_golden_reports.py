@@ -133,9 +133,9 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def report_digests(command, model, device, out_dir):
+def report_digests(command, model, device, out_dir, flags=()):
     argv = [command, "--model", model, "--device", device, "--name", "golden",
-            "--out", str(out_dir)]
+            "--out", str(out_dir), *flags]
     for target in TARGETS[(model, device)]:
         argv += ["--target-delay", target]
     assert main(argv) == 0
@@ -151,6 +151,37 @@ CASES = [(command, model, device) for command in ("simulate", "compare")
 def test_reports_match_golden(command, model, device, tmp_path):
     assert report_digests(command, model, device, tmp_path) == \
         GOLDEN[(command, model, device)]
+
+
+# (model, device) -> sha256 of (CSV, breakdown CSV, JSON) from ``compare``
+# with two weight-sharing group sizes and two pruning ratios besides the
+# pair's TARGETS, one case per model, each on a different device
+TRANSFORM_FLAGS = ("--ws", "2", "--ws", "4", "--prune-ratio", "0.1", "--prune-ratio", "0.5")
+TRANSFORM_GOLDEN = {
+    ("DeiT-S", "SRAM"): (
+        "a43f7cefcdc2bb918126d2a7878d0f2919831c85e4c58a4659a09e9bb0aa1f3c",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "973d3246ebf1091119d6ea8a138f28cfe3d88a8acc29688902fe429320673ccb",
+    ),
+    ("LV-ViT-S", "hybrid"): (
+        "e0ab89e54eb7e4d71604be70d6a04eb7691afd431c0187429ffa7eed234e9ce3",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "999824a397385cd2c8f07d38d75efba2e3604df613c2f57cdbe821e7e6d6f381",
+    ),
+    ("BERT-Base", "FeFET"): (
+        "db0ccb194ecb3a481f7f568f376806407ff285198049f2875d77984cc17074e3",
+        "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
+        "9fd742b4bdea277a877c03694480da9bf79580d84a3f8c218bb4e919072307a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("model,device", list(TRANSFORM_GOLDEN),
+                         ids=["-".join(case) for case in TRANSFORM_GOLDEN])
+def test_compare_transforms_match_golden(model, device, tmp_path):
+    """Weight sharing and token pruning beyond the default ws=2 and p=0.3."""
+    assert report_digests("compare", model, device, tmp_path, TRANSFORM_FLAGS) == \
+        TRANSFORM_GOLDEN[(model, device)]
 
 
 FUNCSIM_FILES = ("output.xbt", "funcsim_summary.json")

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from xbarsim.report import (
     emit,
     format_csv,
     report_meta,
+    resolve,
     rows_from_json,
     rows_to_json,
     run_scenario,
@@ -34,6 +36,11 @@ LV_SCENARIO = Scenario(
 @pytest.fixture(scope="module")
 def deit_rows():
     return run_scenario(DEIT_SCENARIO)
+
+
+@pytest.fixture(scope="module")
+def deit_meta():
+    return report_meta(resolve(DEIT_SCENARIO), DEIT_SCENARIO)
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +124,13 @@ class TestEmission:
         for line in lines[1:]:
             assert len(line.split(",")) == 12
 
-    def test_json_round_trip(self, deit_rows):
-        text = rows_to_json(deit_rows, report_meta(DEIT_SCENARIO))
+    def test_json_round_trip(self, deit_rows, deit_meta):
+        text = rows_to_json(deit_rows, deit_meta)
         back = rows_from_json(text)
         assert back == deit_rows
 
-    def test_emit_writes_all_files(self, deit_rows, tmp_path):
-        paths = emit(deit_rows, str(tmp_path), "deit", ("csv", "json"))
+    def test_emit_writes_all_files(self, deit_rows, deit_meta, tmp_path):
+        paths = emit(deit_rows, str(tmp_path), "deit", ("csv", "json"), meta=deit_meta)
         names = {os.path.basename(p) for p in paths}
         assert names == {"deit.csv", "deit_breakdown.csv", "deit.json"}
         for p in paths:
@@ -131,37 +138,35 @@ class TestEmission:
 
     def test_byte_identical_reruns(self, tmp_path):
         def run(sub):
-            rows = run_scenario(DEIT_SCENARIO)
-            out = tmp_path / sub
-            return [
-                open(p, "rb").read()
-                for p in emit(rows, str(out), "r", ("csv", "json"),
-                              report_meta(DEIT_SCENARIO))
-            ]
+            inputs = resolve(DEIT_SCENARIO)
+            rows = run_scenario(DEIT_SCENARIO, inputs)
+            paths = emit(rows, str(tmp_path / sub), "r", ("csv", "json"),
+                         meta=report_meta(inputs, DEIT_SCENARIO))
+            return [Path(p).read_bytes() for p in paths]
 
         assert run("a") == run("b")
 
-    def test_unknown_format(self, deit_rows, tmp_path):
+    def test_unknown_format(self, deit_rows, deit_meta, tmp_path):
         # every format is checked before any file is written
         for formats, match in ((("xml",), "xml"), (("csv", "xml"), "xml"),
                                ((), "no report format"), (("csv", "csv"), "given twice")):
             with pytest.raises(ValueError, match=match):
-                emit(deit_rows, str(tmp_path), "x", formats)
+                emit(deit_rows, str(tmp_path), "x", formats, meta=deit_meta)
             assert os.listdir(tmp_path) == []
 
-    def test_meta_records_conventions(self):
-        meta = report_meta(DEIT_SCENARIO)
+    def test_meta_records_conventions(self, deit_meta):
+        meta = deit_meta
         assert "accuracy" in meta["accuracy_note"]
         assert "tile" in meta["area_convention"]
         assert meta["scenario"]["model"] == "DeiT-S"
 
-    def test_every_unit_names_a_csv_column(self):
-        units = report_meta(DEIT_SCENARIO)["units"]
+    def test_every_unit_names_a_csv_column(self, deit_meta):
+        units = deit_meta["units"]
         assert units and set(units) <= set(CSV_HEADER.split(","))
 
-    def test_breakdown_csv_contains_blocks(self, deit_rows, tmp_path):
-        paths = emit(deit_rows, str(tmp_path), "bd", ("csv",))
+    def test_breakdown_csv_contains_blocks(self, deit_rows, deit_meta, tmp_path):
+        paths = emit(deit_rows, str(tmp_path), "bd", ("csv",), meta=deit_meta)
         bd = [p for p in paths if p.endswith("_breakdown.csv")][0]
-        text = open(bd).read()
+        text = Path(bd).read_text()
         for block in ("attn", "mlp", "proj"):
             assert block in text
