@@ -41,6 +41,7 @@ from .cost import (
 from .similarity import cka_matrix, cka_score
 from .optimize import (
     OptimizationResult,
+    delay_ladder,
     find_optimal_n_reuse,
     make_cka_scorer,
     optimize,

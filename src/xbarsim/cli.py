@@ -24,8 +24,10 @@ import numpy as np
 from . import config as cfgmod
 from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
 from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor, toy_config
+from .optimize import optimize
 from .report import (
     Scenario,
+    check_formats,
     check_out,
     emit,
     json_text,
@@ -42,6 +44,10 @@ from .report import (
 from .similarity import cka_matrix
 
 
+def _format_list(spec: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in spec.split(",") if f.strip())
+
+
 def _common_flags(p: argparse.ArgumentParser, report: bool = True) -> None:
     p.add_argument("--model", default="DeiT-S", help="model preset name")
     p.add_argument("--device", default="FeFET",
@@ -50,7 +56,7 @@ def _common_flags(p: argparse.ArgumentParser, report: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
     if report:
-        p.add_argument("--format", default="csv,json",
+        p.add_argument("--format", default="csv,json", type=_format_list,
                        help="comma list of report formats (csv, json)")
 
 
@@ -83,10 +89,9 @@ def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
                 f"A={row.area_mm2:.1f} mm2  EDAP={row.edap:.2f} "
                 f"({row.edap_reduction:.2f}x)"
             )
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     if feasible_only:
         rows = [row for row in rows if row.feasible]
-    paths = emit(rows, args.out, args.name, formats, meta=meta)
+    paths = emit(rows, args.out, args.name, args.format, meta=meta)
     print("wrote: " + ", ".join(paths))
     return 0
 
@@ -101,20 +106,20 @@ def cmd_optimize(args) -> int:
     scenario = _scenario(args)
     families = pattern_families(scenario.patterns)
     inputs = resolve(scenario)
-    cfg = inputs.table.cfg
-    result = inputs.optimize(args.target_delay[0], make_scorer(scenario, cfg), families)
+    cfg, baseline_ms = inputs.table.cfg, inputs.ladder[0].d_vit_ms
+    result = optimize(inputs.ladder, args.target_delay[0], make_scorer(scenario, cfg),
+                      families)
     if not result.feasible:
         if result.optimal_n_reuse is None:
             print(f"target {result.target_delay_ms} ms infeasible "
-                  f"(baseline {result.baseline_delay_ms:.2f} ms)")
+                  f"(baseline {baseline_ms:.2f} ms)")
         else:
             print(f"target {result.target_delay_ms} ms infeasible: it needs "
                   f"n_reuse = {result.optimal_n_reuse}, and no {scenario.patterns} "
                   f"pattern of that count fits {cfg.n_encoders} encoders")
         return 1
     print(f"optimal n_reuse = {result.optimal_n_reuse} "
-          f"(baseline {result.baseline_delay_ms:.2f} ms -> "
-          f"{result.achieved_delay_ms:.2f} ms)")
+          f"(baseline {baseline_ms:.2f} ms -> {result.cost.d_vit_ms:.2f} ms)")
     ranked = sorted(result.candidates, key=lambda c: (c[1], c[0].reuse_set))
     for pattern, score in ranked[:10]:
         marker = " <- selected" if pattern == result.best else ""
@@ -122,7 +127,7 @@ def cmd_optimize(args) -> int:
     path = os.path.join(out_dir(args.out), f"{args.name}_patterns.json")
     write_text(path, json_text({
         "n_reuse": result.optimal_n_reuse,
-        "achieved_delay_ms": result.achieved_delay_ms,
+        "achieved_delay_ms": result.cost.d_vit_ms,
         "best": result.best.label() if result.best else None,
         "candidates": {p.label(): s for p, s in ranked},
     }))
@@ -182,7 +187,7 @@ def cmd_compare(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
     rows = run_compare(scenario, args.ws or [2], args.prune_ratio or [0.3], inputs)
-    return _report(args, rows, report_meta(inputs), feasible_only=True)
+    return _report(args, rows, report_meta(inputs, scenario), feasible_only=True)
 
 
 @functools.cache
@@ -247,6 +252,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         check_out(args.out)  # before any work: a forward or search can take seconds
+        if "format" in args:
+            check_formats(args.format)
         return args.func(args)
     except ValueError as exc:
         parser.exit(2, f"xbarsim {args.command}: error: {exc}\n")

@@ -25,17 +25,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cost import (
-    BlockTable,
-    CostOptions,
-    ModelCost,
-    SoftmaxUnitParams,
-    assemble,
-    block_table,
-)
+from .cost import BlockTable, ModelCost, assemble
 from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
-from .mapping import DeviceAssignment, DeviceParams, TileConfig
 from .patterns import (
+    UNIFORM_FAMILIES,
     PatternKind,
     ReusePattern,
     enumerate_patterns,
@@ -43,7 +36,6 @@ from .patterns import (
     select_best,
 )
 from .similarity import centered, cka_score
-from .workload import ModelConfig
 
 Scorer = Callable[[ReusePattern], float]
 
@@ -56,13 +48,8 @@ class OptimizationResult:
     feasible: bool
     optimal_n_reuse: int | None
     cost: ModelCost | None
-    baseline_delay_ms: float
     candidates: tuple[tuple[ReusePattern, float], ...] = ()
     best: ReusePattern | None = None
-
-    @property
-    def achieved_delay_ms(self) -> float | None:
-        return None if self.cost is None else self.cost.d_vit_ms
 
 
 def check_target(target_delay_ms: float) -> None:
@@ -84,78 +71,42 @@ def delay_ladder(table: BlockTable) -> tuple[ModelCost, ...]:
     return tuple(assemble([(table, n_encoders - r, r)]) for r in range(n_encoders))
 
 
-def search_ladder(ladder: Sequence[ModelCost], target_delay_ms: float) -> OptimizationResult:
+def find_optimal_n_reuse(ladder: Sequence[ModelCost],
+                         target_delay_ms: float) -> OptimizationResult:
     """Smallest reuse count on ``delay_ladder`` whose delay meets the target.
 
     An unreachable target yields an explicit infeasible result, never a
     clamped one.
     """
     check_target(target_delay_ms)
-    baseline = ladder[0].d_vit_ms
     for r, cost in enumerate(ladder):
         if cost.d_vit_ms <= target_delay_ms:
-            return OptimizationResult(target_delay_ms, True, r, cost, baseline)
-    return OptimizationResult(target_delay_ms, False, None, None, baseline)
+            return OptimizationResult(target_delay_ms, True, r, cost)
+    return OptimizationResult(target_delay_ms, False, None, None)
 
 
-def rank_patterns(
-    found: OptimizationResult,
-    n_encoders: int,
+def optimize(
+    ladder: Sequence[ModelCost],
+    target_delay_ms: float,
     scorer: Scorer,
-    families: Iterable[PatternKind],
+    families: Iterable[PatternKind] = UNIFORM_FAMILIES,
 ) -> OptimizationResult:
-    """``found`` with the patterns of its reuse count scored and the best picked.
+    """``find_optimal_n_reuse``, then the patterns of its reuse count
+    scored and the best picked.
 
     When no pattern of the chosen families has the reuse count the delay
     needs, the result is infeasible but keeps that count: a larger count
     fits no better, since a pattern's span grows with its count.
     """
+    found = find_optimal_n_reuse(ladder, target_delay_ms)
     if not found.feasible or found.optimal_n_reuse == 0:
         return found
-    patterns = enumerate_patterns(n_encoders, found.optimal_n_reuse, families)
+    patterns = enumerate_patterns(ladder[0].n_encoders, found.optimal_n_reuse, families)
     if not patterns:
         return replace(found, feasible=False)
     scored = tuple((p, float(scorer(p))) for p in patterns)
     return replace(found, candidates=scored,
                    best=select_best(patterns, dict(scored).__getitem__))
-
-
-def find_optimal_n_reuse(
-    cfg: ModelConfig,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    sp: SoftmaxUnitParams,
-    target_delay_ms: float,
-    opts: CostOptions = CostOptions(),
-) -> OptimizationResult:
-    """Smallest reuse count whose delay meets the target.
-
-    ``search_ladder`` over the ``delay_ladder`` of one block table, so
-    the cost is ``model_cost(cfg, r, ...)`` bit for bit. A caller with
-    several targets builds the ladder once and searches it per target.
-    """
-    return search_ladder(delay_ladder(block_table(cfg, dev, tiles, sp, opts)),
-                         target_delay_ms)
-
-
-def optimize(
-    cfg: ModelConfig,
-    dev: DeviceParams | DeviceAssignment,
-    tiles: TileConfig,
-    sp: SoftmaxUnitParams,
-    target_delay_ms: float,
-    scorer: Scorer,
-    opts: CostOptions = CostOptions(),
-    families: Sequence[PatternKind] = (
-        PatternKind.STRIDED,
-        PatternKind.CONTINUOUS,
-        PatternKind.PYRAMID,
-    ),
-) -> OptimizationResult:
-    """Reuse-count search followed by pattern enumeration and ranking:
-    ``rank_patterns`` of ``find_optimal_n_reuse``."""
-    found = find_optimal_n_reuse(cfg, dev, tiles, sp, target_delay_ms, opts)
-    return rank_patterns(found, cfg.n_encoders, scorer, families)
 
 
 def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:

@@ -30,6 +30,10 @@ class PatternKind(Enum):
     EXPLICIT = "explicit"
 
 
+# the uniform families, in the order ``enumerate_patterns`` keeps them
+UNIFORM_FAMILIES = (PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID)
+
+
 @dataclass(frozen=True)
 class ReusePattern:
     kind: PatternKind
@@ -161,11 +165,7 @@ def explicit_pattern(n_encoders: int, indices: Iterable[int]) -> ReusePattern:
 def enumerate_patterns(
     n_encoders: int,
     n_reuse: int,
-    families: Iterable[PatternKind] = (
-        PatternKind.STRIDED,
-        PatternKind.CONTINUOUS,
-        PatternKind.PYRAMID,
-    ),
+    families: Iterable[PatternKind] = UNIFORM_FAMILIES,
 ) -> list[ReusePattern]:
     """All distinct uniform patterns of the requested size.
 

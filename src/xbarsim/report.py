@@ -41,17 +41,15 @@ from .cost import (
 )
 from .mapping import hybrid_assignment
 from .optimize import (
-    OptimizationResult,
     Scorer,
     check_target,
     delay_ladder,
     load_external_scorer,
     make_cka_scorer,
-    rank_patterns,
-    search_ladder,
+    optimize,
     synthetic_attention_outputs,
 )
-from .patterns import PatternKind, explicit_pattern
+from .patterns import UNIFORM_FAMILIES, PatternKind, explicit_pattern
 from .workload import ModelConfig
 
 # (CSV header, ReportRow field, decimals or None for text,
@@ -89,8 +87,15 @@ class Scenario:
     config_path: str | None = None
 
     def __post_init__(self) -> None:
+        """Every spec is checked here, before any costing or search."""
         for target in self.target_delays_ms:
             check_target(target)
+        if self.patterns.startswith("explicit:"):
+            explicit_indices(self.patterns)
+        else:
+            pattern_families(self.patterns)
+        if self.scorer != "cka" and not self.scorer.startswith("external:"):
+            raise ValueError(f"unknown scorer {self.scorer!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ class ReportRow:
 
 
 _FAMILIES = {
-    "all": (PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID),
+    "all": UNIFORM_FAMILIES,
     "strided": (PatternKind.STRIDED,),
     "continuous": (PatternKind.CONTINUOUS,),
     "pyramid": (PatternKind.PYRAMID,),
@@ -131,13 +136,20 @@ def pattern_families(spec: str) -> tuple[PatternKind, ...]:
     return _FAMILIES[spec]
 
 
+def explicit_indices(spec: str) -> tuple[int, ...]:
+    """The encoder indices of an ``explicit:i,j,k`` pattern spec."""
+    try:
+        return tuple(int(i) for i in spec.split(":", 1)[1].split(",") if i)
+    except ValueError:
+        raise ValueError(f"--patterns {spec!r}: explicit:i,j,k takes integer "
+                         "encoder indices") from None
+
+
 def make_scorer(scenario: Scenario, cfg: ModelConfig) -> Scorer:
     if scenario.scorer == "cka":
         acts = synthetic_attention_outputs(cfg.n_encoders, seed=scenario.seed)
         return make_cka_scorer(acts)
-    if scenario.scorer.startswith("external:"):
-        return load_external_scorer(scenario.scorer.split(":", 1)[1])
-    raise ValueError(f"unknown scorer {scenario.scorer!r}")
+    return load_external_scorer(scenario.scorer.split(":", 1)[1])
 
 
 def resolve_device(name: str, sc: cfgmod.ScenarioConfig):
@@ -166,11 +178,6 @@ class Inputs(NamedTuple):
         ``model_cost``, the call bench/test_bench.py traces in a simulate op."""
         t = self.table
         return model_cost(t.cfg, 0, t.dev, t.tiles, t.sp, t.opts)
-
-    def optimize(self, target: float, scorer: Scorer, families) -> OptimizationResult:
-        """``optimize`` for one target, searched on the scenario's ladder."""
-        return rank_patterns(search_ladder(self.ladder, target),
-                             self.table.cfg.n_encoders, scorer, families)
 
 
 def resolve(scenario: Scenario) -> Inputs:
@@ -233,7 +240,7 @@ def _target_row(
     A target whose reuse count no pattern of the chosen family has is
     infeasible under the pattern ``no-<family>-pattern``.
     """
-    found = inputs.optimize(target, scorer, pattern_families(scenario.patterns))
+    found = optimize(inputs.ladder, target, scorer, pattern_families(scenario.patterns))
     if not found.feasible:
         reason = ("infeasible" if found.optimal_n_reuse is None
                   else f"no-{scenario.patterns}-pattern")
@@ -253,8 +260,8 @@ def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[Repor
         if scenario.target_delays_ms:
             raise ValueError("--patterns explicit:i,j,k fixes the reuse set and "
                              "takes no --target-delay")
-        indices = (int(i) for i in scenario.patterns.split(":", 1)[1].split(",") if i)
-        pat = explicit_pattern(inputs.table.cfg.n_encoders, indices)
+        pat = explicit_pattern(inputs.table.cfg.n_encoders,
+                               explicit_indices(scenario.patterns))
         rows.append(_row(scenario, inputs.ladder[pat.n_reuse], pat.label(), base.edap))
         return rows
     scorer = make_scorer(scenario, inputs.table.cfg)
@@ -288,10 +295,10 @@ def run_compare(
     return rows
 
 
-def report_meta(inputs: Inputs, scenario: Scenario | None = None) -> dict:
-    """Report-header facts, stated from the model and cost options of
-    ``inputs``, the ones the report was costed from; with ``scenario``,
-    also the scenario itself."""
+def report_meta(inputs: Inputs, scenario: Scenario) -> dict:
+    """Report-header facts: ``scenario``, and the conventions of the
+    model and cost options of ``inputs``, the ones the report was costed
+    from."""
     cfg, opts = inputs.table.cfg, inputs.table.opts
     area = ("rounded up to whole tiles (pad_to_tiles)" if opts.pad_to_tiles
             else "not rounded to whole tiles (pad_to_tiles off)")
@@ -312,7 +319,7 @@ def report_meta(inputs: Inputs, scenario: Scenario | None = None) -> dict:
         )
     tb = ("mapped d x d crossbar FCs (tb_on_crossbars)" if opts.tb_on_crossbars
           else "calibrated digital constants (zero by default), not as mapped crossbar FCs")
-    meta = {
+    return {
         "accuracy_note": (
             "accuracy columns are intentionally absent: classification "
             "accuracy is not computable by this cost model"
@@ -320,11 +327,9 @@ def report_meta(inputs: Inputs, scenario: Scenario | None = None) -> dict:
         "area_convention": f"per-layer areas {area}, {stem}",
         "serialization_convention": serialization,
         "tb_convention": f"transformation blocks charged as {tb}",
+        "scenario": {k: v for k, v in vars(scenario).items() if k != "config_path"},
         "units": {header: unit for header, *_, unit in CSV_COLUMNS if unit},
     }
-    if scenario is not None:
-        meta["scenario"] = {k: v for k, v in vars(scenario).items() if k != "config_path"}
-    return meta
 
 
 def _cell(value, decimals: int | None) -> str:
@@ -392,6 +397,20 @@ def rows_from_json(text: str) -> "list[ReportRow]":
             for r in json.loads(text)["rows"]]
 
 
+FORMATS = ("csv", "json")  # the report formats ``emit`` writes
+
+
+def check_formats(formats: "tuple[str, ...]") -> None:
+    """Reject ``formats`` unless it names at least one report format, each once."""
+    for i, fmt in enumerate(formats):
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown report format {fmt!r}")
+        if fmt in formats[:i]:
+            raise ValueError(f"report format {fmt!r} given twice")
+    if not formats:
+        raise ValueError("no report format given")
+
+
 def emit(
     rows: "list[ReportRow]",
     directory: str,
@@ -407,13 +426,7 @@ def emit(
         "csv": ((".csv", format_csv), ("_breakdown.csv", format_breakdown_csv)),
         "json": ((".json", lambda rows: rows_to_json(rows, meta)),),
     }
-    for i, fmt in enumerate(formats):
-        if fmt not in files:
-            raise ValueError(f"unknown report format {fmt!r}")
-        if fmt in formats[:i]:
-            raise ValueError(f"report format {fmt!r} given twice")
-    if not formats:
-        raise ValueError("no report format given")
+    check_formats(formats)
     directory = out_dir(directory)
     return [write_text(os.path.join(directory, basename + suffix), render(rows))
             for fmt in formats for suffix, render in files[fmt]]

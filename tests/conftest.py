@@ -5,9 +5,11 @@ from xbarsim import (
     CostOptions,
     DeviceParams,
     ModelConfig,
+    ModelCost,
     SoftmaxUnitParams,
     TileConfig,
     block_table,
+    delay_ladder,
     load_cost_options,
     load_device_params,
     load_model_config,
@@ -50,6 +52,12 @@ def deit() -> ModelConfig:
 def deit_table(deit, fefet, tiles, softmax_params, cost_opts) -> BlockTable:
     """DeiT-S on FeFET under the preset tiles, softmax unit and cost options."""
     return block_table(deit, fefet, tiles, softmax_params, cost_opts)
+
+
+@pytest.fixture(scope="session")
+def deit_ladder(deit_table) -> tuple[ModelCost, ...]:
+    """The delay ladder of ``deit_table``: its model cost at every reuse count."""
+    return delay_ladder(deit_table)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from oracles import (
 from xbarsim.cost import (
     apply_token_pruning,
     apply_weight_sharing,
+    block_table,
     breakdown,
     layer_cost,
     model_cost,
@@ -40,7 +41,7 @@ from xbarsim.funcsim.forward import (
     toy_config,
 )
 from xbarsim.mapping import TileConfig, crossbars_for_layer
-from xbarsim.optimize import find_optimal_n_reuse
+from xbarsim.optimize import delay_ladder, find_optimal_n_reuse
 from xbarsim.patterns import all_explicit_patterns, enumerate_patterns, validate_pattern
 from xbarsim.report import Scenario, emit, report_meta, resolve, run_scenario
 from xbarsim.similarity import cka_score
@@ -119,10 +120,8 @@ def test_criterion_03_delay_structure(deit, fefet, tiles, softmax_params, cost_o
     """Calibrated DeiT-S baseline 10.92 ms +-5%; reuse counts and delays."""
     start = time.perf_counter()
     base = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
-    results = {
-        target: find_optimal_n_reuse(deit, fefet, tiles, softmax_params, target, cost_opts)
-        for target in (9.0, 7.0, 6.0, 4.0)
-    }
+    ladder = delay_ladder(block_table(deit, fefet, tiles, softmax_params, cost_opts))
+    results = {target: find_optimal_n_reuse(ladder, target) for target in (9.0, 7.0, 6.0, 4.0)}
     elapsed = time.perf_counter() - start
 
     ok = abs(base.d_vit_ms / 10.92 - 1.0) <= 0.05
@@ -133,11 +132,11 @@ def test_criterion_03_delay_structure(deit, fefet, tiles, softmax_params, cost_o
         ok_here = (
             res.feasible
             and res.optimal_n_reuse == want_r
-            and abs(res.achieved_delay_ms / want_d - 1.0) <= 0.05
+            and abs(res.cost.d_vit_ms / want_d - 1.0) <= 0.05
         )
         ok = ok and ok_here
         details.append(
-            f"{target}ms->r={res.optimal_n_reuse}@{res.achieved_delay_ms:.3f}"
+            f"{target}ms->r={res.optimal_n_reuse}@{res.cost.d_vit_ms:.3f}"
             f" (ref {want_r}@{want_d})"
         )
     ok = ok and elapsed < 1.0
@@ -174,8 +173,9 @@ def test_criterion_05_edap_reduction_ratios(deit, lvvit, fefet, tiles, softmax_p
     details = []
     for cfg, targets, published in setups:
         base = model_cost(cfg, 0, fefet, tiles, softmax_params, cost_opts)
+        ladder = delay_ladder(block_table(cfg, fefet, tiles, softmax_params, cost_opts))
         for target, ref in zip(targets, published):
-            res = find_optimal_n_reuse(cfg, fefet, tiles, softmax_params, target, cost_opts)
+            res = find_optimal_n_reuse(ladder, target)
             mc = model_cost(cfg, res.optimal_n_reuse, fefet, tiles, softmax_params, cost_opts)
             ratio = base.edap / mc.edap
             ok = ok and abs(ratio / ref - 1.0) <= 0.10

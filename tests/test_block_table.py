@@ -5,6 +5,7 @@ delay ladder per scenario serves every target."""
 import dataclasses
 import importlib
 import math
+import sys
 
 import pytest
 
@@ -30,11 +31,12 @@ def _inputs(model, device):
 @pytest.mark.parametrize("model,device", GRID)
 def test_search_meets_each_model_delay_exactly(model, device):
     cfg, dev, tiles, sp, opts = _inputs(model, device)
+    ladder = opt.delay_ladder(block_table(cfg, dev, tiles, sp, opts))
     for r in range(cfg.n_encoders):
         delay = model_cost(cfg, r, dev, tiles, sp, opts).d_vit_ms
-        res = opt.find_optimal_n_reuse(cfg, dev, tiles, sp, delay, opts)
+        res = opt.find_optimal_n_reuse(ladder, delay)
         assert res.optimal_n_reuse == r
-        assert res.achieved_delay_ms == delay
+        assert res.cost.d_vit_ms == delay
 
 
 @pytest.mark.parametrize("model,device", GRID)
@@ -47,10 +49,12 @@ def test_ladder_search_equals_a_brute_force_scan(model, device):
     targets = {math.nextafter(c.d_vit_ms, direction)
                for c in costs for direction in (-math.inf, math.inf)}
     targets |= {c.d_vit_ms for c in costs}
+    ladder = opt.delay_ladder(block_table(cfg, dev, tiles, sp, opts))
+    assert inputs.ladder[0].d_vit_ms == ladder[0].d_vit_ms == costs[0].d_vit_ms
     for target in sorted(targets):
         met = [r for r, c in enumerate(costs) if c.d_vit_ms <= target]
-        for found in (inputs.optimize(target, lambda p: 0.0, report.pattern_families("all")),
-                      opt.find_optimal_n_reuse(cfg, dev, tiles, sp, target, opts)):
+        for found in (opt.optimize(inputs.ladder, target, lambda p: 0.0),
+                      opt.find_optimal_n_reuse(ladder, target)):
             if not met:
                 assert not found.feasible
                 assert found.optimal_n_reuse is None and found.cost is None
@@ -59,7 +63,6 @@ def test_ladder_search_equals_a_brute_force_scan(model, device):
             for field in dataclasses.fields(found.cost):
                 assert (getattr(found.cost, field.name)
                         == getattr(costs[met[0]], field.name)), field.name
-            assert found.baseline_delay_ms == costs[0].d_vit_ms
 
 
 @pytest.mark.parametrize("model,device", GRID)
@@ -97,29 +100,6 @@ def test_token_pruning_builds_its_reduced_table_from_the_tables_inputs():
             == cost.assemble([(table, 4, 0), (reduced, cfg.n_encoders - 4, 0)]))
 
 
-def test_search_builds_one_table(monkeypatch):
-    cfg, dev, tiles, sp, opts = _inputs("DeiT-S", "FeFET")
-    calls = {"table": 0, "layers": 0}
-    real_table, real_mapping = cost.block_table, cost.crossbars_for_layer
-
-    def counted_table(*args, **kwargs):
-        calls["table"] += 1
-        return real_table(*args, **kwargs)
-
-    def counted_mapping(*args, **kwargs):
-        calls["layers"] += 1
-        return real_mapping(*args, **kwargs)
-
-    monkeypatch.setattr(cost, "crossbars_for_layer", counted_mapping)
-    real_table(cfg, dev, tiles, sp, opts)
-    layers_per_table, calls["layers"] = calls["layers"], 0
-
-    monkeypatch.setattr(opt, "block_table", counted_table)
-    res = opt.find_optimal_n_reuse(cfg, dev, tiles, sp, 1e-3, opts)  # visits every r
-    assert not res.feasible
-    assert calls == {"table": 1, "layers": layers_per_table}
-
-
 def _tables_per_run(monkeypatch, tmp_path, command: str) -> list[list[str]]:
     """The block tables ``command`` builds for DeiT-S on FeFET, run with 1
     and with 4 delay targets: the model name of each table, per run."""
@@ -130,7 +110,7 @@ def _tables_per_run(monkeypatch, tmp_path, command: str) -> list[list[str]]:
         calls.append(args[0].name)
         return real_table(*args, **kwargs)
 
-    for module in (cost, opt, report):
+    for module in (cost, report):
         monkeypatch.setattr(module, "block_table", counted_table)
     runs = []
     for targets in (["7"], ["9", "7", "6", "4"]):
@@ -153,3 +133,33 @@ def test_compare_costs_each_target_from_one_ladder(monkeypatch, tmp_path):
     # simulate's two tables, plus the reduced-token table of the one default
     # pruning ratio; weight sharing assembles the scenario's table
     assert _tables_per_run(monkeypatch, tmp_path, "compare") == [["DeiT-S"] * 3] * 2
+
+
+def _recorded_calls(monkeypatch, fn) -> list[tuple]:
+    """The positional arguments of every call of ``fn`` through any
+    binding of it in an xbarsim module, each replaced by a recorder."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "xbarsim":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_each_target_runs_the_public_search_on_one_ladder(command, monkeypatch, tmp_path):
+    searches = _recorded_calls(monkeypatch, opt.find_optimal_n_reuse)
+    rankings = _recorded_calls(monkeypatch, opt.optimize)
+    argv = [command, "--model", "DeiT-S", "--device", "FeFET", "--out", str(tmp_path)]
+    for target in ("9", "7", "6", "4"):
+        argv += ["--target-delay", target]
+    assert main(argv) == 0
+    assert len(searches) == len(rankings) == 4
+    assert [args[1] for args in searches] == [9.0, 7.0, 6.0, 4.0]
+    assert len({id(args[0]) for args in searches + rankings}) == 1

@@ -163,6 +163,11 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
      "score file .*list.json is not a JSON object"),
     (["simulate", "--scorer", "external:NAN_JSON", "--target-delay", "7"],
      "score file .*nan.json is not a JSON object .* to finite numbers"),
+    (["simulate", "--patterns", "bogus"], "unknown pattern family 'bogus'"),
+    (["simulate", "--patterns", "explicit:1,x"], "takes integer encoder indices"),
+    (["simulate", "--patterns", "explicit:1,3", "--scorer", "bogus"],
+     "unknown scorer 'bogus'"),
+    (["optimize", "--target-delay", "7", "--scorer", "bogus"], "unknown scorer 'bogus'"),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
         "funcsim-exact-device-section", "simulate-missing-config",
@@ -170,7 +175,9 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
         "optimize-nan-target", "simulate-explicit-with-target",
         "simulate-empty-format", "funcsim-empty-model", "simulate-empty-model",
         "optimize-empty-model", "compare-empty-model", "simulate-missing-scores",
-        "simulate-list-scores", "simulate-nan-scores"])
+        "simulate-list-scores", "simulate-nan-scores", "simulate-unknown-family",
+        "simulate-explicit-not-integers", "simulate-explicit-unknown-scorer",
+        "optimize-unknown-scorer"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
     files = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
              "MISSING_INI": tmp_path / "missing.ini",
@@ -220,16 +227,18 @@ def test_non_finite_or_negative_config_value_is_a_usage_error(case, command, tmp
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("ran before --out was checked")
+    raise AssertionError("ran before --out and --format were checked")
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare", "funcsim"])
 def test_empty_out_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
-    """An empty --out, or one naming a file, is rejected before any
-    forward pass or reuse search runs, and nothing is created."""
+    """An empty --out, or one naming a file, and an unknown --format are
+    rejected before any forward pass or reuse search runs, and nothing
+    is created."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("xbarsim.cli.model_forward", _must_not_run)
-    for costing in ("block_table", "delay_ladder", "search_ladder"):
+    monkeypatch.setattr("xbarsim.cli.optimize", _must_not_run)
+    for costing in ("block_table", "delay_ladder", "optimize"):
         monkeypatch.setattr(f"xbarsim.report.{costing}", _must_not_run)
     argv = [command]
     if command == "funcsim":
@@ -242,6 +251,10 @@ def test_empty_out_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
     err = usage_error([*argv, "--out", "taken"], capsys)
     assert "--out 'taken' exists and is not a directory" in err
     assert os.listdir(tmp_path) == ["taken"]
+    if command in ("simulate", "compare"):
+        err = usage_error([*argv, "--format", "csv,xml", "--out", "fresh"], capsys)
+        assert "unknown report format 'xml'" in err
+        assert os.listdir(tmp_path) == ["taken"]
 
 
 # Runs in a fresh interpreter, so only the CLI's own imports are loaded.

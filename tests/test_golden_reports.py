@@ -83,47 +83,47 @@ GOLDEN = {
     ('compare', 'DeiT-S', 'FeFET'): (
         "de1bb9e906ab3c836cf0dcab05fe9a49d60bc0db1047307e0df4c50109e79e25",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "a226ded6101887be03ee86668b00a5a17a686ff5ce2b46b355e34b9f9c631ae6",
+        "ab86c673766ad42d9d661a87401c0f07eb857b4bbd5d80762d8154c466fbc0eb",
     ),
     ('compare', 'DeiT-S', 'SRAM'): (
         "4237f47743d5757e03fe6d50651aa25aefa873ff891591e3ab9575a34846b3b1",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "6da5885dc7615c2bc855f72b7777ff1f339018b630e55cfbeb63ddea16009da6",
+        "a72915b0c35595dd2f644fc625e6669d3bd36db680dad4ffdda7a09e97086ee6",
     ),
     ('compare', 'DeiT-S', 'hybrid'): (
         "63a5c3d577d996547ad6a3d85c0df762dd8a3d476e4da6adb377aa81af5b2411",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "1bc67ded979cb81a6f1a2283d0edb496f971a021a3f09e8cb9dc997ae762eb4c",
+        "d87aade2031adfb6b07ab08fd10065b8d3d91103f73f5384ac90e243bbe3c85b",
     ),
     ('compare', 'LV-ViT-S', 'FeFET'): (
         "1fe2b26327989dd043bddc2d6eeb7910ae2c3fa64f0767e733f7e11aac440e5f",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "c3222ee5dcf5e1ee28b345a541fd34123b34273ddce6a9b0d8f0a1d29798430e",
+        "f81b9a17bc1c22f9d8441b43fb951429be8dd38e4c9102640ca8f5a41d754437",
     ),
     ('compare', 'LV-ViT-S', 'SRAM'): (
         "546ce6674dee8934c770fa2b5281d95863e7c769f4e5c9700b1db6e05bedb249",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "ebb2fc496c16729ea92234dcb94261bbb287996157b1d552f24c5106747ef88d",
+        "8949fa1c9eb3b0ef5bc407cdefc754a47ae5d1ffb3088b6123364a2a41b45b05",
     ),
     ('compare', 'LV-ViT-S', 'hybrid'): (
         "735f1283ec2765b19e25609036bc389d813ec66a96b72c4cf06cbcd787fca587",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "0049a76e3de4ab44777541fd81f35aeb35153cd6bd468dbd2315926559a98412",
+        "7c726865e3bf25f580d1efe4fbb255971a303a3e2a3dcdc3aae80cdf53702197",
     ),
     ('compare', 'BERT-Base', 'FeFET'): (
         "7db69f7ff644477bd5e4fe58034b1727d9bbdcbce837c51e57c1bf1e2d7a7348",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "374b7729b450201b62788375652e57125fc68a6d8a29cb5e37fb153c1faccda5",
+        "da6644c2cd0bf205f8a068477522b037d6c6789d5ae96269f15686e4f8e4d3c1",
     ),
     ('compare', 'BERT-Base', 'SRAM'): (
         "ec4b6385f8a367c938711d1265b7806bb0abdbd43376c690df42d20197dc481a",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "fb7a5365471a2815907615335b26e37d69606b4c991d8fecbd09ddd35c4a37a7",
+        "c5a2bf5f9ef6851b41724fda827cd4bf7c1eef68783db897f6b267d0a112325f",
     ),
     ('compare', 'BERT-Base', 'hybrid'): (
         "ac8aef521f1b0493d789cdc4f50d26b20c202c9d6dacaf007b72fac3a91f61fd",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "5ca82b7bcfaaa19bf75e765b136697b6bf8a6080aee382a32740c5a42559ad33",
+        "77663c89a342682fc8e52863481f1b4efdfba2ef34970225c7c495b1f6201d9e",
     ),
 }
 
@@ -161,17 +161,17 @@ TRANSFORM_GOLDEN = {
     ("DeiT-S", "SRAM"): (
         "a43f7cefcdc2bb918126d2a7878d0f2919831c85e4c58a4659a09e9bb0aa1f3c",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "973d3246ebf1091119d6ea8a138f28cfe3d88a8acc29688902fe429320673ccb",
+        "c401d09b8940689d98d22594481ac6fefe5d9882d88f6f802810d72274986b39",
     ),
     ("LV-ViT-S", "hybrid"): (
         "e0ab89e54eb7e4d71604be70d6a04eb7691afd431c0187429ffa7eed234e9ce3",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "999824a397385cd2c8f07d38d75efba2e3604df613c2f57cdbe821e7e6d6f381",
+        "6f8642f5a12696f3cd5b88c7f39c8da363734e02d803d32e5fd2f4b8c5b9d236",
     ),
     ("BERT-Base", "FeFET"): (
         "db0ccb194ecb3a481f7f568f376806407ff285198049f2875d77984cc17074e3",
         "2fa2ee5457b2ba16a36e34356f99cc0aff605bfe8d71ba472d0ac517ac5746e3",
-        "9fd742b4bdea277a877c03694480da9bf79580d84a3f8c218bb4e919072307a2",
+        "f7b2044930c269d7d9543f5ceeeb3e0ef44907cc88b99bb14aa1bf04096a60e4",
     ),
 }
 

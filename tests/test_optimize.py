@@ -8,13 +8,14 @@ import pytest
 
 from oracles import oracle_cka_scorer
 from xbarsim.optimize import (
+    delay_ladder,
     find_optimal_n_reuse,
     load_external_scorer,
     make_cka_scorer,
     optimize,
     synthetic_attention_outputs,
 )
-from xbarsim.cost import model_cost
+from xbarsim.cost import block_table, model_cost
 from xbarsim.patterns import (
     PatternKind,
     enumerate_patterns,
@@ -31,39 +32,38 @@ optimize_mod = importlib.import_module("xbarsim.optimize")
 
 
 class TestFindOptimalNReuse:
-    def test_calibrated_deit_targets(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_calibrated_deit_targets(self, deit_ladder):
         for target, expected in [(9.0, 3), (7.0, 5), (6.0, 7), (4.0, 9)]:
-            res = find_optimal_n_reuse(deit, fefet, tiles, softmax_params, target, cost_opts)
+            res = find_optimal_n_reuse(deit_ladder, target)
             assert res.feasible
             assert res.optimal_n_reuse == expected
-            assert res.achieved_delay_ms <= target
+            assert res.cost.d_vit_ms <= target
 
-    def test_achieved_delays_near_published(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_achieved_delays_near_published(self, deit_ladder):
         published = {9.0: 8.46, 7.0: 6.82, 6.0: 5.18, 4.0: 3.54}
         for target, ref in published.items():
-            res = find_optimal_n_reuse(deit, fefet, tiles, softmax_params, target, cost_opts)
-            assert abs(res.achieved_delay_ms / ref - 1.0) <= 0.05
+            res = find_optimal_n_reuse(deit_ladder, target)
+            assert abs(res.cost.d_vit_ms / ref - 1.0) <= 0.05
 
-    def test_loose_target_needs_no_reuse(self, deit, fefet, tiles, softmax_params, cost_opts):
-        res = find_optimal_n_reuse(deit, fefet, tiles, softmax_params, 11.0, cost_opts)
+    def test_loose_target_needs_no_reuse(self, deit_ladder):
+        res = find_optimal_n_reuse(deit_ladder, 11.0)
         assert res.optimal_n_reuse == 0
-        assert res.achieved_delay_ms == res.baseline_delay_ms
+        assert res.cost.d_vit_ms == deit_ladder[0].d_vit_ms
 
-    def test_infeasible_target_flagged_not_clamped(self, deit, fefet, tiles,
-                                                   softmax_params, cost_opts):
-        res = find_optimal_n_reuse(deit, fefet, tiles, softmax_params, 1.0, cost_opts)
+    def test_infeasible_target_flagged_not_clamped(self, deit_ladder):
+        res = find_optimal_n_reuse(deit_ladder, 1.0)
         assert not res.feasible
         assert res.optimal_n_reuse is None
-        assert res.achieved_delay_ms is None
+        assert res.cost is None
 
-    def test_minimality_over_target_grid(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_minimality_over_target_grid(self, deit, fefet, tiles, softmax_params,
+                                         cost_opts, deit_ladder):
         delays = [
             model_cost(deit, r, fefet, tiles, softmax_params, cost_opts).d_vit_ms
             for r in range(deit.n_encoders)
         ]
         for target in np.arange(3.0, 11.5, 0.25):
-            res = find_optimal_n_reuse(deit, fefet, tiles, softmax_params,
-                                       float(target), cost_opts)
+            res = find_optimal_n_reuse(deit_ladder, float(target))
             if not res.feasible:
                 assert min(delays) > target
                 continue
@@ -72,23 +72,23 @@ class TestFindOptimalNReuse:
             if r > 0:
                 assert delays[r - 1] > target
 
-    def test_invalid_target(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_invalid_target(self, deit_ladder):
         with pytest.raises(ValueError):
-            find_optimal_n_reuse(deit, fefet, tiles, softmax_params, 0.0, cost_opts)
+            find_optimal_n_reuse(deit_ladder, 0.0)
 
     def test_empty_stack_has_no_search(self, deit, fefet, tiles, softmax_params, cost_opts):
         empty = dataclasses.replace(deit, n_encoders=0)
         with pytest.raises(ValueError, match="at least one encoder, got 0"):
-            find_optimal_n_reuse(empty, fefet, tiles, softmax_params, 7.0, cost_opts)
+            delay_ladder(block_table(empty, fefet, tiles, softmax_params, cost_opts))
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
-    def test_non_finite_target(self, deit, fefet, tiles, softmax_params, cost_opts, target):
+    def test_non_finite_target(self, deit_ladder, target):
         # nan compares false against every delay, and inf is met at zero reuse;
         # either would reach the report as a JSON NaN or Infinity
         with pytest.raises(ValueError, match="positive and finite"):
-            find_optimal_n_reuse(deit, fefet, tiles, softmax_params, target, cost_opts)
+            find_optimal_n_reuse(deit_ladder, target)
         with pytest.raises(ValueError, match="positive and finite"):
-            optimize(deit, fefet, tiles, softmax_params, target, lambda p: 0.0, cost_opts)
+            optimize(deit_ladder, target, lambda p: 0.0)
 
 
 class TestCkaScorer:
@@ -192,25 +192,25 @@ class TestExternalScorer:
 
 
 class TestOptimize:
-    def test_full_pipeline(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_full_pipeline(self, deit, deit_ladder):
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
-        res = optimize(deit, fefet, tiles, softmax_params, 7.0, scorer, cost_opts)
+        res = optimize(deit_ladder, 7.0, scorer)
         assert res.feasible and res.optimal_n_reuse == 5
         assert res.best is not None
         assert len(res.best.reuse_set) == 5
         scores = dict((p.reuse_set, s) for p, s in res.candidates)
         assert min(scores.values()) == scores[res.best.reuse_set]
 
-    def test_zero_reuse_has_no_candidates(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_zero_reuse_has_no_candidates(self, deit, deit_ladder):
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
-        res = optimize(deit, fefet, tiles, softmax_params, 11.0, scorer, cost_opts)
+        res = optimize(deit_ladder, 11.0, scorer)
         assert res.optimal_n_reuse == 0
         assert res.candidates == () and res.best is None
 
-    def test_deterministic(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_deterministic(self, deit, deit_ladder):
         def run():
             scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=7))
-            return optimize(deit, fefet, tiles, softmax_params, 6.0, scorer, cost_opts)
+            return optimize(deit_ladder, 6.0, scorer)
 
         a, b = run(), run()
         assert a.best == b.best
@@ -218,20 +218,17 @@ class TestOptimize:
             (p.reuse_set, s) for p, s in b.candidates
         ]
 
-    def test_family_restriction(self, deit, fefet, tiles, softmax_params, cost_opts):
+    def test_family_restriction(self, deit, deit_ladder):
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
-        res = optimize(deit, fefet, tiles, softmax_params, 9.0, scorer, cost_opts,
-                       families=(PatternKind.CONTINUOUS,))
+        res = optimize(deit_ladder, 9.0, scorer, families=(PatternKind.CONTINUOUS,))
         assert all(p.kind is PatternKind.CONTINUOUS for p, _ in res.candidates)
 
-    def test_family_without_a_pattern_of_the_count(self, deit, fefet, tiles,
-                                                   softmax_params, cost_opts):
+    def test_family_without_a_pattern_of_the_count(self, deit, deit_ladder):
         # 5 ms needs 8 reusers of 12; the shortest strided set of 8 spans 15
         assert enumerate_patterns(deit.n_encoders, 8, (PatternKind.STRIDED,)) == []
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
-        res = optimize(deit, fefet, tiles, softmax_params, 5.0, scorer, cost_opts,
-                       families=(PatternKind.STRIDED,))
-        found = find_optimal_n_reuse(deit, fefet, tiles, softmax_params, 5.0, cost_opts)
+        res = optimize(deit_ladder, 5.0, scorer, families=(PatternKind.STRIDED,))
+        found = find_optimal_n_reuse(deit_ladder, 5.0)
         assert not res.feasible
         assert res.optimal_n_reuse == found.optimal_n_reuse == 8
         assert res.candidates == () and res.best is None
@@ -244,7 +241,7 @@ def test_synthetic_activations_distance_decay():
     assert adjacent > distant
 
 
-def test_optimize_scores_each_pattern_once(deit, fefet, tiles, softmax_params, cost_opts):
+def test_optimize_scores_each_pattern_once(deit, deit_ladder):
     scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
     calls = []
 
@@ -252,6 +249,6 @@ def test_optimize_scores_each_pattern_once(deit, fefet, tiles, softmax_params, c
         calls.append(pattern)
         return scorer(pattern)
 
-    res = optimize(deit, fefet, tiles, softmax_params, 7.0, counting, cost_opts)
+    res = optimize(deit_ladder, 7.0, counting)
     assert len(calls) == len(res.candidates) > 1
     assert res.best == select_best([p for p, _ in res.candidates], scorer)
