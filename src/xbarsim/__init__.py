@@ -7,11 +7,9 @@ from .workload import LayerKind, LayerSpec, ModelConfig, mac_count
 from .patterns import (
     PatternKind,
     ReusePattern,
+    PatternSet,
     enumerate_patterns,
     explicit_pattern,
-    gen_continuous,
-    gen_pyramid,
-    gen_strided,
     select_best,
 )
 from .mapping import (

@@ -49,9 +49,11 @@ def _format_list(spec: str) -> tuple[str, ...]:
 
 
 def _common_flags(p: argparse.ArgumentParser, report: bool = True) -> None:
-    p.add_argument("--model", default="DeiT-S", help="model preset name")
-    p.add_argument("--device", default="FeFET",
-                   help="device preset name, or 'hybrid' (FeFET FCs + SRAM matmuls)")
+    p.add_argument("--model", default=None,
+                   help="model preset name (default: the --config file's, else DeiT-S)")
+    p.add_argument("--device", default=None,
+                   help="device preset name, or 'hybrid' (FeFET FCs + SRAM matmuls); "
+                        "default: the --config file's, else FeFET")
     p.add_argument("--config", default=None, help="INI file overriding the presets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
@@ -99,7 +101,7 @@ def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
-    return _report(args, run_scenario(scenario, inputs), report_meta(inputs, scenario))
+    return _report(args, run_scenario(scenario, inputs), report_meta(inputs))
 
 
 def cmd_optimize(args) -> int:
@@ -120,16 +122,22 @@ def cmd_optimize(args) -> int:
         return 1
     print(f"optimal n_reuse = {result.optimal_n_reuse} "
           f"(baseline {baseline_ms:.2f} ms -> {result.cost.d_vit_ms:.2f} ms)")
-    ranked = sorted(result.candidates, key=lambda c: (c[1], c[0].reuse_set))
-    for pattern, score in ranked[:10]:
-        marker = " <- selected" if pattern == result.best else ""
-        print(f"  {pattern.kind.value:<12} {pattern.label():<20} score={score:.4f}{marker}")
+    candidates = {}  # none when the target is met with no reuse
+    if result.candidates is not None:
+        # rows are sorted by reuse set, so a stable sort breaks score ties by it
+        for k in np.argsort(result.scores, kind="stable")[:10].tolist():
+            pattern = result.candidates[k]
+            marker = " <- selected" if pattern == result.best else ""
+            print(f"  {pattern.kind.value:<12} {pattern.label():<20} "
+                  f"score={result.scores[k]:.4f}{marker}")
+        candidates = {"+".join(map(str, row)): s for row, s in
+                      zip(result.candidates.sets.tolist(), result.scores.tolist())}
     path = os.path.join(out_dir(args.out), f"{args.name}_patterns.json")
     write_text(path, json_text({
         "n_reuse": result.optimal_n_reuse,
         "achieved_delay_ms": result.cost.d_vit_ms,
         "best": result.best.label() if result.best else None,
-        "candidates": {p.label(): s for p, s in ranked},
+        "candidates": candidates,
     }))
     print(f"wrote: {path}")
     return 0
@@ -146,13 +154,14 @@ def cmd_funcsim(args) -> int:
 
     # settings are read and validated for every device, exact included
     sc = cfgmod.ScenarioConfig(args.config)
-    if args.device == "exact" and sc.has_section("device"):
+    device = sc.preset_name("device", args.device, "exact")
+    if device == "exact" and sc.has_section("device"):
         raise ValueError("--device exact runs on no crossbar and takes no [device] section")
     tiles, noise = sc.tiles(), sc.noise()
     if args.adc_bits is not None:
         tiles = replace(tiles, adc_bits=args.adc_bits)
     ctx = SimContext(
-        None if args.device == "exact" else resolve_device(args.device, sc),
+        None if device == "exact" else resolve_device(device, sc),
         tiles,
         seed=noise.get("seed", args.seed),
         device_noise=not args.no_noise,
@@ -168,7 +177,7 @@ def cmd_funcsim(args) -> int:
     for i, a in enumerate(result.attention_outputs):
         save_tensor(os.path.join(out, f"attn_{i:02d}.xbt"), a)
     summary = {
-        "device": args.device,
+        "device": device,
         "seed": args.seed,
         "attention_evals": result.stats.attention_evals,
         "crossbar_matmuls": result.stats.crossbar_matmuls,
@@ -187,7 +196,7 @@ def cmd_compare(args) -> int:
     scenario = _scenario(args)
     inputs = resolve(scenario)
     rows = run_compare(scenario, args.ws or [2], args.prune_ratio or [0.3], inputs)
-    return _report(args, rows, report_meta(inputs, scenario), feasible_only=True)
+    return _report(args, rows, report_meta(inputs), feasible_only=True)
 
 
 @functools.cache
@@ -224,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", type=int, default=32)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--reuse", default="", help="comma list of reusing encoder indices")
-    p.add_argument("--device", default="exact",
-                   choices=["exact", "FeFET", "SRAM", "hybrid"])
+    p.add_argument("--device", default=None, choices=["exact", "FeFET", "SRAM", "hybrid"],
+                   help="default: the --config file's [device] preset, else exact")
     p.add_argument("--no-noise", action="store_true")
     p.add_argument("--adc-bits", type=int, default=None,
                    help="ADC resolution (default: [tiles] adc_bits)")

@@ -98,6 +98,7 @@ class ScenarioConfig:
     """Presets merged with an optional user override file."""
 
     def __init__(self, user_path: str | None = None):
+        self._path = user_path
         try:
             self._user = _read_ini(Path(user_path).read_text(), user_path) if user_path else {}
         except OSError as exc:
@@ -121,10 +122,22 @@ class ScenarioConfig:
                 raw.update(source.get(name, {}))
         return _typed_kwargs(schema, raw, "/".join(f"[{s}]" for s in sections))
 
+    def preset_name(self, section: str, name: str | None = None,
+                    default: str | None = None) -> str | None:
+        """The [model] or [device] preset in force: ``name`` (from the
+        command line), else the file's ``preset``, else ``default``. A file
+        that names a different preset than ``name`` is rejected."""
+        preset = self._user.get(section, {}).get("preset")
+        if name is not None and preset is not None and preset != name:
+            raise ValueError(f"--{section} {name} conflicts with [{section}] "
+                             f"preset = {preset} in {self._path}")
+        return name or preset or default
+
     def _named(self, section: str, filename: str, name: str | None):
         """(preset name, preset keys under the user's keys) for [model] or [device]."""
         user = dict(self._user.get(section, {}))
-        preset = user.pop("preset", None) or name
+        user.pop("preset", None)
+        preset = self.preset_name(section, name)
         if preset is None:
             return None, user
         presets = _preset(filename)

@@ -6,7 +6,9 @@ first count whose modelled delay meets the target; because the stack
 is isotropic the count fully determines cost. One ladder serves every
 target of a configuration. Which encoders to pick
 is then a quality question: candidates come from the uniform pattern
-families and are ranked by a pluggable scorer (lower is better).
+families, one sorted array of reuse sets per count, and are ranked by a
+pluggable scorer (lower is better), in one pass when the scorer has a
+``batch`` form.
 
 The reference ranking signal in the source method is partial-training
 loss, which needs a GPU and the full dataset; at desk scale we ship a
@@ -30,10 +32,10 @@ from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this bind
 from .patterns import (
     UNIFORM_FAMILIES,
     PatternKind,
+    PatternSet,
     ReusePattern,
     enumerate_patterns,
-    reuse_sources,
-    select_best,
+    source_array,
 )
 from .similarity import centered, cka_score
 
@@ -42,13 +44,15 @@ Scorer = Callable[[ReusePattern], float]
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """``cost`` is the whole-model cost at ``optimal_n_reuse``."""
+    """``cost`` is the whole-model cost at ``optimal_n_reuse``;
+    ``scores[k]`` is the score of row k of ``candidates``."""
 
     target_delay_ms: float
     feasible: bool
     optimal_n_reuse: int | None
     cost: ModelCost | None
-    candidates: tuple[tuple[ReusePattern, float], ...] = ()
+    candidates: PatternSet | None = None
+    scores: np.ndarray | None = None
     best: ReusePattern | None = None
 
 
@@ -101,12 +105,13 @@ def optimize(
     found = find_optimal_n_reuse(ladder, target_delay_ms)
     if not found.feasible or found.optimal_n_reuse == 0:
         return found
-    patterns = enumerate_patterns(ladder[0].n_encoders, found.optimal_n_reuse, families)
-    if not patterns:
+    candidates = enumerate_patterns(ladder[0].n_encoders, found.optimal_n_reuse, families)
+    if not candidates:
         return replace(found, feasible=False)
-    scored = tuple((p, float(scorer(p))) for p in patterns)
-    return replace(found, candidates=scored,
-                   best=select_best(patterns, dict(scored).__getitem__))
+    batch = getattr(scorer, "batch", None)  # else one call per pattern, same scores
+    scores = batch(candidates.sets) if batch else np.array([scorer(p) for p in candidates], float)
+    return replace(found, candidates=candidates, scores=scores,
+                   best=candidates[int(np.argmin(scores))])
 
 
 def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:
@@ -116,27 +121,27 @@ def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:
     a forward pass of the unmodified model. Reusing encoder i drops its
     own attention in favour of a transform of encoder source(i)'s, so
     the penalty is their dissimilarity; low totals mean the pattern
-    discards little information. Each output is centered once, so a
-    pair's first lookup computes only its cross term.
+    discards little information. Each output is centered once, and a
+    pair's penalty ``pen[src * n + i]`` is computed on its first use.
     """
     outputs = [centered(a) for a in attention_outputs]
-    pair_cache: dict[tuple[int, int], float] = {}
+    n = len(outputs)
+    pen = np.full(n * n, np.nan)
 
-    def score(pattern: ReusePattern) -> float:
-        if pattern.reuse_set and pattern.reuse_set[-1] >= len(outputs):
-            raise ValueError(
-                f"pattern needs {pattern.reuse_set[-1] + 1} encoder activations, "
-                f"have {len(outputs)}"
-            )
-        total = 0.0
-        for i, src in reuse_sources(pattern.reuse_set).items():
-            key = (src, i)
-            if key not in pair_cache:
-                pair_cache[key] = cka_score(outputs[src], outputs[i])
-            total += 1.0 - pair_cache[key]
+    def batch(sets: np.ndarray) -> np.ndarray:
+        if sets.size and sets.max() >= n:
+            raise ValueError(f"pattern needs {sets.max() + 1} encoder activations, have {n}")
+        pairs = source_array(sets) * n + sets
+        for pair in dict.fromkeys(pairs[np.isnan(pen[pairs])].tolist()):
+            src, i = divmod(pair, n)
+            pen[pair] = 1.0 - cka_score(outputs[src], outputs[i])
+        vals = pen[pairs]
+        total = np.zeros(len(sets))
+        for j in range(sets.shape[1]):  # in reuse-set order: the sequential sum, bit for
+            total += vals[:, j]         # bit; .sum(axis=1) sums pairwise from 8 reusers on
         return total
 
-    return score
+    return _scorer(batch)
 
 
 def load_external_scorer(path: str) -> Scorer:
@@ -156,14 +161,23 @@ def load_external_scorer(path: str) -> Scorer:
         raise ValueError(f"score file {path} is not a JSON object mapping "
                          '"i,j,k" reuse sets to finite numbers') from None
 
-    def score(pattern: ReusePattern) -> float:
+    def batch(sets: np.ndarray) -> np.ndarray:
         try:
-            return scores[pattern.reuse_set]
-        except KeyError:
-            raise ValueError(
-                f"external score table has no entry for pattern {pattern.label()}"
-            ) from None
+            return np.array([scores[tuple(row)] for row in sets.tolist()])
+        except KeyError as exc:
+            label = "+".join(map(str, exc.args[0])) or "none"
+            raise ValueError(f"external score table has no entry for pattern {label}") from None
 
+    return _scorer(batch)
+
+
+def _scorer(batch: Callable[[np.ndarray], np.ndarray]) -> Scorer:
+    """The one-pattern scorer over ``batch``, a map from a (patterns x k)
+    array of sorted reuse sets to their scores, carried as ``.batch``."""
+    def score(pattern: ReusePattern) -> float:
+        return float(batch(np.array([pattern.reuse_set], dtype=np.intp))[0])
+
+    score.batch = batch
     return score
 
 
@@ -177,11 +191,9 @@ def synthetic_attention_outputs(n_encoders: int, seed: int = 0) -> list[np.ndarr
     CKA proxy needs (prefer later starts; larger strides sit deeper).
     """
     rng = np.random.default_rng(seed)
-    shape = (32, 64)  # (tokens, width), as in the toy model
-    outputs = [rng.standard_normal(shape)]
+    noise = rng.standard_normal((n_encoders, 32, 64))  # (tokens, width), as in the toy model
+    outputs = list(noise[:1])
     for i in range(1, n_encoders):
         alpha = 0.6 * 0.82**i  # innovation rate, decaying with depth
-        fresh = rng.standard_normal(shape)
-        mixed = np.sqrt(1.0 - alpha**2) * outputs[-1] + alpha * fresh
-        outputs.append(mixed)
+        outputs.append(np.sqrt(1.0 - alpha**2) * outputs[-1] + alpha * noise[i])
     return outputs

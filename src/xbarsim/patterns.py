@@ -11,8 +11,11 @@ explicit possibilities:
                  strided suffix (prefix takes the extra element when
                  the strided count is odd)
 
-The exact pyramid layout is a convention of this package; it
-degenerates to strided at n_cont=0 and to continuous at n_cont=k.
+Each family is one formula for the offsets of its indices from the
+first (``_offsets``): strided is a pyramid at n_cont=0, continuous one
+with steps of 1. The exact pyramid layout is a convention of this
+package. ``enumerate_patterns`` returns the candidates of one reuse
+count as one sorted integer array, a ``PatternSet``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 
 class PatternKind(Enum):
@@ -71,21 +76,16 @@ def validate_pattern(p: ReusePattern) -> None:
         raise ValueError(f"start {p.start} is not the first index of reuse set {s}")
     if p.n_cont is not None and not 0 <= p.n_cont <= len(s):
         raise ValueError(f"n_cont {p.n_cont} outside [0, {len(s)}] for reuse set {s}")
-    diffs = [b - a for a, b in zip(s, s[1:])]
-    if p.kind is PatternKind.STRIDED:
-        if p.sl is None or p.sl < 2:
-            raise ValueError("strided pattern needs sl >= 2")
-        if any(d != p.sl for d in diffs):
-            raise ValueError(f"strided pattern {s} has non-uniform stride")
-    elif p.kind is PatternKind.CONTINUOUS:
-        if any(d != 1 for d in diffs):
-            raise ValueError(f"continuous pattern {s} is not consecutive")
-    elif p.kind is PatternKind.PYRAMID:
-        if p.sl is None or p.sl < 2 or p.n_cont is None:
-            raise ValueError("pyramid pattern needs sl >= 2 and n_cont")
-        expected = _pyramid_steps(len(s), p.n_cont, p.sl)
-        if diffs != expected:
-            raise ValueError(f"pyramid pattern {s} does not match its parameters")
+    if p.kind is PatternKind.EXPLICIT:
+        return
+    if p.kind is not PatternKind.CONTINUOUS and (p.sl is None or p.sl < 2):
+        raise ValueError(f"{p.kind.value} pattern needs sl >= 2")
+    if p.kind is PatternKind.PYRAMID and p.n_cont is None:
+        raise ValueError("pyramid pattern needs n_cont")
+    sl = 1 if p.kind is PatternKind.CONTINUOUS else p.sl
+    n_cont = p.n_cont if p.kind is PatternKind.PYRAMID else 0
+    if [i - s[0] for i in s] != _offsets(len(s), sl, n_cont).tolist():
+        raise ValueError(f"{p.kind.value} pattern {s} does not match its parameters")
 
 
 def reuse_sources(reuse_set: Iterable[int]) -> dict[int, int]:
@@ -102,60 +102,54 @@ def reuse_sources(reuse_set: Iterable[int]) -> dict[int, int]:
     return sources
 
 
-def _pyramid_steps(n_reuse: int, n_cont: int, sl: int) -> list[int]:
-    """Step sizes between consecutive reusing indices.
+def source_array(sets: np.ndarray) -> np.ndarray:
+    """``reuse_sources`` of every row of a (patterns x k) array of sorted
+    reuse sets: an index's source is the first index of its run of
+    consecutive indices, minus 1."""
+    pos = np.arange(sets.shape[1])
+    run_start = np.maximum.accumulate(np.where(np.diff(sets, prepend=-1) != 1, pos, 0), axis=1)
+    return sets - (pos - run_start) - 1
 
-    Positions [prefix, prefix + n_cont) form the continuous run; a step
-    is 1 only when both endpoints lie inside the run.
+
+def _offsets(n_reuse: int, sl, n_cont) -> np.ndarray:
+    """Offsets of a pyramid's indices from its first, for scalar or
+    column-vector ``sl`` and ``n_cont``.
+
+    Steps are sl, except that positions [prefix, prefix + n_cont) form
+    the continuous run and a step is 1 when both its ends lie inside it;
+    so the first j steps hold clip(j - prefix, 0, n_cont - 1) ones.
     """
-    n_strided = n_reuse - n_cont
-    prefix = (n_strided + 1) // 2
-    run = range(prefix, prefix + n_cont)
-    steps = []
-    for i in range(1, n_reuse):
-        steps.append(1 if (i - 1) in run and i in run else sl)
-    return steps
+    j = np.arange(n_reuse)
+    prefix = (n_reuse - n_cont + 1) // 2
+    ones = np.minimum(np.maximum(j - prefix, 0), np.maximum(n_cont - 1, 0))
+    return ones + sl * (j - ones)
 
 
-def _materialize(start: int, steps: Sequence[int], n_encoders: int) -> tuple[int, ...] | None:
-    indices = [start]
-    for step in steps:
-        indices.append(indices[-1] + step)
-    if indices[-1] >= n_encoders:
-        return None
-    return tuple(indices)
+@dataclass(frozen=True, eq=False)
+class PatternSet:
+    """The distinct uniform patterns of one (n_encoders, n_reuse) as arrays.
 
+    Row k is the reuse set ``sets[k]``, rows in lexicographic order, and
+    ``family[k]`` (an index into ``UNIFORM_FAMILIES``), ``sl[k]`` and
+    ``n_cont[k]`` are the parameters of its representative. Indexing
+    builds a row's ``ReusePattern``.
+    """
 
-def gen_strided(n_encoders: int, n_reuse: int, sl: int, start: int) -> ReusePattern | None:
-    """{start, start+sl, ...}; None when it does not fit."""
-    if n_reuse < 1 or sl < 2 or start < 1:
-        return None
-    indices = _materialize(start, [sl] * (n_reuse - 1), n_encoders)
-    if indices is None:
-        return None
-    return ReusePattern(PatternKind.STRIDED, n_encoders, indices, sl=sl, start=start)
+    n_encoders: int
+    sets: np.ndarray
+    family: np.ndarray
+    sl: np.ndarray
+    n_cont: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.sets)
 
-def gen_continuous(n_encoders: int, n_reuse: int, start: int) -> ReusePattern | None:
-    if n_reuse < 1 or start < 1:
-        return None
-    indices = _materialize(start, [1] * (n_reuse - 1), n_encoders)
-    if indices is None:
-        return None
-    return ReusePattern(PatternKind.CONTINUOUS, n_encoders, indices, start=start)
-
-
-def gen_pyramid(
-    n_encoders: int, n_reuse: int, sl: int, n_cont: int, start: int
-) -> ReusePattern | None:
-    if n_reuse < 1 or sl < 2 or start < 1 or not 0 <= n_cont <= n_reuse:
-        return None
-    indices = _materialize(start, _pyramid_steps(n_reuse, n_cont, sl), n_encoders)
-    if indices is None:
-        return None
-    return ReusePattern(
-        PatternKind.PYRAMID, n_encoders, indices, sl=sl, n_cont=n_cont, start=start
-    )
+    def __getitem__(self, k: int) -> ReusePattern:
+        kind, reuse_set = UNIFORM_FAMILIES[self.family[k]], tuple(self.sets[k].tolist())
+        return ReusePattern(kind, self.n_encoders, reuse_set,
+                            sl=None if kind is PatternKind.CONTINUOUS else int(self.sl[k]),
+                            n_cont=int(self.n_cont[k]) if kind is PatternKind.PYRAMID else None,
+                            start=reuse_set[0])
 
 
 def explicit_pattern(n_encoders: int, indices: Iterable[int]) -> ReusePattern:
@@ -166,58 +160,41 @@ def enumerate_patterns(
     n_encoders: int,
     n_reuse: int,
     families: Iterable[PatternKind] = UNIFORM_FAMILIES,
-) -> list[ReusePattern]:
+) -> PatternSet:
     """All distinct uniform patterns of the requested size.
 
     Deduplicated on the reuse set (the same set can arise from several
     parameterizations); the kept representative is the first generated
     in family order strided < continuous < pyramid, parameters
-    ascending (sl, then n_cont, then start). Output is sorted by reuse
-    set for determinism.
-
-    Each (family, sl, n_cont) fixes a step list, hence the offsets of
-    its indices from the start. A set is its smallest index plus its
-    offsets, so two parameterizations give the same set exactly when
-    they share the offsets and the start. The offsets are therefore
-    tried once, by their first parameterization, over every start that
-    fits; a repeat would only give sets already kept, and distinct
-    offsets never collide, so each kept set is constructed once.
+    ascending (sl, then n_cont, then start). Every parameterization's
+    offsets are broadcast over the starts that fit, in that order, and a
+    stable lexicographic sort of the rows puts equal sets side by side,
+    the first generated first.
     """
     if not 1 <= n_reuse < n_encoders:
         raise ValueError(f"need 1 <= n_reuse < n_encoders, got {n_reuse}/{n_encoders}")
-    wanted = set(families)
-    tried: set[tuple[int, ...]] = set()
-    kept: list[ReusePattern] = []
+    # (family, sl, n_cont) of every parameterization, in enumeration order:
+    # strided is a pyramid with n_cont 0, continuous one with steps of 1
+    strides = np.arange(2, n_encoders)
+    n_pyramid = len(strides) * (n_reuse + 1)
+    family = np.repeat([0, 1, 2], [len(strides), 1, n_pyramid])
+    sl = np.concatenate([strides, [1], np.repeat(strides, n_reuse + 1)])
+    n_cont = np.concatenate([0 * strides, [0], np.arange(n_pyramid) % (n_reuse + 1)])
+    families = set(families)
+    pick = np.array([kind in families for kind in UNIFORM_FAMILIES])[family]
+    family, sl, n_cont = family[pick], sl[pick], n_cont[pick]
+    offsets = _offsets(n_reuse, sl[:, None], n_cont[:, None])
 
-    def keep(kind: PatternKind, steps: list[int], **params: int | None) -> None:
-        offsets = tuple(itertools.accumulate(steps, initial=0))
-        if offsets in tried:
-            return
-        tried.add(offsets)
-        for start in range(1, n_encoders - offsets[-1]):
-            reuse_set = tuple(start + o for o in offsets)
-            kept.append(ReusePattern(kind, n_encoders, reuse_set, start=start, **params))
-
-    # A step list spans n_ones + sl * (n_reuse - 1 - n_ones) encoders; it
-    # fits from start 1 only while that span is at most n_encoders - 2.
-    room = n_encoders - 2
-    if PatternKind.STRIDED in wanted:
-        for sl in range(2, n_encoders):
-            if sl * (n_reuse - 1) > room:
-                break
-            keep(PatternKind.STRIDED, [sl] * (n_reuse - 1), sl=sl)
-    if PatternKind.CONTINUOUS in wanted:
-        keep(PatternKind.CONTINUOUS, [1] * (n_reuse - 1))
-    if PatternKind.PYRAMID in wanted:
-        for sl in range(2, n_encoders):
-            for n_cont in range(0, n_reuse + 1):
-                n_ones = max(n_cont - 1, 0)
-                if n_ones + sl * (n_reuse - 1 - n_ones) <= room:
-                    steps = _pyramid_steps(n_reuse, n_cont, sl)
-                    keep(PatternKind.PYRAMID, steps, sl=sl, n_cont=n_cont)
-
-    kept.sort(key=lambda p: p.reuse_set)
-    return kept
+    # starts 1 .. n_encoders - 1 - span of each parameterization
+    n_starts = np.maximum(n_encoders - 1 - offsets[:, -1], 0)
+    gen = np.repeat(np.arange(len(sl)), n_starts)
+    starts = np.arange(1, len(gen) + 1) - np.repeat(np.cumsum(n_starts) - n_starts, n_starts)
+    sets = offsets[gen] + starts[:, None]
+    order = np.lexsort(sets.T[::-1])
+    sets, gen = sets[order], gen[order]
+    first = (np.diff(sets, axis=0, prepend=-1) != 0).any(axis=1)  # unlike the row above
+    gen = gen[first]
+    return PatternSet(n_encoders, sets[first], family[gen], sl[gen], n_cont[gen])
 
 
 def all_explicit_patterns(n_encoders: int, n_reuse: int) -> list[ReusePattern]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import config as cfgmod
@@ -77,9 +77,12 @@ BREAKDOWN_HEADER = "scenario,pattern,block," + ",".join(f"{s}_share" for s in SH
 
 @dataclass(frozen=True)
 class Scenario:
+    """``model`` and ``device`` name presets; None takes the config file's
+    ``preset``, else DeiT-S and FeFET (see ``resolve``)."""
+
     name: str
-    model: str
-    device: str  # preset name, or "hybrid" for FeFET weights + SRAM matmuls
+    model: str | None
+    device: str | None  # preset name, or "hybrid" for FeFET weights + SRAM matmuls
     target_delays_ms: tuple[float, ...] = ()
     patterns: str = "all"  # strided | continuous | pyramid | all | explicit:i,j,k
     scorer: str = "cka"  # cka | external:<path>
@@ -166,9 +169,11 @@ def resolve_device(name: str, sc: cfgmod.ScenarioConfig):
 
 
 class Inputs(NamedTuple):
-    """A scenario costed once: the block table of its resolved inputs,
-    the delay ladder of that table, and the token-pruning overhead."""
+    """A scenario costed once: the scenario with the preset names it ran,
+    the block table of its resolved inputs, the delay ladder of that
+    table, and the token-pruning overhead."""
 
+    scenario: Scenario
     table: BlockTable
     ladder: tuple[ModelCost, ...]
     pruning_overhead: tuple[float, float, float]
@@ -182,15 +187,20 @@ class Inputs(NamedTuple):
 
 def resolve(scenario: Scenario) -> Inputs:
     """The presets under the scenario's config file, resolved once, and
-    the block table and delay ladder every target of it reads."""
+    the block table and delay ladder every target of it reads.
+
+    Each preset name is the scenario's, else the file's ``preset``, else
+    DeiT-S and FeFET; the returned scenario names the ones in force."""
     sc = cfgmod.ScenarioConfig(scenario.config_path)
+    scenario = replace(scenario, model=sc.preset_name("model", scenario.model, "DeiT-S"),
+                       device=sc.preset_name("device", scenario.device, "FeFET"))
     cfg = sc.model(scenario.model)
     if cfg.n_encoders < 1:
         raise ValueError(f"model {cfg.name} has n_encoders = {cfg.n_encoders}; "
                          "a scenario needs at least one encoder")
     table = block_table(cfg, resolve_device(scenario.device, sc), sc.tiles(),
                         sc.softmax(), sc.cost_options())
-    return Inputs(table, delay_ladder(table), sc.pruning_overhead())
+    return Inputs(scenario, table, delay_ladder(table), sc.pruning_overhead())
 
 
 def _row(
@@ -251,9 +261,17 @@ def _target_row(
     return _row(scenario, found.cost, label, base_edap, target, detail)
 
 
-def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[ReportRow]:
-    """Baseline row plus one row per delay target, in input order."""
+def _costed(scenario: Scenario, inputs: Inputs | None) -> tuple[Scenario, Inputs]:
+    """``inputs`` (by default ``resolve(scenario)``), and ``scenario``
+    naming the model and device presets those inputs were costed from."""
     inputs = resolve(scenario) if inputs is None else inputs
+    return replace(scenario, model=inputs.scenario.model, device=inputs.scenario.device), inputs
+
+
+def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[ReportRow]:
+    """Baseline row plus one row per delay target, in input order; rows
+    name the presets ``inputs`` was costed from."""
+    scenario, inputs = _costed(scenario, inputs)
     base = inputs.baseline()
     rows = [_row(scenario, base, "none", base.edap)]
     if scenario.patterns.startswith("explicit:"):
@@ -281,7 +299,7 @@ def run_compare(
     An infeasible reuse target gives an infeasible row, which the
     compare report leaves out.
     """
-    inputs = resolve(scenario) if inputs is None else inputs
+    scenario, inputs = _costed(scenario, inputs)
     table = inputs.table
     base = inputs.baseline()
     entries = [("baseline", base)]
@@ -295,10 +313,10 @@ def run_compare(
     return rows
 
 
-def report_meta(inputs: Inputs, scenario: Scenario) -> dict:
-    """Report-header facts: ``scenario``, and the conventions of the
-    model and cost options of ``inputs``, the ones the report was costed
-    from."""
+def report_meta(inputs: Inputs) -> dict:
+    """Report-header facts: the scenario of ``inputs``, and the
+    conventions of its model and cost options, the ones the report was
+    costed from."""
     cfg, opts = inputs.table.cfg, inputs.table.opts
     area = ("rounded up to whole tiles (pad_to_tiles)" if opts.pad_to_tiles
             else "not rounded to whole tiles (pad_to_tiles off)")
@@ -327,7 +345,7 @@ def report_meta(inputs: Inputs, scenario: Scenario) -> dict:
         "area_convention": f"per-layer areas {area}, {stem}",
         "serialization_convention": serialization,
         "tb_convention": f"transformation blocks charged as {tb}",
-        "scenario": {k: v for k, v in vars(scenario).items() if k != "config_path"},
+        "scenario": {k: v for k, v in vars(inputs.scenario).items() if k != "config_path"},
         "units": {header: unit for header, *_, unit in CSV_COLUMNS if unit},
     }
 

@@ -17,13 +17,7 @@ import numpy as np
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
 from xbarsim.funcsim.crossbar import NoiseModel
 from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
-from xbarsim.patterns import (
-    PatternKind,
-    gen_continuous,
-    gen_pyramid,
-    gen_strided,
-    reuse_sources,
-)
+from xbarsim.patterns import PatternKind, ReusePattern, reuse_sources
 from xbarsim.workload import ModelConfig, attention_layers, ffn_layers, tb_layer
 
 
@@ -215,6 +209,56 @@ def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
 
 
 ALL_FAMILIES = (PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID)
+
+
+def _pyramid_steps(n_reuse, n_cont, sl):
+    """Step sizes between consecutive reusing indices.
+
+    Positions [prefix, prefix + n_cont) form the continuous run; a step
+    is 1 only when both endpoints lie inside the run.
+    """
+    prefix = (n_reuse - n_cont + 1) // 2
+    run = range(prefix, prefix + n_cont)
+    return [1 if (i - 1) in run and i in run else sl for i in range(1, n_reuse)]
+
+
+def _materialize(start, steps, n_encoders):
+    indices = [start]
+    for step in steps:
+        indices.append(indices[-1] + step)
+    if indices[-1] >= n_encoders:
+        return None
+    return tuple(indices)
+
+
+def gen_strided(n_encoders, n_reuse, sl, start):
+    """{start, start+sl, ...}; None when it does not fit."""
+    if n_reuse < 1 or sl < 2 or start < 1:
+        return None
+    indices = _materialize(start, [sl] * (n_reuse - 1), n_encoders)
+    if indices is None:
+        return None
+    return ReusePattern(PatternKind.STRIDED, n_encoders, indices, sl=sl, start=start)
+
+
+def gen_continuous(n_encoders, n_reuse, start):
+    if n_reuse < 1 or start < 1:
+        return None
+    indices = _materialize(start, [1] * (n_reuse - 1), n_encoders)
+    if indices is None:
+        return None
+    return ReusePattern(PatternKind.CONTINUOUS, n_encoders, indices, start=start)
+
+
+def gen_pyramid(n_encoders, n_reuse, sl, n_cont, start):
+    if n_reuse < 1 or sl < 2 or start < 1 or not 0 <= n_cont <= n_reuse:
+        return None
+    indices = _materialize(start, _pyramid_steps(n_reuse, n_cont, sl), n_encoders)
+    if indices is None:
+        return None
+    return ReusePattern(
+        PatternKind.PYRAMID, n_encoders, indices, sl=sl, n_cont=n_cont, start=start
+    )
 
 
 def oracle_enumerate_patterns(n_encoders, n_reuse, families=ALL_FAMILIES):

@@ -359,7 +359,7 @@ def test_criterion_12_determinism(tmp_path):
         inputs = resolve(scenario)
         rows = run_scenario(scenario, inputs)
         paths = emit(rows, str(tmp_path / sub), "det", ("csv", "json"),
-                     meta=report_meta(inputs, scenario))
+                     meta=report_meta(inputs))
         return [Path(p).read_bytes() for p in sorted(paths)]
 
     files_ok = run("first") == run("second")

@@ -43,6 +43,17 @@ def test_optimize_prints_selection(tmp_path, capsys):
     assert doc["best"] in doc["candidates"]
 
 
+def test_optimize_target_met_without_reuse(tmp_path, capsys):
+    """A target the baseline meets ranks no pattern and writes none."""
+    assert main(["optimize", "--target-delay", "11", "--out", str(tmp_path),
+                 "--name", "opt"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("optimal n_reuse = 0 (baseline ")
+    assert out[1].startswith("wrote: ")
+    doc = json.loads(read(tmp_path / "opt_patterns.json"))
+    assert (doc["n_reuse"], doc["best"], doc["candidates"]) == (0, None, {})
+
+
 def test_optimize_infeasible_exit_code(tmp_path, capsys):
     rc = main([
         "optimize", "--model", "DeiT-S", "--device", "FeFET",
@@ -325,7 +336,7 @@ def test_meta_states_resolved_cost_options(tmp_path):
     assert "mapped d x d crossbar FCs" in meta["tb_convention"]
     assert "digital constants" not in meta["tb_convention"]
     scenario = Scenario("conv", "DeiT-S", "FeFET", config_path=str(user))
-    direct = report_meta(resolve(scenario), scenario)
+    direct = report_meta(resolve(scenario))
     assert direct["area_convention"] == meta["area_convention"]
     assert direct["tb_convention"] == meta["tb_convention"]
 
@@ -418,3 +429,59 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
             assert cached == read(tmp_path / f"fresh{i}" / name)
         # header, baseline and exactly this call's two targets
         assert len(read(tmp_path / f"cached{i}" / "scenario.csv").splitlines()) == 4
+
+
+TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2"]
+
+
+def _preset_file(tmp_path, model="BERT-Base", device="SRAM"):
+    user = tmp_path / "presets.ini"
+    user.write_text(f"[model]\npreset = {model}\n[device]\npreset = {device}\n")
+    return str(user)
+
+
+CONFLICTS = [(command, section) for command in ("simulate", "optimize", "compare")
+             for section in ("model", "device")] + [("funcsim", "device")]
+
+
+@pytest.mark.parametrize("command,section", CONFLICTS, ids=["-".join(c) for c in CONFLICTS])
+def test_a_file_preset_that_conflicts_is_a_usage_error(command, section, tmp_path, capsys):
+    """A command-line preset and a different file ``preset`` are rejected,
+    not silently resolved to the file's while the report names the other."""
+    flag, file_preset = {"model": ("DeiT-S", "BERT-Base"), "device": ("FeFET", "SRAM")}[section]
+    argv = [command, f"--{section}", flag, "--config", _preset_file(tmp_path),
+            "--out", str(tmp_path / "o")]
+    argv += TOY if command == "funcsim" else ["--target-delay", "4"]
+    assert f"--{section} {flag} conflicts with [{section}] preset = {file_preset}" in \
+        usage_error(argv, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_reports_name_the_file_preset_they_ran(command, tmp_path, capsys):
+    user = _preset_file(tmp_path)
+    assert main([command, "--config", user, "--target-delay", "4", "--name", "p",
+                 "--out", str(tmp_path)]) == 0
+    rows = read(tmp_path / "p.csv").splitlines()[1:]
+    assert {tuple(row.split(",")[1:3]) for row in rows} == {("BERT-Base", "SRAM")}
+    doc = json.loads(read(tmp_path / "p.json"))
+    assert {(r["model"], r["device"]) for r in doc["rows"]} == {("BERT-Base", "SRAM")}
+    assert (doc["meta"]["scenario"]["model"], doc["meta"]["scenario"]["device"]) == \
+        ("BERT-Base", "SRAM")
+    # the same presets named on the command line agree with the file
+    assert main([command, "--model", "BERT-Base", "--device", "SRAM", "--config", user,
+                 "--target-delay", "4", "--name", "q", "--out", str(tmp_path)]) == 0
+    assert read(tmp_path / "q.csv").replace("q,", "p,") == read(tmp_path / "p.csv")
+
+
+def test_optimize_runs_the_file_preset(tmp_path, capsys):
+    assert main(["optimize", "--config", _preset_file(tmp_path), "--target-delay", "4",
+                 "--out", str(tmp_path)]) == 0
+    baseline = resolve(Scenario("b", "BERT-Base", "SRAM")).ladder[0].d_vit_ms
+    assert f"(baseline {baseline:.2f} ms" in capsys.readouterr().out
+
+
+def test_funcsim_summary_names_the_file_preset(tmp_path):
+    assert main(["funcsim", *TOY, "--config", _preset_file(tmp_path),
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads(read(tmp_path / "funcsim_summary.json"))["device"] == "SRAM"

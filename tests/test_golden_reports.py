@@ -257,3 +257,54 @@ def test_optimize_patterns_match_golden(tmp_path):
     assert main(["optimize", "--model", "DeiT-S", "--device", "FeFET",
                  "--target-delay", "7", "--out", str(tmp_path)]) == 0
     assert _digest(tmp_path / "optimize_patterns.json") == OPTIMIZE_GOLDEN
+
+
+# (model, device, target ms) -> the ten ranked lines ``optimize`` prints
+# (family, label, score), and the sha256 of the optimize_patterns.json it
+# writes. LV-ViT-S has 16 encoders and needs 9 reusers at 7 ms, so its
+# scores each add up 9 penalties.
+OPTIMIZE_RANKING_GOLDEN = {
+    ("DeiT-S", "FeFET", "7"): (
+        "dc651e39da800d23950a96ca8059c0eefbb22bbc8c8ed23be58416b4c1ef02aa",
+        (
+            "  pyramid      4+6+8+9+11           score=0.0468 <- selected",
+            "  pyramid      6+8+9+10+11          score=0.0471",
+            "  pyramid      5+8+9+10+11          score=0.0544",
+            "  pyramid      5+7+8+9+11           score=0.0553",
+            "  pyramid      4+8+9+10+11          score=0.0578",
+            "  strided      3+5+7+9+11           score=0.0687",
+            "  pyramid      5+7+8+9+10           score=0.0727",
+            "  continuous   7+8+9+10+11          score=0.0751",
+            "  pyramid      3+8+9+10+11          score=0.0753",
+            "  pyramid      4+7+8+9+10           score=0.0761",
+        ),
+    ),
+    ("LV-ViT-S", "hybrid", "7"): (
+        "a2ee24b65976d555e42ead5553d0225cd8a93fbf497657f46d356c341c656987",
+        (
+            "  pyramid      4+6+8+9+10+11+12+13+15 score=0.0955 <- selected",
+            "  pyramid      6+8+9+10+11+12+13+14+15 score=0.1026",
+            "  pyramid      5+8+9+10+11+12+13+14+15 score=0.1098",
+            "  pyramid      4+8+9+10+11+12+13+14+15 score=0.1132",
+            "  pyramid      2+4+6+8+9+10+11+13+15 score=0.1228",
+            "  pyramid      3+8+9+10+11+12+13+14+15 score=0.1308",
+            "  pyramid      3+5+7+8+9+10+11+13+15 score=0.1328",
+            "  pyramid      5+7+8+9+10+11+12+13+15 score=0.1360",
+            "  pyramid      2+8+9+10+11+12+13+14+15 score=0.1453",
+            "  pyramid      3+5+7+8+9+10+11+12+14 score=0.1535",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OPTIMIZE_RANKING_GOLDEN),
+                         ids=["-".join(case[:2]) for case in OPTIMIZE_RANKING_GOLDEN])
+def test_optimize_ranking_matches_golden(case, tmp_path, capsys):
+    """The printed top ten and the written ranking: family representative,
+    label and score of each candidate."""
+    model, device, target = case
+    assert main(["optimize", "--model", model, "--device", device,
+                 "--target-delay", target, "--out", str(tmp_path)]) == 0
+    digest, top_ten = OPTIMIZE_RANKING_GOLDEN[case]
+    assert tuple(capsys.readouterr().out.splitlines()[1:11]) == top_ten
+    assert _digest(tmp_path / "optimize_patterns.json") == digest

@@ -1,12 +1,13 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import oracle_cka_scorer
+from oracles import ALL_FAMILIES, gen_continuous, gen_strided, oracle_cka_scorer
 from xbarsim.optimize import (
     delay_ladder,
     find_optimal_n_reuse,
@@ -20,8 +21,6 @@ from xbarsim.patterns import (
     PatternKind,
     enumerate_patterns,
     explicit_pattern,
-    gen_continuous,
-    gen_strided,
     select_best,
 )
 from xbarsim.patterns import reuse_sources
@@ -190,6 +189,14 @@ class TestExternalScorer:
         with pytest.raises(ValueError, match="no entry"):
             scorer(explicit_pattern(6, (2, 5)))
 
+    def test_batch_looks_up_each_row(self, tmp_path):
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps({"1,3": 0.5, "2,4": 0.25}))
+        scorer = load_external_scorer(str(path))
+        assert scorer.batch(np.array([[1, 3], [2, 4]])).tolist() == [0.5, 0.25]
+        with pytest.raises(ValueError, match="no entry for pattern 2[+]5"):
+            scorer.batch(np.array([[1, 3], [2, 5]]))
+
 
 class TestOptimize:
     def test_full_pipeline(self, deit, deit_ladder):
@@ -198,14 +205,14 @@ class TestOptimize:
         assert res.feasible and res.optimal_n_reuse == 5
         assert res.best is not None
         assert len(res.best.reuse_set) == 5
-        scores = dict((p.reuse_set, s) for p, s in res.candidates)
+        scores = dict((p.reuse_set, s) for p, s in zip(res.candidates, res.scores))
         assert min(scores.values()) == scores[res.best.reuse_set]
 
     def test_zero_reuse_has_no_candidates(self, deit, deit_ladder):
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
         res = optimize(deit_ladder, 11.0, scorer)
         assert res.optimal_n_reuse == 0
-        assert res.candidates == () and res.best is None
+        assert res.candidates is None and res.scores is None and res.best is None
 
     def test_deterministic(self, deit, deit_ladder):
         def run():
@@ -214,24 +221,38 @@ class TestOptimize:
 
         a, b = run(), run()
         assert a.best == b.best
-        assert [(p.reuse_set, s) for p, s in a.candidates] == [
-            (p.reuse_set, s) for p, s in b.candidates
+        assert [(p.reuse_set, s) for p, s in zip(a.candidates, a.scores)] == [
+            (p.reuse_set, s) for p, s in zip(b.candidates, b.scores)
         ]
 
     def test_family_restriction(self, deit, deit_ladder):
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
         res = optimize(deit_ladder, 9.0, scorer, families=(PatternKind.CONTINUOUS,))
-        assert all(p.kind is PatternKind.CONTINUOUS for p, _ in res.candidates)
+        assert all(p.kind is PatternKind.CONTINUOUS for p in res.candidates)
 
     def test_family_without_a_pattern_of_the_count(self, deit, deit_ladder):
         # 5 ms needs 8 reusers of 12; the shortest strided set of 8 spans 15
-        assert enumerate_patterns(deit.n_encoders, 8, (PatternKind.STRIDED,)) == []
+        assert len(enumerate_patterns(deit.n_encoders, 8, (PatternKind.STRIDED,))) == 0
         scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=0))
         res = optimize(deit_ladder, 5.0, scorer, families=(PatternKind.STRIDED,))
         found = find_optimal_n_reuse(deit_ladder, 5.0)
         assert not res.feasible
         assert res.optimal_n_reuse == found.optimal_n_reuse == 8
-        assert res.candidates == () and res.best is None
+        assert res.candidates is None and res.best is None
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (12, 0), (16, 5), (24, 7)])
+def test_synthetic_activations_equal_per_encoder_draws(n, seed):
+    """One draw of every encoder's noise gives the values of one draw per
+    encoder, which every pinned report digest was recorded with."""
+    rng = np.random.default_rng(seed)
+    expected = [rng.standard_normal((32, 64))]
+    for i in range(1, n):
+        alpha = 0.6 * 0.82**i
+        expected.append(np.sqrt(1.0 - alpha**2) * expected[-1]
+                        + alpha * rng.standard_normal((32, 64)))
+    got = synthetic_attention_outputs(n, seed=seed)
+    assert len(got) == n and all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_synthetic_activations_distance_decay():
@@ -239,6 +260,49 @@ def test_synthetic_activations_distance_decay():
     adjacent = np.mean([cka_score(acts[i], acts[i + 1]) for i in range(9)])
     distant = np.mean([cka_score(acts[i], acts[i + 5]) for i in range(5)])
     assert adjacent > distant
+
+
+FAMILY_SUBSETS = [c for k in (1, 2, 3) for c in itertools.combinations(ALL_FAMILIES, k)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_scores_equal_per_pattern_scores(seed):
+    """The one-pass batch form gives every candidate the score of the
+    per-pattern scorer and of the sequential per-pair oracle, bit for bit,
+    and ``np.argmin`` over the sorted rows picks ``select_best``'s pattern."""
+    for n in range(2, 17):
+        acts = synthetic_attention_outputs(n, seed=seed)
+        scorer, oracle = make_cka_scorer(acts), oracle_cka_scorer(acts)
+        for k in range(1, n):
+            for families in FAMILY_SUBSETS:
+                found = enumerate_patterns(n, k, families)
+                if not len(found):
+                    continue
+                batch = make_cka_scorer(acts).batch(found.sets)
+                patterns = list(found)
+                scores = {p.reuse_set: scorer(p) for p in patterns}
+                assert batch.tolist() == list(scores.values()) == \
+                    [oracle(p) for p in patterns], (n, k, families)
+                assert found[int(np.argmin(batch))] == \
+                    select_best(patterns, lambda p: scores[p.reuse_set])
+
+
+def test_batch_needs_an_activation_per_encoder():
+    scorer = make_cka_scorer(synthetic_attention_outputs(4, seed=0))
+    with pytest.raises(ValueError, match="needs 7 encoder activations, have 4"):
+        scorer.batch(np.array([[2, 3], [5, 6]]))
+
+
+@pytest.mark.parametrize("target", [9.0, 7.0, 6.0, 4.0])
+def test_plain_callable_scores_equal_the_batch_path(deit, deit_ladder, target):
+    """A scorer without a batch form is called once per pattern; both paths
+    give the same candidates, scores and pick bit for bit."""
+    scorer = make_cka_scorer(synthetic_attention_outputs(deit.n_encoders, seed=3))
+    batched = optimize(deit_ladder, target, scorer)
+    plain = optimize(deit_ladder, target, lambda p: scorer(p))
+    assert np.array_equal(batched.candidates.sets, plain.candidates.sets)
+    assert batched.scores.tolist() == plain.scores.tolist()
+    assert batched.best == plain.best
 
 
 def test_optimize_scores_each_pattern_once(deit, deit_ladder):
@@ -251,4 +315,4 @@ def test_optimize_scores_each_pattern_once(deit, deit_ladder):
 
     res = optimize(deit_ladder, 7.0, counting)
     assert len(calls) == len(res.candidates) > 1
-    assert res.best == select_best([p for p, _ in res.candidates], scorer)
+    assert res.best == select_best(list(res.candidates), scorer)

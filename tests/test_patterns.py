@@ -5,56 +5,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xbarsim.patterns as patterns_mod
-from oracles import ALL_FAMILIES, oracle_enumerate_patterns
+from oracles import (
+    ALL_FAMILIES,
+    gen_continuous,
+    gen_pyramid,
+    gen_strided,
+    oracle_enumerate_patterns,
+)
 from xbarsim.patterns import (
     PatternKind,
     ReusePattern,
     all_explicit_patterns,
     enumerate_patterns,
     explicit_pattern,
-    gen_continuous,
-    gen_pyramid,
-    gen_strided,
     reuse_sources,
     select_best,
+    source_array,
     validate_pattern,
 )
 
+S, C, P = PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID
+
+
+def enumerated(n, k, kind):
+    """{reuse set: (sl, n_cont)} of the patterns ``enumerate_patterns``
+    keeps for one family."""
+    return {p.reuse_set: (p.sl, p.n_cont) for p in enumerate_patterns(n, k, (kind,))}
+
 
 class TestGenerators:
+    """The reference layouts of the test oracle's generators, each one
+    also kept by ``enumerate_patterns`` with its parameters."""
+
     def test_strided_reference_layout(self):
         p = gen_strided(9, 4, sl=2, start=1)
         assert p.reuse_set == (1, 3, 5, 7)
+        assert enumerated(9, 4, S)[(1, 3, 5, 7)] == (2, None)
 
     def test_strided_shifted_start(self):
         assert gen_strided(9, 4, sl=2, start=2).reuse_set == (2, 4, 6, 8)
+        assert enumerated(9, 4, S)[(2, 4, 6, 8)] == (2, None)
 
     def test_strided_does_not_fit(self):
         assert gen_strided(9, 4, sl=4, start=1) is None
         assert gen_strided(9, 4, sl=1, start=1) is None  # stride must be >= 2
+        assert {sl for sl, _ in enumerated(9, 4, S).values()} == {2}
 
     def test_continuous_reference_layout(self):
         assert gen_continuous(9, 4, start=1).reuse_set == (1, 2, 3, 4)
+        assert (1, 2, 3, 4) in enumerated(9, 4, C)
 
     def test_continuous_last_window(self):
         assert gen_continuous(9, 4, start=5).reuse_set == (5, 6, 7, 8)
         assert gen_continuous(9, 4, start=6) is None
+        assert max(enumerated(9, 4, C)) == (5, 6, 7, 8)
 
     def test_pyramid_reference_layout(self):
         p = gen_pyramid(9, 4, sl=2, n_cont=2, start=1)
         assert p.reuse_set == (1, 3, 4, 6)
+        assert enumerated(9, 4, P)[(1, 3, 4, 6)] == (2, 2)
 
     def test_pyramid_degenerates_to_continuous(self):
         p = gen_pyramid(12, 4, sl=2, n_cont=4, start=1)
         assert p.reuse_set == gen_continuous(12, 4, start=1).reuse_set
+        assert enumerated(12, 4, P)[(1, 2, 3, 4)] == (2, 4)
 
     def test_pyramid_degenerates_to_strided(self):
         p = gen_pyramid(12, 4, sl=2, n_cont=0, start=1)
         assert p.reuse_set == gen_strided(12, 4, sl=2, start=1).reuse_set
+        assert enumerated(12, 4, P)[(1, 3, 5, 7)] == (2, 0)
 
     def test_zero_start_rejected(self):
         assert gen_strided(9, 3, sl=2, start=0) is None
         assert gen_continuous(9, 3, start=0) is None
+        assert all(0 not in s for s in enumerated(9, 3, S) | enumerated(9, 3, C))
 
 
 class TestValidation:
@@ -154,16 +178,16 @@ class TestEnumerationMatchesBruteForce:
         families = _SUBSETS[subset]
         for n in range(2, 17):
             for k in range(1, n):
-                assert enumerate_patterns(n, k, families) == oracle_enumerate_patterns(
-                    n, k, families
-                ), (n, k)
+                assert list(enumerate_patterns(n, k, families)) == \
+                    oracle_enumerate_patterns(n, k, families), (n, k)
 
     @pytest.mark.parametrize("k", [1, 5, 12, 23])
     def test_deep_stack(self, k):
-        assert enumerate_patterns(24, k) == oracle_enumerate_patterns(24, k)
+        assert list(enumerate_patterns(24, k)) == oracle_enumerate_patterns(24, k)
 
     @pytest.mark.parametrize("n, k", [(12, 1), (12, 5), (16, 8), (24, 12)])
     def test_constructs_each_returned_pattern_once(self, monkeypatch, n, k):
+        """Enumeration builds no pattern; reading a row back builds one."""
         constructed = []
         validate = patterns_mod.validate_pattern
 
@@ -173,7 +197,32 @@ class TestEnumerationMatchesBruteForce:
 
         monkeypatch.setattr(patterns_mod, "validate_pattern", counting)
         result = enumerate_patterns(n, k)
-        assert len(constructed) <= len(result)
+        assert constructed == []
+        rows = list(result)
+        assert len(constructed) == len(rows) == len(result)
+
+
+@pytest.mark.parametrize("subset", _SUBSETS)
+def test_array_rows_are_the_sorted_reuse_sets(subset):
+    """One (patterns x k) integer array per count, rows strictly
+    increasing lexicographically, each row the set its pattern names."""
+    for n in range(2, 17):
+        for k in range(1, n):
+            found = enumerate_patterns(n, k, _SUBSETS[subset])
+            assert found.sets.shape == (len(found), k)
+            assert found.sets.dtype.kind == "i"
+            rows = [tuple(row) for row in found.sets.tolist()]
+            assert rows == sorted(set(rows))
+            assert rows == [p.reuse_set for p in found]
+
+
+def test_source_array_matches_reuse_sources():
+    for n in range(2, 17):
+        for k in range(1, n):
+            found = enumerate_patterns(n, k)
+            sources = source_array(found.sets).tolist()
+            for p, src in zip(found, sources):
+                assert src == list(reuse_sources(p.reuse_set).values()), p.reuse_set
 
 
 @given(n=st.integers(3, 12), data=st.data())
@@ -219,7 +268,7 @@ class TestSelectBest:
             select_best([], lambda _: 0.0)
 
     def test_argmin(self):
-        candidates = enumerate_patterns(9, 3)
+        candidates = list(enumerate_patterns(9, 3))
         scores = {p.reuse_set: i for i, p in enumerate(reversed(candidates))}
         best = select_best(candidates, lambda p: scores[p.reuse_set])
         assert best is candidates[-1]

@@ -40,7 +40,7 @@ def deit_rows():
 
 @pytest.fixture(scope="module")
 def deit_meta():
-    return report_meta(resolve(DEIT_SCENARIO), DEIT_SCENARIO)
+    return report_meta(resolve(DEIT_SCENARIO))
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +141,22 @@ class TestEmission:
             inputs = resolve(DEIT_SCENARIO)
             rows = run_scenario(DEIT_SCENARIO, inputs)
             paths = emit(rows, str(tmp_path / sub), "r", ("csv", "json"),
-                         meta=report_meta(inputs, DEIT_SCENARIO))
+                         meta=report_meta(inputs))
             return [Path(p).read_bytes() for p in paths]
 
         assert run("a") == run("b")
+
+    def test_rows_keep_the_passed_scenario_and_name_the_costed_presets(self, deit_rows,
+                                                                        tmp_path):
+        """Targets, patterns and name come from the scenario passed in; the
+        model and device named are the ones ``inputs`` was costed from."""
+        user = tmp_path / "presets.ini"
+        user.write_text("[model]\npreset = DeiT-S\n[device]\npreset = FeFET\n")
+        unnamed = Scenario(DEIT_SCENARIO.name, None, None, config_path=str(user))
+        inputs = resolve(unnamed)
+        targeted = Scenario(DEIT_SCENARIO.name, None, None, DEIT_SCENARIO.target_delays_ms,
+                            config_path=str(user))
+        assert run_scenario(targeted, inputs) == deit_rows
 
     def test_unknown_format(self, deit_rows, deit_meta, tmp_path):
         # every format is checked before any file is written
