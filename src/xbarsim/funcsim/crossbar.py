@@ -42,10 +42,35 @@ rounded to an integer before accumulation, mirroring the digital
 shift-add datapath; with noise off and half an ADC step below half a
 count (adc_bits >= log2(xbar_size) + bits_per_cell for the shipped
 devices) the product is bit-exact.
+
+Noise-free reads decode from level sums. Without write or read noise a
+column's count depends on two integers only: the read's popcount p and
+the column's level sum k, the summed cell levels of its set rows. So
+``program_matrix`` keeps every noise-free stripe's cell digits beside
+its conductances as a float32 "level stripe" (``level_stripes``, None
+under write noise). A read of it sums small integers, which float32
+does exactly in any order. ``mvm_bitserial`` reads each chunk once
+through its level stripe and maps every (p, k) to its count with one
+``take`` from a table built once per (device, xbar_size, adc_bits, rows)
+by ``_adc_decode`` itself, applied to the current p * G_min + k * dG.
+That equals decoding the float read bit for bit: the float current
+differs from the exact level sum by a few roundings per cell, far below
+an ADC step, so both give the same ADC code, and the count follows from
+the code and p alone. The exception is a code value on a rint half-point
+(SRAM at 6 bits, (p, k) = (32, 32), is exactly 31.5), where the float
+read's own rounding picks the code. Table entries within ``_TIE_MARGIN``
+of a half-point hold NaN, and a chunk that hits one is read and decoded
+through its conductance stripe in the same call. The table has one
+float32 per (p, k): 4 * (r + 1) * (r * (2^bits_per_cell - 1) + 1) bytes
+for stripes of r = min(xbar_size, in_dim) rows. ``[tiles] xbar_size``
+has no upper bound, so the extent follows the rows actually read: at the
+preset 64 rows it is 16.9 KB for SRAM and 50.2 KB for FeFET, at 256 rows
+0.26 MB and 0.79 MB, at 1024 rows 4.2 MB and 12.6 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +81,19 @@ from ..mapping import DIFFERENTIAL_ARRAYS, DeviceParams, TileConfig
 # Element budget of one read chunk or noise chunk (256 KiB of float64):
 # bounded temporaries keep freed memory from piling up in the heap.
 CHUNK_ELEMENTS = 1 << 15
+
+# Half-point margin of the decode table, in ADC steps per summed cell and
+# ADC level. Let u = 2^-53. A stored level conductance is its real value
+# g_min + v * (g_max - g_min) / levels to within 4 roundings, and any
+# order of summing p of them adds at most p - 1 more, so a float64 read
+# lies within (p + 3) * u * full_scale of the real level sum; scaling it
+# to ADC steps (two roundings) puts its code value within (p + 5) * u *
+# n_levels of the real one. The table's own current, g_min * p + k * dG,
+# takes 5 roundings and 2 more to scale: within 7 * u * n_levels. So a
+# read and the table agree on the rint of every code value farther than
+# (p + 12) * u * n_levels <= 13 * xbar_size * u * n_levels from a
+# half-point. 2^-44 per cell and level is 512 * u: about 40 times that.
+_TIE_MARGIN = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -85,7 +123,9 @@ class NoiseModel:
 class CrossbarState:
     """Programmed conductances in siemens, clipped to range.
 
-    One crossbar, or a stripe of crossbars sharing their rows.
+    One crossbar, or a stripe of crossbars sharing their rows. A level
+    stripe holds the cells' integer levels as float32 instead, so a
+    noise-free read of it gives each column's exact level sum.
     """
 
     conductances: np.ndarray
@@ -99,14 +139,15 @@ class CrossbarState:
     ) -> np.ndarray:
         """Column currents for a batch of binary input rows.
 
-        Each input row is one physical read; read noise is drawn
-        independently per read and per cell, for the cells of set rows
-        only, from ``rng``, which noisy reads require.
+        Each input row is one physical read, made in the dtype of the
+        stored cells; read noise is drawn independently per read and per
+        cell, for the cells of set rows only, from ``rng``, which noisy
+        reads require.
         """
-        bits = np.asarray(bit_rows, dtype=np.float64)
+        g = self.conductances
+        bits = np.asarray(bit_rows, dtype=g.dtype)
         if bits.ndim == 1:
             bits = bits[None, :]
-        g = self.conductances
         if bits.shape[1] != g.shape[0]:
             raise ValueError(
                 f"input width {bits.shape[1]} != crossbar rows {g.shape[0]}"
@@ -151,6 +192,9 @@ class ProgrammedMatrix:
     ``stripes[row_block]`` holds the crossbars of one row tile side by
     side, columns ordered (slice, sign, column) with sign 0 = positive
     part, 1 = negative part; ``tile`` gives one crossbar's view.
+    ``level_stripes`` holds the same cells as integer levels, one
+    float32 stripe per row tile, when they were written without noise,
+    and is None otherwise.
     """
 
     shape: tuple[int, int]
@@ -159,6 +203,7 @@ class ProgrammedMatrix:
     bits_per_cell: int
     device: DeviceParams
     stripes: tuple[CrossbarState, ...]
+    level_stripes: tuple[CrossbarState, ...] | None = None
 
     @property
     def col_blocks(self) -> int:
@@ -206,7 +251,9 @@ def program_matrix(
         raise ValueError("noisy writes need an explicit rng stream")
 
     level_g = ideal_conductances(np.arange(1 << bpc), dev)
-    stripes = []
+    # float32 holds every level sum of a row tile exactly below 2^24
+    keep_levels = noise.write_var == 0.0 and min(x, in_dim) * ((1 << bpc) - 1) < 1 << 24
+    stripes, level_stripes = [], []
     for r0 in range(0, in_dim, x):
         block = w_int[r0:r0 + x]
         parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1)
@@ -223,7 +270,11 @@ def program_matrix(
                 g = g + eps * (dev.g_max - dev.g_min)
             g = np.clip(g, dev.g_min, dev.g_max)
         stripes.append(CrossbarState(g, dev))
-    return ProgrammedMatrix((in_dim, out_dim), x, n_slices, bpc, dev, tuple(stripes))
+        if keep_levels:
+            levels = digits.reshape(block.shape[0], -1).astype(np.float32)
+            level_stripes.append(CrossbarState(levels, dev))
+    return ProgrammedMatrix((in_dim, out_dim), x, n_slices, bpc, dev, tuple(stripes),
+                            tuple(level_stripes) if keep_levels else None)
 
 
 def _adc_decode(
@@ -250,6 +301,30 @@ def _adc_decode(
     c -= dev.g_min * popcount[:, None]
     c /= (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
     return np.rint(c, out=c)
+
+
+@functools.lru_cache(maxsize=16)
+def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
+    """Noise-free counts of a read of up to ``rows`` cells, by (popcount, level sum).
+
+    Entry (p, k) is ``_adc_decode`` of the current p * G_min + k * dG,
+    as float32, or NaN where that current's code value lies within the
+    tie margin of a rint half-point: there the float read's own rounding
+    picks the code. The table is read-only and holds 4 * (rows + 1) *
+    (rows * (2^bits_per_cell - 1) + 1) bytes.
+    """
+    levels = 2**dev.bits_per_cell - 1
+    n_levels = 2**adc_bits - 1
+    popcount = np.arange(rows + 1, dtype=np.float64)
+    delta_g = (dev.g_max - dev.g_min) / levels
+    currents = dev.g_min * popcount[:, None] + np.arange(rows * levels + 1) * delta_g
+    codes = currents / (xbar_size * dev.g_max) * n_levels
+    tie = np.abs(codes - np.floor(codes) - 0.5) <= _TIE_MARGIN * xbar_size * n_levels
+    counts = _adc_decode(currents, popcount, dev, xbar_size, adc_bits)
+    counts[tie] = np.nan
+    table = counts.astype(np.float32)
+    table.setflags(write=False)
+    return table
 
 
 def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,6 +377,15 @@ def mvm_bitserial(
         for k in range(pm.n_slices) for sgn in (1, -1)
     ])
 
+    def shift_add(counts: np.ndarray) -> np.ndarray:
+        return np.einsum("rjo,j->ro", counts.reshape(-1, slice_weight.size, out_dim),
+                         slice_weight)
+
+    table = None
+    if pm.level_stripes is not None and noise.read_var == 0.0:
+        rows = pm.stripes[0].conductances.shape[0]  # the tallest stripe
+        table = _decode_table(pm.device, xsz, noise.adc_bits, rows)
+
     for rb, stripe in enumerate(pm.stripes):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
         active = np.flatnonzero(slab.any(axis=1))
@@ -309,11 +393,18 @@ def mvm_bitserial(
         for a in range(0, active.size, step):
             reads = active[a:a + step]
             chunk = slab[reads]
-            currents = stripe.read_currents(chunk, noise, rng)
-            counts = _adc_decode(
-                currents, chunk.sum(axis=1), pm.device, xsz, noise.adc_bits
-            ).reshape(reads.size, -1, out_dim)
-            partial = np.einsum("rjo,j->ro", counts, slice_weight)
+            popcount = chunk.sum(axis=1, dtype=np.intp)
+            partial = None
+            if table is not None:
+                index = pm.level_stripes[rb].read_currents(chunk).astype(np.intp)
+                index += popcount[:, None] * table.shape[1]
+                partial = shift_add(table.take(index))
+                if np.isnan(partial).any():  # a read hit a rint half-point
+                    partial = None
+            if partial is None:
+                currents = stripe.read_currents(chunk, noise, rng)
+                partial = shift_add(
+                    _adc_decode(currents, popcount, pm.device, xsz, noise.adc_bits))
             partial *= read_weight[reads, None]
             np.add.at(acc, read_row[reads], partial)
     return np.rint(acc).astype(np.int64)

@@ -3,8 +3,11 @@
 Noise-free products must equal the crossbar-by-crossbar oracle bit for
 bit: every per-read count is an integer and every sum of counts is an
 exact integer in float64, so the read batching cannot change a result.
-With read noise on, drawing only the cells of set rows must leave the
-current distribution that of the dense per-cell sampler.
+Noise-free counts come from the (popcount, level sum) decode table,
+which must agree with ``_adc_decode`` of a float read in any summation
+order, and fall back to that read on a rint half-point. With read noise
+on, drawing only the cells of set rows must leave the current
+distribution that of the dense per-cell sampler.
 """
 
 import math
@@ -15,14 +18,18 @@ import pytest
 from scipy.stats import ks_2samp
 
 from oracles import oracle_mvm_bitserial, oracle_read_currents
+from xbarsim.funcsim import SimContext, crossbar, forward
 from xbarsim.funcsim.crossbar import (
     CHUNK_ELEMENTS,
     CrossbarState,
     NoiseModel,
+    _adc_decode,
+    _decode_table,
     ideal_conductances,
     mvm_bitserial,
     program_matrix,
 )
+from xbarsim.workload import LayerKind
 
 
 def _inputs(kind, rng, n, in_dim):
@@ -126,15 +133,21 @@ def test_read_rows_must_be_binary(fefet, tiles):
         xb.read_currents(np.full((1, 8), 2.0))
 
 
-def test_one_read_per_stripe_and_chunk(fefet, tiles, monkeypatch):
+def _record_reads(monkeypatch):
+    """Every ``CrossbarState.read_currents`` call as (state, bit rows shape)."""
     calls = []
     read = CrossbarState.read_currents
 
-    def counting(self, bits, noise=None, rng=None):
-        calls.append(np.asarray(bits).shape)
+    def recording(self, bits, noise=NoiseModel(), rng=None):
+        calls.append((self, np.asarray(bits).shape))
         return read(self, bits, noise, rng)
 
-    monkeypatch.setattr(CrossbarState, "read_currents", counting)
+    monkeypatch.setattr(CrossbarState, "read_currents", recording)
+    return calls
+
+
+def test_one_read_per_stripe_and_chunk(fefet, tiles, monkeypatch):
+    calls = _record_reads(monkeypatch)
     rng = np.random.default_rng(6)
     w = rng.integers(-127, 128, size=(150, 200))
     x = rng.integers(-127, 128, size=(32, 150))
@@ -147,7 +160,152 @@ def test_one_read_per_stripe_and_chunk(fefet, tiles, monkeypatch):
     read_chunks = math.ceil(reads / max(1, CHUNK_ELEMENTS // stripe_cols))
     row_blocks = math.ceil(150 / tiles.xbar_size)
     assert 0 < len(calls) <= row_blocks * read_chunks
-    assert all(n * stripe_cols <= CHUNK_ELEMENTS for n, _ in calls)
+    assert all(n * stripe_cols <= CHUNK_ELEMENTS for _, (n, _) in calls)
+
+
+def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, monkeypatch):
+    calls = _record_reads(monkeypatch)
+    rng = np.random.default_rng(6)
+    w = rng.integers(-127, 128, size=(150, 200))
+    x = rng.integers(-127, 128, size=(32, 150))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, sram, tiles, 8, noise)
+    mvm_bitserial(pm, x, noise)
+    stripe_cols = pm.n_slices * 2 * 200
+    reads = x.shape[0] * 2 * 8
+    read_chunks = math.ceil(reads / max(1, CHUNK_ELEMENTS // stripe_cols))
+    row_blocks = math.ceil(150 / tiles.xbar_size)
+    assert 0 < len(calls) <= row_blocks * read_chunks
+    assert all(n * stripe_cols <= CHUNK_ELEMENTS for _, (n, _) in calls)
+    assert all(any(state is level for level in pm.level_stripes) for state, _ in calls)
+
+
+def test_level_stripes_hold_the_digits_of_noise_free_writes_only(fefet, tiles):
+    rng = np.random.default_rng(0)
+    w = rng.integers(-127, 128, size=(100, 150))
+    pm = program_matrix(w, fefet, tiles, 8)
+    assert len(pm.level_stripes) == len(pm.stripes)
+    for levels, stripe in zip(pm.level_stripes, pm.stripes):
+        assert levels.conductances.dtype == np.float32
+        assert np.array_equal(ideal_conductances(levels.conductances, fefet),
+                              stripe.conductances)
+    noisy = NoiseModel(write_var=0.2, adc_bits=6)
+    assert program_matrix(w, fefet, tiles, 8, noisy, rng).level_stripes is None
+
+
+# 32 set rows over top-level cells: SRAM (p, k) = (32, 32) and FeFET
+# (32, 96) both sit on the 6-bit ADC's code value 31.5.
+TIES = {"sram": ((32, 32), 1), "fefet": ((32, 96), 2)}
+
+
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+def test_a_tie_is_decoded_from_the_conductance_read(device, tiles, request, monkeypatch):
+    dev = request.getfixturevalue(device)
+    (p, k), weight_bits = TIES[device]
+    noise = NoiseModel(adc_bits=6)
+    assert np.isnan(_decode_table(dev, tiles.xbar_size, 6, tiles.xbar_size)[p, k])
+    w = np.full((tiles.xbar_size, 4), 2**dev.bits_per_cell - 1)
+    x = np.zeros((3, tiles.xbar_size), dtype=int)
+    x[0, :p] = 1
+    x[1, 10:10 + p] = 1
+    x[2, :p - 1] = 1  # one bit short of the tie
+    pm = program_matrix(w, dev, tiles, weight_bits, noise)
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+    assert [state for state, _ in calls] == [pm.level_stripes[0], pm.stripes[0]]
+
+
+def test_a_matmul_that_hits_a_tie_makes_one_product_call(sram, tiles, monkeypatch):
+    calls = _record_reads(monkeypatch)
+    products = []
+    product = crossbar.mvm_bitserial
+
+    def counting(*args, **kwargs):
+        products.append(args[0])
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(crossbar, "mvm_bitserial", counting)
+    monkeypatch.setattr(forward, "mvm_bitserial", counting)
+    x = np.zeros((2, 64))
+    x[:, :32] = 1.0  # quantized to 127: every plane sets the first 32 rows
+    ctx = SimContext(sram, tiles)
+    out = ctx.matmul(x, np.ones((64, 8)), LayerKind.FC_Q)
+    assert len(products) == 1 and ctx.stats.crossbar_matmuls == 1
+    pm = products[0]
+    assert any(state is pm.stripes[0] for state, _ in calls)  # the fallback ran
+    qx = np.rint(x * 127).astype(int)
+    expected = oracle_mvm_bitserial(pm, qx, NoiseModel(adc_bits=tiles.adc_bits))
+    assert np.array_equal(out, expected * (1 / 127) ** 2)
+
+
+def _exact_ties(dev, xbar_size, adc_bits, shape):
+    """(p, k) whose exact code value (p G_min + k dG) / full_scale * n_levels
+    is a half-integer, in integer arithmetic on the device's resistances."""
+    r_on, r_off = int(dev.r_on_ohm), int(dev.r_off_ohm)
+    assert (r_on, r_off) == (dev.r_on_ohm, dev.r_off_ohm)
+    levels = 2**dev.bits_per_cell - 1
+    p, k = np.indices(shape, dtype=np.int64)
+    # code value = (p r_on levels + k (r_off - r_on)) n_levels / (xbar_size r_off levels)
+    num = (p * r_on * levels + k * (r_off - r_on)) * (2**adc_bits - 1)
+    den = xbar_size * r_off * levels
+    return (2 * num) % (2 * den) == den
+
+
+@pytest.mark.parametrize("adc_bits", [4, 6, 8, 16])
+@pytest.mark.parametrize("device", ["fefet", "sram"])
+def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits, tiles,
+                                                               request):
+    dev = request.getfixturevalue(device)
+    xsz = tiles.xbar_size
+    levels = 2**dev.bits_per_cell - 1
+    table = _decode_table(dev, xsz, adc_bits, xsz)
+    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float32
+    assert np.array_equal(np.isnan(table), _exact_ties(dev, xsz, adc_bits, table.shape))
+    level_g = ideal_conductances(np.arange(levels + 1), dev)
+    rng = np.random.default_rng(adc_bits)
+    for p in range(1, xsz + 1):
+        k = np.arange(p * levels + 1)
+        # a random multiset of p levels summing to k: k of the p * levels
+        # unit slots, shuffled, grouped per cell
+        slots = rng.random((k.size, p * levels)).argsort(axis=1) < k[:, None]
+        cell_levels = slots.reshape(k.size, p, levels).sum(axis=2)
+        assert np.array_equal(cell_levels.sum(axis=1), k)
+        g = level_g[cell_levels]
+        # BLAS: the p cells sit at random rows of a crossbar of set and unset rows
+        rows = rng.permutation(xsz)[:p]
+        stripe = ideal_conductances(rng.integers(0, levels + 1, size=(xsz, k.size)), dev)
+        stripe[rows] = g.T
+        bits = np.zeros(xsz)
+        bits[rows] = 1
+        sums = (
+            np.cumsum(g, axis=1)[:, -1],
+            np.cumsum(g[:, ::-1], axis=1)[:, -1],
+            np.cumsum(rng.permuted(g, axis=1), axis=1)[:, -1],
+            CrossbarState(stripe, dev).read_currents(bits)[0],
+        )
+        safe = ~np.isnan(table[p, k])
+        for currents in sums:
+            counts = _adc_decode(currents[None, :].copy(), np.array([p]), dev, xsz, adc_bits)
+            assert np.array_equal(counts[0, safe], table[p, k[safe]])
+
+
+@pytest.mark.parametrize("device", ["fefet", "sram"])
+def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(7)
+    w = rng.integers(-127, 128, size=(128, 128))
+    x = rng.integers(-127, 128, size=(32, 128))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, dev, tiles, 8, noise)
+    _decode_table.cache_clear()  # the table is built inside the traced call
+    tracemalloc.start()
+    try:
+        mvm_bitserial(pm, x, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_noisy_product_keeps_temporaries_small(fefet, tiles):
