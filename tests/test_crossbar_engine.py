@@ -7,7 +7,9 @@ Noise-free counts come from the (popcount, level sum) decode table,
 which must agree with ``_adc_decode`` of a float read in any summation
 order, and fall back to that read on a rint half-point. With read noise
 on, drawing only the cells of set rows must leave the current
-distribution that of the dense per-cell sampler.
+distribution that of the dense per-cell sampler. Device noise comes from
+the Box-Muller sampler ``_standard_normal``, checked here against the
+normal distribution and the oracle's ziggurat draws.
 """
 
 import math
@@ -15,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest, kurtosis
 
 from oracles import oracle_mvm_bitserial, oracle_read_currents
 from xbarsim.funcsim import SimContext, crossbar, forward
@@ -25,6 +27,7 @@ from xbarsim.funcsim.crossbar import (
     NoiseModel,
     _adc_decode,
     _decode_table,
+    _standard_normal,
     ideal_conductances,
     mvm_bitserial,
     program_matrix,
@@ -103,14 +106,112 @@ def test_active_only_reads_match_the_dense_sampler(fefet, tiles, multiplicative)
     assert np.mean((single == fefet.g_min) | (single == fefet.g_max)) > 0.4
 
 
-def test_read_noise_is_drawn_for_set_rows_only(fefet, tiles):
-    xb = program_matrix(np.ones((64, 16), dtype=int), fefet, tiles, 2).tile(0, 0, 0, 0)
-    bits = (np.random.default_rng(4).random((40, 64)) < 0.2).astype(np.uint8)
+def test_read_noise_is_drawn_for_set_rows_only(fefet):
+    # A Box-Muller fill of n values takes ceil(n / 2) uniforms of each
+    # precision, so the stream position depends on where the chunks split:
+    # the twin fills the same set-row chunks and must end where the read did.
+    bits = (np.random.default_rng(4).random((1500, 64)) < 0.2).astype(np.uint8)
     noise = NoiseModel(read_var=0.1, adc_bits=6)
-    used, ref = np.random.default_rng(5), np.random.default_rng(5)
-    xb.read_currents(bits, noise, used)
-    ref.normal(size=int(bits.sum()) * 16)
-    assert used.normal() == ref.normal()
+    for columns in (16, 33):  # even and odd chunk fills
+        xb = CrossbarState(ideal_conductances(np.ones((64, columns)), fefet), fefet)
+        used, twin = np.random.default_rng(5), np.random.default_rng(5)
+        xb.read_currents(bits, noise, used)
+        set_rows, step = int(bits.sum()), CHUNK_ELEMENTS // columns
+        assert set_rows > 2 * step  # several chunks, the last one short
+        for a in range(0, set_rows, step):
+            _standard_normal(twin, np.empty((min(step, set_rows - a), columns)))
+        assert used.bit_generator.state == twin.bit_generator.state
+
+
+def _box_muller(rng, n):
+    """The sampler's definition, written out: n draws from ceil(n / 2) pairs."""
+    h = (n + 1) // 2
+    radius = np.sqrt(-2.0 * np.log1p(-rng.random(h)))
+    angle = rng.random(h, dtype=np.float32) * np.float32(2.0 * np.pi)
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
+
+
+def test_standard_normal_matches_the_normal_distribution():
+    # each bound is 4 to 6 standard errors at 2M draws
+    z = _standard_normal(np.random.default_rng(11), np.empty(1 << 21))
+    h = z.size // 2
+    assert abs(z.mean()) < 0.004
+    assert abs(z.std() - 1.0) < 0.003
+    assert abs(kurtosis(z)) < 0.02  # excess kurtosis
+    assert kstest(z, "norm").pvalue > 0.01
+    # the cosine and sine halves share radii but are independent normals
+    assert kstest(z[:h], "norm").pvalue > 0.01
+    assert kstest(z[h:], "norm").pvalue > 0.01
+    assert abs(np.corrcoef(z[:h], z[h:])[0, 1]) < 0.004
+    assert abs(np.corrcoef(z[:h] ** 2, z[h:] ** 2)[0, 1]) < 0.004
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 1001, CHUNK_ELEMENTS + 1])
+def test_standard_normal_fills_odd_and_even_sizes(n):
+    used, twin = np.random.default_rng(n), np.random.default_rng(n)
+    out = np.empty(n)
+    assert _standard_normal(used, out) is out
+    assert np.array_equal(out, _box_muller(twin, n))
+    assert used.bit_generator.state == twin.bit_generator.state
+
+
+def test_standard_normal_fills_a_row_slice_in_place():
+    buf = np.full((6, 7), np.nan)
+    view = buf[:4]
+    assert _standard_normal(np.random.default_rng(3), view) is view
+    assert np.array_equal(buf[:4].ravel(), _box_muller(np.random.default_rng(3), 28))
+    assert np.isnan(buf[4:]).all()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _standard_normal(np.random.default_rng(3), buf[:, :3])
+    with pytest.raises(ValueError, match="float64"):
+        _standard_normal(np.random.default_rng(3), np.empty(4, dtype=np.float32))
+
+
+def test_standard_normal_replays_byte_for_byte():
+    first = _standard_normal(np.random.default_rng(8), np.empty((33, 17)))
+    again = _standard_normal(np.random.default_rng(8), np.empty((33, 17)))
+    assert first.tobytes() == again.tobytes()
+    rng = np.random.default_rng(8)
+    _standard_normal(rng, np.empty((33, 17)))
+    assert not np.array_equal(_standard_normal(rng, np.empty((33, 17))), first)
+
+
+class _ExtremeUniforms:
+    """A stand-in generator: float64 uniforms at their largest value,
+    1 - 2^-53, and float32 uniforms at the given angles."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=np.float32)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if out is not None:
+            out.fill(1.0 - 2.0**-53)
+            return out
+        assert dtype == np.float32 and size == self.v.size
+        return self.v.copy()
+
+
+def test_standard_normal_is_bounded_by_the_largest_uniform():
+    v = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 2.0**-24]
+    z = _standard_normal(_ExtremeUniforms(v), np.empty(2 * len(v)))
+    assert 8.57 < np.abs(z).max() <= 8.58  # sqrt(106 ln 2) = 8.5716
+
+
+@pytest.mark.parametrize("multiplicative", [True, False])
+def test_write_noise_is_one_fill_per_stripe(fefet, tiles, multiplicative):
+    w = np.random.default_rng(9).integers(-127, 128, size=(100, 20))
+    noise = NoiseModel(write_var=0.2, adc_bits=6, multiplicative=multiplicative)
+    used, twin = np.random.default_rng(10), np.random.default_rng(10)
+    pm = program_matrix(w, fefet, tiles, 8, noise, used)
+    ideal = program_matrix(w, fefet, tiles, 8)
+    window = fefet.g_max - fefet.g_min
+    for stripe, exact in zip(pm.stripes, ideal.stripes):
+        g = exact.conductances
+        eps = 0.2 * _standard_normal(twin, np.empty(g.shape))
+        written = g * (1.0 + eps) if multiplicative else g + eps * window
+        assert np.array_equal(stripe.conductances,
+                              np.clip(written, fefet.g_min, fefet.g_max))
+    assert used.bit_generator.state == twin.bit_generator.state
 
 
 def test_noisy_reads_require_a_generator(fefet, tiles):

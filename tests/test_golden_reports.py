@@ -190,29 +190,29 @@ FUNCSIM_FILES = ("output.xbt", "funcsim_summary.json")
 # ``funcsim --seed 0`` with those flags
 FUNCSIM_GOLDEN = {
     ("FeFET", "--encoders 2"):
-        ("d2758600e621c818b169eea49c5126bd844f92a184ebc3a10961a3a796e8583c",
-         "238c6a79f7b216f3a456554b52a5db19d061a6cbbe06fa66c5f2996f2e52e065"),
+        ("b0996542eae192ea681341a23de56a4e2594d3a7cdcb0d8b7b3b1e7250a6daeb",
+         "fed5583cb34c869bbf248c763c38d3b91e1d84fab7f7314b752889f8eda0d3f5"),
     ("hybrid", "--encoders 2"):
-        ("0c57900ad18a2c8c6aab325d100380c5afcacffa2b169d1cb2201f102c2d35f9",
-         "08197f74e51171ba7d024f7c0dbded7ccfa7fa9c5a8a1d4b4fc2ca1c23159e78"),
+        ("007b257306b6c22c4973103b41982bbe7c0e75bc3577fea960597b80b1ea9ea4",
+         "430479a202bba2ae49452018d8bd21d4aad021ebc1d5964543fd3b0355a04ef0"),
     ("SRAM", "--encoders 2"):
         ("053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
          "3caa429c3165dc12b4e243dee939eebf9cbf155712bd1a1f9dfbb4aa04be8a2e"),
     ("FeFET", "--encoders 4 --reuse 1,3"):
-        ("603d97ab1d00bd20a9a9e8cd6eb8eb3f0c1ce3db65fe5fb138071eaac85b1eb1",
-         "0579b6222484e7a526c860cafe5e6b5179d168261ea98cdf73096a5a9f6d0c17"),
+        ("49e25b4795dd203dad94ef9ad7b5359d5f59099ab66a77a5644dbf01e35861e2",
+         "0848da4dae586ec70150965b3a593a07b3ae30f74a5eee05e8dbe005bd83ba69"),
     ("SRAM", "--encoders 4 --reuse 1,3"):
         ("9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
          "0ac51ec01af0ad9545ac2490eeaac1ac62aa4b79b1df0d4351bd575912beeb4f"),
     ("hybrid", "--encoders 4 --reuse 1,3"):
-        ("752e4712c8c0c04611d92656b771c8cc57b1c5ae850a114497898d43adb60305",
-         "2218ede2059f47a5a1750de5721966c26b2755a7ad5ed838f277140108aef83f"),
+        ("966ac128963d7c26324985ff18420e19a54c94c8949d625cb785145a5ceaf3d2",
+         "2d88d74f08009a97e32033faddc110ae769e3e667bbbbbf2c07807b8599e3563"),
     ("FeFET", "--encoders 2 --adc-bits 8"):
-        ("599fd6f043e0a7e2006782590cc921bf4540d6c07d0f268c137331ca79772845",
-         "a66abe9d64b68b8f49e18c28e00b89738a9a46077d6ad4f2b0d1956699ff6462"),
+        ("4adc38d8a337d0824fb58301c1a8818667da34176afda6c0f361b40103d1dc43",
+         "8e4a73d7f7deb2e19fc25a5869e6c9da5118c6a1461c00437a3168543ea6642c"),
     ("hybrid", "--encoders 2 --adc-bits 8"):
-        ("5350008de03c7349317ca90f660da2f4155301d78d3efce6aeb614ef8145a8ed",
-         "7f8e3c6f9dbe706939f0a45a2acb94e2e0c7715f52f91bf023332dd2cf4ee815"),
+        ("4574742b6d2e12a5e2abe18ddbfcac6e9eb239473f69321e1758f8b7801995ac",
+         "3da7af4f24d94c077c65b6d527efd4e632005dfaa3ecdc52f9b93491af7845d5"),
     ("FeFET", "--encoders 2 --adc-bits 4 --no-noise"):
         ("b24b14928e25fafab58b87897c3ef8375f441996321c8c87ace910452c6817c3",
          "7e82c70b198bcf0a52ae8e57f956ad3679d8f5bb647a13625973c69128435551"),
