@@ -61,13 +61,21 @@ devices) the product is bit-exact.
 Noise-free reads decode from level sums. Without write or read noise a
 column's count depends on two integers only: the read's popcount p and
 the column's level sum k, the summed cell levels of its set rows. So
-``program_matrix`` keeps every noise-free stripe's cell digits beside
-its conductances as a float32 "level stripe" (``level_stripes``, None
-under write noise). A read of it sums small integers, which float32
-does exactly in any order. ``mvm_bitserial`` reads each chunk once
-through its level stripe and maps every (p, k) to its count with one
-``take`` from a table built once per (device, xbar_size, adc_bits, rows)
-by ``_adc_decode`` itself, applied to the current p * G_min + k * dG.
+``program_matrix`` keeps every noise-free stripe beside its
+conductances as a float32 "level stripe" (``level_stripes``) that holds
+each cell's digit plus ``stride`` = rows * (2^bits_per_cell - 1) + 1,
+the row length of the decode table for stripes of rows = min(xbar_size,
+in_dim). A read of it gives k + p * stride, the flat table index of
+(p, k), with no popcount taken. It sums integers, which float32 does
+exactly in any order while rows * (stride + 2^bits_per_cell) < 2^24:
+up to 4094 rows for SRAM and 2363 for FeFET. Beyond that, and under
+write noise, ``level_stripes`` is None and reads use the conductances.
+``mvm_bitserial`` reads each chunk once through its level stripe and
+maps every index to its count with one ``take`` from a table built once
+per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
+applied to the current p * G_min + k * dG. One stacked BLAS product
+with the slice weights shift-adds the counts, in float32 while every
+sum stays below 2^24 in magnitude.
 That equals decoding the float read bit for bit: the float current
 differs from the exact level sum by a few roundings per cell, far below
 an ADC step, so both give the same ADC code, and the count follows from
@@ -173,8 +181,9 @@ class CrossbarState:
     """Programmed conductances in siemens, clipped to range.
 
     One crossbar, or a stripe of crossbars sharing their rows. A level
-    stripe holds the cells' integer levels as float32 instead, so a
-    noise-free read of it gives each column's exact level sum.
+    stripe holds each cell's integer level plus the decode table's row
+    length ``stride`` as float32 instead, so a noise-free read of p set
+    rows gives each column's exact level sum k plus p * stride.
     """
 
     conductances: np.ndarray
@@ -243,9 +252,10 @@ class ProgrammedMatrix:
     ``stripes[row_block]`` holds the crossbars of one row tile side by
     side, columns ordered (slice, sign, column) with sign 0 = positive
     part, 1 = negative part; ``tile`` gives one crossbar's view.
-    ``level_stripes`` holds the same cells as integer levels, one
-    float32 stripe per row tile, when they were written without noise,
-    and is None otherwise.
+    ``level_stripes`` holds the same cells as integer levels plus the
+    decode table's row length, one float32 stripe per row tile, when
+    they were written without noise and a read of the tallest stripe
+    stays below 2^24; it is None otherwise.
     """
 
     shape: tuple[int, int]
@@ -302,8 +312,16 @@ def program_matrix(
         raise ValueError("noisy writes need an explicit rng stream")
 
     level_g = ideal_conductances(np.arange(1 << bpc), dev)
-    # float32 holds every level sum of a row tile exactly below 2^24
-    keep_levels = noise.write_var == 0.0 and min(x, in_dim) * ((1 << bpc) - 1) < 1 << 24
+    # A level stripe stores digit + stride, stride being the row length of
+    # _decode_table, so a read of p set rows whose digits sum to k gives
+    # k + p * stride, the flat table index of (p, k). The largest read is
+    # rows * (2^bpc - 1 + stride) = rows * (stride + 2^bpc) - rows, and
+    # every partial sum is a non-negative integer no larger; float32 holds
+    # every integer up to 2^24, so below the bound a read is exact in any
+    # summation order.
+    rows = min(x, in_dim)
+    stride = rows * ((1 << bpc) - 1) + 1
+    keep_levels = noise.write_var == 0.0 and rows * (stride + (1 << bpc)) < 1 << 24
     stripes, level_stripes = [], []
     for r0 in range(0, in_dim, x):
         block = w_int[r0:r0 + x]
@@ -324,6 +342,7 @@ def program_matrix(
         stripes.append(CrossbarState(g, dev))
         if keep_levels:
             levels = digits.reshape(block.shape[0], -1).astype(np.float32)
+            levels += stride
             level_stripes.append(CrossbarState(levels, dev))
     return ProgrammedMatrix((in_dim, out_dim), x, n_slices, bpc, dev, tuple(stripes),
                             tuple(level_stripes) if keep_levels else None)
@@ -429,15 +448,24 @@ def mvm_bitserial(
         for k in range(pm.n_slices) for sgn in (1, -1)
     ])
 
-    def shift_add(counts: np.ndarray) -> np.ndarray:
-        return np.einsum("rjo,j->ro", counts.reshape(-1, slice_weight.size, out_dim),
-                         slice_weight)
+    def shift_add(counts: np.ndarray, weight: np.ndarray = slice_weight) -> np.ndarray:
+        # integer counts times powers of two: exact in any summation order
+        return weight @ counts.reshape(-1, weight.size, out_dim)
 
     column = np.arange(out_dim)
     table = None
     if pm.level_stripes is not None and noise.read_var == 0.0:
         rows = pm.stripes[0].conductances.shape[0]  # the tallest stripe
         table = _decode_table(pm.device, xsz, noise.adc_bits, rows)
+        # A count is (ADC current - p * G_min) / dG, rounded, with both
+        # terms in [0, xbar_size * G_max]: at most xbar_size * G_max / dG
+        # + 1 in magnitude. While that times the summed |slice weights|
+        # is below 2^24, float32 shift-adds the float32 counts exactly.
+        dev = pm.device
+        count_bound = xsz * dev.g_max / (dev.g_max - dev.g_min) * (2**pm.bits_per_cell - 1) + 1
+        table_weight = slice_weight
+        if count_bound * np.abs(slice_weight).sum() < 1 << 24:
+            table_weight = slice_weight.astype(np.float32)
 
     for rb, stripe in enumerate(pm.stripes):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
@@ -446,19 +474,19 @@ def mvm_bitserial(
         for a in range(0, active.size, step):
             reads = active[a:a + step]
             chunk = slab[reads]
-            popcount = chunk.sum(axis=1, dtype=np.intp)
             partial = None
             if table is not None:
+                # the read gives each column's flat table index k + p * stride
                 index = pm.level_stripes[rb].read_currents(chunk).astype(np.intp)
-                index += popcount[:, None] * table.shape[1]
-                partial = shift_add(table.take(index))
+                partial = shift_add(table.take(index), table_weight)
                 if np.isnan(partial).any():  # a read hit a rint half-point
                     partial = None
             if partial is None:
+                popcount = chunk.sum(axis=1, dtype=np.intp)
                 currents = stripe.read_currents(chunk, noise, rng)
                 partial = shift_add(
                     _adc_decode(currents, popcount, pm.device, xsz, noise.adc_bits))
-            partial *= read_weight[reads, None]
+            partial = partial * read_weight[reads, None]  # float64, exact
             flat_index = read_row[reads, None] * out_dim + column
             np.add.at(acc.reshape(-1), flat_index.ravel(), partial.ravel())
     return np.rint(acc).astype(np.int64)

@@ -24,6 +24,7 @@ def quantize(x: np.ndarray, bits: int) -> QuantizedMatrix:
     x = np.asarray(x, dtype=np.float64)
     qmax = 2 ** (bits - 1) - 1
     amax = float(np.max(np.abs(x))) if x.size else 0.0
-    scale = amax / qmax if amax > 0.0 else 1.0
+    # 1.0 also where a subnormal amax underflows amax / qmax to 0
+    scale = amax / qmax if amax / qmax > 0.0 else 1.0
     values = np.clip(np.rint(x / scale), -qmax, qmax).astype(np.int64)
     return QuantizedMatrix(values, scale)

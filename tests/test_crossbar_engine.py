@@ -32,6 +32,7 @@ from xbarsim.funcsim.crossbar import (
     mvm_bitserial,
     program_matrix,
 )
+from xbarsim.mapping import TileConfig
 from xbarsim.workload import LayerKind
 
 
@@ -285,13 +286,65 @@ def test_level_stripes_hold_the_digits_of_noise_free_writes_only(fefet, tiles):
     rng = np.random.default_rng(0)
     w = rng.integers(-127, 128, size=(100, 150))
     pm = program_matrix(w, fefet, tiles, 8)
+    stride = tiles.xbar_size * (2**fefet.bits_per_cell - 1) + 1  # a decode-table row
     assert len(pm.level_stripes) == len(pm.stripes)
     for levels, stripe in zip(pm.level_stripes, pm.stripes):
         assert levels.conductances.dtype == np.float32
-        assert np.array_equal(ideal_conductances(levels.conductances, fefet),
+        assert np.array_equal(ideal_conductances(levels.conductances - stride, fefet),
                               stripe.conductances)
     noisy = NoiseModel(write_var=0.2, adc_bits=6)
     assert program_matrix(w, fefet, tiles, 8, noisy, rng).level_stripes is None
+
+
+@pytest.mark.parametrize("xbar_size", [64, 8])
+def test_a_noise_free_read_gives_the_flat_decode_table_index(fefet, xbar_size):
+    rng = np.random.default_rng(xbar_size)
+    w = rng.integers(-127, 128, size=(100, 20))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, fefet, TileConfig(xbar_size=xbar_size), 8, noise)
+    levels = 2**fefet.bits_per_cell - 1
+    stride = xbar_size * levels + 1
+    assert _decode_table(fefet, xbar_size, 6, xbar_size).shape[1] == stride
+    # cell digits from the weights, columns ordered (slice, sign, column)
+    parts = np.stack((np.maximum(w, 0), np.maximum(-w, 0)), axis=1)
+    digits = np.stack([(parts >> (k * fefet.bits_per_cell)) & levels
+                       for k in range(pm.n_slices)], axis=1).reshape(100, -1)
+    assert len(pm.level_stripes) == math.ceil(100 / xbar_size)
+    for rb, level in enumerate(pm.level_stripes):
+        block = digits[rb * xbar_size:(rb + 1) * xbar_size]
+        bits = rng.integers(0, 2, size=(50, block.shape[0]))
+        k, p = bits @ block, bits.sum(axis=1, keepdims=True)
+        assert np.array_equal(level.read_currents(bits), k + p * stride)
+
+
+def test_a_read_beyond_float32_integers_keeps_no_level_stripe(fefet, monkeypatch):
+    # 2400 rows: the largest read, 2400 * (3 + stride) with stride 7201, is
+    # over 2^24, and the decode table would hold 2401 * 7201 float32s
+    def no_table(*args):
+        raise AssertionError("decode table built")
+
+    monkeypatch.setattr(crossbar, "_decode_table", no_table)
+    rng = np.random.default_rng(11)
+    w = rng.integers(-127, 128, size=(2400, 3))
+    x = rng.integers(-127, 128, size=(2, 2400))
+    noise = NoiseModel(adc_bits=14)
+    pm = program_matrix(w, fefet, TileConfig(xbar_size=4096, adc_bits=14), 8, noise)
+    assert pm.level_stripes is None
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+
+
+def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
+    # 511 set rows of 16 one-bit slices of 65535: each positive read sums
+    # to 511 * 65535, odd and over 2^24, which float32 cannot hold
+    tiles = TileConfig(xbar_size=512, adc_bits=10)
+    w = np.full((512, 2), 2**16 - 1)
+    x = np.zeros((2, 512), dtype=int)
+    x[0, :511] = 1
+    x[1, 1:] = -3
+    noise = NoiseModel(adc_bits=10)
+    pm = program_matrix(w, sram, tiles, 16, noise)
+    assert pm.level_stripes is not None
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
 
 
 # 32 set rows over top-level cells: SRAM (p, k) = (32, 32) and FeFET

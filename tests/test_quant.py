@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,6 +35,13 @@ def test_zero_input():
     assert np.all(q.values * q.scale == 0.0)
 
 
+def test_subnormal_input_gets_a_finite_scale():
+    # 5e-324 / 7 underflows to 0.0; dividing by that scale would give inf
+    q = quantize(np.array([[5e-324, -5e-324]]), bits=4)
+    assert q.scale == 1.0
+    assert q.values.tolist() == [[0, 0]]
+
+
 @given(
     hnp.arrays(
         np.float64,
@@ -43,6 +50,7 @@ def test_zero_input():
     ),
     st.sampled_from([4, 6, 8]),
 )
+@example(np.array([[5e-324]]), 4)
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_property(x, bits):
     q = quantize(x, bits=bits)
