@@ -55,4 +55,4 @@ from .config import (
     load_softmax_params,
     load_tile_config,
 )
-from .report import ReportRow, Scenario, emit, run_scenario
+from .report import ReportRow, Scenario, emit, resolve, run_scenario

@@ -99,18 +99,15 @@ def _report(args, rows, meta: dict, feasible_only: bool = False) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario(args)
-    inputs = resolve(scenario)
-    return _report(args, run_scenario(scenario, inputs), report_meta(inputs))
+    inputs = resolve(_scenario(args))
+    return _report(args, run_scenario(inputs), report_meta(inputs))
 
 
 def cmd_optimize(args) -> int:
-    scenario = _scenario(args)
-    families = pattern_families(scenario.patterns)
-    inputs = resolve(scenario)
-    cfg, baseline_ms = inputs.table.cfg, inputs.ladder[0].d_vit_ms
-    result = optimize(inputs.ladder, args.target_delay[0], make_scorer(scenario, cfg),
-                      families)
+    inputs = resolve(_scenario(args))
+    scenario, cfg, baseline_ms = inputs.scenario, inputs.table.cfg, inputs.ladder[0].d_vit_ms
+    result = optimize(inputs.ladder, args.target_delay[0], make_scorer(inputs),
+                      pattern_families(scenario.patterns))
     if not result.feasible:
         if result.optimal_n_reuse is None:
             print(f"target {result.target_delay_ms} ms infeasible "
@@ -193,9 +190,8 @@ def cmd_funcsim(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = _scenario(args)
-    inputs = resolve(scenario)
-    rows = run_compare(scenario, args.ws or [2], args.prune_ratio or [0.3], inputs)
+    inputs = resolve(_scenario(args))
+    rows = run_compare(inputs, args.ws or [2], args.prune_ratio or [0.3])
     return _report(args, rows, report_meta(inputs), feasible_only=True)
 
 

@@ -73,9 +73,11 @@ write noise, ``level_stripes`` is None and reads use the conductances.
 ``mvm_bitserial`` reads each chunk once through its level stripe and
 maps every index to its count with one ``take`` from a table built once
 per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
-applied to the current p * G_min + k * dG. One stacked BLAS product
-with the slice weights shift-adds the counts, in float32 while every
-sum stays below 2^24 in magnitude.
+applied to the current p * G_min + k * dG. One stacked float64 BLAS
+product with the slice weights shift-adds the counts, as on the noisy
+path: the counts are integers of at most xbar_size * G_max / dG + 1 and
+the weights are powers of two, so every product and partial sum is an
+integer far below 2^53, exact in float64 in any summation order.
 That equals decoding the float read bit for bit: the float current
 differs from the exact level sum by a few roundings per cell, far below
 an ADC step, so both give the same ADC code, and the count follows from
@@ -84,11 +86,12 @@ the code and p alone. The exception is a code value on a rint half-point
 read's own rounding picks the code. Table entries within ``_TIE_MARGIN``
 of a half-point hold NaN, and a chunk that hits one is read and decoded
 through its conductance stripe in the same call. The table has one
-float32 per (p, k): 4 * (r + 1) * (r * (2^bits_per_cell - 1) + 1) bytes
+float64 per (p, k): 8 * (r + 1) * (r * (2^bits_per_cell - 1) + 1) bytes
 for stripes of r = min(xbar_size, in_dim) rows. ``[tiles] xbar_size``
 has no upper bound, so the extent follows the rows actually read: at the
-preset 64 rows it is 16.9 KB for SRAM and 50.2 KB for FeFET, at 256 rows
-0.26 MB and 0.79 MB, at 1024 rows 4.2 MB and 12.6 MB.
+preset 64 rows it is 33.8 KB for SRAM and 100.4 KB for FeFET, at 256
+rows 0.53 MB and 1.58 MB, at 1024 rows 8.4 MB and 25.2 MB, and at most
+about 134 MB at the level-stripe bound of 4094 SRAM or 2363 FeFET rows.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mapping import DIFFERENTIAL_ARRAYS, DeviceParams, TileConfig
+from ..mapping import DIFFERENTIAL_ARRAYS, DeviceParams, TileConfig, slice_factor
 
 # Element budget of one read chunk or noise chunk (256 KiB of float64):
 # bounded temporaries keep freed memory from piling up in the heap.
@@ -200,18 +203,20 @@ class CrossbarState:
         Each input row is one physical read, made in the dtype of the
         stored cells; read noise is drawn independently per read and per
         cell, for the cells of set rows only, from ``rng``, which noisy
-        reads require.
+        reads require. Bool rows are binary by type; rows of any other
+        dtype are checked to be 0 or 1 before the cast to the cell dtype.
         """
         g = self.conductances
-        bits = np.asarray(bit_rows, dtype=g.dtype)
+        bits = np.asarray(bit_rows)
         if bits.ndim == 1:
             bits = bits[None, :]
         if bits.shape[1] != g.shape[0]:
             raise ValueError(
                 f"input width {bits.shape[1]} != crossbar rows {g.shape[0]}"
             )
-        if np.any((bits != 0) & (bits != 1)):
+        if bits.dtype != np.bool_ and np.any((bits != 0) & (bits != 1)):
             raise ValueError("input rows must be binary")
+        bits = bits.astype(g.dtype, copy=False)
         if noise.read_var == 0.0:
             return bits @ g
         if rng is None:
@@ -261,7 +266,6 @@ class ProgrammedMatrix:
     shape: tuple[int, int]
     xbar_size: int
     n_slices: int
-    bits_per_cell: int
     device: DeviceParams
     stripes: tuple[CrossbarState, ...]
     level_stripes: tuple[CrossbarState, ...] | None = None
@@ -305,7 +309,7 @@ def program_matrix(
     in_dim, out_dim = w_int.shape
     x = tiles.xbar_size
     bpc = dev.bits_per_cell
-    n_slices = math.ceil(weight_bits / bpc)
+    n_slices = slice_factor(weight_bits, dev)
     if w_int.size and int(np.abs(w_int).max()) >> (n_slices * bpc):
         raise ValueError("weight magnitudes exceed the sliced range")
     if noise.write_var > 0.0 and rng is None:
@@ -344,7 +348,7 @@ def program_matrix(
             levels = digits.reshape(block.shape[0], -1).astype(np.float32)
             levels += stride
             level_stripes.append(CrossbarState(levels, dev))
-    return ProgrammedMatrix((in_dim, out_dim), x, n_slices, bpc, dev, tuple(stripes),
+    return ProgrammedMatrix((in_dim, out_dim), x, n_slices, dev, tuple(stripes),
                             tuple(level_stripes) if keep_levels else None)
 
 
@@ -379,9 +383,9 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
     """Noise-free counts of a read of up to ``rows`` cells, by (popcount, level sum).
 
     Entry (p, k) is ``_adc_decode`` of the current p * G_min + k * dG,
-    as float32, or NaN where that current's code value lies within the
+    as float64, or NaN where that current's code value lies within the
     tie margin of a rint half-point: there the float read's own rounding
-    picks the code. The table is read-only and holds 4 * (rows + 1) *
+    picks the code. The table is read-only and holds 8 * (rows + 1) *
     (rows * (2^bits_per_cell - 1) + 1) bytes.
     """
     levels = 2**dev.bits_per_cell - 1
@@ -393,21 +397,20 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
     tie = np.abs(codes - np.floor(codes) - 0.5) <= _TIE_MARGIN * xbar_size * n_levels
     counts = _adc_decode(currents, popcount, dev, xbar_size, adc_bits)
     counts[tie] = np.nan
-    table = counts.astype(np.float32)
-    table.setflags(write=False)
-    return table
+    counts.setflags(write=False)
+    return counts
 
 
 def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every bit-plane of both input signs of a non-zero input as one read batch.
 
-    Returns the (reads, in_dim) uint8 bits, each read's input row and
+    Returns the (reads, in_dim) bool bits, each read's input row and
     its signed plane weight.
     """
     planes, weights = [], []
     for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
         for plane in range(int(xs.max()).bit_length()):
-            planes.append(((xs >> plane) & 1).astype(np.uint8))
+            planes.append(((xs >> plane) & 1).astype(np.bool_))
             weights.append(float(in_sign << plane))
     n = x_int.shape[0]
     return (
@@ -444,28 +447,20 @@ def mvm_bitserial(
     bits, read_row, read_weight = _bit_planes(x_int)
     # shift-and-add weight of each stripe column group, ordered (slice, sign)
     slice_weight = np.array([
-        sgn * float(1 << (k * pm.bits_per_cell))
+        sgn * float(1 << (k * pm.device.bits_per_cell))
         for k in range(pm.n_slices) for sgn in (1, -1)
     ])
 
-    def shift_add(counts: np.ndarray, weight: np.ndarray = slice_weight) -> np.ndarray:
-        # integer counts times powers of two: exact in any summation order
-        return weight @ counts.reshape(-1, weight.size, out_dim)
+    def shift_add(counts: np.ndarray) -> np.ndarray:
+        # integer counts of at most xbar_size * G_max / dG + 1 times powers of
+        # two: every sum is an integer below 2^53, exact in any order
+        return slice_weight @ counts.reshape(-1, slice_weight.size, out_dim)
 
     column = np.arange(out_dim)
     table = None
     if pm.level_stripes is not None and noise.read_var == 0.0:
         rows = pm.stripes[0].conductances.shape[0]  # the tallest stripe
         table = _decode_table(pm.device, xsz, noise.adc_bits, rows)
-        # A count is (ADC current - p * G_min) / dG, rounded, with both
-        # terms in [0, xbar_size * G_max]: at most xbar_size * G_max / dG
-        # + 1 in magnitude. While that times the summed |slice weights|
-        # is below 2^24, float32 shift-adds the float32 counts exactly.
-        dev = pm.device
-        count_bound = xsz * dev.g_max / (dev.g_max - dev.g_min) * (2**pm.bits_per_cell - 1) + 1
-        table_weight = slice_weight
-        if count_bound * np.abs(slice_weight).sum() < 1 << 24:
-            table_weight = slice_weight.astype(np.float32)
 
     for rb, stripe in enumerate(pm.stripes):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
@@ -478,7 +473,7 @@ def mvm_bitserial(
             if table is not None:
                 # the read gives each column's flat table index k + p * stride
                 index = pm.level_stripes[rb].read_currents(chunk).astype(np.intp)
-                partial = shift_add(table.take(index), table_weight)
+                partial = shift_add(table.take(index))
                 if np.isnan(partial).any():  # a read hit a rint half-point
                     partial = None
             if partial is None:

@@ -50,7 +50,6 @@ from .optimize import (
     synthetic_attention_outputs,
 )
 from .patterns import UNIFORM_FAMILIES, PatternKind, explicit_pattern
-from .workload import ModelConfig
 
 # (CSV header, ReportRow field, decimals or None for text,
 #  unit stated in the JSON meta block or None)
@@ -148,9 +147,11 @@ def explicit_indices(spec: str) -> tuple[int, ...]:
                          "encoder indices") from None
 
 
-def make_scorer(scenario: Scenario, cfg: ModelConfig) -> Scorer:
+def make_scorer(inputs: Inputs) -> Scorer:
+    """The scorer the scenario of ``inputs`` names, over its model's encoders."""
+    scenario = inputs.scenario
     if scenario.scorer == "cka":
-        acts = synthetic_attention_outputs(cfg.n_encoders, seed=scenario.seed)
+        acts = synthetic_attention_outputs(inputs.table.cfg.n_encoders, seed=scenario.seed)
         return make_cka_scorer(acts)
     return load_external_scorer(scenario.scorer.split(":", 1)[1])
 
@@ -238,7 +239,6 @@ def _row(
 
 
 def _target_row(
-    scenario: Scenario,
     inputs: Inputs,
     target: float,
     scorer: Scorer,
@@ -250,6 +250,7 @@ def _target_row(
     A target whose reuse count no pattern of the chosen family has is
     infeasible under the pattern ``no-<family>-pattern``.
     """
+    scenario = inputs.scenario
     found = optimize(inputs.ladder, target, scorer, pattern_families(scenario.patterns))
     if not found.feasible:
         reason = ("infeasible" if found.optimal_n_reuse is None
@@ -261,17 +262,10 @@ def _target_row(
     return _row(scenario, found.cost, label, base_edap, target, detail)
 
 
-def _costed(scenario: Scenario, inputs: Inputs | None) -> tuple[Scenario, Inputs]:
-    """``inputs`` (by default ``resolve(scenario)``), and ``scenario``
-    naming the model and device presets those inputs were costed from."""
-    inputs = resolve(scenario) if inputs is None else inputs
-    return replace(scenario, model=inputs.scenario.model, device=inputs.scenario.device), inputs
-
-
-def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[ReportRow]:
-    """Baseline row plus one row per delay target, in input order; rows
-    name the presets ``inputs`` was costed from."""
-    scenario, inputs = _costed(scenario, inputs)
+def run_scenario(inputs: Inputs) -> list[ReportRow]:
+    """Baseline row plus one row per delay target of ``inputs.scenario``,
+    in input order; rows name the presets ``inputs`` was costed from."""
+    scenario = inputs.scenario
     base = inputs.baseline()
     rows = [_row(scenario, base, "none", base.edap)]
     if scenario.patterns.startswith("explicit:"):
@@ -282,33 +276,31 @@ def run_scenario(scenario: Scenario, inputs: Inputs | None = None) -> list[Repor
                                explicit_indices(scenario.patterns))
         rows.append(_row(scenario, inputs.ladder[pat.n_reuse], pat.label(), base.edap))
         return rows
-    scorer = make_scorer(scenario, inputs.table.cfg)
-    rows += [_target_row(scenario, inputs, t, scorer, base.edap)
+    scorer = make_scorer(inputs)
+    rows += [_target_row(inputs, t, scorer, base.edap)
              for t in scenario.target_delays_ms]
     return rows
 
 
 def run_compare(
-    scenario: Scenario,
+    inputs: Inputs,
     ws_groups: "list[int]",
     prune_ratios: "list[float]",
-    inputs: Inputs | None = None,
 ) -> list[ReportRow]:
     """Baseline, weight sharing, token pruning and attention reuse per target.
 
     An infeasible reuse target gives an infeasible row, which the
     compare report leaves out.
     """
-    scenario, inputs = _costed(scenario, inputs)
-    table = inputs.table
+    scenario, table = inputs.scenario, inputs.table
     base = inputs.baseline()
     entries = [("baseline", base)]
     entries += [(f"ws={ws}", apply_weight_sharing(table, ws)) for ws in ws_groups]
     entries += [(f"prune p={p:.2f}", apply_token_pruning(table, p, inputs.pruning_overhead))
                 for p in prune_ratios]
     rows = [_row(scenario, mc, label, base.edap, detail=False) for label, mc in entries]
-    scorer = make_scorer(scenario, table.cfg)
-    rows += [_target_row(scenario, inputs, t, scorer, base.edap, detail=False)
+    scorer = make_scorer(inputs)
+    rows += [_target_row(inputs, t, scorer, base.edap, detail=False)
              for t in scenario.target_delays_ms]
     return rows
 

@@ -190,7 +190,7 @@ def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
                 for cb in range(math.ceil(out_dim / xsz)):
                     cols = slice(cb * xsz, min((cb + 1) * xsz, out_dim))
                     for k in range(pm.n_slices):
-                        slice_weight = 1 << (k * pm.bits_per_cell)
+                        slice_weight = 1 << (k * pm.device.bits_per_cell)
                         for w_sign, sgn in ((0, 1), (1, -1)):
                             currents = oracle_read_currents(
                                 pm.tile(rb, cb, k, w_sign), slab, noise, rng

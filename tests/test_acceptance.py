@@ -146,8 +146,9 @@ def test_criterion_03_delay_structure(deit, fefet, tiles, softmax_params, cost_o
 def test_criterion_04_edap_consistency(deit, lvvit, fefet, tiles, softmax_params, cost_opts):
     """EDAP == E*D*A bit-for-bit on every row; baselines within 2% of print."""
     scenario = Scenario("acc_deit", "DeiT-S", "FeFET", (9.0, 7.0, 6.0, 4.0))
-    rows = run_scenario(scenario)
-    rows += run_scenario(Scenario("acc_lv", "LV-ViT-S", "FeFET", (12.0, 10.0, 9.0, 8.0, 6.0)))
+    rows = run_scenario(resolve(scenario))
+    rows += run_scenario(resolve(
+        Scenario("acc_lv", "LV-ViT-S", "FeFET", (12.0, 10.0, 9.0, 8.0, 6.0))))
     exact = all(
         r.edap == r.energy_mj * r.delay_ms * r.area_mm2 for r in rows if r.feasible
     )
@@ -357,7 +358,7 @@ def test_criterion_12_determinism(tmp_path):
 
     def run(sub):
         inputs = resolve(scenario)
-        rows = run_scenario(scenario, inputs)
+        rows = run_scenario(inputs)
         paths = emit(rows, str(tmp_path / sub), "det", ("csv", "json"),
                      meta=report_meta(inputs))
         return [Path(p).read_bytes() for p in sorted(paths)]

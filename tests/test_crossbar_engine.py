@@ -235,6 +235,31 @@ def test_read_rows_must_be_binary(fefet, tiles):
         xb.read_currents(np.full((1, 8), 2.0))
 
 
+# 1 + 2^-30 rounds to 1.0 in a level stripe's float32 cells
+@pytest.mark.parametrize("bad", [np.uint8(2), 0.5, 1.0 + 2.0**-30])
+def test_a_non_binary_read_raises_on_the_values_as_given(bad, sram, tiles):
+    pm = program_matrix(np.ones((8, 8), dtype=int), sram, tiles, 8)
+    bits = np.zeros((2, 8), dtype=np.asarray(bad).dtype)
+    bits[1, 3] = bad
+    for state in (pm.stripes[0], pm.level_stripes[0]):
+        with pytest.raises(ValueError, match="binary"):
+            state.read_currents(bits)
+
+
+def test_a_bool_read_equals_its_float_copy(fefet, tiles):
+    rng = np.random.default_rng(12)
+    pm = program_matrix(rng.integers(-127, 128, size=(64, 16)), fefet, tiles, 8)
+    bits = rng.random((5, 64)) < 0.5
+    for state in (pm.stripes[0], pm.level_stripes[0]):
+        assert np.array_equal(state.read_currents(bits),
+                              state.read_currents(bits.astype(np.float64)))
+    noise = NoiseModel(read_var=0.1, adc_bits=6)
+    stripe = pm.stripes[0]
+    assert np.array_equal(stripe.read_currents(bits, noise, np.random.default_rng(0)),
+                          stripe.read_currents(bits.astype(np.float64), noise,
+                                               np.random.default_rng(0)))
+
+
 def _record_reads(monkeypatch):
     """Every ``CrossbarState.read_currents`` call as (state, bit rows shape)."""
     calls = []
@@ -319,7 +344,7 @@ def test_a_noise_free_read_gives_the_flat_decode_table_index(fefet, xbar_size):
 
 def test_a_read_beyond_float32_integers_keeps_no_level_stripe(fefet, monkeypatch):
     # 2400 rows: the largest read, 2400 * (3 + stride) with stride 7201, is
-    # over 2^24, and the decode table would hold 2401 * 7201 float32s
+    # over 2^24, and the decode table would hold 2401 * 7201 float64s
     def no_table(*args):
         raise AssertionError("decode table built")
 
@@ -415,7 +440,7 @@ def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits,
     xsz = tiles.xbar_size
     levels = 2**dev.bits_per_cell - 1
     table = _decode_table(dev, xsz, adc_bits, xsz)
-    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float32
+    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float64
     assert np.array_equal(np.isnan(table), _exact_ties(dev, xsz, adc_bits, table.shape))
     level_g = ideal_conductances(np.arange(levels + 1), dev)
     rng = np.random.default_rng(adc_bits)

@@ -35,7 +35,7 @@ LV_SCENARIO = Scenario(
 
 @pytest.fixture(scope="module")
 def deit_rows():
-    return run_scenario(DEIT_SCENARIO)
+    return run_scenario(resolve(DEIT_SCENARIO))
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def deit_meta():
 
 @pytest.fixture(scope="module")
 def lv_rows():
-    return run_scenario(LV_SCENARIO)
+    return run_scenario(resolve(LV_SCENARIO))
 
 
 class TestRunScenario:
@@ -72,14 +72,14 @@ class TestRunScenario:
             assert abs(row.edap_reduction / ref - 1.0) <= 0.10
 
     def test_empty_targets_baseline_only(self):
-        rows = run_scenario(Scenario("base", "DeiT-S", "FeFET"))
+        rows = run_scenario(resolve(Scenario("base", "DeiT-S", "FeFET")))
         assert len(rows) == 1
         assert rows[0].pattern == "none"
 
     def test_infeasible_target_flagged_and_run_continues(self):
-        rows = run_scenario(
+        rows = run_scenario(resolve(
             Scenario("inf", "DeiT-S", "FeFET", target_delays_ms=(1.0, 9.0))
-        )
+        ))
         assert len(rows) == 3
         assert not rows[1].feasible
         assert rows[1].pattern == "infeasible"
@@ -87,9 +87,9 @@ class TestRunScenario:
         assert rows[2].feasible and rows[2].n_reuse == 3
 
     def test_explicit_pattern_mode(self):
-        rows = run_scenario(
+        rows = run_scenario(resolve(
             Scenario("exp", "DeiT-S", "FeFET", patterns="explicit:2,5,8")
-        )
+        ))
         assert len(rows) == 2
         assert rows[1].pattern == "2+5+8"
         assert rows[1].n_reuse == 3
@@ -101,7 +101,7 @@ class TestRunScenario:
             assert 0 not in indices
 
     def test_hybrid_device_scenario(self):
-        rows = run_scenario(Scenario("hyb", "DeiT-S", "hybrid"))
+        rows = run_scenario(resolve(Scenario("hyb", "DeiT-S", "hybrid")))
         assert rows[0].area_mm2 > 0
 
     def test_invalid_target_rejected(self):
@@ -139,7 +139,7 @@ class TestEmission:
     def test_byte_identical_reruns(self, tmp_path):
         def run(sub):
             inputs = resolve(DEIT_SCENARIO)
-            rows = run_scenario(DEIT_SCENARIO, inputs)
+            rows = run_scenario(inputs)
             paths = emit(rows, str(tmp_path / sub), "r", ("csv", "json"),
                          meta=report_meta(inputs))
             return [Path(p).read_bytes() for p in paths]
@@ -148,15 +148,13 @@ class TestEmission:
 
     def test_rows_keep_the_passed_scenario_and_name_the_costed_presets(self, deit_rows,
                                                                         tmp_path):
-        """Targets, patterns and name come from the scenario passed in; the
-        model and device named are the ones ``inputs`` was costed from."""
+        """Targets, patterns and name come from the scenario resolved; the
+        model and device named are the presets its config file chose."""
         user = tmp_path / "presets.ini"
         user.write_text("[model]\npreset = DeiT-S\n[device]\npreset = FeFET\n")
-        unnamed = Scenario(DEIT_SCENARIO.name, None, None, config_path=str(user))
-        inputs = resolve(unnamed)
         targeted = Scenario(DEIT_SCENARIO.name, None, None, DEIT_SCENARIO.target_delays_ms,
                             config_path=str(user))
-        assert run_scenario(targeted, inputs) == deit_rows
+        assert run_scenario(resolve(targeted)) == deit_rows
 
     def test_unknown_format(self, deit_rows, deit_meta, tmp_path):
         # every format is checked before any file is written
