@@ -15,10 +15,10 @@ Storage: the crossbars that share a row tile are kept side by side as
 one ``CrossbarState`` "stripe" of shape (rows, n_slices * 2 * out_dim),
 its columns ordered (slice, weight sign, column). A column current only
 sums over its own column, so one read of a stripe is the reads of all
-its crossbars at once; ``ProgrammedMatrix.tile`` gives the view of one
-crossbar. ``program_matrix`` is the only way to program crossbars: it
-tiles a whole signed matrix and programs one stripe at a time from
-uint8 cell digits.
+its crossbars at once; one crossbar is the stripe's columns of one
+(slice, sign, column tile). ``program_matrix`` is the only way to
+program crossbars: it tiles a whole signed matrix and programs one
+stripe at a time from uint8 cell digits.
 
 Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
 bit-plane of both input signs as one batch of reads, drops the reads
@@ -28,24 +28,38 @@ is drawn only for the (read, row) pairs whose bit is set, in chunks of
 the same element budget: a row at 0 carries no current whatever its
 noise, so the output distribution is that of drawing every cell.
 
+A noisy read works in float32 window units. Each cell is
+u = (g - G_min) / (G_max - G_min), its noise gain g * sigma / (G_max -
+G_min) for multiplicative noise and sigma for additive noise, and a
+chunk of set-row cells is clip(u + gain * z, 0, 1), whose edges 0 and 1
+are exact in float32. One float32 product with a 0/1 selection matrix
+sums each read's set rows in the chunk; a chunk holds at most
+min(CHUNK_ELEMENTS / columns, isqrt(CHUNK_ELEMENTS)) pairs, so that
+matrix stays within the element budget on narrow stripes too. The read
+returns float64 siemens, (G_max - G_min) * sums + G_min * popcount, so a
+one-hot read of a clipped cell gives exactly G_min or G_max (the
+shipped devices' window width plus G_min is G_max in float64).
+
 Noisy writes, like noisy reads, draw from the caller's generator and
 raise without one, so successive draws continue one stream instead of
 repeating it; noise-free programming and reads need none.
 
-Noise draws. Every write and read noise value is a standard normal
-from ``_standard_normal``, scaled by its variation: a vectorized
-Box-Muller fill. n values take h = ceil(n / 2) float64 uniforms u for
-the radii sqrt(-2 log1p(-u)) and then h float32 uniforms v for the
-angles 2 pi v; the first h values are r cos, the rest r sin. The radius
-keeps float64's 53-bit grid, so every |z| is at most
-sqrt(106 ln 2) = 8.57, reached at u = 1 - 2^-53. The angle, its cosine
-and its sine are float32, and the products float64: the 2^-24 angle
-grid and float32 rounding move a draw by about 1e-7 of its value, far
-below any read-noise variation. float64 cosines cost about 7 times as
-much and would take most of the saving over numpy's ziggurat normal
-(about 0.18 against 0.42 ms per 32k draws on a 2-CPU x86-64 host).
-The draws are N(0, 1) in distribution, but not numpy's stream: noisy
-outputs differ from versions that drew with ``Generator.normal``.
+Noise draws. Every write and read noise value is a float32 standard
+normal from ``_standard_normal``, scaled by its variation: a vectorized
+Box-Muller fill in float32. n values take h = ceil(n / 2) 64-bit words
+from ``Generator.integers``, one word per pair (not ``bit_generator.
+random_raw``, whose words hold only 32 random bits for MT19937). A
+word's top 32 bits k give the radius sqrt(-2 ln((k + 1) 2^-32)) and its
+low 32 bits j the angle 2 pi j 2^-32; the first h values are r cos, the
+rest r sin. So every |z| is at most sqrt(64 ln 2) = 6.66, reached at
+k = 0; a normal lies beyond that with probability about 3e-11. float32
+rounding moves a draw by about 1e-7 of its value (median) and by at
+most about 3e-5 (at radii near 0, where (k + 1) 2^-32 rounds near 1),
+far below any noise variation. A fill of 32k draws takes about 0.12 ms
+on a 2-CPU x86-64 host, against 0.18 ms for the float64 Box-Muller fill
+of earlier versions and 0.42 ms for numpy's ziggurat normal. The draws
+are N(0, 1) in distribution, but not numpy's stream: noisy FeFET and
+hybrid outputs differ from earlier versions for the same seed.
 
 Column currents are digitized by a flash ADC whose full scale is the
 worst-case accumulation xbar_size * G_max (fixed, input independent),
@@ -122,32 +136,37 @@ CHUNK_ELEMENTS = 1 << 15
 _TIE_MARGIN = 2.0**-44
 
 
-# Box-Muller angles are float32: see "Noise draws" above.
-_TWO_PI = np.float32(2.0 * np.pi)
+# Box-Muller in float32: see "Noise draws" above.
+_RADIUS_UNIT = np.float32(2.0**-32)
+_ANGLE_UNIT = np.float32(2.0 * np.pi * 2.0**-32)
 
 
 def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous float64 array ``out`` with N(0, 1) draws; return it.
+    """Fill the C-contiguous float32 array ``out`` with N(0, 1) draws; return it.
 
-    Vectorized Box-Muller on h = ceil(n / 2) pairs of uniforms: radius
-    sqrt(-2 log1p(-u)) from float64 u, angle 2 pi v from float32 v. The
-    first h values are r cos, the last n - h are r sin (one sine is
-    dropped when n is odd). The radii are built in ``out`` itself; the
-    only temporaries are two float32 arrays of h values.
+    Vectorized Box-Muller on h = ceil(n / 2) 64-bit words from
+    ``rng.integers``, one word per pair: its top 32 bits k give the radius
+    sqrt(-2 ln((k + 1) 2^-32)), its low 32 bits j the angle 2 pi j 2^-32,
+    all in float32. The first h values are r cos, the last n - h are
+    r sin (one sine is dropped when n is odd). The radii are built in
+    ``out`` itself; the temporaries are the h words and their halves.
     """
-    if out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float64 array")
+    if out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float32 array")
     flat = out.reshape(-1)
     n = flat.size
     h = (n + 1) // 2
+    words = rng.integers(0, 2**64, size=h, dtype=np.uint64)
     radius = flat[:h]
-    rng.random(out=radius)
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    radius *= -2.0
+    # each half goes through uint32: numpy converts uint64 to float32 far slower
+    radius[...] = (words >> 32).astype(np.uint32)
+    radius += 1
+    radius *= _RADIUS_UNIT
+    np.log(radius, out=radius)
+    radius *= -2
     np.sqrt(radius, out=radius)
-    angle = rng.random(h, dtype=np.float32)
-    angle *= _TWO_PI
+    angle = words.astype(np.uint32).astype(np.float32)
+    angle *= _ANGLE_UNIT
     np.multiply(radius[:n - h], np.sin(angle[:n - h]), out=flat[h:])
     radius *= np.cos(angle, out=angle)
     return out
@@ -161,10 +180,13 @@ class NoiseModel:
     additive alternative draws eps relative to the conductance window.
     The model holds no randomness: noisy writes and reads draw from the
     ``rng`` their caller passes (``SimContext`` owns one per inference,
-    derived from its ``seed``). eps is the variation times a standard
-    normal from ``_standard_normal``'s Box-Muller fill (float64 radius,
-    float32 angle, |eps| <= 8.57 times the variation); see the module
-    docstring's "Noise draws".
+    derived from its ``seed``). eps is the variation times a float32
+    standard normal from ``_standard_normal``'s Box-Muller fill (one
+    64-bit word per pair of draws, |eps| <= sqrt(64 ln 2) = 6.66 times the
+    variation, a bound a normal exceeds with probability about 3e-11);
+    see the module docstring's "Noise draws". Noisy reads add it to each
+    cell in float32 window units and clip to [0, 1], the edges of the
+    [G_min, G_max] window.
     """
 
     read_var: float = 0.0
@@ -203,8 +225,10 @@ class CrossbarState:
         Each input row is one physical read, made in the dtype of the
         stored cells; read noise is drawn independently per read and per
         cell, for the cells of set rows only, from ``rng``, which noisy
-        reads require. Bool rows are binary by type; rows of any other
-        dtype are checked to be 0 or 1 before the cast to the cell dtype.
+        reads require. A noisy read sums float32 window units and returns
+        float64 siemens (see the module docstring). Bool rows are binary
+        by type; rows of any other dtype are checked to be 0 or 1 before
+        the cast to the cell dtype.
         """
         g = self.conductances
         bits = np.asarray(bit_rows)
@@ -222,23 +246,37 @@ class CrossbarState:
         if rng is None:
             raise ValueError("noisy reads need an explicit rng stream")
         dev = self.device
-        reads, rows = np.nonzero(bits)
+        span = dev.g_max - dev.g_min
+        popcount = np.count_nonzero(bits, axis=1)
+        active = np.flatnonzero(popcount)
+        rows = np.nonzero(bits)[1]
+        # the read of each (read, set row) pair, numbered over the active reads
+        read = np.repeat(np.arange(active.size), popcount[active])
+        # each cell in window units, u = (g - G_min) / span, and its noise gain
+        window = np.empty(g.shape, dtype=np.float32)
+        np.subtract(g, dev.g_min, out=window)
+        window /= span
+        if noise.multiplicative:
+            gain = np.multiply(g, noise.read_var / span, out=np.empty_like(window))
+        else:
+            gain = np.full((g.shape[0], 1), noise.read_var, dtype=np.float32)
+        sums = np.zeros((active.size, g.shape[1]))
+        # a chunk of k pairs spans at most k reads, so its selection matrix
+        # holds at most k^2 <= CHUNK_ELEMENTS entries
+        step = max(1, min(CHUNK_ELEMENTS // g.shape[1], math.isqrt(CHUNK_ELEMENTS)))
+        chunk = np.empty((min(step, rows.size), g.shape[1]), dtype=np.float32)
+        for a in range(0, rows.size, step):
+            c, r = rows[a:a + step], read[a:a + step]
+            cells = _standard_normal(rng, chunk[:c.size])
+            cells *= gain[c]
+            cells += window[c]
+            np.clip(cells, 0.0, 1.0, out=cells)
+            select = r == np.arange(r[0], r[-1] + 1)[:, None]
+            sums[r[0]:r[-1] + 1] += select.astype(np.float32) @ cells
         out = np.zeros((bits.shape[0], g.shape[1]))
-        step = max(1, CHUNK_ELEMENTS // g.shape[1])
-        chunk = np.empty((min(step, reads.size), g.shape[1]))
-        for a in range(0, reads.size, step):
-            r, c = reads[a:a + step], rows[a:a + step]
-            g_read = _standard_normal(rng, chunk[:r.size])
-            g_read *= noise.read_var
-            if noise.multiplicative:
-                g_read += 1.0
-                g_read *= g[c]
-            else:
-                g_read *= dev.g_max - dev.g_min
-                g_read += g[c]
-            np.clip(g_read, dev.g_min, dev.g_max, out=g_read)
-            starts = np.flatnonzero(np.diff(r, prepend=-1))
-            out[r[starts]] += np.add.reduceat(g_read, starts, axis=0)
+        out[active] = sums
+        out *= span
+        out += dev.g_min * popcount[:, None]
         return out
 
 
@@ -256,11 +294,10 @@ class ProgrammedMatrix:
 
     ``stripes[row_block]`` holds the crossbars of one row tile side by
     side, columns ordered (slice, sign, column) with sign 0 = positive
-    part, 1 = negative part; ``tile`` gives one crossbar's view.
-    ``level_stripes`` holds the same cells as integer levels plus the
-    decode table's row length, one float32 stripe per row tile, when
-    they were written without noise and a read of the tallest stripe
-    stays below 2^24; it is None otherwise.
+    part, 1 = negative part. ``level_stripes`` holds the same cells as
+    integer levels plus the decode table's row length, one float32
+    stripe per row tile, when they were written without noise and a
+    read of the tallest stripe stays below 2^24; it is None otherwise.
     """
 
     shape: tuple[int, int]
@@ -278,16 +315,6 @@ class ProgrammedMatrix:
     def n_crossbars(self) -> int:
         row_blocks = math.ceil(self.shape[0] / self.xbar_size)
         return row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
-
-    def tile(self, row_block: int, col_block: int, k: int, sign: int) -> CrossbarState:
-        """The crossbar holding slice ``k`` of one sign's part of one tile."""
-        if not (0 <= row_block < len(self.stripes) and 0 <= col_block < self.col_blocks
-                and 0 <= k < self.n_slices and sign in (0, 1)):
-            raise IndexError(f"no crossbar {(row_block, col_block, k, sign)}")
-        stripe = self.stripes[row_block]
-        g = stripe.conductances.reshape(-1, self.n_slices, 2, self.shape[1])
-        x = self.xbar_size
-        return CrossbarState(g[:, k, sign, col_block * x:(col_block + 1) * x], self.device)
 
 
 def program_matrix(
@@ -336,7 +363,7 @@ def program_matrix(
             parts >>= bpc
         g = level_g[digits.reshape(block.shape[0], -1)]
         if noise.write_var > 0.0:
-            eps = _standard_normal(rng, np.empty(g.shape))
+            eps = _standard_normal(rng, np.empty(g.shape, dtype=np.float32))
             eps *= noise.write_var
             if noise.multiplicative:
                 g = g * (1.0 + eps)

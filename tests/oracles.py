@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
-from xbarsim.funcsim.crossbar import NoiseModel
+from xbarsim.funcsim.crossbar import CrossbarState, NoiseModel
 from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
 from xbarsim.patterns import PatternKind, ReusePattern, reuse_sources
 from xbarsim.workload import ModelConfig, attention_layers, ffn_layers, tb_layer
@@ -165,8 +165,18 @@ def oracle_read_currents(state, bit_rows, noise=NoiseModel(), rng=None):
     return np.einsum("nr,nrc->nc", bits, g_read)
 
 
+def oracle_tile(pm, row_block, col_block, k, sign):
+    """The crossbar of ``pm`` holding slice ``k`` of one sign's part of one tile."""
+    if not (0 <= row_block < len(pm.stripes) and 0 <= col_block < pm.col_blocks
+            and 0 <= k < pm.n_slices and sign in (0, 1)):
+        raise IndexError(f"no crossbar {(row_block, col_block, k, sign)}")
+    g = pm.stripes[row_block].conductances.reshape(-1, pm.n_slices, 2, pm.shape[1])
+    x = pm.xbar_size
+    return CrossbarState(g[:, k, sign, col_block * x:(col_block + 1) * x], pm.device)
+
+
 def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
-    """Bit-serial product read crossbar by crossbar through ``pm.tile``."""
+    """Bit-serial product read crossbar by crossbar through ``oracle_tile``."""
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
         x_int = x_int[None, :]
@@ -193,7 +203,7 @@ def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
                         slice_weight = 1 << (k * pm.device.bits_per_cell)
                         for w_sign, sgn in ((0, 1), (1, -1)):
                             currents = oracle_read_currents(
-                                pm.tile(rb, cb, k, w_sign), slab, noise, rng
+                                oracle_tile(pm, rb, cb, k, w_sign), slab, noise, rng
                             )
                             codes = np.clip(
                                 np.rint(currents / full_scale * n_levels), 0, n_levels

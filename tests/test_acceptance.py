@@ -16,6 +16,7 @@ from oracles import (
     oracle_layer_rows,
     oracle_model_cost,
     oracle_softmax_rows,
+    oracle_tile,
     random_setup,
 )
 from xbarsim.cost import (
@@ -258,11 +259,11 @@ def test_criterion_09_functional_simulator(fefet, tiles):
     mid = np.ones((64, 64), dtype=int)
     ideal = ideal_conductances(mid, fefet)
     writes = np.concatenate(
-        [(program_matrix(mid, fefet, tiles, 2, noise, nrng).tile(0, 0, 0, 0).conductances
+        [(oracle_tile(program_matrix(mid, fefet, tiles, 2, noise, nrng), 0, 0, 0, 0).conductances
           / ideal - 1.0).ravel()
          for _ in range(25)]
     )
-    xb = program_matrix(mid, fefet, tiles, 2).tile(0, 0, 0, 0)
+    xb = oracle_tile(program_matrix(mid, fefet, tiles, 2), 0, 0, 0, 0)
     eye = np.eye(64)
     reads = np.concatenate(
         [(xb.read_currents(eye, noise, nrng) / xb.conductances - 1.0).ravel()

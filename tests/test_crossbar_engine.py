@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest, kurtosis
 
-from oracles import oracle_mvm_bitserial, oracle_read_currents
+from oracles import oracle_mvm_bitserial, oracle_read_currents, oracle_tile
 from xbarsim.funcsim import SimContext, crossbar, forward
 from xbarsim.funcsim.crossbar import (
     CHUNK_ELEMENTS,
@@ -81,17 +81,17 @@ def test_tile_is_the_crossbar_of_one_digit_plane(fefet, tiles):
         rows = slice(rb * 64, (rb + 1) * 64)
         cols = slice(cb * 64, (cb + 1) * 64)
         digits = (part[rows, cols] >> (2 * k)) & 3
-        assert np.array_equal(pm.tile(rb, cb, k, sign).conductances,
+        assert np.array_equal(oracle_tile(pm, rb, cb, k, sign).conductances,
                               ideal_conductances(digits, fefet))
     with pytest.raises(IndexError):
-        pm.tile(0, 3, 0, 0)
+        oracle_tile(pm, 0, 3, 0, 0)
 
 
 @pytest.mark.parametrize("multiplicative", [True, False])
 def test_active_only_reads_match_the_dense_sampler(fefet, tiles, multiplicative):
     # Levels 0 and 3 sit on G_min and G_max, so 30% noise is clipped often.
     cells = np.random.default_rng(1).choice([0, 3], size=(64, 12))
-    xb = program_matrix(cells, fefet, tiles, 2).tile(0, 0, 0, 0)
+    xb = oracle_tile(program_matrix(cells, fefet, tiles, 2), 0, 0, 0, 0)
     bits = np.zeros(64)
     bits[::3] = 1
     batch = np.tile(bits, (3000, 1))
@@ -107,39 +107,71 @@ def test_active_only_reads_match_the_dense_sampler(fefet, tiles, multiplicative)
     assert np.mean((single == fefet.g_min) | (single == fefet.g_max)) > 0.4
 
 
-def test_read_noise_is_drawn_for_set_rows_only(fefet):
-    # A Box-Muller fill of n values takes ceil(n / 2) uniforms of each
-    # precision, so the stream position depends on where the chunks split:
-    # the twin fills the same set-row chunks and must end where the read did.
+def _advance_by_words(rng, fills):
+    """Advance ``rng`` as ``_standard_normal`` does: ceil(n / 2) words per fill of n."""
+    for n in fills:
+        rng.integers(0, 2**64, size=(n + 1) // 2, dtype=np.uint64)
+    return rng
+
+
+def test_read_noise_is_drawn_for_set_rows_only(fefet, monkeypatch):
+    # Each fill takes ceil(n / 2) words, so the stream position depends on
+    # where the chunks split: the fills are recorded, and a twin advanced
+    # by their words must end where the read did.
+    fills = []
+    sample = crossbar._standard_normal
+
+    def recording(rng, out):
+        fills.append(out.shape)
+        return sample(rng, out)
+
+    monkeypatch.setattr(crossbar, "_standard_normal", recording)
     bits = (np.random.default_rng(4).random((1500, 64)) < 0.2).astype(np.uint8)
     noise = NoiseModel(read_var=0.1, adc_bits=6)
     for columns in (16, 33):  # even and odd chunk fills
+        fills.clear()
         xb = CrossbarState(ideal_conductances(np.ones((64, columns)), fefet), fefet)
-        used, twin = np.random.default_rng(5), np.random.default_rng(5)
+        used = np.random.default_rng(5)
         xb.read_currents(bits, noise, used)
-        set_rows, step = int(bits.sum()), CHUNK_ELEMENTS // columns
-        assert set_rows > 2 * step  # several chunks, the last one short
-        for a in range(0, set_rows, step):
-            _standard_normal(twin, np.empty((min(step, set_rows - a), columns)))
+        assert len(fills) > 2  # several chunks
+        assert all(width == columns for _, width in fills)
+        assert sum(rows for rows, _ in fills) == bits.sum()
+        twin = _advance_by_words(np.random.default_rng(5), [r * w for r, w in fills])
         assert used.bit_generator.state == twin.bit_generator.state
+        # reads with no set row read zero and leave the others' draws as they were
+        gaps = bits.copy()
+        gaps[::7] = 0
+        again = xb.read_currents(gaps, noise, np.random.default_rng(5))
+        assert not again[::7].any()
+        kept = np.ones(len(bits), dtype=bool)
+        kept[::7] = False
+        assert np.array_equal(again[kept],
+                              xb.read_currents(bits[kept], noise, np.random.default_rng(5)))
 
 
 def _box_muller(rng, n):
-    """The sampler's definition, written out: n draws from ceil(n / 2) pairs."""
-    h = (n + 1) // 2
-    radius = np.sqrt(-2.0 * np.log1p(-rng.random(h)))
-    angle = rng.random(h, dtype=np.float32) * np.float32(2.0 * np.pi)
+    """The sampler's definition, written out: n draws from ceil(n / 2) words."""
+    words = rng.integers(0, 2**64, size=(n + 1) // 2, dtype=np.uint64)
+    k = (words >> np.uint64(32)).astype(np.float32)
+    j = (words & np.uint64(2**32 - 1)).astype(np.float32)
+    radius = np.sqrt(np.float32(-2.0) * np.log((k + np.float32(1.0)) * np.float32(2.0**-32)))
+    angle = j * np.float32(2.0 * np.pi * 2.0**-32)
     return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
 
 
-def test_standard_normal_matches_the_normal_distribution():
+def _check_normal(z):
     # each bound is 4 to 6 standard errors at 2M draws
-    z = _standard_normal(np.random.default_rng(11), np.empty(1 << 21))
-    h = z.size // 2
     assert abs(z.mean()) < 0.004
     assert abs(z.std() - 1.0) < 0.003
-    assert abs(kurtosis(z)) < 0.02  # excess kurtosis
     assert kstest(z, "norm").pvalue > 0.01
+
+
+def test_standard_normal_matches_the_normal_distribution():
+    z = _standard_normal(np.random.default_rng(11), np.empty(1 << 21, dtype=np.float32))
+    z = z.astype(np.float64)
+    h = z.size // 2
+    _check_normal(z)
+    assert abs(kurtosis(z)) < 0.02  # excess kurtosis
     # the cosine and sine halves share radii but are independent normals
     assert kstest(z[:h], "norm").pvalue > 0.01
     assert kstest(z[h:], "norm").pvalue > 0.01
@@ -147,55 +179,60 @@ def test_standard_normal_matches_the_normal_distribution():
     assert abs(np.corrcoef(z[:h] ** 2, z[h:] ** 2)[0, 1]) < 0.004
 
 
+# MT19937's raw words hold 32 random bits each; ``integers`` joins two per word
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_standard_normal_is_normal_through_other_bit_generators(bit_generator):
+    rng = np.random.Generator(bit_generator(11))
+    _check_normal(_standard_normal(rng, np.empty(1 << 21, dtype=np.float32)).astype(np.float64))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 1001, CHUNK_ELEMENTS + 1])
 def test_standard_normal_fills_odd_and_even_sizes(n):
     used, twin = np.random.default_rng(n), np.random.default_rng(n)
-    out = np.empty(n)
+    out = np.empty(n, dtype=np.float32)
     assert _standard_normal(used, out) is out
     assert np.array_equal(out, _box_muller(twin, n))
     assert used.bit_generator.state == twin.bit_generator.state
 
 
 def test_standard_normal_fills_a_row_slice_in_place():
-    buf = np.full((6, 7), np.nan)
+    buf = np.full((6, 7), np.nan, dtype=np.float32)
     view = buf[:4]
     assert _standard_normal(np.random.default_rng(3), view) is view
     assert np.array_equal(buf[:4].ravel(), _box_muller(np.random.default_rng(3), 28))
     assert np.isnan(buf[4:]).all()
     with pytest.raises(ValueError, match="C-contiguous"):
         _standard_normal(np.random.default_rng(3), buf[:, :3])
-    with pytest.raises(ValueError, match="float64"):
-        _standard_normal(np.random.default_rng(3), np.empty(4, dtype=np.float32))
+    with pytest.raises(ValueError, match="float32"):
+        _standard_normal(np.random.default_rng(3), np.empty(4))
 
 
 def test_standard_normal_replays_byte_for_byte():
-    first = _standard_normal(np.random.default_rng(8), np.empty((33, 17)))
-    again = _standard_normal(np.random.default_rng(8), np.empty((33, 17)))
-    assert first.tobytes() == again.tobytes()
+    def fill(rng):
+        return _standard_normal(rng, np.empty((33, 17), dtype=np.float32))
+
+    first = fill(np.random.default_rng(8))
+    assert first.tobytes() == fill(np.random.default_rng(8)).tobytes()
     rng = np.random.default_rng(8)
-    _standard_normal(rng, np.empty((33, 17)))
-    assert not np.array_equal(_standard_normal(rng, np.empty((33, 17))), first)
+    fill(rng)
+    assert not np.array_equal(fill(rng), first)
 
 
-class _ExtremeUniforms:
-    """A stand-in generator: float64 uniforms at their largest value,
-    1 - 2^-53, and float32 uniforms at the given angles."""
+class _ExtremeWords:
+    """A stand-in generator whose 64-bit words alternate 0 and 2^64 - 1."""
 
-    def __init__(self, v):
-        self.v = np.asarray(v, dtype=np.float32)
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        if out is not None:
-            out.fill(1.0 - 2.0**-53)
-            return out
-        assert dtype == np.float32 and size == self.v.size
-        return self.v.copy()
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**64, np.uint64)
+        words = np.zeros(size, dtype=np.uint64)
+        words[1::2] = np.iinfo(np.uint64).max
+        return words
 
 
-def test_standard_normal_is_bounded_by_the_largest_uniform():
-    v = [0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 2.0**-24]
-    z = _standard_normal(_ExtremeUniforms(v), np.empty(2 * len(v)))
-    assert 8.57 < np.abs(z).max() <= 8.58  # sqrt(106 ln 2) = 8.5716
+def test_standard_normal_is_bounded_by_the_smallest_word():
+    # word 0: radius sqrt(-2 ln 2^-32) at angle 0; word 2^64 - 1: radius 0
+    z = _standard_normal(_ExtremeWords(), np.empty(4, dtype=np.float32))
+    assert np.all(np.isfinite(z))
+    assert 6.66 < np.abs(z).max() <= 6.661  # sqrt(64 ln 2) = 6.6604
 
 
 @pytest.mark.parametrize("multiplicative", [True, False])
@@ -208,17 +245,20 @@ def test_write_noise_is_one_fill_per_stripe(fefet, tiles, multiplicative):
     window = fefet.g_max - fefet.g_min
     for stripe, exact in zip(pm.stripes, ideal.stripes):
         g = exact.conductances
-        eps = 0.2 * _standard_normal(twin, np.empty(g.shape))
+        eps = 0.2 * _standard_normal(twin, np.empty(g.shape, dtype=np.float32))
         written = g * (1.0 + eps) if multiplicative else g + eps * window
         assert np.array_equal(stripe.conductances,
                               np.clip(written, fefet.g_min, fefet.g_max))
     assert used.bit_generator.state == twin.bit_generator.state
+    words = _advance_by_words(np.random.default_rng(10),
+                              [s.conductances.size for s in pm.stripes])
+    assert used.bit_generator.state == words.bit_generator.state
 
 
 def test_noisy_reads_require_a_generator(fefet, tiles):
     noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6)
     pm = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8)
-    xb = pm.tile(0, 0, 0, 0)
+    xb = oracle_tile(pm, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="rng"):
         xb.read_currents(np.ones((2, 8)), noise)
     with pytest.raises(ValueError, match="rng"):
@@ -498,6 +538,23 @@ def test_noisy_product_keeps_temporaries_small(fefet, tiles):
     tracemalloc.start()
     try:
         mvm_bitserial(pm, x, noise, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_noisy_read_of_a_narrow_stripe_keeps_temporaries_small(fefet, tiles):
+    # 16 columns allow 2048 (read, set row) pairs per chunk; with one set
+    # row per read, an uncapped selection matrix would be 2048 x 2048
+    rng = np.random.default_rng(13)
+    stripe = program_matrix(rng.integers(-127, 128, size=(16, 2)), fefet, tiles, 8).stripes[0]
+    assert stripe.conductances.shape == (16, 16)
+    bits = np.eye(16, dtype=np.bool_)[rng.integers(0, 16, size=4096)]
+    noise = NoiseModel(read_var=0.1, adc_bits=6)
+    tracemalloc.start()
+    try:
+        stripe.read_currents(bits, noise, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

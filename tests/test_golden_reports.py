@@ -190,29 +190,29 @@ FUNCSIM_FILES = ("output.xbt", "funcsim_summary.json")
 # ``funcsim --seed 0`` with those flags
 FUNCSIM_GOLDEN = {
     ("FeFET", "--encoders 2"):
-        ("b0996542eae192ea681341a23de56a4e2594d3a7cdcb0d8b7b3b1e7250a6daeb",
-         "fed5583cb34c869bbf248c763c38d3b91e1d84fab7f7314b752889f8eda0d3f5"),
+        ("59e20df44f9e686fcf8780bbaa31acf56288f1535d47f377d51a0cd545272e9c",
+         "6175705f96c7d9c79dfbf29beaa948c12eb650c105ea2a6e36946c1fe27fa8ed"),
     ("hybrid", "--encoders 2"):
-        ("007b257306b6c22c4973103b41982bbe7c0e75bc3577fea960597b80b1ea9ea4",
-         "430479a202bba2ae49452018d8bd21d4aad021ebc1d5964543fd3b0355a04ef0"),
+        ("6d587f205bb7afae7b9ce17dd8fdc5c680058b51cd540a695209cc5246a30728",
+         "57061e9d36b7774d4ad1d77125cd2444d24687a48b53d28e68c9e9cf552313cb"),
     ("SRAM", "--encoders 2"):
         ("053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
          "3caa429c3165dc12b4e243dee939eebf9cbf155712bd1a1f9dfbb4aa04be8a2e"),
     ("FeFET", "--encoders 4 --reuse 1,3"):
-        ("49e25b4795dd203dad94ef9ad7b5359d5f59099ab66a77a5644dbf01e35861e2",
-         "0848da4dae586ec70150965b3a593a07b3ae30f74a5eee05e8dbe005bd83ba69"),
+        ("fccdfb178228af2d31be153aeb37281eeaec4d53a981ed4f79b07c4f67917800",
+         "66bc0126973cea91029627087b913d5946a7fb61d7e311a73d35250ae288b348"),
     ("SRAM", "--encoders 4 --reuse 1,3"):
         ("9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
          "0ac51ec01af0ad9545ac2490eeaac1ac62aa4b79b1df0d4351bd575912beeb4f"),
     ("hybrid", "--encoders 4 --reuse 1,3"):
-        ("966ac128963d7c26324985ff18420e19a54c94c8949d625cb785145a5ceaf3d2",
-         "2d88d74f08009a97e32033faddc110ae769e3e667bbbbbf2c07807b8599e3563"),
+        ("6b0760f3b806a50389cc12181afd06839d9853f93250a42bd1387344a44362fb",
+         "3f9fc03bb831de11bf7d52e92a575c1eaf88f84f77d4ee1980f1d703f7d278f0"),
     ("FeFET", "--encoders 2 --adc-bits 8"):
-        ("4adc38d8a337d0824fb58301c1a8818667da34176afda6c0f361b40103d1dc43",
-         "8e4a73d7f7deb2e19fc25a5869e6c9da5118c6a1461c00437a3168543ea6642c"),
+        ("c4d9c7f4a3dedfaa7b3137b801598bddf6cad580ef849465fabab0bb2ff26db6",
+         "df242f68c7448130a1c9bc8714fc4991950204ef817c03bee24546fec84a7f0d"),
     ("hybrid", "--encoders 2 --adc-bits 8"):
-        ("4574742b6d2e12a5e2abe18ddbfcac6e9eb239473f69321e1758f8b7801995ac",
-         "3da7af4f24d94c077c65b6d527efd4e632005dfaa3ecdc52f9b93491af7845d5"),
+        ("2637a4ecaa354af76fbfa1e1fb49e6efd456944c084a843582a0640b53344f1f",
+         "620b4c0a41d267f070f6af125973c18e34465cc778ce1b2883b869f3897c975e"),
     ("FeFET", "--encoders 2 --adc-bits 4 --no-noise"):
         ("b24b14928e25fafab58b87897c3ef8375f441996321c8c87ace910452c6817c3",
          "7e82c70b198bcf0a52ae8e57f956ad3679d8f5bb647a13625973c69128435551"),
