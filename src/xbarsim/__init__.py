@@ -10,7 +10,6 @@ from .patterns import (
     PatternSet,
     enumerate_patterns,
     explicit_pattern,
-    select_best,
 )
 from .mapping import (
     DeviceAssignment,

@@ -25,11 +25,13 @@ from . import config as cfgmod
 from .cost import model_cost  # noqa: F401  bench/test_bench.py traces this binding
 from .funcsim import SimContext, make_toy_weights, model_forward, save_tensor, toy_config
 from .optimize import optimize
+from .patterns import label
 from .report import (
     Scenario,
     check_formats,
     check_out,
     emit,
+    index_list,
     json_text,
     make_scorer,
     out_dir,
@@ -127,7 +129,7 @@ def cmd_optimize(args) -> int:
             marker = " <- selected" if pattern == result.best else ""
             print(f"  {pattern.kind.value:<12} {pattern.label():<20} "
                   f"score={result.scores[k]:.4f}{marker}")
-        candidates = {"+".join(map(str, row)): s for row, s in
+        candidates = {label(row): s for row, s in
                       zip(result.candidates.sets.tolist(), result.scores.tolist())}
     path = os.path.join(out_dir(args.out), f"{args.name}_patterns.json")
     write_text(path, json_text({
@@ -144,7 +146,7 @@ def cmd_funcsim(args) -> int:
     if args.encoders < 1:
         raise ValueError(f"--encoders must be >= 1, got {args.encoders}")
     cfg = toy_config(args.encoders, args.dim, args.tokens, args.heads)
-    reuse = tuple(int(i) for i in args.reuse.split(",") if i) if args.reuse else ()
+    reuse = index_list(args.reuse, f"--reuse {args.reuse!r}: i,j,k")
     weights = make_toy_weights(cfg, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((cfg.t, cfg.d))

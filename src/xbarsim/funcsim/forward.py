@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from ..mapping import DeviceAssignment, DeviceParams, TileConfig, device_for
-from ..patterns import explicit_pattern, reuse_sources
+from ..patterns import explicit_pattern, source_array
 from ..workload import (
     WEIGHT_KINDS,
     LayerKind,
@@ -228,7 +228,8 @@ def model_forward(
     Encoders in ``reuse`` take the attention of the nearest preceding
     encoder outside it, through their transformation block.
     """
-    sources = reuse_sources(explicit_pattern(cfg.n_encoders, reuse).reuse_set)
+    reuse_set = explicit_pattern(cfg.n_encoders, reuse).reuse_set
+    sources = dict(zip(reuse_set, source_array(np.array([reuse_set], np.intp))[0].tolist()))
     ctx = ctx or SimContext()
     if len(weights) != cfg.n_encoders:
         raise ValueError("one EncoderWeights per encoder required")

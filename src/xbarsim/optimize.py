@@ -35,6 +35,7 @@ from .patterns import (
     PatternSet,
     ReusePattern,
     enumerate_patterns,
+    label,
     source_array,
 )
 from .similarity import centered, cka_score
@@ -165,8 +166,8 @@ def load_external_scorer(path: str) -> Scorer:
         try:
             return np.array([scores[tuple(row)] for row in sets.tolist()])
         except KeyError as exc:
-            label = "+".join(map(str, exc.args[0])) or "none"
-            raise ValueError(f"external score table has no entry for pattern {label}") from None
+            raise ValueError("external score table has no entry for pattern "
+                             f"{label(exc.args[0])}") from None
 
     return _scorer(batch)
 

@@ -20,10 +20,9 @@ count as one sorted integer array, a ``PatternSet``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,9 +56,12 @@ class ReusePattern:
         return len(self.reuse_set)
 
     def label(self) -> str:
-        if not self.reuse_set:
-            return "none"
-        return "+".join(str(i) for i in self.reuse_set)
+        return label(self.reuse_set)
+
+
+def label(reuse_set: Iterable[int]) -> str:
+    """The name of a reuse set: its indices joined by ``+``, or ``none``."""
+    return "+".join(map(str, reuse_set)) or "none"
 
 
 def validate_pattern(p: ReusePattern) -> None:
@@ -88,24 +90,10 @@ def validate_pattern(p: ReusePattern) -> None:
         raise ValueError(f"{p.kind.value} pattern {s} does not match its parameters")
 
 
-def reuse_sources(reuse_set: Iterable[int]) -> dict[int, int]:
-    """Map each reusing index to the nearest preceding non-reuser."""
-    members = frozenset(reuse_set)
-    sources: dict[int, int] = {}
-    for i in sorted(members):
-        src = i - 1
-        while src in members:
-            src -= 1
-        if src < 0:
-            raise ValueError("encoder 0 cannot reuse attention")
-        sources[i] = src
-    return sources
-
-
 def source_array(sets: np.ndarray) -> np.ndarray:
-    """``reuse_sources`` of every row of a (patterns x k) array of sorted
-    reuse sets: an index's source is the first index of its run of
-    consecutive indices, minus 1."""
+    """The sources of a (patterns x k) array of sorted reuse sets: a reuser
+    draws from the nearest preceding non-reuser, the first index of its
+    run of consecutive indices minus 1."""
     pos = np.arange(sets.shape[1])
     run_start = np.maximum.accumulate(np.where(np.diff(sets, prepend=-1) != 1, pos, 0), axis=1)
     return sets - (pos - run_start) - 1
@@ -196,20 +184,3 @@ def enumerate_patterns(
     gen = gen[first]
     return PatternSet(n_encoders, sets[first], family[gen], sl[gen], n_cont[gen])
 
-
-def all_explicit_patterns(n_encoders: int, n_reuse: int) -> list[ReusePattern]:
-    """Brute-force C(n_encoders-1, n_reuse) patterns, for verification."""
-    return [
-        explicit_pattern(n_encoders, combo)
-        for combo in itertools.combinations(range(1, n_encoders), n_reuse)
-    ]
-
-
-def select_best(
-    candidates: Sequence[ReusePattern],
-    scorer: Callable[[ReusePattern], float],
-) -> ReusePattern:
-    """Argmin of the scorer; ties break to the smallest reuse set."""
-    if not candidates:
-        raise ValueError("no candidate patterns to select from")
-    return min(candidates, key=lambda p: (scorer(p), p.reuse_set))

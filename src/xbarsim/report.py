@@ -138,13 +138,18 @@ def pattern_families(spec: str) -> tuple[PatternKind, ...]:
     return _FAMILIES[spec]
 
 
+def index_list(text: str, usage: str) -> tuple[int, ...]:
+    """The comma-separated encoder indices of ``text``; the error for a
+    non-integer one starts with ``usage``."""
+    try:
+        return tuple(int(i) for i in text.split(",") if i)
+    except ValueError:
+        raise ValueError(f"{usage} takes integer encoder indices") from None
+
+
 def explicit_indices(spec: str) -> tuple[int, ...]:
     """The encoder indices of an ``explicit:i,j,k`` pattern spec."""
-    try:
-        return tuple(int(i) for i in spec.split(":", 1)[1].split(",") if i)
-    except ValueError:
-        raise ValueError(f"--patterns {spec!r}: explicit:i,j,k takes integer "
-                         "encoder indices") from None
+    return index_list(spec.split(":", 1)[1], f"--patterns {spec!r}: explicit:i,j,k")
 
 
 def make_scorer(inputs: Inputs) -> Scorer:
@@ -365,7 +370,6 @@ def format_breakdown_csv(rows: "list[ReportRow]") -> str:
 
 # ReportRow field -> JSON key: the CSV header, where the two differ
 _JSON_KEYS = {field: header for header, field, *_ in CSV_COLUMNS if header != field}
-_FIELDS = {key: field for field, key in _JSON_KEYS.items()}
 
 
 def json_text(doc) -> str:
@@ -400,11 +404,6 @@ def rows_to_json(rows: "list[ReportRow]", meta: dict) -> str:
         "meta": meta,
         "rows": [{_JSON_KEYS.get(k, k): v for k, v in vars(r).items()} for r in rows],
     })
-
-
-def rows_from_json(text: str) -> "list[ReportRow]":
-    return [ReportRow(**{_FIELDS.get(k, k): v for k, v in r.items()})
-            for r in json.loads(text)["rows"]]
 
 
 FORMATS = ("csv", "json")  # the report formats ``emit`` writes

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
-from .patterns import ReusePattern, explicit_pattern
 
 
 class LayerKind(Enum):
@@ -189,27 +186,12 @@ def stem_macs(cfg: ModelConfig) -> int:
     return sum(layer.macs for layer in stem_layers(cfg))
 
 
-def mac_count(
-    cfg: ModelConfig,
-    pattern: ReusePattern | Iterable[int] | None = None,
-    n_reuse: int | None = None,
-) -> int:
-    """Multiply-accumulates per inference; softmax contributes none.
-
-    One MAC counts as one operation (not two FLOPs). Either a reuse
-    set, validated like ``model_forward``'s, or a plain reuse count can
-    be given; the count form relies on all encoders having identical
-    shape.
-    """
-    if pattern is not None and n_reuse is not None:
-        raise ValueError("give either a pattern or n_reuse, not both")
-    if pattern is not None:
-        reuse = pattern.reuse_set if isinstance(pattern, ReusePattern) else pattern
-        r = explicit_pattern(cfg.n_encoders, reuse).n_reuse
-    else:
-        r = n_reuse or 0
-    if r < 0 or r > cfg.n_encoders:
-        raise ValueError(f"n_reuse={r} out of range")
+def mac_count(cfg: ModelConfig, n_reuse: int = 0) -> int:
+    """Multiply-accumulates per inference with ``n_reuse`` reusing encoders;
+    softmax contributes none. One MAC counts as one operation (not two
+    FLOPs). All encoders share one shape, so the count fixes the total."""
+    if not 0 <= n_reuse <= cfg.n_encoders:
+        raise ValueError(f"n_reuse={n_reuse} out of range")
     full = encoder_macs(cfg, reuses=False)
     reusing = encoder_macs(cfg, reuses=True)
-    return (cfg.n_encoders - r) * full + r * reusing + stem_macs(cfg)
+    return (cfg.n_encoders - n_reuse) * full + n_reuse * reusing + stem_macs(cfg)

@@ -6,10 +6,17 @@ a second, hand-evaluated derivation. The crossbar oracles are the
 straightforward engine: one read per (bit-plane, input sign, row tile,
 column tile, slice, weight sign) and one Gaussian per read and per cell.
 The pattern and CKA oracles are the brute-force search: every
-(family, sl, n_cont, start) is generated, and every CKA pair centers
-both operands from scratch.
+(family, sl, n_cont, start) is generated, every explicit reuse set of a
+count is listed (``all_explicit_patterns``), and every CKA pair centers
+both operands from scratch. The reuse-set rules the library states once
+on arrays have their one-pattern references here: ``reuse_sources``
+walks back to each reuser's source, ``select_best`` takes the minimal
+(score, reuse set). ``rows_from_json`` reads a report document back
+into rows.
 """
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -17,7 +24,8 @@ import numpy as np
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
 from xbarsim.funcsim.crossbar import CrossbarState, NoiseModel
 from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
-from xbarsim.patterns import PatternKind, ReusePattern, reuse_sources
+from xbarsim.patterns import PatternKind, ReusePattern, explicit_pattern
+from xbarsim.report import CSV_COLUMNS, ReportRow
 from xbarsim.workload import ModelConfig, attention_layers, ffn_layers, tb_layer
 
 
@@ -293,6 +301,43 @@ def oracle_enumerate_patterns(n_encoders, n_reuse, families=ALL_FAMILIES):
                 for start in range(1, n_encoders):
                     keep(gen_pyramid(n_encoders, n_reuse, sl, n_cont, start))
     return [seen[key] for key in sorted(seen)]
+
+
+def all_explicit_patterns(n_encoders, n_reuse):
+    """Brute-force C(n_encoders-1, n_reuse) patterns."""
+    return [
+        explicit_pattern(n_encoders, combo)
+        for combo in itertools.combinations(range(1, n_encoders), n_reuse)
+    ]
+
+
+def reuse_sources(reuse_set):
+    """Map each reusing index to the nearest preceding non-reuser."""
+    members = frozenset(reuse_set)
+    sources = {}
+    for i in sorted(members):
+        src = i - 1
+        while src in members:
+            src -= 1
+        if src < 0:
+            raise ValueError("encoder 0 cannot reuse attention")
+        sources[i] = src
+    return sources
+
+
+def select_best(candidates, scorer):
+    """Argmin of the scorer; ties break to the smallest reuse set."""
+    if not candidates:
+        raise ValueError("no candidate patterns to select from")
+    return min(candidates, key=lambda p: (scorer(p), p.reuse_set))
+
+
+def rows_from_json(text):
+    """The ``ReportRow``s of a report JSON document, whose row keys are
+    the CSV headers."""
+    fields = {header: field for header, field, *_ in CSV_COLUMNS}
+    return [ReportRow(**{fields.get(k, k): v for k, v in r.items()})
+            for r in json.loads(text)["rows"]]
 
 
 def oracle_cka_score(a, b):

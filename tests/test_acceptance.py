@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    all_explicit_patterns,
     oracle_layer_rows,
     oracle_model_cost,
     oracle_softmax_rows,
@@ -43,7 +44,7 @@ from xbarsim.funcsim.forward import (
 )
 from xbarsim.mapping import TileConfig, crossbars_for_layer
 from xbarsim.optimize import delay_ladder, find_optimal_n_reuse
-from xbarsim.patterns import all_explicit_patterns, enumerate_patterns, validate_pattern
+from xbarsim.patterns import enumerate_patterns, validate_pattern
 from xbarsim.report import Scenario, emit, report_meta, resolve, run_scenario
 from xbarsim.similarity import cka_score
 from xbarsim.workload import LayerKind, LayerSpec, attention_layers

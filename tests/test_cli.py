@@ -179,6 +179,10 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["simulate", "--patterns", "explicit:1,3", "--scorer", "bogus"],
      "unknown scorer 'bogus'"),
     (["optimize", "--target-delay", "7", "--scorer", "bogus"], "unknown scorer 'bogus'"),
+    (["funcsim", "--reuse", "1,x", *FUNCSIM_TOY],
+     "--reuse '1,x': i,j,k takes integer encoder indices"),
+    (["funcsim", "--reuse", "1,1", *FUNCSIM_TOY], r"duplicate indices in reuse set \(1, 1\)"),
+    (["simulate", "--patterns", "explicit:2,2"], r"duplicate indices in reuse set \(2, 2\)"),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
         "funcsim-exact-device-section", "simulate-missing-config",
@@ -188,7 +192,8 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
         "optimize-empty-model", "compare-empty-model", "simulate-missing-scores",
         "simulate-list-scores", "simulate-nan-scores", "simulate-unknown-family",
         "simulate-explicit-not-integers", "simulate-explicit-unknown-scorer",
-        "optimize-unknown-scorer"])
+        "optimize-unknown-scorer", "funcsim-reuse-not-integers", "funcsim-reuse-duplicate",
+        "simulate-explicit-duplicate"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
     files = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
              "MISSING_INI": tmp_path / "missing.ini",
@@ -219,6 +224,8 @@ BAD_VALUES = {
     "digital-negative": ("[digital]\nvec_delay_us = -500\n",
                          "vec_delay_us must be non-negative"),
     "cost-negative": ("[cost]\ntb_area_mm2 = -1\n", "tb_area_mm2 must be non-negative"),
+    "cost-not-boolean": ("[cost]\npad_to_tiles = maybe\n",
+                         r"pad_to_tiles in \[cost\]/\[digital\]: not a boolean: 'maybe'"),
     "pruning-negative": ("[token_pruning]\npredictor_delay_ms = -5\n",
                          r"\[token_pruning\] predictor_delay_ms must be non-negative"),
 }

@@ -116,6 +116,8 @@ def test_scenario_without_file_uses_presets():
     assert sc.tiles().xbar_size == 64
     with pytest.raises(ValueError):
         sc.model()  # no preset named anywhere
+    with pytest.raises(ValueError, match="no device named"):
+        sc.device()
 
 
 def test_missing_config_file():

@@ -43,6 +43,12 @@ class TestLayerCost:
         assert close(lc.e_write_uj, n_phys * 118.0 / 1e6)
         assert close(lc.d_write_us, 3.3 * 8)  # 26.4 us with the PE factor
 
+    def test_rejects_zero_input_cycles(self, deit, fefet, tiles):
+        q = get_layer(deit, LayerKind.FC_Q)
+        mapped = crossbars_for_layer(q, tiles, fefet, 8)
+        with pytest.raises(ValueError, match="input_cycles must be >= 1"):
+            layer_cost(q, mapped, fefet, tiles, input_cycles=0)
+
     def test_static_layer_no_write_cost(self, deit, fefet, tiles):
         q = get_layer(deit, LayerKind.FC_Q)
         mapped = crossbars_for_layer(q, tiles, fefet, 8)
@@ -169,6 +175,12 @@ class TestModelCostOracle:
             assert close(e_uj / 1e3, ref.e_vit_mj)
             assert close(d_us / 1e3, ref.d_vit_ms)
             assert close(a_mm2, ref.a_vit_mm2)
+
+    def test_rejects_a_reuse_count_above_the_stack(self, deit, fefet, tiles, softmax_params,
+                                                   cost_opts):
+        n = deit.n_encoders
+        with pytest.raises(ValueError, match=rf"n_reuse={n + 1} out of \[0, {n}\]"):
+            model_cost(deit, n + 1, fefet, tiles, softmax_params, cost_opts)
 
     def test_positive_costs(self, deit, fefet, tiles, softmax_params, cost_opts):
         mc = model_cost(deit, 0, fefet, tiles, softmax_params, cost_opts)
@@ -331,6 +343,10 @@ class TestTokenPruning:
             apply_token_pruning(deit_table, 1.0)
         with pytest.raises(ValueError):
             apply_token_pruning(deit_table, -0.1)
+
+    def test_invalid_start(self, deit_table):
+        with pytest.raises(ValueError, match="prune_from_encoder out of range"):
+            apply_token_pruning(deit_table, 0.3, prune_from_encoder=deit_table.cfg.n_encoders)
 
 
 class TestHybridCost:

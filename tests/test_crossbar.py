@@ -44,6 +44,21 @@ class TestProgramming:
         assert stripe.conductances.max() <= fefet.g_max
         assert stripe.conductances.min() >= fefet.g_min
 
+    # FeFET 8-bit weights: 4 slices of 2-bit cells hold magnitudes below 2^8
+    @pytest.mark.parametrize("w,match", [(np.ones(8, dtype=int), "must be 2-D"),
+                                         (np.full((2, 2), 256), "exceed the sliced range")],
+                             ids=["1-D", "too-large"])
+    def test_weight_matrix_validated(self, w, match, fefet, tiles):
+        with pytest.raises(ValueError, match=match):
+            program_matrix(w, fefet, tiles, 8)
+
+    @pytest.mark.parametrize("kwargs,match", [({"read_var": 1.0}, r"must be in \[0, 1\)"),
+                                              ({"adc_bits": 0}, "adc_bits must be >= 1")],
+                             ids=["read-var-1", "adc-bits-0"])
+    def test_noise_model_validated(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            NoiseModel(**kwargs)
+
     def test_cell_values_validated(self, fefet):
         with pytest.raises(ValueError):
             ideal_conductances(np.array([[4]]), fefet)  # 2-bit cells hold 0..3

@@ -269,6 +269,18 @@ def test_noisy_reads_require_a_generator(fefet, tiles):
                           np.full((2, 8), 8))
 
 
+def test_an_all_zero_input_reads_nothing(fefet, tiles, monkeypatch):
+    pm = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an all-zero input was read")
+
+    monkeypatch.setattr(CrossbarState, "read_currents", no_read)
+    noise = NoiseModel(read_var=0.1, write_var=0.0, adc_bits=6)
+    out = mvm_bitserial(pm, np.zeros((3, 8), dtype=int), noise, np.random.default_rng(0))
+    assert out.dtype == np.int64 and out.shape == (3, 8) and not out.any()
+
+
 def test_read_rows_must_be_binary(fefet, tiles):
     xb = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8).stripes[0]
     with pytest.raises(ValueError, match="binary"):

@@ -69,7 +69,7 @@ def test_forward_counts_match_the_cost_model(device, reuse, monkeypatch):
     x = np.random.default_rng(1).standard_normal((cfg.t, cfg.d))
     result = model_forward(cfg, make_toy_weights(cfg), x, ctx, reuse)
 
-    assert ctx.macs == mac_count(cfg, reuse)
+    assert ctx.macs == mac_count(cfg, r)
     assert result.stats.attention_evals == n - r
     assert ctx.calls[LayerKind.TB_FC] == r
     for kind in FFN_KINDS:

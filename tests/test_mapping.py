@@ -8,6 +8,7 @@ from xbarsim.mapping import (
     DeviceParams,
     TileConfig,
     crossbars_for_layer,
+    device_for,
     hybrid_assignment,
     slice_factor,
 )
@@ -146,6 +147,11 @@ def test_device_param_validation():
         DeviceParams(DeviceKind.FEFET, 2, 1, 1, 1, 1, 1, read_var=1.5)
     with pytest.raises(ValueError):
         DeviceParams(DeviceKind.FEFET, 2, 1, 1, 1, 1, 1, r_on_ohm=1e7, r_off_ohm=1e5)
+
+
+def test_device_for_rejects_an_assignment_without_the_kind(fefet):
+    with pytest.raises(ValueError, match="device assignment misses layer kind"):
+        device_for(LayerKind.TB_FC, {LayerKind.FC_Q: fefet})
 
 
 def test_sram_preset_is_variation_free(sram):

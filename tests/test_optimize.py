@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ALL_FAMILIES, gen_continuous, gen_strided, oracle_cka_scorer
+from oracles import (
+    ALL_FAMILIES,
+    gen_continuous,
+    gen_strided,
+    oracle_cka_scorer,
+    reuse_sources,
+    select_best,
+)
 from xbarsim.optimize import (
     delay_ladder,
     find_optimal_n_reuse,
@@ -21,9 +28,7 @@ from xbarsim.patterns import (
     PatternKind,
     enumerate_patterns,
     explicit_pattern,
-    select_best,
 )
-from xbarsim.patterns import reuse_sources
 from xbarsim.similarity import Centered, cka_score
 
 # The package re-exports the function optimize(), which hides the module.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +11,17 @@ from oracles import (
     gen_continuous,
     gen_pyramid,
     gen_strided,
+    all_explicit_patterns,
     oracle_enumerate_patterns,
+    reuse_sources,
+    select_best,
 )
 from xbarsim.patterns import (
     PatternKind,
     ReusePattern,
-    all_explicit_patterns,
     enumerate_patterns,
     explicit_pattern,
-    reuse_sources,
-    select_best,
+    label,
     source_array,
     validate_pattern,
 )
@@ -235,6 +237,20 @@ def test_enumeration_cardinality_property(n, data):
         assert len(p.reuse_set) == k
         assert 0 not in p.reuse_set
         assert p.reuse_set[-1] < n
+
+
+class TestLabel:
+    def test_empty_set_is_none(self):
+        assert label(()) == "none"
+        assert explicit_pattern(8, ()).label() == "none"
+
+    def test_numpy_row_and_tuple_agree(self):
+        assert label(np.array([2, 5, 8])) == label((2, 5, 8)) == "2+5+8"
+
+    def test_pattern_label_is_the_label_of_its_set(self):
+        found = enumerate_patterns(12, 5)
+        for row, p in zip(found.sets, found):
+            assert p.label() == label(p.reuse_set) == label(row)
 
 
 class TestSources:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import rows_from_json
 from xbarsim.report import (
     CSV_HEADER,
     Scenario,
@@ -11,7 +12,6 @@ from xbarsim.report import (
     format_csv,
     report_meta,
     resolve,
-    rows_from_json,
     rows_to_json,
     run_scenario,
 )

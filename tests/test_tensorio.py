@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,13 @@ def test_bad_magic(tmp_path):
     path = tmp_path / "junk.xbt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="container"):
+        load_tensor(str(path))
+
+
+def test_unknown_dtype_code(tmp_path):
+    path = tmp_path / "code9.xbt"
+    path.write_bytes(b"XBT1" + struct.pack("<BBd", 9, 1, 1.0) + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="unknown dtype code 9"):
         load_tensor(str(path))
 
 

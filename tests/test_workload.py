@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import encoder_layers
+from oracles import encoder_layers, reuse_sources
 from xbarsim.funcsim.forward import make_toy_weights, model_forward, toy_config
-from xbarsim.patterns import reuse_sources
 from xbarsim.workload import (
     WEIGHT_KINDS,
     WRITE_KINDS,
     LayerKind,
+    LayerSpec,
     ModelConfig,
     attention_layers,
     encoder_macs,
@@ -139,29 +139,21 @@ class TestMacCount:
 
     def test_reuse_reduces_by_attention_macs(self, deit):
         base = mac_count(deit)
-        one = mac_count(deit, {3})
+        one = mac_count(deit, 1)
         attention_macs = encoder_macs(deit, reuses=False) - encoder_macs(deit, reuses=True)
         assert base - one == attention_macs
 
     def test_matches_oracle_under_reuse(self, deit):
-        assert mac_count(deit, {1, 3, 5}) == brute_force_macs(deit, {1, 3, 5})
+        assert mac_count(deit, 3) == brute_force_macs(deit, {1, 3, 5})
 
     def test_strictly_decreasing_in_reuse(self, deit):
         counts = [mac_count(deit, n_reuse=r) for r in range(deit.n_encoders + 1)]
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
-    def test_count_and_pattern_forms_agree(self, deit):
-        assert mac_count(deit, n_reuse=2) == mac_count(deit, {4, 9})
-
-    def test_rejects_both_arguments(self, deit):
-        with pytest.raises(ValueError):
-            mac_count(deit, {1}, n_reuse=1)
-
-    def test_rejects_a_reuse_set_the_model_cannot_hold(self, deit):
-        with pytest.raises(ValueError, match="encoder 0"):
-            mac_count(deit, {0})
-        with pytest.raises(ValueError, match="out of range"):
-            mac_count(deit, {1, deit.n_encoders})
+    def test_rejects_a_reuse_count_out_of_range(self, deit):
+        for n_reuse in (-1, deit.n_encoders + 1):
+            with pytest.raises(ValueError, match=f"n_reuse={n_reuse} out of range"):
+                mac_count(deit, n_reuse)
 
     def test_stem_off_by_config(self, deit):
         assert stem_macs(deit) == 0
@@ -199,4 +191,16 @@ def test_config_validation():
                     input_bits=8, input_split_bits=3)
     with pytest.raises(ValueError):
         ModelConfig("bad", d=64, t=0, mlp_ratio=2, n_encoders=1, n_heads=2)
+    with pytest.raises(ValueError, match="mlp_ratio must be positive"):
+        ModelConfig("bad", d=64, t=8, mlp_ratio=0, n_encoders=1, n_heads=2)
+    with pytest.raises(ValueError, match=r"d \* mlp_ratio must be an integer"):
+        ModelConfig("bad", d=64, t=8, mlp_ratio=1.01, n_encoders=1, n_heads=2)
+    with pytest.raises(ValueError, match="n_encoders must be >= 0"):
+        ModelConfig("bad", d=64, t=8, mlp_ratio=2, n_encoders=-1, n_heads=2)
+
+
+@pytest.mark.parametrize("dims", [(0, 8, 8, 1), (8, 0, 8, 1), (8, 8, 0, 1), (8, 8, 8, 0)])
+def test_layer_spec_rejects_a_zero_dimension(dims):
+    with pytest.raises(ValueError, match="layer dimensions must be >= 1"):
+        LayerSpec(LayerKind.FC_Q, *dims)
 
