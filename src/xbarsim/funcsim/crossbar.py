@@ -18,15 +18,23 @@ sums over its own column, so one read of a stripe is the reads of all
 its crossbars at once; one crossbar is the stripe's columns of one
 (slice, sign, column tile). ``program_matrix`` is the only way to
 program crossbars: it tiles a whole signed matrix and programs one
-stripe at a time from uint8 cell digits.
+stripe at a time from its cell digits, sliced by one broadcast
+shift-and-mask in the narrowest unsigned dtype that holds every sliced
+bit. A noise-free matrix stores only its level stripes (below); its
+conductance stripes are derived from them when a read asks for them.
 
 Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
 bit-plane of both input signs as one batch of reads, drops the reads
 with no set bit in a row tile (they give exactly zero), and reads each
-stripe once per chunk of at most ``CHUNK_ELEMENTS`` currents. Read noise
-is drawn only for the (read, row) pairs whose bit is set, in chunks of
-the same element budget: a row at 0 carries no current whatever its
-noise, so the output distribution is that of drawing every cell.
+stripe once per chunk of at most ``CHUNK_ELEMENTS`` currents. A chunk's
+shift-added counts, times their signed plane weights, reach their input
+rows by one fancy-indexed add per bit-plane in the chunk: within a plane
+every read has its own input row, so no add collides, and the work per
+read is out_dim whatever the number of input rows. Every term is an
+integer below 2^53, so the sums are exact in any order. Read noise is
+drawn only for the (read, row) pairs whose bit is set, in chunks of the
+same element budget: a row at 0 carries no current whatever its noise,
+so the output distribution is that of drawing every cell.
 
 A noisy read works in float32 window units. Each cell is
 u = (g - G_min) / (G_max - G_min), its noise gain g * sigma / (G_max -
@@ -75,15 +83,18 @@ devices) the product is bit-exact.
 Noise-free reads decode from level sums. Without write or read noise a
 column's count depends on two integers only: the read's popcount p and
 the column's level sum k, the summed cell levels of its set rows. So
-``program_matrix`` keeps every noise-free stripe beside its
-conductances as a float32 "level stripe" (``level_stripes``) that holds
-each cell's digit plus ``stride`` = rows * (2^bits_per_cell - 1) + 1,
-the row length of the decode table for stripes of rows = min(xbar_size,
-in_dim). A read of it gives k + p * stride, the flat table index of
-(p, k), with no popcount taken. It sums integers, which float32 does
-exactly in any order while rows * (stride + 2^bits_per_cell) < 2^24:
-up to 4094 rows for SRAM and 2363 for FeFET. Beyond that, and under
-write noise, ``level_stripes`` is None and reads use the conductances.
+``program_matrix`` stores every noise-free stripe only as a float32
+"level stripe" (``level_stripes``) that holds each cell's digit plus
+``stride`` = rows * (2^bits_per_cell - 1) + 1, the row length of the
+decode table for stripes of rows = min(xbar_size, in_dim). A read of it
+gives k + p * stride, the flat table index of (p, k), with no popcount
+taken. It sums integers, which float32 does exactly in any order while
+rows * (stride + 2^bits_per_cell) < 2^24: up to 4094 rows for SRAM and
+2363 for FeFET. Beyond that, and under write noise, ``level_stripes``
+is None and the matrix stores its conductances as written. The
+conductances of a level stripe, ``ideal_conductances(level - stride)``,
+are built and cached only when a noisy read or a tie fallback (below)
+reads them.
 ``mvm_bitserial`` reads each chunk once through its level stripe and
 maps every index to its count with one ``take`` from a table built once
 per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
@@ -99,7 +110,8 @@ the code and p alone. The exception is a code value on a rint half-point
 (SRAM at 6 bits, (p, k) = (32, 32), is exactly 31.5), where the float
 read's own rounding picks the code. Table entries within ``_TIE_MARGIN``
 of a half-point hold NaN, and a chunk that hits one is read and decoded
-through its conductance stripe in the same call. The table has one
+through its conductance stripe, derived from the level stripe, in the
+same call. The table has one
 float64 per (p, k): 8 * (r + 1) * (r * (2^bits_per_cell - 1) + 1) bytes
 for stripes of r = min(xbar_size, in_dim) rows. ``[tiles] xbar_size``
 has no upper bound, so the extent follows the rows actually read: at the
@@ -263,7 +275,7 @@ class CrossbarState:
         sums = np.zeros((active.size, g.shape[1]))
         # a chunk of k pairs spans at most k reads, so its selection matrix
         # holds at most k^2 <= CHUNK_ELEMENTS entries
-        step = max(1, min(CHUNK_ELEMENTS // g.shape[1], math.isqrt(CHUNK_ELEMENTS)))
+        step = max(1, min(CHUNK_ELEMENTS // max(1, g.shape[1]), math.isqrt(CHUNK_ELEMENTS)))
         chunk = np.empty((min(step, rows.size), g.shape[1]), dtype=np.float32)
         for a in range(0, rows.size, step):
             c, r = rows[a:a + step], read[a:a + step]
@@ -294,27 +306,85 @@ class ProgrammedMatrix:
 
     ``stripes[row_block]`` holds the crossbars of one row tile side by
     side, columns ordered (slice, sign, column) with sign 0 = positive
-    part, 1 = negative part. ``level_stripes`` holds the same cells as
-    integer levels plus the decode table's row length, one float32
-    stripe per row tile, when they were written without noise and a
-    read of the tallest stripe stays below 2^24; it is None otherwise.
+    part, 1 = negative part. A matrix written without noise whose
+    tallest stripe reads below 2^24 keeps only ``level_stripes``: the
+    same cells as integer levels plus the decode table's row length
+    ``stride``, one float32 stripe per row tile. Its ``stripes`` are
+    derived from them on first use and cached. Any other matrix keeps
+    its conductances as written (``written_stripes``) and has no level
+    stripes.
     """
 
     shape: tuple[int, int]
     xbar_size: int
     n_slices: int
     device: DeviceParams
-    stripes: tuple[CrossbarState, ...]
     level_stripes: tuple[CrossbarState, ...] | None = None
+    written_stripes: tuple[CrossbarState, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.level_stripes is None) == (self.written_stripes is None):
+            raise ValueError("give exactly one of level_stripes and written_stripes")
+
+    @property
+    def row_blocks(self) -> int:
+        return math.ceil(self.shape[0] / self.xbar_size)
 
     @property
     def col_blocks(self) -> int:
         return math.ceil(self.shape[1] / self.xbar_size)
 
     @property
+    def rows(self) -> int:
+        """Rows of the tallest stripe."""
+        return _stripe_rows(self.shape[0], self.xbar_size)
+
+    @property
+    def columns(self) -> int:
+        """Columns of every stripe: (slice, sign, column)."""
+        return self.n_slices * DIFFERENTIAL_ARRAYS * self.shape[1]
+
+    @property
+    def stride(self) -> int:
+        return _level_stride(self.rows, self.device)
+
+    @property
     def n_crossbars(self) -> int:
-        row_blocks = math.ceil(self.shape[0] / self.xbar_size)
-        return row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
+        return self.row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
+
+    @functools.cached_property
+    def stripes(self) -> tuple[CrossbarState, ...]:
+        if self.written_stripes is not None:
+            return self.written_stripes
+        return tuple(
+            CrossbarState(ideal_conductances(level.conductances - self.stride, self.device),
+                          self.device)
+            for level in self.level_stripes
+        )
+
+
+def _stripe_rows(in_dim: int, xbar_size: int) -> int:
+    """Rows of the tallest stripe of a matrix with ``in_dim`` rows."""
+    return min(xbar_size, in_dim)
+
+
+def _level_stride(rows: int, dev: DeviceParams) -> int:
+    """Row length of the decode table: one more than the largest level sum."""
+    return rows * ((1 << dev.bits_per_cell) - 1) + 1
+
+
+def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
+    """Cell digits of a signed matrix, columns ordered (slice, sign, column).
+
+    One broadcast shift-and-mask in the narrowest unsigned dtype that
+    holds n_slices * bits_per_cell bits.
+    """
+    dtype = np.min_scalar_type((1 << (n_slices * bits_per_cell)) - 1)
+    parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1).astype(dtype)
+    shifts = np.arange(0, n_slices * bits_per_cell, bits_per_cell, dtype=dtype)
+    digits = parts[:, None] >> shifts[:, None, None]
+    digits &= (1 << bits_per_cell) - 1
+    return digits.reshape(block.shape[0], -1)
 
 
 def program_matrix(
@@ -333,8 +403,6 @@ def program_matrix(
     w_int = np.asarray(w_int, dtype=np.int64)
     if w_int.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
-    in_dim, out_dim = w_int.shape
-    x = tiles.xbar_size
     bpc = dev.bits_per_cell
     n_slices = slice_factor(weight_bits, dev)
     if w_int.size and int(np.abs(w_int).max()) >> (n_slices * bpc):
@@ -342,7 +410,9 @@ def program_matrix(
     if noise.write_var > 0.0 and rng is None:
         raise ValueError("noisy writes need an explicit rng stream")
 
-    level_g = ideal_conductances(np.arange(1 << bpc), dev)
+    in_dim, x = w_int.shape[0], tiles.xbar_size
+    rows = _stripe_rows(in_dim, x)
+    stride = _level_stride(rows, dev)
     # A level stripe stores digit + stride, stride being the row length of
     # _decode_table, so a read of p set rows whose digits sum to k gives
     # k + p * stride, the flat table index of (p, k). The largest read is
@@ -350,18 +420,17 @@ def program_matrix(
     # every partial sum is a non-negative integer no larger; float32 holds
     # every integer up to 2^24, so below the bound a read is exact in any
     # summation order.
-    rows = min(x, in_dim)
-    stride = rows * ((1 << bpc) - 1) + 1
     keep_levels = noise.write_var == 0.0 and rows * (stride + (1 << bpc)) < 1 << 24
-    stripes, level_stripes = [], []
+    level_g = None if keep_levels else ideal_conductances(np.arange(1 << bpc), dev)
+    stripes = []
     for r0 in range(0, in_dim, x):
-        block = w_int[r0:r0 + x]
-        parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1)
-        digits = np.empty((block.shape[0], n_slices, 2, out_dim), dtype=np.uint8)
-        for k in range(n_slices):
-            digits[:, k] = parts & ((1 << bpc) - 1)
-            parts >>= bpc
-        g = level_g[digits.reshape(block.shape[0], -1)]
+        digits = _cell_digits(w_int[r0:r0 + x], n_slices, bpc)
+        if keep_levels:
+            levels = digits.astype(np.float32)
+            levels += stride
+            stripes.append(CrossbarState(levels, dev))
+            continue
+        g = level_g[digits]
         if noise.write_var > 0.0:
             eps = _standard_normal(rng, np.empty(g.shape, dtype=np.float32))
             eps *= noise.write_var
@@ -371,12 +440,10 @@ def program_matrix(
                 g = g + eps * (dev.g_max - dev.g_min)
             g = np.clip(g, dev.g_min, dev.g_max)
         stripes.append(CrossbarState(g, dev))
-        if keep_levels:
-            levels = digits.reshape(block.shape[0], -1).astype(np.float32)
-            levels += stride
-            level_stripes.append(CrossbarState(levels, dev))
-    return ProgrammedMatrix((in_dim, out_dim), x, n_slices, dev, tuple(stripes),
-                            tuple(level_stripes) if keep_levels else None)
+    stripes = tuple(stripes)
+    return ProgrammedMatrix(w_int.shape, x, n_slices, dev,
+                            level_stripes=stripes if keep_levels else None,
+                            written_stripes=None if keep_levels else stripes)
 
 
 def _adc_decode(
@@ -429,22 +496,22 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
 
 
 def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every bit-plane of both input signs of a non-zero input as one read batch.
+    """Every bit-plane of both input signs as one read batch, ordered (sign, plane, row).
 
     Returns the (reads, in_dim) bool bits, each read's input row and
-    its signed plane weight.
+    its signed plane weight; an all-zero input has no reads.
     """
     planes, weights = [], []
     for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
-        for plane in range(int(xs.max()).bit_length()):
-            planes.append(((xs >> plane) & 1).astype(np.bool_))
-            weights.append(float(in_sign << plane))
+        top = int(xs.max())
+        plane = np.arange(top.bit_length())
+        # masked in the narrowest unsigned dtype that holds every magnitude
+        dtype = np.min_scalar_type(top)
+        planes.append((xs.astype(dtype) & (1 << plane).astype(dtype)[:, None, None]) != 0)
+        weights.append(in_sign * 2.0**plane)
+    bits = np.concatenate(planes).reshape(-1, x_int.shape[1])
     n = x_int.shape[0]
-    return (
-        np.concatenate(planes),
-        np.tile(np.arange(n), len(planes)),
-        np.repeat(weights, n),
-    )
+    return bits, np.tile(np.arange(n), bits.shape[0] // n), np.repeat(np.concatenate(weights), n)
 
 
 def mvm_bitserial(
@@ -467,8 +534,9 @@ def mvm_bitserial(
         raise ValueError(f"input width {x_int.shape[1]} != matrix rows {in_dim}")
     if noise.read_var > 0.0 and rng is None:
         raise ValueError("noisy reads need an explicit rng stream")
-    acc = np.zeros((x_int.shape[0], out_dim), dtype=np.float64)
-    if not x_int.any():
+    n = x_int.shape[0]
+    acc = np.zeros((n, out_dim), dtype=np.float64)
+    if not out_dim or not x_int.any():
         return acc.astype(np.int64)
     xsz = pm.xbar_size
     bits, read_row, read_weight = _bit_planes(x_int)
@@ -483,16 +551,13 @@ def mvm_bitserial(
         # two: every sum is an integer below 2^53, exact in any order
         return slice_weight @ counts.reshape(-1, slice_weight.size, out_dim)
 
-    column = np.arange(out_dim)
     table = None
     if pm.level_stripes is not None and noise.read_var == 0.0:
-        rows = pm.stripes[0].conductances.shape[0]  # the tallest stripe
-        table = _decode_table(pm.device, xsz, noise.adc_bits, rows)
-
-    for rb, stripe in enumerate(pm.stripes):
+        table = _decode_table(pm.device, xsz, noise.adc_bits, pm.rows)
+    step = max(1, CHUNK_ELEMENTS // pm.columns)
+    for rb in range(pm.row_blocks):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
         active = np.flatnonzero(slab.any(axis=1))
-        step = max(1, CHUNK_ELEMENTS // stripe.conductances.shape[1])
         for a in range(0, active.size, step):
             reads = active[a:a + step]
             chunk = slab[reads]
@@ -505,10 +570,16 @@ def mvm_bitserial(
                     partial = None
             if partial is None:
                 popcount = chunk.sum(axis=1, dtype=np.intp)
-                currents = stripe.read_currents(chunk, noise, rng)
+                currents = pm.stripes[rb].read_currents(chunk, noise, rng)
                 partial = shift_add(
                     _adc_decode(currents, popcount, pm.device, xsz, noise.adc_bits))
-            partial = partial * read_weight[reads, None]  # float64, exact
-            flat_index = read_row[reads, None] * out_dim + column
-            np.add.at(acc.reshape(-1), flat_index.ravel(), partial.ravel())
+            # acc[row] += plane weight * partial for each read. Reads ascend
+            # in (sign, plane, row) order, plane q holding reads q*n to
+            # q*n + n - 1, so cut at the plane starts each piece has distinct
+            # rows and takes one fancy-indexed add (integer terms, exact)
+            starts = n * np.arange(reads[0] // n + 1, reads[-1] // n + 1)
+            cuts = [0, *np.searchsorted(reads, starts), reads.size]
+            for s, e in zip(cuts[:-1], cuts[1:]):
+                partial[s:e] *= read_weight[reads[s]]
+                acc[read_row[reads[s:e]]] += partial[s:e]
     return np.rint(acc).astype(np.int64)

@@ -4,7 +4,9 @@ These deliberately avoid the library's aggregation helpers: every cost
 term is written out longhand so the implementation is checked against
 a second, hand-evaluated derivation. The crossbar oracles are the
 straightforward engine: one read per (bit-plane, input sign, row tile,
-column tile, slice, weight sign) and one Gaussian per read and per cell.
+column tile, slice, weight sign) and one Gaussian per read and per cell;
+``oracle_cell_digits`` and ``oracle_bit_planes`` slice weights and
+inputs one slice or bit-plane at a time.
 The pattern and CKA oracles are the brute-force search: every
 (family, sl, n_cont, start) is generated, every explicit reuse set of a
 count is listed (``all_explicit_patterns``), and every CKA pair centers
@@ -171,6 +173,34 @@ def oracle_read_currents(state, bit_rows, noise=NoiseModel(), rng=None):
         g_read = g[None, :, :] + eps * (dev.g_max - dev.g_min)
     g_read = np.clip(g_read, dev.g_min, dev.g_max)
     return np.einsum("nr,nrc->nc", bits, g_read)
+
+
+def oracle_cell_digits(w_int, n_slices, bits_per_cell):
+    """Cell digits of a signed matrix, columns ordered (slice, sign, column), slice by slice."""
+    w_int = np.asarray(w_int, dtype=np.int64)
+    rows, cols = w_int.shape
+    mask = (1 << bits_per_cell) - 1
+    digits = np.zeros((rows, n_slices, 2, cols), dtype=np.int64)
+    for k in range(n_slices):
+        for sign, part in enumerate((np.maximum(w_int, 0), np.maximum(-w_int, 0))):
+            digits[:, k, sign] = (part >> (k * bits_per_cell)) & mask
+    return digits.reshape(rows, -1)
+
+
+def oracle_bit_planes(x_int):
+    """Every bit-plane of both input signs, plane by plane: bits, input row, plane weight."""
+    n, in_dim = x_int.shape
+    bits, rows, weights = [], [], []
+    for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
+        for plane in range(int(xs.max()).bit_length()):
+            bits.append(((xs >> plane) & 1).astype(np.bool_))
+            rows.extend(range(n))
+            weights.extend([float(in_sign << plane)] * n)
+    return (
+        np.concatenate(bits) if bits else np.zeros((0, in_dim), dtype=np.bool_),
+        np.array(rows, dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+    )
 
 
 def oracle_tile(pm, row_block, col_block, k, sign):

@@ -12,20 +12,32 @@ the Box-Muller sampler ``_standard_normal``, checked here against the
 normal distribution and the oracle's ziggurat draws.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import ks_2samp, kstest, kurtosis
 
-from oracles import oracle_mvm_bitserial, oracle_read_currents, oracle_tile
+from oracles import (
+    oracle_bit_planes,
+    oracle_cell_digits,
+    oracle_mvm_bitserial,
+    oracle_read_currents,
+    oracle_tile,
+)
 from xbarsim.funcsim import SimContext, crossbar, forward
 from xbarsim.funcsim.crossbar import (
     CHUNK_ELEMENTS,
     CrossbarState,
     NoiseModel,
     _adc_decode,
+    _bit_planes,
+    _cell_digits,
     _decode_table,
     _standard_normal,
     ideal_conductances,
@@ -60,6 +72,21 @@ def test_noise_free_product_equals_the_per_tile_oracle(kind, device, adc_bits,
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
     if adc_bits == 16:
         assert np.array_equal(out, x @ w)
+
+
+@pytest.mark.parametrize("out_dim", [3, 40])
+@pytest.mark.parametrize("device", ["fefet", "sram"])
+def test_a_product_over_many_input_rows_is_exact(device, out_dim, tiles, request):
+    # 600 input rows: at 3 columns a read chunk spans several bit-planes,
+    # whose reads share input rows; at 40 a plane spans several chunks
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(out_dim)
+    w = rng.integers(-127, 128, size=(70, out_dim))
+    x = rng.integers(-127, 128, size=(600, 70))
+    noise = NoiseModel(adc_bits=16)
+    pm = program_matrix(w, dev, tiles, 8)
+    assert (CHUNK_ELEMENTS // pm.columns > 600) == (out_dim == 3)  # reads per chunk
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
 
 
 @pytest.mark.parametrize("shape", [(100, 150), (64, 64), (1, 1), (129, 65)])
@@ -281,6 +308,21 @@ def test_an_all_zero_input_reads_nothing(fefet, tiles, monkeypatch):
     assert out.dtype == np.int64 and out.shape == (3, 8) and not out.any()
 
 
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_matrix_with_no_output_columns_gives_an_empty_product(device, noisy, tiles,
+                                                                request):
+    dev = request.getfixturevalue(device)
+    noise = NoiseModel(read_var=0.1, write_var=0.2, adc_bits=6) if noisy else NoiseModel()
+    rng = np.random.default_rng(0)
+    pm = program_matrix(np.ones((4, 0), dtype=int), dev, tiles, 8, noise, rng)
+    x = np.arange(12).reshape(3, 4)
+    out = mvm_bitserial(pm, x, noise, rng)
+    assert out.dtype == np.int64 and out.shape == (3, 0)
+    currents = pm.stripes[0].read_currents(np.ones((2, 4)), noise, rng)
+    assert currents.shape == (2, 0)
+
+
 def test_read_rows_must_be_binary(fefet, tiles):
     xb = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8).stripes[0]
     with pytest.raises(ValueError, match="binary"):
@@ -371,6 +413,71 @@ def test_level_stripes_hold_the_digits_of_noise_free_writes_only(fefet, tiles):
                               stripe.conductances)
     noisy = NoiseModel(write_var=0.2, adc_bits=6)
     assert program_matrix(w, fefet, tiles, 8, noisy, rng).level_stripes is None
+
+
+def test_a_programmed_matrix_holds_one_kind_of_stripe(fefet, tiles):
+    pm = program_matrix(np.ones((4, 4), dtype=int), fefet, tiles, 8)
+    for level, written in ((None, None), (pm.level_stripes, pm.stripes)):
+        with pytest.raises(ValueError, match="exactly one"):
+            dataclasses.replace(pm, level_stripes=level, written_stripes=written)
+
+
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+def test_a_tie_free_noise_free_product_builds_no_conductance_stripe(device, tiles, request,
+                                                                    monkeypatch):
+    # the only 6-bit tie at 64 rows needs 32 set rows all at the top
+    # level in one column, which these random weights never give
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(21)
+    w = rng.integers(-127, 128, size=(100, 150))
+    x = rng.integers(-127, 128, size=(16, 100))
+    noise = NoiseModel(adc_bits=6)
+
+    def no_conductances(*args):
+        raise AssertionError("a conductance stripe was built")
+
+    monkeypatch.setattr(crossbar, "ideal_conductances", no_conductances)
+    pm = program_matrix(w, dev, tiles, 8, noise)
+    out = mvm_bitserial(pm, x, noise)
+    assert "stripes" not in vars(pm)
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
+def _signed(values, sign):
+    """``values`` with every entry made positive, negative or zero, or left as drawn."""
+    return {"mixed": values, "positive": np.abs(values), "negative": -np.abs(values),
+            "zero": np.zeros_like(values)}[sign]
+
+
+SIGNS = st.sampled_from(["mixed", "positive", "negative", "zero"])
+SIXTEEN_BIT = st.integers(-(2**16 - 1), 2**16 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                    elements=SIXTEEN_BIT),
+       sign=SIGNS, bits_per_cell=st.sampled_from([1, 2]), extra_bits=st.integers(0, 3))
+def test_cell_digits_equal_the_slice_by_slice_reference(w, sign, bits_per_cell, extra_bits):
+    w = _signed(w, sign)
+    bits = min(16, int(np.abs(w).max()).bit_length() + extra_bits) or 1
+    n_slices = math.ceil(bits / bits_per_cell)
+    digits = _cell_digits(w, n_slices, bits_per_cell)
+    assert np.array_equal(digits, oracle_cell_digits(w, n_slices, bits_per_cell))
+    # the narrowest unsigned dtype that holds every sliced bit
+    assert digits.dtype == next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                                if np.iinfo(t).bits >= n_slices * bits_per_cell)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                    elements=SIXTEEN_BIT),
+       sign=SIGNS)
+def test_bit_planes_equal_the_plane_by_plane_reference(x, sign):
+    x = _signed(x, sign)
+    for got, expected in zip(_bit_planes(x), oracle_bit_planes(x)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("xbar_size", [64, 8])
@@ -538,6 +645,28 @@ def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# Temporaries of programming a 128 x 128 matrix, in bytes per cell of one
+# stripe: noise-free digits take one uint8 each (an int64 broadcast would
+# take 8), and a noisy write holds a few float64 and float32 copies.
+PROGRAMMING_BYTES_PER_CELL = {False: 4, True: 24}
+
+
+@pytest.mark.parametrize("device", ["fefet", "sram"])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_programming_keeps_temporaries_small(device, noisy, tiles, request):
+    dev = request.getfixturevalue(device)
+    w = np.random.default_rng(7).integers(-127, 128, size=(128, 128))
+    noise = NoiseModel(write_var=0.2 if noisy else 0.0, adc_bits=6)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        pm = program_matrix(w, dev, tiles, 8, noise, rng)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < PROGRAMMING_BYTES_PER_CELL[noisy] * tiles.xbar_size * pm.columns
 
 
 def test_noisy_product_keeps_temporaries_small(fefet, tiles):
