@@ -84,40 +84,58 @@ Noise-free reads decode from level sums. Without write or read noise a
 column's count depends on two integers only: the read's popcount p and
 the column's level sum k, the summed cell levels of its set rows. So
 ``program_matrix`` stores every noise-free stripe only as a float32
-"level stripe" (``level_stripes``) that holds each cell's digit plus
-``stride`` = rows * (2^bits_per_cell - 1) + 1, the row length of the
-decode table for stripes of rows = min(xbar_size, in_dim). A read of it
-gives k + p * stride, the flat table index of (p, k), with no popcount
-taken. It sums integers, which float32 does exactly in any order while
-rows * (stride + 2^bits_per_cell) < 2^24: up to 4094 rows for SRAM and
-2363 for FeFET. Beyond that, and under write noise, ``level_stripes``
-is None and the matrix stores its conductances as written. The
-conductances of a level stripe, ``ideal_conductances(level - stride)``,
-are built and cached only when a noisy read or a tie fallback (below)
-reads them.
+"level stripe" (``level_stripes``) whose reads are flat indices into a
+table of counts; let M = ``stride`` = rows * (2^bits_per_cell - 1) + 1,
+one more than the largest level sum, for rows = min(xbar_size, in_dim).
+A differential pair's two columns share their reads, so while the pair
+table below fits in 2 MiB, (rows + 1) * M^2 <= 2^19 (up to 79 SRAM and
+38 FeFET rows), a stripe is "paired": it holds one column per (slice,
+column) whose cells are d_pos + M * d_neg + M^2. A read of it gives
+k_pos + M * k_neg + p * M^2, the flat index of (p, k_neg, k_pos) in the
+float32 pair table P[p, k_neg, k_pos] = T[p, k_pos] - T[p, k_neg], T
+being the decode table of counts by (p, k): the count of the pair
+itself, positive minus negative. Half as many columns are read, cast
+and looked up as with one column per sign, and one weight 2^(slice *
+bits_per_cell) per slice shift-adds them. Taller stripes, such as the
+preset 64-row FeFET ones (whose pair table would be 9.7 MB), hold one
+column per (slice, sign, column) with cells digit + M, whose reads give
+k + p * M, the flat index of (p, k) in T itself. Either read sums
+non-negative integers below (rows + 1) * M^2 or rows * (M + 2^bits_per_
+cell), which float32 holds exactly in any order below 2^24: up to 4094
+SRAM and 2363 FeFET rows. Beyond that, and under write noise,
+``level_stripes`` is None and the matrix stores its conductances as
+written. The conductances of a level stripe, ``ideal_conductances`` of
+its digits (a paired cell's by divmod M), are built and cached, in
+(slice, sign, column) order, only when a noisy read or a tie fallback
+(below) reads them.
 ``mvm_bitserial`` reads each chunk once through its level stripe and
-maps every index to its count with one ``take`` from a table built once
-per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
-applied to the current p * G_min + k * dG. One stacked float64 BLAS
-product with the slice weights shift-adds the counts, as on the noisy
-path: the counts are integers of at most xbar_size * G_max / dG + 1 and
-the weights are powers of two, so every product and partial sum is an
-integer far below 2^53, exact in float64 in any summation order.
+maps every index to its count with one ``take``. T is built once per
+(device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself, applied
+to the current p * G_min + k * dG; P once per such key from T. One
+stacked BLAS product with the slice weights shift-adds the counts: they
+are integers, a count at most xbar_size * G_max / dG + 1 and a pair's
+difference twice that, and the weights are powers of two, so every
+product and partial sum is an integer. The sums run in float64, exact
+below 2^53 in any summation order, and a paired chunk's in float32 when
+its largest possible sum is below 2^24 (the shipped devices on 64-row
+tiles at up to 16-bit weights).
 That equals decoding the float read bit for bit: the float current
 differs from the exact level sum by a few roundings per cell, far below
 an ADC step, so both give the same ADC code, and the count follows from
 the code and p alone. The exception is a code value on a rint half-point
 (SRAM at 6 bits, (p, k) = (32, 32), is exactly 31.5), where the float
-read's own rounding picks the code. Table entries within ``_TIE_MARGIN``
-of a half-point hold NaN, and a chunk that hits one is read and decoded
-through its conductance stripe, derived from the level stripe, in the
-same call. The table has one
+read's own rounding picks the code. Entries of T within ``_TIE_MARGIN``
+of a half-point hold NaN, and so does every entry of P that takes one;
+a chunk that hits one is read and decoded through its conductance
+stripe, derived from the level stripe, in the same call. T holds one
 float64 per (p, k): 8 * (r + 1) * (r * (2^bits_per_cell - 1) + 1) bytes
 for stripes of r = min(xbar_size, in_dim) rows. ``[tiles] xbar_size``
 has no upper bound, so the extent follows the rows actually read: at the
 preset 64 rows it is 33.8 KB for SRAM and 100.4 KB for FeFET, at 256
 rows 0.53 MB and 1.58 MB, at 1024 rows 8.4 MB and 25.2 MB, and at most
 about 134 MB at the level-stripe bound of 4094 SRAM or 2363 FeFET rows.
+P holds 4 * (r + 1) * M^2 bytes, at most 2 MiB: 1.10 MB for 64 SRAM
+rows, and one is cached per ADC width read.
 """
 
 from __future__ import annotations
@@ -146,6 +164,10 @@ CHUNK_ELEMENTS = 1 << 15
 # (p + 12) * u * n_levels <= 13 * xbar_size * u * n_levels from a
 # half-point. 2^-44 per cell and level is 512 * u: about 40 times that.
 _TIE_MARGIN = 2.0**-44
+
+# A noise-free stripe of r rows pairs its differential columns while its
+# pair table, (r + 1) * stride^2 float32 entries, fits in 2 MiB.
+PAIR_TABLE_ENTRIES = 1 << 19
 
 
 # Box-Muller in float32: see "Noise draws" above.
@@ -218,9 +240,9 @@ class CrossbarState:
     """Programmed conductances in siemens, clipped to range.
 
     One crossbar, or a stripe of crossbars sharing their rows. A level
-    stripe holds each cell's integer level plus the decode table's row
-    length ``stride`` as float32 instead, so a noise-free read of p set
-    rows gives each column's exact level sum k plus p * stride.
+    stripe holds integer cell levels as float32 instead, offset so that
+    a noise-free read of p set rows gives each column's flat decode-table
+    index (see ``ProgrammedMatrix``).
     """
 
     conductances: np.ndarray
@@ -307,12 +329,14 @@ class ProgrammedMatrix:
     ``stripes[row_block]`` holds the crossbars of one row tile side by
     side, columns ordered (slice, sign, column) with sign 0 = positive
     part, 1 = negative part. A matrix written without noise whose
-    tallest stripe reads below 2^24 keeps only ``level_stripes``: the
-    same cells as integer levels plus the decode table's row length
-    ``stride``, one float32 stripe per row tile. Its ``stripes`` are
-    derived from them on first use and cached. Any other matrix keeps
-    its conductances as written (``written_stripes``) and has no level
-    stripes.
+    tallest stripe reads below 2^24 keeps only ``level_stripes``, one
+    float32 stripe per row tile of the same cells as integer levels:
+    ``paired``, one column per (slice, column) holding positive digit +
+    ``stride`` * negative digit + ``stride``^2, while its pair table
+    fits in 2 MiB, otherwise one column per (slice, sign, column)
+    holding digit + ``stride``. Its ``stripes`` are derived from them on
+    first use and cached. Any other matrix keeps its conductances as
+    written (``written_stripes``) and has no level stripes.
     """
 
     shape: tuple[int, int]
@@ -349,6 +373,11 @@ class ProgrammedMatrix:
         return _level_stride(self.rows, self.device)
 
     @property
+    def paired(self) -> bool:
+        """Whether each level-stripe column holds both signs of a (slice, column)."""
+        return self.level_stripes is not None and _pairs_signs(self.rows, self.device)
+
+    @property
     def n_crossbars(self) -> int:
         return self.row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
 
@@ -356,11 +385,19 @@ class ProgrammedMatrix:
     def stripes(self) -> tuple[CrossbarState, ...]:
         if self.written_stripes is not None:
             return self.written_stripes
-        return tuple(
-            CrossbarState(ideal_conductances(level.conductances - self.stride, self.device),
-                          self.device)
-            for level in self.level_stripes
-        )
+        return tuple(CrossbarState(ideal_conductances(self._digits(level), self.device),
+                                   self.device)
+                     for level in self.level_stripes)
+
+    def _digits(self, level: CrossbarState) -> np.ndarray:
+        """Cell digits of a level stripe, columns ordered (slice, sign, column)."""
+        m = self.stride
+        cells = level.conductances.astype(np.intp)
+        if not self.paired:
+            return cells - m
+        rows = len(cells)
+        n_neg, n_pos = np.divmod(cells.reshape(rows, self.n_slices, 1, self.shape[1]) - m * m, m)
+        return np.concatenate((n_pos, n_neg), axis=2).reshape(rows, -1)
 
 
 def _stripe_rows(in_dim: int, xbar_size: int) -> int:
@@ -371,6 +408,14 @@ def _stripe_rows(in_dim: int, xbar_size: int) -> int:
 def _level_stride(rows: int, dev: DeviceParams) -> int:
     """Row length of the decode table: one more than the largest level sum."""
     return rows * ((1 << dev.bits_per_cell) - 1) + 1
+
+
+def _pairs_signs(rows: int, dev: DeviceParams) -> bool:
+    """Whether noise-free stripes of ``rows`` rows store one column per sign pair.
+
+    Their reads then stay below (rows + 1) * stride^2 <= 2^19, exact in float32.
+    """
+    return (rows + 1) * _level_stride(rows, dev) ** 2 <= PAIR_TABLE_ENTRIES
 
 
 def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
@@ -419,12 +464,24 @@ def program_matrix(
     # rows * (2^bpc - 1 + stride) = rows * (stride + 2^bpc) - rows, and
     # every partial sum is a non-negative integer no larger; float32 holds
     # every integer up to 2^24, so below the bound a read is exact in any
-    # summation order.
+    # summation order. A paired stripe stores one column per (slice,
+    # column) instead, positive digit + stride * negative digit + stride^2,
+    # so a read gives k_pos + stride * k_neg + p * stride^2, the flat index
+    # of (p, k_neg, k_pos) in _pair_table: below (rows + 1) * stride^2.
     keep_levels = noise.write_var == 0.0 and rows * (stride + (1 << bpc)) < 1 << 24
+    paired = keep_levels and _pairs_signs(rows, dev)
     level_g = None if keep_levels else ideal_conductances(np.arange(1 << bpc), dev)
     stripes = []
     for r0 in range(0, in_dim, x):
         digits = _cell_digits(w_int[r0:r0 + x], n_slices, bpc)
+        if paired:
+            signs = digits.reshape(len(digits), n_slices, DIFFERENTIAL_ARRAYS, w_int.shape[1])
+            levels = signs[:, :, 1].astype(np.float32)
+            levels *= stride
+            levels += signs[:, :, 0]
+            levels += stride * stride
+            stripes.append(CrossbarState(levels.reshape(len(digits), -1), dev))
+            continue
         if keep_levels:
             levels = digits.astype(np.float32)
             levels += stride
@@ -435,10 +492,12 @@ def program_matrix(
             eps = _standard_normal(rng, np.empty(g.shape, dtype=np.float32))
             eps *= noise.write_var
             if noise.multiplicative:
-                g = g * (1.0 + eps)
+                eps += 1.0
+                g *= eps
             else:
-                g = g + eps * (dev.g_max - dev.g_min)
-            g = np.clip(g, dev.g_min, dev.g_max)
+                eps *= dev.g_max - dev.g_min
+                g += eps
+            np.clip(g, dev.g_min, dev.g_max, out=g)
         stripes.append(CrossbarState(g, dev))
     stripes = tuple(stripes)
     return ProgrammedMatrix(w_int.shape, x, n_slices, dev,
@@ -495,6 +554,22 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
     return counts
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
+    """Noise-free count differences of a differential pair, by (popcount, k_neg, k_pos).
+
+    Entry (p, k_neg, k_pos) is T[p, k_pos] - T[p, k_neg] in float32, T
+    being ``_decode_table``: NaN where either count is a tie. Counts are
+    small integers, so every difference is exact. The table is read-only
+    and holds 4 * (rows + 1) * stride^2 bytes, at most 2 MiB for stripes
+    that pair their signs.
+    """
+    counts = _decode_table(dev, xbar_size, adc_bits, rows).astype(np.float32)
+    pairs = counts[:, None, :] - counts[:, :, None]
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every bit-plane of both input signs as one read batch, ordered (sign, plane, row).
 
@@ -524,7 +599,11 @@ def mvm_bitserial(
 
     ``x_int`` is (n, in_dim) signed; negative inputs run as a second
     set of bit-planes on their magnitudes with the result subtracted.
-    Read noise needs ``rng``.
+    Read noise needs ``rng``. Noise-free reads of level stripes map to
+    counts through one table lookup: per differential pair from
+    ``_pair_table`` for a paired matrix, whose chunks then hold twice
+    the reads, per sign from ``_decode_table`` otherwise (see the module
+    docstring). Noisy reads and rint ties read ``pm.stripes``.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
@@ -546,15 +625,26 @@ def mvm_bitserial(
         for k in range(pm.n_slices) for sgn in (1, -1)
     ])
 
-    def shift_add(counts: np.ndarray) -> np.ndarray:
-        # integer counts of at most xbar_size * G_max / dG + 1 times powers of
-        # two: every sum is an integer below 2^53, exact in any order
-        return slice_weight @ counts.reshape(-1, slice_weight.size, out_dim)
+    def shift_add(counts: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        # integer counts times powers of two: every partial sum is an integer
+        # of at most max|count| * sum|weight|, exact in float64 below 2^53 and
+        # in float32 below 2^24, in any summation order
+        return (weight @ counts.reshape(-1, weight.size, out_dim)).astype(np.float64, copy=False)
 
     table = None
+    columns = pm.columns
     if pm.level_stripes is not None and noise.read_var == 0.0:
-        table = _decode_table(pm.device, xsz, noise.adc_bits, pm.rows)
-    step = max(1, CHUNK_ELEMENTS // pm.columns)
+        decode = _pair_table if pm.paired else _decode_table
+        table = decode(pm.device, xsz, noise.adc_bits, pm.rows)
+        # a paired column's count is already positive minus negative
+        level_weight = slice_weight[::2] if pm.paired else slice_weight
+        columns = level_weight.size * out_dim
+        # a count is at most xbar_size * G_max / dG + 1, a difference of two twice that
+        delta_g = (pm.device.g_max - pm.device.g_min) / (2**pm.device.bits_per_cell - 1)
+        largest = 2 * (xsz * pm.device.g_max / delta_g + 1) * np.abs(level_weight).sum()
+        if largest < 2**24:  # shift-add a float32 table's counts in float32
+            level_weight = level_weight.astype(table.dtype)
+    step = max(1, CHUNK_ELEMENTS // columns)
     for rb in range(pm.row_blocks):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
         active = np.flatnonzero(slab.any(axis=1))
@@ -563,16 +653,17 @@ def mvm_bitserial(
             chunk = slab[reads]
             partial = None
             if table is not None:
-                # the read gives each column's flat table index k + p * stride
+                # the read gives each column's flat table index
                 index = pm.level_stripes[rb].read_currents(chunk).astype(np.intp)
-                partial = shift_add(table.take(index))
+                partial = shift_add(table.take(index), level_weight)
                 if np.isnan(partial).any():  # a read hit a rint half-point
                     partial = None
             if partial is None:
                 popcount = chunk.sum(axis=1, dtype=np.intp)
                 currents = pm.stripes[rb].read_currents(chunk, noise, rng)
                 partial = shift_add(
-                    _adc_decode(currents, popcount, pm.device, xsz, noise.adc_bits))
+                    _adc_decode(currents, popcount, pm.device, xsz, noise.adc_bits),
+                    slice_weight)
             # acc[row] += plane weight * partial for each read. Reads ascend
             # in (sign, plane, row) order, plane q holding reads q*n to
             # q*n + n - 1, so cut at the plane starts each piece has distinct

@@ -6,7 +6,8 @@ a second, hand-evaluated derivation. The crossbar oracles are the
 straightforward engine: one read per (bit-plane, input sign, row tile,
 column tile, slice, weight sign) and one Gaussian per read and per cell;
 ``oracle_cell_digits`` and ``oracle_bit_planes`` slice weights and
-inputs one slice or bit-plane at a time.
+inputs one slice or bit-plane at a time, and ``oracle_pair_table``
+decodes a differential pair's two level sums one table row at a time.
 The pattern and CKA oracles are the brute-force search: every
 (family, sl, n_cont, start) is generated, every explicit reuse set of a
 count is listed (``all_explicit_patterns``), and every CKA pair centers
@@ -211,6 +212,31 @@ def oracle_tile(pm, row_block, col_block, k, sign):
     g = pm.stripes[row_block].conductances.reshape(-1, pm.n_slices, 2, pm.shape[1])
     x = pm.xbar_size
     return CrossbarState(g[:, k, sign, col_block * x:(col_block + 1) * x], pm.device)
+
+
+def oracle_count(dev, xbar_size, adc_bits, p, k):
+    """ADC count of p set rows whose cell levels sum to k, from the exact current."""
+    full_scale = xbar_size * dev.g_max
+    n_levels = 2**adc_bits - 1
+    delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
+    current = p * dev.g_min + k * delta_g
+    code = np.clip(np.rint(current / full_scale * n_levels), 0, n_levels)
+    return np.rint((code * full_scale / n_levels - dev.g_min * p) / delta_g)
+
+
+def oracle_pair_table(dev, xbar_size, adc_bits, rows):
+    """Count of a differential pair, positive minus negative, by (p, k_neg, k_pos).
+
+    One (p, k_neg) row at a time, from ``oracle_count`` of both sides.
+    """
+    stride = rows * (2**dev.bits_per_cell - 1) + 1
+    k = np.arange(stride)
+    table = np.empty((rows + 1, stride, stride))
+    for p in range(rows + 1):
+        for k_neg in range(stride):
+            table[p, k_neg] = (oracle_count(dev, xbar_size, adc_bits, p, k)
+                               - oracle_count(dev, xbar_size, adc_bits, p, k_neg))
+    return table
 
 
 def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):

@@ -5,7 +5,9 @@ bit: every per-read count is an integer and every sum of counts is an
 exact integer in float64, so the read batching cannot change a result.
 Noise-free counts come from the (popcount, level sum) decode table,
 which must agree with ``_adc_decode`` of a float read in any summation
-order, and fall back to that read on a rint half-point. With read noise
+order, and fall back to that read on a rint half-point; a paired stripe
+reads a differential pair's count from the pair table, the difference
+of two decode-table counts. With read noise
 on, drawing only the cells of set rows must leave the current
 distribution that of the dense per-cell sampler. Device noise comes from
 the Box-Muller sampler ``_standard_normal``, checked here against the
@@ -27,6 +29,7 @@ from oracles import (
     oracle_bit_planes,
     oracle_cell_digits,
     oracle_mvm_bitserial,
+    oracle_pair_table,
     oracle_read_currents,
     oracle_tile,
 )
@@ -35,10 +38,12 @@ from xbarsim.funcsim.crossbar import (
     CHUNK_ELEMENTS,
     CrossbarState,
     NoiseModel,
+    ProgrammedMatrix,
     _adc_decode,
     _bit_planes,
     _cell_digits,
     _decode_table,
+    _pair_table,
     _standard_normal,
     ideal_conductances,
     mvm_bitserial,
@@ -392,7 +397,9 @@ def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, mon
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, sram, tiles, 8, noise)
     mvm_bitserial(pm, x, noise)
-    stripe_cols = pm.n_slices * 2 * 200
+    # a paired stripe stores one column per (slice, column)
+    stripe_cols = pm.level_stripes[0].conductances.shape[1]
+    assert pm.paired and stripe_cols == pm.n_slices * 200
     reads = x.shape[0] * 2 * 8
     read_chunks = math.ceil(reads / max(1, CHUNK_ELEMENTS // stripe_cols))
     row_blocks = math.ceil(150 / tiles.xbar_size)
@@ -494,11 +501,18 @@ def test_a_noise_free_read_gives_the_flat_decode_table_index(fefet, xbar_size):
     digits = np.stack([(parts >> (k * fefet.bits_per_cell)) & levels
                        for k in range(pm.n_slices)], axis=1).reshape(100, -1)
     assert len(pm.level_stripes) == math.ceil(100 / xbar_size)
+    # 8 FeFET rows pair their signs; 64 rows would need a 9.7 MB pair table
+    assert pm.paired == (xbar_size == 8)
     for rb, level in enumerate(pm.level_stripes):
         block = digits[rb * xbar_size:(rb + 1) * xbar_size]
         bits = rng.integers(0, 2, size=(50, block.shape[0]))
         k, p = bits @ block, bits.sum(axis=1, keepdims=True)
-        assert np.array_equal(level.read_currents(bits), k + p * stride)
+        if pm.paired:  # k_pos + stride * k_neg + p * stride^2 per (slice, column)
+            k = k.reshape(50, pm.n_slices, 2, 20)
+            index = k[:, :, 0] + stride * k[:, :, 1] + p[:, :, None] * stride**2
+            assert np.array_equal(level.read_currents(bits), index.reshape(50, -1))
+        else:
+            assert np.array_equal(level.read_currents(bits), k + p * stride)
 
 
 def test_a_read_beyond_float32_integers_keeps_no_level_stripe(fefet, monkeypatch):
@@ -629,6 +643,147 @@ def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits,
             assert np.array_equal(counts[0, safe], table[p, k[safe]])
 
 
+# (device, xbar_size, rows) of stripes that pair their signs: (rows + 1)
+# * stride^2 float32 entries fit in 2 MiB up to 79 SRAM and 38 FeFET rows
+PAIRED = [("sram", 64, 64), ("sram", 64, 20), ("sram", 80, 79), ("fefet", 64, 38),
+          ("fefet", 8, 8)]
+
+
+@pytest.mark.parametrize("adc_bits", [4, 6, 16])
+@pytest.mark.parametrize("device, xbar_size, rows", PAIRED)
+def test_pair_table_entries_are_count_differences(device, xbar_size, rows, adc_bits, request):
+    dev = request.getfixturevalue(device)
+    stride = rows * (2**dev.bits_per_cell - 1) + 1
+    pairs = _pair_table(dev, xbar_size, adc_bits, rows)
+    assert pairs.shape == (rows + 1, stride, stride) and pairs.dtype == np.float32
+    assert pairs.nbytes <= 2 * 2**20
+    ties = _exact_ties(dev, xbar_size, adc_bits, (rows + 1, stride))
+    # entry (p, k_neg, k_pos) is NaN where either of its two counts is a tie
+    assert np.array_equal(np.isnan(pairs), ties[:, None, :] | ties[:, :, None])
+    counts = _decode_table(dev, xbar_size, adc_bits, rows)
+    assert np.array_equal(pairs, counts[:, None, :] - counts[:, :, None], equal_nan=True)
+    safe = ~np.isnan(pairs)
+    assert np.array_equal(pairs[safe], oracle_pair_table(dev, xbar_size, adc_bits, rows)[safe])
+
+
+def _no_pair_table(*args):
+    raise AssertionError("pair table built")
+
+
+@pytest.mark.parametrize("device, rows, paired", [
+    ("sram", 79, True), ("sram", 80, False), ("fefet", 38, True), ("fefet", 39, False),
+])
+def test_stripes_pair_their_signs_while_the_pair_table_fits(device, rows, paired, request,
+                                                            monkeypatch):
+    dev = request.getfixturevalue(device)
+    stride = rows * (2**dev.bits_per_cell - 1) + 1
+    assert ((rows + 1) * stride**2 <= 2**19) == paired
+    if not paired:
+        monkeypatch.setattr(crossbar, "_pair_table", _no_pair_table)
+    rng = np.random.default_rng(rows)
+    w = rng.integers(-127, 128, size=(rows, 3))
+    x = rng.integers(-127, 128, size=(4, rows))
+    noise = NoiseModel(adc_bits=16)
+    pm = program_matrix(w, dev, TileConfig(xbar_size=rows), 8, noise)
+    assert pm.paired == paired
+    signs = 1 if paired else 2  # level-stripe columns per (slice, column)
+    assert pm.level_stripes[0].conductances.shape == (rows, pm.n_slices * signs * 3)
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+
+
+def test_a_preset_fefet_product_reads_per_sign_levels(fefet, tiles, monkeypatch):
+    # a 64-row FeFET pair table would take 65 * 193^2 float32s (9.7 MB)
+    monkeypatch.setattr(crossbar, "_pair_table", _no_pair_table)
+    rng = np.random.default_rng(14)
+    w = rng.integers(-127, 128, size=(100, 20))
+    x = rng.integers(-127, 128, size=(8, 100))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, fefet, tiles, 8, noise)
+    assert not pm.paired
+    assert np.array_equal(mvm_bitserial(pm, x, noise), oracle_mvm_bitserial(pm, x, noise))
+
+
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+@settings(max_examples=30, deadline=None)
+@given(xbar_size=st.sampled_from([8, 16, 32, 64]), data=st.data())
+def test_packed_products_equal_the_exact_and_per_sign_products(device, xbar_size, data,
+                                                               sram, fefet):
+    dev = {"sram": sram, "fefet": fefet}[device]
+    in_dim = data.draw(st.integers(1, 2 * xbar_size), label="in_dim")
+    n = data.draw(st.integers(1, 4), label="n")
+    eight_bit = st.integers(-127, 127)
+    w = data.draw(hnp.arrays(np.int64, (in_dim, data.draw(st.integers(1, 5))),
+                             elements=eight_bit), label="w")
+    x = data.draw(hnp.arrays(np.int64, (n, in_dim), elements=eight_bit), label="x")
+    pm = program_matrix(w, dev, TileConfig(xbar_size=xbar_size), 8)
+    assert pm.paired == ((pm.rows + 1) * pm.stride**2 <= 2**19)
+    assert np.array_equal(mvm_bitserial(pm, x, NoiseModel(adc_bits=16)), x @ w)
+    six = NoiseModel(adc_bits=6)  # the per-sign decode, crossbar by crossbar
+    assert np.array_equal(mvm_bitserial(pm, x, six), oracle_mvm_bitserial(pm, x, six))
+
+
+def test_a_paired_shift_add_beyond_float32_integers_stays_exact(sram, tiles):
+    # 24 one-bit slices: a read's pair counts of up to 64 times weights up
+    # to 2^23 sum past 2^24, where float32 drops odd integers
+    rng = np.random.default_rng(19)
+    w = rng.integers(-(2**24 - 1), 2**24, size=(64, 6))
+    x = rng.integers(-127, 128, size=(5, 64))
+    noise = NoiseModel(adc_bits=16)
+    pm = program_matrix(w, sram, tiles, 24, noise)
+    assert pm.paired and pm.n_slices == 24
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+
+
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+def test_a_paired_matrix_derives_its_stripes_in_slice_sign_column_order(device, request):
+    dev = request.getfixturevalue(device)
+    w = np.random.default_rng(15).integers(-127, 128, size=(40, 7))
+    pm = program_matrix(w, dev, TileConfig(xbar_size=16), 8)
+    assert pm.paired and len(pm.stripes) == 3
+    for rb, stripe in enumerate(pm.stripes):
+        digits = oracle_cell_digits(w[rb * 16:(rb + 1) * 16], pm.n_slices, dev.bits_per_cell)
+        assert np.array_equal(stripe.conductances, ideal_conductances(digits, dev))
+
+
+@pytest.mark.parametrize("device, xbar_size", [("sram", 64), ("fefet", 16)])
+def test_a_noisy_read_of_a_paired_matrix_equals_reading_its_conductances(device, xbar_size,
+                                                                          request):
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(16)
+    w = rng.integers(-127, 128, size=(100, 30))
+    x = rng.integers(-127, 128, size=(12, 100))
+    pm = program_matrix(w, dev, TileConfig(xbar_size=xbar_size), 8)
+    assert pm.paired
+    written = ProgrammedMatrix(pm.shape, xbar_size, pm.n_slices, dev, written_stripes=tuple(
+        CrossbarState(ideal_conductances(
+            oracle_cell_digits(w[r0:r0 + xbar_size], pm.n_slices, dev.bits_per_cell), dev), dev)
+        for r0 in range(0, 100, xbar_size)))
+    noise = NoiseModel(read_var=0.1, adc_bits=6)
+    out = mvm_bitserial(pm, x, noise, np.random.default_rng(17))
+    assert out.tobytes() == mvm_bitserial(written, x, noise, np.random.default_rng(17)).tobytes()
+
+
+def test_a_tie_falls_back_for_its_own_chunk_only(sram, tiles, monkeypatch):
+    # one-bit weights of 1 over 1024 columns: a paired chunk holds 32 reads.
+    # Input row 100 sets 32 rows, the 6-bit tie (p, k) = (32, 32); the
+    # others set 1 to 64 rows but never 32
+    w = np.ones((64, 1024), dtype=int)
+    rng = np.random.default_rng(18)
+    set_rows = rng.choice(np.r_[1:32, 33:65], size=200)
+    set_rows[100] = 32
+    x = (np.arange(64) < set_rows[:, None]).astype(int)
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, sram, tiles, 1, noise)
+    assert pm.paired and CHUNK_ELEMENTS // pm.level_stripes[0].conductances.shape[1] == 32
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    level = [shape for state, shape in calls if state is pm.level_stripes[0]]
+    conductance = [shape for state, shape in calls if state is pm.stripes[0]]
+    assert len(level) == math.ceil(200 / 32) and conductance == [(32, 64)]
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
 @pytest.mark.parametrize("device", ["fefet", "sram"])
 def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
     dev = request.getfixturevalue(device)
@@ -637,7 +792,9 @@ def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
     x = rng.integers(-127, 128, size=(32, 128))
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, dev, tiles, 8, noise)
-    _decode_table.cache_clear()  # the table is built inside the traced call
+    # the tables are built inside the traced call
+    _decode_table.cache_clear()
+    _pair_table.cache_clear()
     tracemalloc.start()
     try:
         mvm_bitserial(pm, x, noise)
@@ -649,7 +806,8 @@ def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
 
 # Temporaries of programming a 128 x 128 matrix, in bytes per cell of one
 # stripe: noise-free digits take one uint8 each (an int64 broadcast would
-# take 8), and a noisy write holds a few float64 and float32 copies.
+# take 8), and a noisy write holds its float32 noise and the sampler's
+# 64-bit words and their halves.
 PROGRAMMING_BYTES_PER_CELL = {False: 4, True: 24}
 
 
