@@ -385,11 +385,11 @@ class ProgrammedMatrix:
     def stripes(self) -> tuple[CrossbarState, ...]:
         if self.written_stripes is not None:
             return self.written_stripes
-        return tuple(CrossbarState(ideal_conductances(self._digits(level), self.device),
+        return tuple(CrossbarState(ideal_conductances(self._level_digits(level), self.device),
                                    self.device)
                      for level in self.level_stripes)
 
-    def _digits(self, level: CrossbarState) -> np.ndarray:
+    def _level_digits(self, level: CrossbarState) -> np.ndarray:
         """Cell digits of a level stripe, columns ordered (slice, sign, column)."""
         m = self.stride
         cells = level.conductances.astype(np.intp)
@@ -418,18 +418,23 @@ def _pairs_signs(rows: int, dev: DeviceParams) -> bool:
     return (rows + 1) * _level_stride(rows, dev) ** 2 <= PAIR_TABLE_ENTRIES
 
 
-def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
-    """Cell digits of a signed matrix, columns ordered (slice, sign, column).
+def _slice_digits(parts: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
+    """Digits of non-negative (rows, part, column) integers as (rows, slice, part, column).
 
     One broadcast shift-and-mask in the narrowest unsigned dtype that
     holds n_slices * bits_per_cell bits.
     """
     dtype = np.min_scalar_type((1 << (n_slices * bits_per_cell)) - 1)
-    parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1).astype(dtype)
     shifts = np.arange(0, n_slices * bits_per_cell, bits_per_cell, dtype=dtype)
-    digits = parts[:, None] >> shifts[:, None, None]
+    digits = parts.astype(dtype)[:, None] >> shifts[:, None, None]
     digits &= (1 << bits_per_cell) - 1
-    return digits.reshape(block.shape[0], -1)
+    return digits
+
+
+def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
+    """Cell digits of a signed matrix, columns ordered (slice, sign, column)."""
+    parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1)
+    return _slice_digits(parts, n_slices, bits_per_cell).reshape(block.shape[0], -1)
 
 
 def program_matrix(
@@ -473,15 +478,16 @@ def program_matrix(
     level_g = None if keep_levels else ideal_conductances(np.arange(1 << bpc), dev)
     stripes = []
     for r0 in range(0, in_dim, x):
-        digits = _cell_digits(w_int[r0:r0 + x], n_slices, bpc)
+        block = w_int[r0:r0 + x]
         if paired:
-            signs = digits.reshape(len(digits), n_slices, DIFFERENTIAL_ARRAYS, w_int.shape[1])
-            levels = signs[:, :, 1].astype(np.float32)
-            levels *= stride
-            levels += signs[:, :, 0]
+            # a weight sets at most one digit of its pair, so d_pos + stride *
+            # d_neg is its magnitude's digit times 1 or stride
+            levels = _slice_digits(np.abs(block)[:, None], n_slices, bpc).astype(np.float32)
+            levels *= np.where(block < 0, np.float32(stride), np.float32(1))[:, None, None]
             levels += stride * stride
-            stripes.append(CrossbarState(levels.reshape(len(digits), -1), dev))
+            stripes.append(CrossbarState(levels.reshape(len(block), -1), dev))
             continue
+        digits = _cell_digits(block, n_slices, bpc)
         if keep_levels:
             levels = digits.astype(np.float32)
             levels += stride
