@@ -100,14 +100,14 @@ bits_per_cell) per slice shift-adds them. Taller stripes, such as the
 preset 64-row FeFET ones (whose pair table would be 9.7 MB), hold one
 column per (slice, sign, column) with cells digit + M, whose reads give
 k + p * M, the flat index of (p, k) in T itself. Either read sums
-non-negative integers below (rows + 1) * M^2 or rows * (M + 2^bits_per_
-cell), which float32 holds exactly in any order below 2^24: up to 4094
-SRAM and 2363 FeFET rows. Beyond that, and under write noise,
-``level_stripes`` is None and the matrix stores its conductances as
-written. The conductances of a level stripe, ``ideal_conductances`` of
-its digits (a paired cell's by divmod M), are built and cached, in
-(slice, sign, column) order, only when a noisy read or a tie fallback
-(below) reads them.
+non-negative integers, below (rows + 1) * M^2 paired and below
+rows * (M + 2^bits_per_cell) per sign, which float32 holds exactly in
+any order below 2^24: up to 4094 SRAM and 2363 FeFET rows. Beyond that,
+and under write noise, ``level_stripes`` is None and the matrix stores
+its conductances as written. The conductances of a level stripe,
+``ideal_conductances`` of its digits (a paired cell's by divmod M), are
+built and cached, in (slice, sign, column) order, only when a noisy
+read or a tie fallback (below) reads them.
 ``mvm_bitserial`` reads each chunk once through its level stripe and
 maps every index to its count with one ``take``. T is built once per
 (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself, applied

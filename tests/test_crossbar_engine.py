@@ -670,8 +670,10 @@ def _no_pair_table(*args):
     raise AssertionError("pair table built")
 
 
+# the preset 64-row FeFET stripes never pair: their table would be 9.7 MB
 @pytest.mark.parametrize("device, rows, paired", [
     ("sram", 79, True), ("sram", 80, False), ("fefet", 38, True), ("fefet", 39, False),
+    ("fefet", 64, False),
 ])
 def test_stripes_pair_their_signs_while_the_pair_table_fits(device, rows, paired, request,
                                                             monkeypatch):
@@ -689,18 +691,6 @@ def test_stripes_pair_their_signs_while_the_pair_table_fits(device, rows, paired
     signs = 1 if paired else 2  # level-stripe columns per (slice, column)
     assert pm.level_stripes[0].conductances.shape == (rows, pm.n_slices * signs * 3)
     assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
-
-
-def test_a_preset_fefet_product_reads_per_sign_levels(fefet, tiles, monkeypatch):
-    # a 64-row FeFET pair table would take 65 * 193^2 float32s (9.7 MB)
-    monkeypatch.setattr(crossbar, "_pair_table", _no_pair_table)
-    rng = np.random.default_rng(14)
-    w = rng.integers(-127, 128, size=(100, 20))
-    x = rng.integers(-127, 128, size=(8, 100))
-    noise = NoiseModel(adc_bits=6)
-    pm = program_matrix(w, fefet, tiles, 8, noise)
-    assert not pm.paired
-    assert np.array_equal(mvm_bitserial(pm, x, noise), oracle_mvm_bitserial(pm, x, noise))
 
 
 @pytest.mark.parametrize("device", ["sram", "fefet"])
