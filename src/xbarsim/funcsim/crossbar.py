@@ -104,38 +104,37 @@ non-negative integers, below (rows + 1) * M^2 paired and below
 rows * (M + 2^bits_per_cell) per sign, which float32 holds exactly in
 any order below 2^24: up to 4094 SRAM and 2363 FeFET rows. Beyond that,
 and under write noise, ``level_stripes`` is None and the matrix stores
-its conductances as written. The conductances of a level stripe,
-``ideal_conductances`` of its digits (a paired cell's by divmod M), are
-built and cached, in (slice, sign, column) order, only when a noisy
-read or a tie fallback (below) reads them.
+its conductances as written; its reads, like every noisy read, decode
+their float currents with ``_adc_decode``. The conductances of a level
+stripe, ``ideal_conductances`` of its digits (a paired cell's by divmod
+M), are built and cached, in (slice, sign, column) order, only when a
+noisy read or a caller asks for ``stripes``.
 ``mvm_bitserial`` reads each chunk once through its level stripe and
 maps every index to its count with one ``take``. T is built once per
 (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself, applied
-to the current p * G_min + k * dG; P once per such key from T. One
+to the ideal current p * G_min + k * dG; P once per such key from T. One
 stacked BLAS product with the slice weights shift-adds the counts: they
 are integers, a count at most xbar_size * G_max / dG + 1 and a pair's
 difference twice that, and the weights are powers of two, so every
 product and partial sum is an integer. The sums run in float64, exact
-below 2^53 in any summation order, and a paired chunk's in float32 when
-its largest possible sum is below 2^24 (the shipped devices on 64-row
+below 2^53 in any summation order, and in float32 when a chunk's
+largest possible sum is below 2^24 (the shipped devices on 64-row
 tiles at up to 16-bit weights).
-That equals decoding the float read bit for bit: the float current
-differs from the exact level sum by a few roundings per cell, far below
-an ADC step, so both give the same ADC code, and the count follows from
-the code and p alone. The exception is a code value on a rint half-point
-(SRAM at 6 bits, (p, k) = (32, 32), is exactly 31.5), where the float
-read's own rounding picks the code. Entries of T within ``_TIE_MARGIN``
-of a half-point hold NaN, and so does every entry of P that takes one;
-a chunk that hits one is read and decoded through its conductance
-stripe, derived from the level stripe, in the same call. T holds one
-float64 per (p, k): 8 * (r + 1) * (r * (2^bits_per_cell - 1) + 1) bytes
-for stripes of r = min(xbar_size, in_dim) rows. ``[tiles] xbar_size``
-has no upper bound, so the extent follows the rows actually read: at the
-preset 64 rows it is 33.8 KB for SRAM and 100.4 KB for FeFET, at 256
-rows 0.53 MB and 1.58 MB, at 1024 rows 8.4 MB and 25.2 MB, and at most
-about 134 MB at the level-stripe bound of 4094 SRAM or 2363 FeFET rows.
-P holds 4 * (r + 1) * M^2 bytes, at most 2 MiB: 1.10 MB for 64 SRAM
-rows, and one is cached per ADC width read.
+The table is the one noise-free decode, a code value on a rint
+half-point included (SRAM at 6 bits, (p, k) = (32, 32), is exactly
+31.5): a noise-free count depends on p and k alone, as a flash ADC's
+code depends on the current alone, whichever cells hold the levels and
+in whatever order a float read would sum them. Off the half-points a
+float read of the conductances gives the same count, since it differs
+from the ideal current by a few roundings per cell, far below an ADC
+step. T holds one float32 per (p, k): 4 * (r + 1) * (r * (2^bits_per_cell
+- 1) + 1) bytes for stripes of r = min(xbar_size, in_dim) rows.
+``[tiles] xbar_size`` has no upper bound, so the extent follows the rows
+actually read: at the preset 64 rows it is 16.9 KB for SRAM and 50.2 KB
+for FeFET, at 256 rows 0.26 MB and 0.79 MB, at 1024 rows 4.2 MB and
+12.6 MB, and at most about 67 MB at the level-stripe bound of 4094 SRAM
+or 2363 FeFET rows. P holds 4 * (r + 1) * M^2 bytes, at most 2 MiB:
+1.10 MB for 64 SRAM rows, and one is cached per ADC width read.
 """
 
 from __future__ import annotations
@@ -146,24 +145,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mapping import DIFFERENTIAL_ARRAYS, DeviceParams, TileConfig, slice_factor
+from ..mapping import (DIFFERENTIAL_ARRAYS, MAX_ADC_BITS, DeviceParams, TileConfig,
+                       slice_factor)
 
 # Element budget of one read chunk or noise chunk (256 KiB of float64):
 # bounded temporaries keep freed memory from piling up in the heap.
 CHUNK_ELEMENTS = 1 << 15
-
-# Half-point margin of the decode table, in ADC steps per summed cell and
-# ADC level. Let u = 2^-53. A stored level conductance is its real value
-# g_min + v * (g_max - g_min) / levels to within 4 roundings, and any
-# order of summing p of them adds at most p - 1 more, so a float64 read
-# lies within (p + 3) * u * full_scale of the real level sum; scaling it
-# to ADC steps (two roundings) puts its code value within (p + 5) * u *
-# n_levels of the real one. The table's own current, g_min * p + k * dG,
-# takes 5 roundings and 2 more to scale: within 7 * u * n_levels. So a
-# read and the table agree on the rint of every code value farther than
-# (p + 12) * u * n_levels <= 13 * xbar_size * u * n_levels from a
-# half-point. 2^-44 per cell and level is 512 * u: about 40 times that.
-_TIE_MARGIN = 2.0**-44
 
 # A noise-free stripe of r rows pairs its differential columns while its
 # pair table, (r + 1) * stride^2 float32 entries, fits in 2 MiB.
@@ -233,6 +220,8 @@ class NoiseModel:
             raise ValueError("variations must be in [0, 1)")
         if self.adc_bits < 1:
             raise ValueError("adc_bits must be >= 1")
+        if self.adc_bits > MAX_ADC_BITS:
+            raise ValueError(f"adc_bits must be <= {MAX_ADC_BITS}, got {self.adc_bits}")
 
 
 @dataclass(frozen=True)
@@ -541,21 +530,21 @@ def _adc_decode(
 def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
     """Noise-free counts of a read of up to ``rows`` cells, by (popcount, level sum).
 
-    Entry (p, k) is ``_adc_decode`` of the current p * G_min + k * dG,
-    as float64, or NaN where that current's code value lies within the
-    tie margin of a rint half-point: there the float read's own rounding
-    picks the code. The table is read-only and holds 8 * (rows + 1) *
-    (rows * (2^bits_per_cell - 1) + 1) bytes.
+    Entry (p, k) is ``_adc_decode`` of the ideal current p * G_min + k * dG,
+    rint half-points included. Counts are small integers, so the table is
+    float32, exact for every count and pair difference while the counts
+    stay below 2^23 in magnitude; only a nearly degenerate window (G_max
+    / dG of order 10^7 and up) passes that, and keeps the table in
+    float64. It is read-only and holds 4 * (rows + 1) * (rows *
+    (2^bits_per_cell - 1) + 1) bytes.
     """
     levels = 2**dev.bits_per_cell - 1
-    n_levels = 2**adc_bits - 1
     popcount = np.arange(rows + 1, dtype=np.float64)
     delta_g = (dev.g_max - dev.g_min) / levels
     currents = dev.g_min * popcount[:, None] + np.arange(rows * levels + 1) * delta_g
-    codes = currents / (xbar_size * dev.g_max) * n_levels
-    tie = np.abs(codes - np.floor(codes) - 0.5) <= _TIE_MARGIN * xbar_size * n_levels
     counts = _adc_decode(currents, popcount, dev, xbar_size, adc_bits)
-    counts[tie] = np.nan
+    if np.abs(counts).max() < 2**23:
+        counts = counts.astype(np.float32)
     counts.setflags(write=False)
     return counts
 
@@ -564,13 +553,12 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
 def _pair_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
     """Noise-free count differences of a differential pair, by (popcount, k_neg, k_pos).
 
-    Entry (p, k_neg, k_pos) is T[p, k_pos] - T[p, k_neg] in float32, T
-    being ``_decode_table``: NaN where either count is a tie. Counts are
-    small integers, so every difference is exact. The table is read-only
-    and holds 4 * (rows + 1) * stride^2 bytes, at most 2 MiB for stripes
-    that pair their signs.
+    Entry (p, k_neg, k_pos) is T[p, k_pos] - T[p, k_neg], T being
+    ``_decode_table``, in T's dtype: every difference is exact. The table
+    is read-only and holds 4 * (rows + 1) * stride^2 bytes, at most 2 MiB
+    for stripes that pair their signs.
     """
-    counts = _decode_table(dev, xbar_size, adc_bits, rows).astype(np.float32)
+    counts = _decode_table(dev, xbar_size, adc_bits, rows)
     pairs = counts[:, None, :] - counts[:, :, None]
     pairs.setflags(write=False)
     return pairs
@@ -609,7 +597,8 @@ def mvm_bitserial(
     counts through one table lookup: per differential pair from
     ``_pair_table`` for a paired matrix, whose chunks then hold twice
     the reads, per sign from ``_decode_table`` otherwise (see the module
-    docstring). Noisy reads and rint ties read ``pm.stripes``.
+    docstring). Noisy reads, and every read of a matrix without level
+    stripes, decode the float currents of ``pm.stripes``.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
@@ -657,14 +646,11 @@ def mvm_bitserial(
         for a in range(0, active.size, step):
             reads = active[a:a + step]
             chunk = slab[reads]
-            partial = None
             if table is not None:
                 # the read gives each column's flat table index
                 index = pm.level_stripes[rb].read_currents(chunk).astype(np.intp)
                 partial = shift_add(table.take(index), level_weight)
-                if np.isnan(partial).any():  # a read hit a rint half-point
-                    partial = None
-            if partial is None:
+            else:
                 popcount = chunk.sum(axis=1, dtype=np.intp)
                 currents = pm.stripes[rb].read_currents(chunk, noise, rng)
                 partial = shift_add(

@@ -68,6 +68,10 @@ class DeviceParams:
         return 1.0 / self.r_on_ohm
 
 
+# The ADC's 2^adc_bits - 1 levels must be an integer in float64.
+MAX_ADC_BITS = 53
+
+
 @dataclass(frozen=True)
 class TileConfig:
     xbar_size: int = 64
@@ -78,6 +82,8 @@ class TileConfig:
     def __post_init__(self) -> None:
         if min(self.xbar_size, self.n_xbar_per_pe, self.n_pe_per_tile, self.adc_bits) < 1:
             raise ValueError("tile parameters must be >= 1")
+        if self.adc_bits > MAX_ADC_BITS:
+            raise ValueError(f"adc_bits must be <= {MAX_ADC_BITS}, got {self.adc_bits}")
 
     @property
     def xbars_per_tile(self) -> int:

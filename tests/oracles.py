@@ -240,7 +240,12 @@ def oracle_pair_table(dev, xbar_size, adc_bits, rows):
 
 
 def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
-    """Bit-serial product read crossbar by crossbar through ``oracle_tile``."""
+    """Bit-serial product read crossbar by crossbar through ``oracle_tile``.
+
+    A noise-free read of a matrix written without noise is decoded by
+    ``oracle_count`` of each column's level sum; any other read by the
+    ADC code of its float current.
+    """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
         x_int = x_int[None, :]
@@ -266,16 +271,20 @@ def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):
                     for k in range(pm.n_slices):
                         slice_weight = 1 << (k * pm.device.bits_per_cell)
                         for w_sign, sgn in ((0, 1), (1, -1)):
-                            currents = oracle_read_currents(
-                                oracle_tile(pm, rb, cb, k, w_sign), slab, noise, rng
-                            )
-                            codes = np.clip(
-                                np.rint(currents / full_scale * n_levels), 0, n_levels
-                            )
-                            i_hat = codes * full_scale / n_levels
-                            counts = np.rint(
-                                (i_hat - dev.g_min * popcount[:, None]) / delta_g
-                            )
+                            tile = oracle_tile(pm, rb, cb, k, w_sign)
+                            if pm.level_stripes is not None and noise.read_var == 0.0:
+                                cell_levels = np.rint((tile.conductances - dev.g_min) / delta_g)
+                                counts = oracle_count(dev, xsz, noise.adc_bits,
+                                                      popcount[:, None], slab @ cell_levels)
+                            else:
+                                currents = oracle_read_currents(tile, slab, noise, rng)
+                                codes = np.clip(
+                                    np.rint(currents / full_scale * n_levels), 0, n_levels
+                                )
+                                i_hat = codes * full_scale / n_levels
+                                counts = np.rint(
+                                    (i_hat - dev.g_min * popcount[:, None]) / delta_g
+                                )
                             acc[:, cols] += (
                                 in_sign * sgn * (1 << plane) * slice_weight
                             ) * counts

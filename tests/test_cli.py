@@ -153,6 +153,8 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["funcsim", "--encoders", "1", "--heads", "3", *FUNCSIM_TOY], "not divisible"),
     (["funcsim", "--encoders", "1", "--adc-bits", "0", *FUNCSIM_TOY], "must be >= 1"),
     (["funcsim", *EXACT_TOY, "--adc-bits", "0"], "must be >= 1"),
+    (["funcsim", "--encoders", "1", "--adc-bits", "54", *FUNCSIM_TOY],
+     "adc_bits must be <= 53, got 54"),
     (["funcsim", *EXACT_TOY, "--config", "BAD_TILES_INI"], "bogus_key"),
     (["funcsim", *EXACT_TOY, "--config", "DEVICE_INI"], r"takes no \[device\]"),
     (["simulate", "--config", "MISSING_INI", "--target-delay", "7"],
@@ -184,8 +186,8 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
     (["funcsim", "--reuse", "1,1", *FUNCSIM_TOY], r"duplicate indices in reuse set \(1, 1\)"),
     (["simulate", "--patterns", "explicit:2,2"], r"duplicate indices in reuse set \(2, 2\)"),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
-        "funcsim-exact-adc-bits-0", "funcsim-exact-bad-tiles-key",
-        "funcsim-exact-device-section", "simulate-missing-config",
+        "funcsim-exact-adc-bits-0", "funcsim-adc-bits-54",
+        "funcsim-exact-bad-tiles-key", "funcsim-exact-device-section", "simulate-missing-config",
         "simulate-target-delay", "simulate-nan-target", "compare-inf-target",
         "optimize-nan-target", "simulate-explicit-with-target",
         "simulate-empty-format", "funcsim-empty-model", "simulate-empty-model",

@@ -53,8 +53,9 @@ class TestProgramming:
             program_matrix(w, fefet, tiles, 8)
 
     @pytest.mark.parametrize("kwargs,match", [({"read_var": 1.0}, r"must be in \[0, 1\)"),
-                                              ({"adc_bits": 0}, "adc_bits must be >= 1")],
-                             ids=["read-var-1", "adc-bits-0"])
+                                              ({"adc_bits": 0}, "adc_bits must be >= 1"),
+                                              ({"adc_bits": 54}, "adc_bits must be <= 53")],
+                             ids=["read-var-1", "adc-bits-0", "adc-bits-54"])
     def test_noise_model_validated(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             NoiseModel(**kwargs)

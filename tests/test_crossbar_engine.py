@@ -4,10 +4,11 @@ Noise-free products must equal the crossbar-by-crossbar oracle bit for
 bit: every per-read count is an integer and every sum of counts is an
 exact integer in float64, so the read batching cannot change a result.
 Noise-free counts come from the (popcount, level sum) decode table,
-which must agree with ``_adc_decode`` of a float read in any summation
-order, and fall back to that read on a rint half-point; a paired stripe
-reads a differential pair's count from the pair table, the difference
-of two decode-table counts. With read noise
+the ADC count of the ideal current at every entry, rint half-points
+included, which off the half-points must agree with ``_adc_decode`` of
+a float read in any summation order; a paired stripe reads a
+differential pair's count from the pair table, the difference of two
+decode-table counts. With read noise
 on, drawing only the cells of set rows must leave the current
 distribution that of the dense per-cell sampler. Device noise comes from
 the Box-Muller sampler ``_standard_normal``, checked here against the
@@ -28,6 +29,7 @@ from scipy.stats import ks_2samp, kstest, kurtosis
 from oracles import (
     oracle_bit_planes,
     oracle_cell_digits,
+    oracle_count,
     oracle_mvm_bitserial,
     oracle_pair_table,
     oracle_read_currents,
@@ -429,6 +431,25 @@ def test_a_programmed_matrix_holds_one_kind_of_stripe(fefet, tiles):
             dataclasses.replace(pm, level_stripes=level, written_stripes=written)
 
 
+def _product_without_conductances(w, x, dev, tiles, weight_bits, noise, monkeypatch):
+    """Program ``w`` and multiply ``x`` noise-free, failing if a conductance stripe is built.
+
+    Returns the matrix and each (state, bit rows shape) read.
+    """
+
+    def no_conductances(*args):
+        raise AssertionError("a conductance stripe was built")
+
+    monkeypatch.setattr(crossbar, "ideal_conductances", no_conductances)
+    pm = program_matrix(w, dev, tiles, weight_bits, noise)
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    assert "stripes" not in vars(pm)
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+    return pm, calls
+
+
 @pytest.mark.parametrize("device", ["sram", "fefet"])
 def test_a_tie_free_noise_free_product_builds_no_conductance_stripe(device, tiles, request,
                                                                     monkeypatch):
@@ -438,17 +459,7 @@ def test_a_tie_free_noise_free_product_builds_no_conductance_stripe(device, tile
     rng = np.random.default_rng(21)
     w = rng.integers(-127, 128, size=(100, 150))
     x = rng.integers(-127, 128, size=(16, 100))
-    noise = NoiseModel(adc_bits=6)
-
-    def no_conductances(*args):
-        raise AssertionError("a conductance stripe was built")
-
-    monkeypatch.setattr(crossbar, "ideal_conductances", no_conductances)
-    pm = program_matrix(w, dev, tiles, 8, noise)
-    out = mvm_bitserial(pm, x, noise)
-    assert "stripes" not in vars(pm)
-    monkeypatch.undo()
-    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+    _product_without_conductances(w, x, dev, tiles, 8, NoiseModel(adc_bits=6), monkeypatch)
 
 
 def _signed(values, sign):
@@ -551,22 +562,42 @@ TIES = {"sram": ((32, 32), 1), "fefet": ((32, 96), 2)}
 
 
 @pytest.mark.parametrize("device", ["sram", "fefet"])
-def test_a_tie_is_decoded_from_the_conductance_read(device, tiles, request, monkeypatch):
+def test_a_tie_is_decoded_from_the_table(device, tiles, request, monkeypatch):
     dev = request.getfixturevalue(device)
     (p, k), weight_bits = TIES[device]
-    noise = NoiseModel(adc_bits=6)
-    assert np.isnan(_decode_table(dev, tiles.xbar_size, 6, tiles.xbar_size)[p, k])
+    assert _exact_ties(dev, tiles.xbar_size, 6, (p + 1, k + 1))[p, k]
+    assert _decode_table(dev, tiles.xbar_size, 6, tiles.xbar_size)[p, k] == \
+        oracle_count(dev, tiles.xbar_size, 6, p, k)
     w = np.full((tiles.xbar_size, 4), 2**dev.bits_per_cell - 1)
     x = np.zeros((3, tiles.xbar_size), dtype=int)
     x[0, :p] = 1
     x[1, 10:10 + p] = 1
     x[2, :p - 1] = 1  # one bit short of the tie
-    pm = program_matrix(w, dev, tiles, weight_bits, noise)
-    calls = _record_reads(monkeypatch)
-    out = mvm_bitserial(pm, x, noise)
-    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
-    assert len(calls) == 2
-    assert calls[0][0] is pm.level_stripes[0] and calls[1][0] is pm.stripes[0]
+    pm, calls = _product_without_conductances(w, x, dev, tiles, weight_bits,
+                                              NoiseModel(adc_bits=6), monkeypatch)
+    assert len(calls) == 1 and calls[0][0] is pm.level_stripes[0]
+
+
+def test_a_tie_count_does_not_depend_on_which_cells_hold_the_levels(fefet, tiles):
+    # 13 set rows whose FeFET levels sum to 19 put a 4-bit ADC on its code
+    # value 1.5 exactly; the count is oracle_count(13, 19) for every one of
+    # 300 arrangements of those levels over the set rows
+    p, k, columns = 13, 19, 300
+    assert _exact_ties(fefet, tiles.xbar_size, 4, (p + 1, k + 1))[p, k]
+    rng = np.random.default_rng(25)
+    # k of the 3p unit slots, shuffled per column, grouped per cell
+    slots = rng.random((columns, 3 * p)).argsort(axis=1) < k
+    w = rng.integers(0, 4, size=(tiles.xbar_size, columns))
+    w[:p] = slots.reshape(columns, p, 3).sum(axis=2).T
+    assert np.array_equal(w[:p].sum(axis=0), np.full(columns, k))
+    assert len({tuple(col) for col in w[:p].T}) > 200
+    x = np.zeros((1, tiles.xbar_size), dtype=int)
+    x[0, :p] = 1
+    noise = NoiseModel(adc_bits=4)
+    out = mvm_bitserial(program_matrix(w, fefet, tiles, 2, noise), x, noise)
+    # the negative column of each pair holds level 0 on every set row
+    count = oracle_count(fefet, tiles.xbar_size, 4, p, np.array([k, 0]))
+    assert np.array_equal(out, np.full((1, columns), count[0] - count[1]))
 
 
 def test_a_matmul_that_hits_a_tie_makes_one_product_call(sram, tiles, monkeypatch):
@@ -586,7 +617,7 @@ def test_a_matmul_that_hits_a_tie_makes_one_product_call(sram, tiles, monkeypatc
     out = ctx.matmul(x, np.ones((64, 8)), LayerKind.FC_Q)
     assert len(products) == 1 and ctx.stats.crossbar_matmuls == 1
     pm = products[0]
-    assert any(state is pm.stripes[0] for state, _ in calls)  # the fallback ran
+    assert calls and all(state is pm.level_stripes[0] for state, _ in calls)
     qx = np.rint(x * 127).astype(int)
     expected = oracle_mvm_bitserial(pm, qx, NoiseModel(adc_bits=tiles.adc_bits))
     assert np.array_equal(out, expected * ((1 / 127) * (1 / 127)))
@@ -613,8 +644,10 @@ def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits,
     xsz = tiles.xbar_size
     levels = 2**dev.bits_per_cell - 1
     table = _decode_table(dev, xsz, adc_bits, xsz)
-    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float64
-    assert np.array_equal(np.isnan(table), _exact_ties(dev, xsz, adc_bits, table.shape))
+    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float32
+    # every entry, ties included, is the count of the ideal current
+    assert np.array_equal(table, oracle_count(dev, xsz, adc_bits, *np.indices(table.shape)))
+    ties = _exact_ties(dev, xsz, adc_bits, table.shape)
     level_g = ideal_conductances(np.arange(levels + 1), dev)
     rng = np.random.default_rng(adc_bits)
     for p in range(1, xsz + 1):
@@ -637,10 +670,29 @@ def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits,
             np.cumsum(rng.permuted(g, axis=1), axis=1)[:, -1],
             CrossbarState(stripe, dev).read_currents(bits)[0],
         )
-        safe = ~np.isnan(table[p, k])
+        safe = ~ties[p, k]
         for currents in sums:
             counts = _adc_decode(currents[None, :].copy(), np.array([p]), dev, xsz, adc_bits)
             assert np.array_equal(counts[0, safe], table[p, k[safe]])
+
+
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+def test_a_window_too_narrow_for_float32_counts_keeps_a_float64_table(device, tiles, request):
+    # r_off a part in 1e9 above r_on: G_max / dG is about 1e9, and the ADC
+    # steps decode to counts in the tens of millions, past float32's integers
+    dev = request.getfixturevalue(device)
+    dev = dataclasses.replace(dev, r_off_ohm=dev.r_on_ohm * (1 + 1e-9))
+    xsz = tiles.xbar_size
+    table = _decode_table(dev, xsz, 6, xsz)
+    assert table.dtype == np.float64 and np.abs(table).max() >= 2**23
+    assert np.array_equal(table, oracle_count(dev, xsz, 6, *np.indices(table.shape)))
+    rng = np.random.default_rng(22)
+    w = rng.integers(-127, 128, size=(100, 20))
+    x = rng.integers(-127, 128, size=(6, 100))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, dev, tiles, 8, noise)
+    assert pm.paired == (device == "sram")  # both layouts read the float64 table
+    assert np.array_equal(mvm_bitserial(pm, x, noise), oracle_mvm_bitserial(pm, x, noise))
 
 
 # (device, xbar_size, rows) of stripes that pair their signs: (rows + 1)
@@ -657,13 +709,10 @@ def test_pair_table_entries_are_count_differences(device, xbar_size, rows, adc_b
     pairs = _pair_table(dev, xbar_size, adc_bits, rows)
     assert pairs.shape == (rows + 1, stride, stride) and pairs.dtype == np.float32
     assert pairs.nbytes <= 2 * 2**20
-    ties = _exact_ties(dev, xbar_size, adc_bits, (rows + 1, stride))
-    # entry (p, k_neg, k_pos) is NaN where either of its two counts is a tie
-    assert np.array_equal(np.isnan(pairs), ties[:, None, :] | ties[:, :, None])
     counts = _decode_table(dev, xbar_size, adc_bits, rows)
-    assert np.array_equal(pairs, counts[:, None, :] - counts[:, :, None], equal_nan=True)
-    safe = ~np.isnan(pairs)
-    assert np.array_equal(pairs[safe], oracle_pair_table(dev, xbar_size, adc_bits, rows)[safe])
+    assert np.array_equal(pairs, counts[:, None, :] - counts[:, :, None])
+    # ties included: every entry is the difference of two ideal-current counts
+    assert np.array_equal(pairs, oracle_pair_table(dev, xbar_size, adc_bits, rows))
 
 
 def _no_pair_table(*args):
@@ -753,7 +802,7 @@ def test_a_noisy_read_of_a_paired_matrix_equals_reading_its_conductances(device,
     assert out.tobytes() == mvm_bitserial(written, x, noise, np.random.default_rng(17)).tobytes()
 
 
-def test_a_tie_falls_back_for_its_own_chunk_only(sram, tiles, monkeypatch):
+def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkeypatch):
     # one-bit weights of 1 over 1024 columns: a paired chunk holds 32 reads.
     # Input row 100 sets 32 rows, the 6-bit tie (p, k) = (32, 32); the
     # others set 1 to 64 rows but never 32
@@ -767,9 +816,9 @@ def test_a_tie_falls_back_for_its_own_chunk_only(sram, tiles, monkeypatch):
     assert pm.paired and CHUNK_ELEMENTS // pm.level_stripes[0].conductances.shape[1] == 32
     calls = _record_reads(monkeypatch)
     out = mvm_bitserial(pm, x, noise)
-    level = [shape for state, shape in calls if state is pm.level_stripes[0]]
-    conductance = [shape for state, shape in calls if state is pm.stripes[0]]
-    assert len(level) == math.ceil(200 / 32) and conductance == [(32, 64)]
+    assert len(calls) == math.ceil(200 / 32)
+    assert all(state is pm.level_stripes[0] for state, _ in calls)
+    assert "stripes" not in vars(pm)
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
 

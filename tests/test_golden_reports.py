@@ -214,14 +214,14 @@ FUNCSIM_GOLDEN = {
         ("2637a4ecaa354af76fbfa1e1fb49e6efd456944c084a843582a0640b53344f1f",
          "620b4c0a41d267f070f6af125973c18e34465cc778ce1b2883b869f3897c975e"),
     ("FeFET", "--encoders 2 --adc-bits 4 --no-noise"):
-        ("b24b14928e25fafab58b87897c3ef8375f441996321c8c87ace910452c6817c3",
-         "7e82c70b198bcf0a52ae8e57f956ad3679d8f5bb647a13625973c69128435551"),
+        ("df18d26aa0bbb4c79de787e6ce286d0057dbee0cdbed002e00ec3d39f7e4ae56",
+         "91df3aae3e6a663118f150adee6509c73c36348c7cd6be907fb9ace0663be4e9"),
     ("SRAM", "--encoders 2 --adc-bits 4 --no-noise"):
         ("e3fd393594a976c98bb6694085e34b2d6966ca4932d1efb4ae266040f8daf773",
          "b6296002e7252e008f5ed96db7a5ac6df59050e58fc496e1bb58180fb32c059f"),
     ("hybrid", "--encoders 2 --adc-bits 4 --no-noise"):
-        ("7f0fa21c9acccc8020520ebdad55e541de0a1e2a7980b0301b425ce8d95df934",
-         "6d4c3e00b32254f4a893df03e2bfe93f3bfa1261bf2ab961eebc5be0919cbf87"),
+        ("98e980dc924f9f27841872fea0bbcf2b2e0ebe9b1c8410782218faf6485e50a3",
+         "7d5be0a6e3ac1fcef01b8742209c75d19a74341dc67d9e2c4978bd82d8b8b959"),
 }
 
 
