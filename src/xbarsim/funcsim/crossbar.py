@@ -20,8 +20,8 @@ its crossbars at once; one crossbar is the stripe's columns of one
 program crossbars: it tiles a whole signed matrix and programs one
 stripe at a time from its cell digits, sliced by one broadcast
 shift-and-mask in the narrowest unsigned dtype that holds every sliced
-bit. A noise-free matrix stores only its level stripes (below); its
-conductance stripes are derived from them when a read asks for them.
+bit. A noise-free matrix stores only its integer weights (below); the
+stripes it reads are derived from them when a read asks for them.
 
 Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
 bit-plane of both input signs as one batch of reads, drops the reads
@@ -31,7 +31,9 @@ shift-added counts, times their signed plane weights, reach their input
 rows by one fancy-indexed add per bit-plane in the chunk: within a plane
 every read has its own input row, so no add collides, and the work per
 read is out_dim whatever the number of input rows. Every term is an
-integer below 2^53, so the sums are exact in any order. Read noise is
+integer, and the float64 accumulator and every float64 shift-add are
+exact in any order while their sums stay below 2^53 in magnitude, the
+one bound that holds for every product. Read noise is
 drawn only for the (read, row) pairs whose bit is set, in chunks of the
 same element budget: a row at 0 carries no current whatever its noise,
 so the output distribution is that of drawing every cell.
@@ -63,11 +65,9 @@ rest r sin. So every |z| is at most sqrt(64 ln 2) = 6.66, reached at
 k = 0; a normal lies beyond that with probability about 3e-11. float32
 rounding moves a draw by about 1e-7 of its value (median) and by at
 most about 3e-5 (at radii near 0, where (k + 1) 2^-32 rounds near 1),
-far below any noise variation. A fill of 32k draws takes about 0.12 ms
-on a 2-CPU x86-64 host, against 0.18 ms for the float64 Box-Muller fill
-of earlier versions and 0.42 ms for numpy's ziggurat normal. The draws
-are N(0, 1) in distribution, but not numpy's stream: noisy FeFET and
-hybrid outputs differ from earlier versions for the same seed.
+far below any noise variation. The draws are N(0, 1) in distribution,
+but not numpy's stream: noisy FeFET and hybrid outputs differ from
+earlier versions for the same seed.
 
 Column currents are digitized by a flash ADC whose full scale is the
 worst-case accumulation xbar_size * G_max (fixed, input independent),
@@ -83,9 +83,10 @@ devices) the product is bit-exact.
 Noise-free reads decode from level sums. Without write or read noise a
 column's count depends on two integers only: the read's popcount p and
 the column's level sum k, the summed cell levels of its set rows. So
-``program_matrix`` stores every noise-free stripe only as a float32
-"level stripe" (``level_stripes``) whose reads are flat indices into a
-table of counts; let M = ``stride`` = rows * (2^bits_per_cell - 1) + 1,
+``program_matrix`` keeps a noise-free matrix only as its integer
+weights, and derives from them, on first use, float32 "level stripes"
+(``level_stripes``) whose reads are flat indices into a table of counts
+T[p, k]; let M = ``stride`` = rows * (2^bits_per_cell - 1) + 1,
 one more than the largest level sum, for rows = min(xbar_size, in_dim).
 A differential pair's two columns share their reads, so while the pair
 table below fits in 2 MiB, (rows + 1) * M^2 <= 2^19 (up to 79 SRAM and
@@ -103,23 +104,36 @@ k + p * M, the flat index of (p, k) in T itself. Either read sums
 non-negative integers, below (rows + 1) * M^2 paired and below
 rows * (M + 2^bits_per_cell) per sign, which float32 holds exactly in
 any order below 2^24: up to 4094 SRAM and 2363 FeFET rows. Beyond that,
-and under write noise, ``level_stripes`` is None and the matrix stores
-its conductances as written; its reads, like every noisy read, decode
-their float currents with ``_adc_decode``. The conductances of a level
-stripe, ``ideal_conductances`` of its digits (a paired cell's by divmod
-M), are built and cached, in (slice, sign, column) order, only when a
-noisy read or a caller asks for ``stripes``.
-``mvm_bitserial`` reads each chunk once through its level stripe and
-maps every index to its count with one ``take``. T is built once per
-(device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself, applied
-to the ideal current p * G_min + k * dG; P once per such key from T. One
-stacked BLAS product with the slice weights shift-adds the counts: they
-are integers, a count at most xbar_size * G_max / dG + 1 and a pair's
-difference twice that, and the weights are powers of two, so every
-product and partial sum is an integer. The sums run in float64, exact
-below 2^53 in any summation order, and in float32 when a chunk's
-largest possible sum is below 2^24 (the shipped devices on 64-row
-tiles at up to 16-bit weights).
+and under write noise, the matrix keeps no weights and stores its
+conductances as written; its reads, like every noisy read, decode their
+float currents with ``_adc_decode``. The conductances of a matrix with
+weights, ``ideal_conductances`` of its cell digits, are built and
+cached, in (slice, sign, column) order, only when a noisy read or a
+caller asks for ``stripes``.
+
+Identity reads. ``identity_rows`` marks each popcount p whose row of T
+is the identity over every level sum a read of p cells can reach, 0 to
+p * (2^bits_per_cell - 1). On 64-row tiles that is p < 32 for SRAM at
+6 ADC bits, every p for SRAM at 7 bits and FeFET at 8, and no p > 0 for
+FeFET below 8 bits. A noise-free read of such a popcount counts every
+column's own level sum, so its shift-added counts are the summed
+weights of its set rows: ``mvm_bitserial`` reads it from the row tile's
+"weight stripe" (``weight_stripes``), the weights as cells, and that
+read is its partial, with no cast, lookup or shift-add. A weight stripe
+is float32 while rows * max|w| < 2^24, so that every partial sum of a
+read is an exact float32 integer in any order, and float64 otherwise.
+Every other noise-free read goes through its level stripe and T, and
+the level stripes are built only for a matrix that has such a read.
+``mvm_bitserial`` reads each chunk once through its stripe and maps
+every level-stripe index to its count with one ``take``. T is built
+once per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
+applied to the ideal current p * G_min + k * dG; P once per such key
+from T. One stacked BLAS product with the slice weights shift-adds the
+counts: they are integers, a count at most xbar_size * G_max / dG + 1
+and a pair's difference twice that, and the weights are powers of two,
+so every product and partial sum is an integer. The sums run in
+float64, and in float32 when a chunk's largest possible sum is below
+2^24 (the shipped devices on 64-row tiles at up to 16-bit weights).
 The table is the one noise-free decode, a code value on a rint
 half-point included (SRAM at 6 bits, (p, k) = (32, 32), is exactly
 31.5): a noise-free count depends on p and k alone, as a flash ADC's
@@ -224,14 +238,16 @@ class NoiseModel:
             raise ValueError(f"adc_bits must be <= {MAX_ADC_BITS}, got {self.adc_bits}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossbarState:
     """Programmed conductances in siemens, clipped to range.
 
     One crossbar, or a stripe of crossbars sharing their rows. A level
     stripe holds integer cell levels as float32 instead, offset so that
     a noise-free read of p set rows gives each column's flat decode-table
-    index (see ``ProgrammedMatrix``).
+    index, and a weight stripe the signed weights themselves, so that a
+    noise-free read gives their sums (see ``ProgrammedMatrix``).
+    Equality and hashing are by identity.
     """
 
     conductances: np.ndarray
@@ -311,33 +327,31 @@ def ideal_conductances(cell_values: np.ndarray, dev: DeviceParams) -> np.ndarray
     return dev.g_min + v * (dev.g_max - dev.g_min) / levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgrammedMatrix:
     """A full signed integer matrix spread over crossbar tiles.
 
     ``stripes[row_block]`` holds the crossbars of one row tile side by
     side, columns ordered (slice, sign, column) with sign 0 = positive
     part, 1 = negative part. A matrix written without noise whose
-    tallest stripe reads below 2^24 keeps only ``level_stripes``, one
-    float32 stripe per row tile of the same cells as integer levels:
-    ``paired``, one column per (slice, column) holding positive digit +
-    ``stride`` * negative digit + ``stride``^2, while its pair table
-    fits in 2 MiB, otherwise one column per (slice, sign, column)
-    holding digit + ``stride``. Its ``stripes`` are derived from them on
-    first use and cached. Any other matrix keeps its conductances as
-    written (``written_stripes``) and has no level stripes.
+    tallest stripe reads below 2^24 keeps only its integer ``weights``
+    (a read-only copy); the stripes it reads are derived from them on
+    first use and cached: ``weight_stripes``, ``level_stripes`` and
+    ``stripes``. Any other matrix keeps its conductances as written
+    (``written_stripes``) and has none of the three. Equality and hashing
+    are by identity.
     """
 
     shape: tuple[int, int]
     xbar_size: int
     n_slices: int
     device: DeviceParams
-    level_stripes: tuple[CrossbarState, ...] | None = None
+    weights: np.ndarray | None = None
     written_stripes: tuple[CrossbarState, ...] | None = None
 
     def __post_init__(self) -> None:
-        if (self.level_stripes is None) == (self.written_stripes is None):
-            raise ValueError("give exactly one of level_stripes and written_stripes")
+        if (self.weights is None) == (self.written_stripes is None):
+            raise ValueError("give exactly one of weights and written_stripes")
 
     @property
     def row_blocks(self) -> int:
@@ -364,29 +378,65 @@ class ProgrammedMatrix:
     @property
     def paired(self) -> bool:
         """Whether each level-stripe column holds both signs of a (slice, column)."""
-        return self.level_stripes is not None and _pairs_signs(self.rows, self.device)
+        return self.weights is not None and _pairs_signs(self.rows, self.device)
 
     @property
     def n_crossbars(self) -> int:
         return self.row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
 
+    def _row_tiles(self) -> list[np.ndarray]:
+        return [self.weights[r0:r0 + self.xbar_size]
+                for r0 in range(0, self.shape[0], self.xbar_size)]
+
     @functools.cached_property
     def stripes(self) -> tuple[CrossbarState, ...]:
         if self.written_stripes is not None:
             return self.written_stripes
-        return tuple(CrossbarState(ideal_conductances(self._level_digits(level), self.device),
-                                   self.device)
-                     for level in self.level_stripes)
+        bpc = self.device.bits_per_cell
+        return tuple(CrossbarState(ideal_conductances(_cell_digits(block, self.n_slices, bpc),
+                                                      self.device), self.device)
+                     for block in self._row_tiles())
 
-    def _level_digits(self, level: CrossbarState) -> np.ndarray:
-        """Cell digits of a level stripe, columns ordered (slice, sign, column)."""
-        m = self.stride
-        cells = level.conductances.astype(np.intp)
-        if not self.paired:
-            return cells - m
-        rows = len(cells)
-        n_neg, n_pos = np.divmod(cells.reshape(rows, self.n_slices, 1, self.shape[1]) - m * m, m)
-        return np.concatenate((n_pos, n_neg), axis=2).reshape(rows, -1)
+    @functools.cached_property
+    def level_stripes(self) -> tuple[CrossbarState, ...] | None:
+        """The cells of each row tile as float32 integer levels, offset by ``stride``.
+
+        ``paired``: one column per (slice, column) holding positive digit +
+        ``stride`` * negative digit + ``stride``^2, while its pair table
+        fits in 2 MiB; otherwise one column per (slice, sign, column)
+        holding digit + ``stride``. None for a matrix without weights.
+        """
+        if self.weights is None:
+            return None
+        bpc, m = self.device.bits_per_cell, self.stride
+        stripes = []
+        for block in self._row_tiles():
+            if self.paired:
+                # a weight sets at most one digit of its pair, so d_pos + m *
+                # d_neg is its magnitude's digit times 1 or m
+                levels = _slice_digits(np.abs(block)[:, None], self.n_slices, bpc)
+                levels = levels.astype(np.float32)
+                levels *= np.where(block < 0, np.float32(m), np.float32(1))[:, None, None]
+                levels += m * m
+            else:
+                levels = _cell_digits(block, self.n_slices, bpc).astype(np.float32)
+                levels += m
+            stripes.append(CrossbarState(levels.reshape(len(block), -1), self.device))
+        return tuple(stripes)
+
+    @functools.cached_property
+    def weight_stripes(self) -> tuple[CrossbarState, ...] | None:
+        """The weights of each row tile as cells, for the identity reads.
+
+        float32 while rows * max|w| < 2^24, float64 otherwise. None for a
+        matrix without weights.
+        """
+        if self.weights is None:
+            return None
+        top = int(np.abs(self.weights).max(initial=0))
+        dtype = np.float32 if self.rows * top < 1 << 24 else np.float64
+        return tuple(CrossbarState(block.astype(dtype), self.device)
+                     for block in self._row_tiles())
 
 
 def _stripe_rows(in_dim: int, xbar_size: int) -> int:
@@ -451,38 +501,22 @@ def program_matrix(
 
     in_dim, x = w_int.shape[0], tiles.xbar_size
     rows = _stripe_rows(in_dim, x)
-    stride = _level_stride(rows, dev)
     # A level stripe stores digit + stride, stride being the row length of
     # _decode_table, so a read of p set rows whose digits sum to k gives
     # k + p * stride, the flat table index of (p, k). The largest read is
     # rows * (2^bpc - 1 + stride) = rows * (stride + 2^bpc) - rows, and
     # every partial sum is a non-negative integer no larger; float32 holds
     # every integer up to 2^24, so below the bound a read is exact in any
-    # summation order. A paired stripe stores one column per (slice,
-    # column) instead, positive digit + stride * negative digit + stride^2,
-    # so a read gives k_pos + stride * k_neg + p * stride^2, the flat index
-    # of (p, k_neg, k_pos) in _pair_table: below (rows + 1) * stride^2.
-    keep_levels = noise.write_var == 0.0 and rows * (stride + (1 << bpc)) < 1 << 24
-    paired = keep_levels and _pairs_signs(rows, dev)
-    level_g = None if keep_levels else ideal_conductances(np.arange(1 << bpc), dev)
+    # summation order. A paired stripe's reads stay below (rows + 1) *
+    # stride^2 <= 2^19 (_pairs_signs).
+    if noise.write_var == 0.0 and rows * (_level_stride(rows, dev) + (1 << bpc)) < 1 << 24:
+        weights = w_int.copy()
+        weights.setflags(write=False)
+        return ProgrammedMatrix(w_int.shape, x, n_slices, dev, weights=weights)
+    level_g = ideal_conductances(np.arange(1 << bpc), dev)
     stripes = []
     for r0 in range(0, in_dim, x):
-        block = w_int[r0:r0 + x]
-        if paired:
-            # a weight sets at most one digit of its pair, so d_pos + stride *
-            # d_neg is its magnitude's digit times 1 or stride
-            levels = _slice_digits(np.abs(block)[:, None], n_slices, bpc).astype(np.float32)
-            levels *= np.where(block < 0, np.float32(stride), np.float32(1))[:, None, None]
-            levels += stride * stride
-            stripes.append(CrossbarState(levels.reshape(len(block), -1), dev))
-            continue
-        digits = _cell_digits(block, n_slices, bpc)
-        if keep_levels:
-            levels = digits.astype(np.float32)
-            levels += stride
-            stripes.append(CrossbarState(levels, dev))
-            continue
-        g = level_g[digits]
+        g = level_g[_cell_digits(w_int[r0:r0 + x], n_slices, bpc)]
         if noise.write_var > 0.0:
             eps = _standard_normal(rng, np.empty(g.shape, dtype=np.float32))
             eps *= noise.write_var
@@ -494,10 +528,7 @@ def program_matrix(
                 g += eps
             np.clip(g, dev.g_min, dev.g_max, out=g)
         stripes.append(CrossbarState(g, dev))
-    stripes = tuple(stripes)
-    return ProgrammedMatrix(w_int.shape, x, n_slices, dev,
-                            level_stripes=stripes if keep_levels else None,
-                            written_stripes=None if keep_levels else stripes)
+    return ProgrammedMatrix(w_int.shape, x, n_slices, dev, written_stripes=tuple(stripes))
 
 
 def _adc_decode(
@@ -564,6 +595,22 @@ def _pair_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> 
     return pairs
 
 
+@functools.lru_cache(maxsize=16)
+def identity_rows(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
+    """Whether a noise-free read of p set rows counts its own level sum, by p.
+
+    Entry p is true where row p of ``_decode_table`` maps every level sum
+    a read of p cells can reach, 0 to p * (2^bits_per_cell - 1), to
+    itself. Read-only, one bool per popcount 0 to ``rows``.
+    """
+    counts = _decode_table(dev, xbar_size, adc_bits, rows)
+    k = np.arange(counts.shape[1])
+    reach = k <= ((1 << dev.bits_per_cell) - 1) * np.arange(rows + 1)[:, None]
+    identity = ((counts == k) | ~reach).all(axis=1)
+    identity.setflags(write=False)
+    return identity
+
+
 def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every bit-plane of both input signs as one read batch, ordered (sign, plane, row).
 
@@ -593,12 +640,15 @@ def mvm_bitserial(
 
     ``x_int`` is (n, in_dim) signed; negative inputs run as a second
     set of bit-planes on their magnitudes with the result subtracted.
-    Read noise needs ``rng``. Noise-free reads of level stripes map to
+    Read noise needs ``rng``. A noise-free read of a matrix with weights
+    whose popcount is an ``identity_rows`` entry reads its row tile's
+    weight stripe, and that read is its shift-added partial. Every other
+    noise-free read of such a matrix maps its level stripe's read to
     counts through one table lookup: per differential pair from
     ``_pair_table`` for a paired matrix, whose chunks then hold twice
     the reads, per sign from ``_decode_table`` otherwise (see the module
-    docstring). Noisy reads, and every read of a matrix without level
-    stripes, decode the float currents of ``pm.stripes``.
+    docstring). Noisy reads, and every read of a matrix without weights,
+    decode the float currents of ``pm.stripes``.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
@@ -612,11 +662,11 @@ def mvm_bitserial(
     acc = np.zeros((n, out_dim), dtype=np.float64)
     if not out_dim or not x_int.any():
         return acc.astype(np.int64)
-    xsz = pm.xbar_size
+    xsz, dev = pm.xbar_size, pm.device
     bits, read_row, read_weight = _bit_planes(x_int)
     # shift-and-add weight of each stripe column group, ordered (slice, sign)
     slice_weight = np.array([
-        sgn * float(1 << (k * pm.device.bits_per_cell))
+        sgn * float(1 << (k * dev.bits_per_cell))
         for k in range(pm.n_slices) for sgn in (1, -1)
     ])
 
@@ -626,43 +676,60 @@ def mvm_bitserial(
         # in float32 below 2^24, in any summation order
         return (weight @ counts.reshape(-1, weight.size, out_dim)).astype(np.float64, copy=False)
 
-    table = None
-    columns = pm.columns
-    if pm.level_stripes is not None and noise.read_var == 0.0:
-        decode = _pair_table if pm.paired else _decode_table
-        table = decode(pm.device, xsz, noise.adc_bits, pm.rows)
+    def decode_currents(currents: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+        popcount = chunk.sum(axis=1, dtype=np.intp)
+        return shift_add(_adc_decode(currents, popcount, dev, xsz, noise.adc_bits), slice_weight)
+
+    @functools.cache
+    def level_decoder():
+        table = (_pair_table if pm.paired else _decode_table)(dev, xsz, noise.adc_bits, pm.rows)
         # a paired column's count is already positive minus negative
         level_weight = slice_weight[::2] if pm.paired else slice_weight
-        columns = level_weight.size * out_dim
         # a count is at most xbar_size * G_max / dG + 1, a difference of two twice that
-        delta_g = (pm.device.g_max - pm.device.g_min) / (2**pm.device.bits_per_cell - 1)
-        largest = 2 * (xsz * pm.device.g_max / delta_g + 1) * np.abs(level_weight).sum()
+        delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
+        largest = 2 * (xsz * dev.g_max / delta_g + 1) * np.abs(level_weight).sum()
         if largest < 2**24:  # shift-add a float32 table's counts in float32
             level_weight = level_weight.astype(table.dtype)
-    step = max(1, CHUNK_ELEMENTS // columns)
+
+        def decode_levels(index: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+            # the read gives each column's flat table index
+            return shift_add(table.take(index.astype(np.intp)), level_weight)
+        return decode_levels
+
+    lossless = None
+    if pm.weights is not None and noise.read_var == 0.0:
+        lossless = identity_rows(dev, xsz, noise.adc_bits, pm.rows)
+
+    def read_groups(rb: int, slab: np.ndarray):
+        """Row tile ``rb``'s reads by stripe: (reads, stripe, decode of a read)."""
+        if lossless is None:
+            yield np.flatnonzero(slab.any(axis=1)), pm.stripes[rb], decode_currents
+            return
+        popcount = np.count_nonzero(slab, axis=1)
+        active = np.flatnonzero(popcount)
+        identity = lossless[popcount[active]]
+        if identity.any():
+            # an identity read's counts are its level sums, so its read of the
+            # weights is already its shift-added partial
+            yield active[identity], pm.weight_stripes[rb], lambda sums, chunk: sums
+        if not identity.all():
+            yield active[~identity], pm.level_stripes[rb], level_decoder()
+
     for rb in range(pm.row_blocks):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
-        active = np.flatnonzero(slab.any(axis=1))
-        for a in range(0, active.size, step):
-            reads = active[a:a + step]
-            chunk = slab[reads]
-            if table is not None:
-                # the read gives each column's flat table index
-                index = pm.level_stripes[rb].read_currents(chunk).astype(np.intp)
-                partial = shift_add(table.take(index), level_weight)
-            else:
-                popcount = chunk.sum(axis=1, dtype=np.intp)
-                currents = pm.stripes[rb].read_currents(chunk, noise, rng)
-                partial = shift_add(
-                    _adc_decode(currents, popcount, pm.device, xsz, noise.adc_bits),
-                    slice_weight)
-            # acc[row] += plane weight * partial for each read. Reads ascend
-            # in (sign, plane, row) order, plane q holding reads q*n to
-            # q*n + n - 1, so cut at the plane starts each piece has distinct
-            # rows and takes one fancy-indexed add (integer terms, exact)
-            starts = n * np.arange(reads[0] // n + 1, reads[-1] // n + 1)
-            cuts = [0, *np.searchsorted(reads, starts), reads.size]
-            for s, e in zip(cuts[:-1], cuts[1:]):
-                partial[s:e] *= read_weight[reads[s]]
-                acc[read_row[reads[s:e]]] += partial[s:e]
+        for active, stripe, decode in read_groups(rb, slab):
+            step = max(1, CHUNK_ELEMENTS // stripe.conductances.shape[1])
+            for a in range(0, active.size, step):
+                reads = active[a:a + step]
+                chunk = slab[reads]
+                partial = decode(stripe.read_currents(chunk, noise, rng), chunk)
+                # acc[row] += plane weight * partial for each read. Reads ascend
+                # in (sign, plane, row) order, plane q holding reads q*n to
+                # q*n + n - 1, so cut at the plane starts each piece has distinct
+                # rows and takes one fancy-indexed add (integer terms, exact)
+                starts = n * np.arange(reads[0] // n + 1, reads[-1] // n + 1)
+                cuts = [0, *np.searchsorted(reads, starts), reads.size]
+                for s, e in zip(cuts[:-1], cuts[1:]):
+                    partial[s:e] *= read_weight[reads[s]]
+                    acc[read_row[reads[s:e]]] += partial[s:e]
     return np.rint(acc).astype(np.int64)

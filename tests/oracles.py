@@ -6,8 +6,10 @@ a second, hand-evaluated derivation. The crossbar oracles are the
 straightforward engine: one read per (bit-plane, input sign, row tile,
 column tile, slice, weight sign) and one Gaussian per read and per cell;
 ``oracle_cell_digits`` and ``oracle_bit_planes`` slice weights and
-inputs one slice or bit-plane at a time, and ``oracle_pair_table``
-decodes a differential pair's two level sums one table row at a time.
+inputs one slice or bit-plane at a time, ``oracle_pair_table``
+decodes a differential pair's two level sums one table row at a time,
+and ``oracle_identity_rows`` checks every reachable level sum of every
+popcount one count at a time.
 The pattern and CKA oracles are the brute-force search: every
 (family, sl, n_cont, start) is generated, every explicit reuse set of a
 count is listed (``all_explicit_patterns``), and every CKA pair centers
@@ -222,6 +224,15 @@ def oracle_count(dev, xbar_size, adc_bits, p, k):
     current = p * dev.g_min + k * delta_g
     code = np.clip(np.rint(current / full_scale * n_levels), 0, n_levels)
     return np.rint((code * full_scale / n_levels - dev.g_min * p) / delta_g)
+
+
+def oracle_identity_rows(dev, xbar_size, adc_bits, rows):
+    """Whether every level sum a read of p set rows can reach counts as itself, by p."""
+    levels = 2**dev.bits_per_cell - 1
+    return np.array([
+        all(oracle_count(dev, xbar_size, adc_bits, p, k) == k for k in range(p * levels + 1))
+        for p in range(rows + 1)
+    ])
 
 
 def oracle_pair_table(dev, xbar_size, adc_bits, rows):

@@ -8,9 +8,11 @@ the ADC count of the ideal current at every entry, rint half-points
 included, which off the half-points must agree with ``_adc_decode`` of
 a float read in any summation order; a paired stripe reads a
 differential pair's count from the pair table, the difference of two
-decode-table counts. With read noise
-on, drawing only the cells of set rows must leave the current
-distribution that of the dense per-cell sampler. Device noise comes from
+decode-table counts. A read whose popcount is an identity row of the
+table reads the integer weights instead, so a product's reads must
+split exactly by popcount. With read noise on, drawing only the cells
+of set rows must leave the current distribution that of the dense
+per-cell sampler. Device noise comes from
 the Box-Muller sampler ``_standard_normal``, checked here against the
 normal distribution and the oracle's ziggurat draws.
 """
@@ -30,6 +32,7 @@ from oracles import (
     oracle_bit_planes,
     oracle_cell_digits,
     oracle_count,
+    oracle_identity_rows,
     oracle_mvm_bitserial,
     oracle_pair_table,
     oracle_read_currents,
@@ -48,6 +51,7 @@ from xbarsim.funcsim.crossbar import (
     _pair_table,
     _standard_normal,
     ideal_conductances,
+    identity_rows,
     mvm_bitserial,
     program_matrix,
 )
@@ -362,12 +366,12 @@ def test_a_bool_read_equals_its_float_copy(fefet, tiles):
 
 
 def _record_reads(monkeypatch):
-    """Every ``CrossbarState.read_currents`` call as (state, bit rows shape)."""
+    """Every ``CrossbarState.read_currents`` call as (state, 2-D bit rows)."""
     calls = []
     read = CrossbarState.read_currents
 
     def recording(self, bits, noise=NoiseModel(), rng=None):
-        calls.append((self, np.asarray(bits).shape))
+        calls.append((self, np.array(bits, ndmin=2)))
         return read(self, bits, noise, rng)
 
     monkeypatch.setattr(CrossbarState, "read_currents", recording)
@@ -388,26 +392,57 @@ def test_one_read_per_stripe_and_chunk(fefet, tiles, monkeypatch):
     read_chunks = math.ceil(reads / max(1, CHUNK_ELEMENTS // stripe_cols))
     row_blocks = math.ceil(150 / tiles.xbar_size)
     assert 0 < len(calls) <= row_blocks * read_chunks
-    assert all(n * stripe_cols <= CHUNK_ELEMENTS for _, (n, _) in calls)
+    assert all(len(bits) * stripe_cols <= CHUNK_ELEMENTS for _, bits in calls)
+
+
+def _stripe_of(pm, state):
+    """(stripe kind, row tile) of a weight or level stripe ``pm`` has built."""
+    (found,) = [(kind, rb) for kind in ("weight_stripes", "level_stripes") if kind in vars(pm)
+                for rb, stripe in enumerate(getattr(pm, kind)) if stripe is state]
+    return found
+
+
+def _reads_by_stripe(pm, calls):
+    """The recorded reads as {(stripe kind, row tile): popcounts in read order}."""
+    found = {}
+    for state, bits in calls:
+        found.setdefault(_stripe_of(pm, state), []).extend(bits.sum(axis=1))
+    return found
 
 
 def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, monkeypatch):
+    # at 6 ADC bits a 64-row SRAM read of p < 32 set rows counts its level
+    # sum: it reads the weight stripe, and only the others the level stripe
     calls = _record_reads(monkeypatch)
     rng = np.random.default_rng(6)
     w = rng.integers(-127, 128, size=(150, 200))
-    x = rng.integers(-127, 128, size=(32, 150))
+    # one sign per input row, so a bit-plane sets about half of its rows
+    x = rng.integers(1, 128, size=(32, 150)) * rng.choice([-1, 1], size=(32, 1))
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, sram, tiles, 8, noise)
     mvm_bitserial(pm, x, noise)
+    identity = identity_rows(sram, tiles.xbar_size, 6, pm.rows)
     # a paired stripe stores one column per (slice, column)
-    stripe_cols = pm.level_stripes[0].conductances.shape[1]
-    assert pm.paired and stripe_cols == pm.n_slices * 200
-    reads = x.shape[0] * 2 * 8
-    read_chunks = math.ceil(reads / max(1, CHUNK_ELEMENTS // stripe_cols))
-    row_blocks = math.ceil(150 / tiles.xbar_size)
-    assert 0 < len(calls) <= row_blocks * read_chunks
-    assert all(n * stripe_cols <= CHUNK_ELEMENTS for _, (n, _) in calls)
-    assert all(any(state is level for level in pm.level_stripes) for state, _ in calls)
+    level_cols = pm.level_stripes[0].conductances.shape[1]
+    assert pm.paired and level_cols == pm.n_slices * 200
+    for state, bits in calls:
+        cols = state.conductances.shape[1]
+        assert cols in (200, level_cols) and len(bits) * cols <= CHUNK_ELEMENTS
+    found = _reads_by_stripe(pm, calls)
+    bits = oracle_bit_planes(x)[0]
+    for rb in range(pm.row_blocks):
+        p = bits[:, rb * 64:(rb + 1) * 64].sum(axis=1)
+        p = p[p > 0]
+        assert found.get(("weight_stripes", rb), []) == list(p[identity[p]])
+        assert found.get(("level_stripes", rb), []) == list(p[~identity[p]])
+    # the 22-row tile never reaches p = 32; the others read both stripes
+    assert set(found) == {("weight_stripes", 0), ("weight_stripes", 1),
+                          ("weight_stripes", 2), ("level_stripes", 0), ("level_stripes", 1)}
+    # one read per stripe and full chunk
+    for key, popcounts in found.items():
+        chunk = CHUNK_ELEMENTS // (200 if key[0] == "weight_stripes" else level_cols)
+        assert sum(_stripe_of(pm, state) == key for state, _ in calls) == \
+            math.ceil(len(popcounts) / chunk)
 
 
 def test_level_stripes_hold_the_digits_of_noise_free_writes_only(fefet, tiles):
@@ -426,9 +461,21 @@ def test_level_stripes_hold_the_digits_of_noise_free_writes_only(fefet, tiles):
 
 def test_a_programmed_matrix_holds_one_kind_of_stripe(fefet, tiles):
     pm = program_matrix(np.ones((4, 4), dtype=int), fefet, tiles, 8)
-    for level, written in ((None, None), (pm.level_stripes, pm.stripes)):
+    for weights, written in ((None, None), (pm.weights, pm.stripes)):
         with pytest.raises(ValueError, match="exactly one"):
-            dataclasses.replace(pm, level_stripes=level, written_stripes=written)
+            dataclasses.replace(pm, weights=weights, written_stripes=written)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_states_and_matrices_compare_and_hash_by_identity(noisy, fefet, tiles):
+    noise = NoiseModel(write_var=0.2 if noisy else 0.0)
+    w = np.ones((4, 4), dtype=int)
+    rng = np.random.default_rng(0)
+    pm, twin = (program_matrix(w, fefet, tiles, 8, noise, rng) for _ in range(2))
+    states = pm.stripes[0], CrossbarState(pm.stripes[0].conductances, fefet)
+    for a, b in (states, (pm, twin)):
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def _product_without_conductances(w, x, dev, tiles, weight_bits, noise, monkeypatch):
@@ -575,7 +622,14 @@ def test_a_tie_is_decoded_from_the_table(device, tiles, request, monkeypatch):
     x[2, :p - 1] = 1  # one bit short of the tie
     pm, calls = _product_without_conductances(w, x, dev, tiles, weight_bits,
                                               NoiseModel(adc_bits=6), monkeypatch)
-    assert len(calls) == 1 and calls[0][0] is pm.level_stripes[0]
+    # a tie is never an identity row; SRAM's p - 1 = 31 is one, FeFET's is not
+    identity = identity_rows(dev, tiles.xbar_size, 6, tiles.xbar_size)
+    assert not identity[p] and identity[p - 1] == (device == "sram")
+    expected = {("level_stripes", 0): [p, p] if identity[p - 1] else [p, p, p - 1]}
+    if identity[p - 1]:
+        expected["weight_stripes", 0] = [p - 1]
+    assert _reads_by_stripe(pm, calls) == expected
+    assert len(calls) == len(expected)
 
 
 def test_a_tie_count_does_not_depend_on_which_cells_hold_the_levels(fefet, tiles):
@@ -816,11 +870,138 @@ def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkey
     assert pm.paired and CHUNK_ELEMENTS // pm.level_stripes[0].conductances.shape[1] == 32
     calls = _record_reads(monkeypatch)
     out = mvm_bitserial(pm, x, noise)
-    assert len(calls) == math.ceil(200 / 32)
-    assert all(state is pm.level_stripes[0] for state, _ in calls)
+    # reads of p < 32 set rows read the 1024 weight columns, 32 reads a
+    # chunk as well; the tie and every p > 32 read the level stripe
+    lossless = set_rows < 32
+    assert _reads_by_stripe(pm, calls) == {("weight_stripes", 0): list(set_rows[lossless]),
+                                           ("level_stripes", 0): list(set_rows[~lossless])}
+    assert len(calls) == math.ceil(lossless.sum() / 32) + math.ceil((~lossless).sum() / 32)
+    assert all(len(bits) <= 32 for _, bits in calls)
     assert "stripes" not in vars(pm)
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
+@pytest.mark.parametrize("rows", [16, 32, 64])
+@pytest.mark.parametrize("adc_bits", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+def test_identity_rows_equal_the_count_by_count_reference(device, adc_bits, rows, request):
+    dev = request.getfixturevalue(device)
+    identity = identity_rows(dev, rows, adc_bits, rows)
+    assert identity.dtype == np.bool_ and identity.shape == (rows + 1,)
+    assert np.array_equal(identity, oracle_identity_rows(dev, rows, adc_bits, rows))
+    assert identity[0]  # a read of no set row counts 0
+    if (device, adc_bits, rows) == ("sram", 6, 64):
+        assert np.array_equal(identity, np.arange(rows + 1) < 32)
+    if device == "fefet" and adc_bits < 8 and rows == 64:
+        assert not identity[1:].any()  # an ADC step of about 3 counts
+
+
+def test_a_product_whose_reads_straddle_the_last_identity_row_equals_the_oracle(
+        sram, tiles, monkeypatch):
+    # SRAM, 6 ADC bits, 64 rows: a read of 31 set rows reads the weights,
+    # one of 32 the level stripe; every plane of every input row sets 30
+    # to 33 rows
+    rng = np.random.default_rng(23)
+    w = rng.integers(-127, 128, size=(64, 40))
+    set_rows = rng.choice([30, 31, 32, 33], size=(4, 12))  # (plane, input row)
+    planes = rng.random((4, 12, 64)).argsort(axis=2) < set_rows[..., None]
+    x = np.einsum("q,qnr->nr", 2 ** np.arange(4), planes) * rng.choice([-1, 1], size=(12, 1))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, sram, tiles, 8, noise)
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    found = _reads_by_stripe(pm, calls)
+    assert set(found) == {("weight_stripes", 0), ("level_stripes", 0)}
+    assert set(found["weight_stripes", 0]) == {30, 31}
+    assert set(found["level_stripes", 0]) == {32, 33}
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
+def _no_table(*args):
+    raise AssertionError("decode table built")
+
+
+@pytest.mark.parametrize("device, adc_bits", [("sram", 7), ("fefet", 8)])
+def test_an_all_identity_product_reads_no_table(device, adc_bits, tiles, request,
+                                                monkeypatch):
+    # every popcount is an identity row (read once here, before the patch)
+    dev = request.getfixturevalue(device)
+    assert identity_rows(dev, tiles.xbar_size, adc_bits, tiles.xbar_size).all()
+    monkeypatch.setattr(crossbar, "_decode_table", _no_table)
+    monkeypatch.setattr(crossbar, "_pair_table", _no_table)
+    rng = np.random.default_rng(adc_bits)
+    w = rng.integers(-127, 128, size=(100, 72))
+    x = rng.integers(-127, 128, size=(16, 100))
+    noise = NoiseModel(adc_bits=adc_bits)
+    pm = program_matrix(w, dev, tiles, 8, noise)
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+    assert "level_stripes" not in vars(pm) and "stripes" not in vars(pm)
+
+
+def test_an_all_identity_product_leaves_the_pair_table_cache_as_it_was(sram, tiles):
+    # the harness's bit-exact probe: 100 x 72 SRAM weights at 7 ADC bits
+    rng = np.random.default_rng(3)
+    w = rng.integers(-127, 128, size=(100, 72))
+    x = rng.integers(-127, 128, size=(16, 100))
+    noise = NoiseModel(adc_bits=7)
+    pm = program_matrix(w, sram, tiles, 8, noise)
+    assert pm.paired
+    before = _pair_table.cache_info()
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+    assert _pair_table.cache_info() == before  # not even looked up
+
+
+def test_a_fefet_product_at_six_adc_bits_reads_no_weight_stripe(fefet, tiles, monkeypatch):
+    rng = np.random.default_rng(24)
+    w = rng.integers(-127, 128, size=(100, 30))
+    x = rng.integers(-127, 128, size=(8, 100))
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, fefet, tiles, 8, noise)
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    assert "weight_stripes" not in vars(pm)
+    assert calls and set(_reads_by_stripe(pm, calls)) == {("level_stripes", 0),
+                                                          ("level_stripes", 1)}
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
+def test_wide_weights_read_a_float64_weight_stripe_exactly(sram, tiles):
+    # 64 rows of 24-bit weights sum past 2^24, where float32 drops odd
+    # integers; at 7 ADC bits every SRAM read reads the weight stripe
+    assert identity_rows(sram, tiles.xbar_size, 7, tiles.xbar_size).all()
+    rng = np.random.default_rng(26)
+    w = rng.integers(-(2**24 - 1), 2**24, size=(64, 6))
+    x = rng.integers(-127, 128, size=(5, 64))
+    x[0] = 1  # one read of all 64 rows
+    noise = NoiseModel(adc_bits=7)
+    pm = program_matrix(w, sram, tiles, 24, noise)
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+    assert pm.weight_stripes[0].conductances.dtype == np.float64
+    assert np.abs(x[:1] @ w).max() >= 2**24
+    # 64 rows of |w| <= 128 stay below 2^24: float32
+    narrow = program_matrix(w >> 17, sram, tiles, 8, noise)
+    assert narrow.weight_stripes[0].conductances.dtype == np.float32
+    assert np.array_equal(mvm_bitserial(narrow, x, noise), x @ (w >> 17))
+
+
+@settings(max_examples=40, deadline=None)
+@given(device=st.sampled_from(["sram", "fefet"]), xbar_size=st.sampled_from([8, 16, 32, 64]),
+       adc_bits=st.integers(4, 8), data=st.data())
+def test_products_at_any_tile_size_and_adc_width_equal_the_per_tile_oracle(
+        device, xbar_size, adc_bits, data, sram, fefet):
+    dev = {"sram": sram, "fefet": fefet}[device]
+    in_dim = data.draw(st.integers(1, 2 * xbar_size), label="in_dim")
+    eight_bit = st.integers(-127, 127)
+    w = data.draw(hnp.arrays(np.int64, (in_dim, data.draw(st.integers(1, 5))),
+                             elements=eight_bit), label="w")
+    x = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 4)), in_dim),
+                             elements=eight_bit), label="x")
+    noise = NoiseModel(adc_bits=adc_bits)
+    pm = program_matrix(w, dev, TileConfig(xbar_size=xbar_size, adc_bits=adc_bits), 8, noise)
+    assert np.array_equal(mvm_bitserial(pm, x, noise), oracle_mvm_bitserial(pm, x, noise))
 
 
 @pytest.mark.parametrize("device", ["fefet", "sram"])
