@@ -85,25 +85,13 @@ column's count depends on two integers only: the read's popcount p and
 the column's level sum k, the summed cell levels of its set rows. So
 ``program_matrix`` keeps a noise-free matrix only as its integer
 weights, and derives from them, on first use, float32 "level stripes"
-(``level_stripes``) whose reads are flat indices into a table of counts
-T[p, k]; let M = ``stride`` = rows * (2^bits_per_cell - 1) + 1,
-one more than the largest level sum, for rows = min(xbar_size, in_dim).
-A differential pair's two columns share their reads, so while the pair
-table below fits in 2 MiB, (rows + 1) * M^2 <= 2^19 (up to 79 SRAM and
-38 FeFET rows), a stripe is "paired": it holds one column per (slice,
-column) whose cells are d_pos + M * d_neg + M^2. A read of it gives
-k_pos + M * k_neg + p * M^2, the flat index of (p, k_neg, k_pos) in the
-float32 pair table P[p, k_neg, k_pos] = T[p, k_pos] - T[p, k_neg], T
-being the decode table of counts by (p, k): the count of the pair
-itself, positive minus negative. Half as many columns are read, cast
-and looked up as with one column per sign, and one weight 2^(slice *
-bits_per_cell) per slice shift-adds them. Taller stripes, such as the
-preset 64-row FeFET ones (whose pair table would be 9.7 MB), hold one
-column per (slice, sign, column) with cells digit + M, whose reads give
-k + p * M, the flat index of (p, k) in T itself. Either read sums
-non-negative integers, below (rows + 1) * M^2 paired and below
-rows * (M + 2^bits_per_cell) per sign, which float32 holds exactly in
-any order below 2^24: up to 4094 SRAM and 2363 FeFET rows. Beyond that,
+(``level_stripes``) of one column per (slice, sign, column) with cells
+digit + M, M = ``stride`` = rows * (2^bits_per_cell - 1) + 1 being one
+more than the largest level sum, for rows = min(xbar_size, in_dim). A
+read of p set rows gives k + p * M, the flat index of (p, k) in the
+decode table of counts T[p, k]. The read sums non-negative integers
+below rows * (M + 2^bits_per_cell), which float32 holds exactly in any
+order below 2^24: up to 4094 SRAM and 2363 FeFET rows. Beyond that,
 and under write noise, the matrix keeps no weights and stores its
 conductances as written; its reads, like every noisy read, decode their
 float currents with ``_adc_decode``. The conductances of a matrix with
@@ -127,28 +115,22 @@ the level stripes are built only for a matrix that has such a read.
 ``mvm_bitserial`` reads each chunk once through its stripe and maps
 every level-stripe index to its count with one ``take``. T is built
 once per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
-applied to the ideal current p * G_min + k * dG; P once per such key
-from T. One stacked BLAS product with the slice weights shift-adds the
-counts: they are integers, a count at most xbar_size * G_max / dG + 1
-and a pair's difference twice that, and the weights are powers of two,
-so every product and partial sum is an integer. The sums run in
-float64, and in float32 when a chunk's largest possible sum is below
-2^24 (the shipped devices on 64-row tiles at up to 16-bit weights).
-The table is the one noise-free decode, a code value on a rint
-half-point included (SRAM at 6 bits, (p, k) = (32, 32), is exactly
-31.5): a noise-free count depends on p and k alone, as a flash ADC's
-code depends on the current alone, whichever cells hold the levels and
-in whatever order a float read would sum them. Off the half-points a
-float read of the conductances gives the same count, since it differs
-from the ideal current by a few roundings per cell, far below an ADC
-step. T holds one float32 per (p, k): 4 * (r + 1) * (r * (2^bits_per_cell
-- 1) + 1) bytes for stripes of r = min(xbar_size, in_dim) rows.
-``[tiles] xbar_size`` has no upper bound, so the extent follows the rows
-actually read: at the preset 64 rows it is 16.9 KB for SRAM and 50.2 KB
-for FeFET, at 256 rows 0.26 MB and 0.79 MB, at 1024 rows 4.2 MB and
-12.6 MB, and at most about 67 MB at the level-stripe bound of 4094 SRAM
-or 2363 FeFET rows. P holds 4 * (r + 1) * M^2 bytes, at most 2 MiB:
-1.10 MB for 64 SRAM rows, and one is cached per ADC width read.
+applied to the ideal current p * G_min + k * dG. One stacked BLAS
+product with the slice weights shift-adds the counts: they are
+integers, each at most xbar_size * G_max / dG + 1 in magnitude, and the
+weights are powers of two, so every product and partial sum is an
+integer. The sums run in float64, and in float32 when a chunk's largest
+possible sum is below 2^24 (the shipped devices on 64-row tiles at up
+to 16-bit weights). The table is the one noise-free decode, a code
+value on a rint half-point included (SRAM at 6 bits, (p, k) = (32, 32),
+is exactly 31.5): a noise-free count depends on p and k alone, as a
+flash ADC's code depends on the current alone, whichever cells hold the
+levels and in whatever order a float read would sum them. Off the
+half-points a float read of the conductances gives the same count,
+since it differs from the ideal current by a few roundings per cell,
+far below an ADC step. T holds one float32 per (p, k) for stripes of
+min(xbar_size, in_dim) rows, so its extent follows the rows actually
+read.
 """
 
 from __future__ import annotations
@@ -165,10 +147,6 @@ from ..mapping import (DIFFERENTIAL_ARRAYS, MAX_ADC_BITS, DeviceParams, TileConf
 # Element budget of one read chunk or noise chunk (256 KiB of float64):
 # bounded temporaries keep freed memory from piling up in the heap.
 CHUNK_ELEMENTS = 1 << 15
-
-# A noise-free stripe of r rows pairs its differential columns while its
-# pair table, (r + 1) * stride^2 float32 entries, fits in 2 MiB.
-PAIR_TABLE_ENTRIES = 1 << 19
 
 
 # Box-Muller in float32: see "Noise draws" above.
@@ -376,11 +354,6 @@ class ProgrammedMatrix:
         return _level_stride(self.rows, self.device)
 
     @property
-    def paired(self) -> bool:
-        """Whether each level-stripe column holds both signs of a (slice, column)."""
-        return self.weights is not None and _pairs_signs(self.rows, self.device)
-
-    @property
     def n_crossbars(self) -> int:
         return self.row_blocks * self.col_blocks * self.n_slices * DIFFERENTIAL_ARRAYS
 
@@ -399,29 +372,19 @@ class ProgrammedMatrix:
 
     @functools.cached_property
     def level_stripes(self) -> tuple[CrossbarState, ...] | None:
-        """The cells of each row tile as float32 integer levels, offset by ``stride``.
+        """The cells of each row tile as float32 integer levels, digit + ``stride``.
 
-        ``paired``: one column per (slice, column) holding positive digit +
-        ``stride`` * negative digit + ``stride``^2, while its pair table
-        fits in 2 MiB; otherwise one column per (slice, sign, column)
-        holding digit + ``stride``. None for a matrix without weights.
+        Columns ordered (slice, sign, column). None for a matrix without
+        weights.
         """
         if self.weights is None:
             return None
-        bpc, m = self.device.bits_per_cell, self.stride
+        bpc = self.device.bits_per_cell
         stripes = []
         for block in self._row_tiles():
-            if self.paired:
-                # a weight sets at most one digit of its pair, so d_pos + m *
-                # d_neg is its magnitude's digit times 1 or m
-                levels = _slice_digits(np.abs(block)[:, None], self.n_slices, bpc)
-                levels = levels.astype(np.float32)
-                levels *= np.where(block < 0, np.float32(m), np.float32(1))[:, None, None]
-                levels += m * m
-            else:
-                levels = _cell_digits(block, self.n_slices, bpc).astype(np.float32)
-                levels += m
-            stripes.append(CrossbarState(levels.reshape(len(block), -1), self.device))
+            levels = _cell_digits(block, self.n_slices, bpc).astype(np.float32)
+            levels += self.stride
+            stripes.append(CrossbarState(levels, self.device))
         return tuple(stripes)
 
     @functools.cached_property
@@ -449,31 +412,18 @@ def _level_stride(rows: int, dev: DeviceParams) -> int:
     return rows * ((1 << dev.bits_per_cell) - 1) + 1
 
 
-def _pairs_signs(rows: int, dev: DeviceParams) -> bool:
-    """Whether noise-free stripes of ``rows`` rows store one column per sign pair.
-
-    Their reads then stay below (rows + 1) * stride^2 <= 2^19, exact in float32.
-    """
-    return (rows + 1) * _level_stride(rows, dev) ** 2 <= PAIR_TABLE_ENTRIES
-
-
-def _slice_digits(parts: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
-    """Digits of non-negative (rows, part, column) integers as (rows, slice, part, column).
+def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
+    """Cell digits of a signed matrix, columns ordered (slice, sign, column).
 
     One broadcast shift-and-mask in the narrowest unsigned dtype that
     holds n_slices * bits_per_cell bits.
     """
     dtype = np.min_scalar_type((1 << (n_slices * bits_per_cell)) - 1)
+    parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1).astype(dtype)
     shifts = np.arange(0, n_slices * bits_per_cell, bits_per_cell, dtype=dtype)
-    digits = parts.astype(dtype)[:, None] >> shifts[:, None, None]
+    digits = parts[:, None] >> shifts[:, None, None]
     digits &= (1 << bits_per_cell) - 1
-    return digits
-
-
-def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.ndarray:
-    """Cell digits of a signed matrix, columns ordered (slice, sign, column)."""
-    parts = np.stack((np.maximum(block, 0), np.maximum(-block, 0)), axis=1)
-    return _slice_digits(parts, n_slices, bits_per_cell).reshape(block.shape[0], -1)
+    return digits.reshape(block.shape[0], -1)
 
 
 def program_matrix(
@@ -507,8 +457,7 @@ def program_matrix(
     # rows * (2^bpc - 1 + stride) = rows * (stride + 2^bpc) - rows, and
     # every partial sum is a non-negative integer no larger; float32 holds
     # every integer up to 2^24, so below the bound a read is exact in any
-    # summation order. A paired stripe's reads stay below (rows + 1) *
-    # stride^2 <= 2^19 (_pairs_signs).
+    # summation order.
     if noise.write_var == 0.0 and rows * (_level_stride(rows, dev) + (1 << bpc)) < 1 << 24:
         weights = w_int.copy()
         weights.setflags(write=False)
@@ -563,11 +512,10 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
 
     Entry (p, k) is ``_adc_decode`` of the ideal current p * G_min + k * dG,
     rint half-points included. Counts are small integers, so the table is
-    float32, exact for every count and pair difference while the counts
-    stay below 2^23 in magnitude; only a nearly degenerate window (G_max
-    / dG of order 10^7 and up) passes that, and keeps the table in
-    float64. It is read-only and holds 4 * (rows + 1) * (rows *
-    (2^bits_per_cell - 1) + 1) bytes.
+    float32, exact for every count while the counts stay below 2^23 in
+    magnitude; only a nearly degenerate window (G_max / dG of order 10^7
+    and up) passes that, and keeps the table in float64. It is read-only
+    and holds 4 * (rows + 1) * (rows * (2^bits_per_cell - 1) + 1) bytes.
     """
     levels = 2**dev.bits_per_cell - 1
     popcount = np.arange(rows + 1, dtype=np.float64)
@@ -578,21 +526,6 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
         counts = counts.astype(np.float32)
     counts.setflags(write=False)
     return counts
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
-    """Noise-free count differences of a differential pair, by (popcount, k_neg, k_pos).
-
-    Entry (p, k_neg, k_pos) is T[p, k_pos] - T[p, k_neg], T being
-    ``_decode_table``, in T's dtype: every difference is exact. The table
-    is read-only and holds 4 * (rows + 1) * stride^2 bytes, at most 2 MiB
-    for stripes that pair their signs.
-    """
-    counts = _decode_table(dev, xbar_size, adc_bits, rows)
-    pairs = counts[:, None, :] - counts[:, :, None]
-    pairs.setflags(write=False)
-    return pairs
 
 
 @functools.lru_cache(maxsize=16)
@@ -644,9 +577,7 @@ def mvm_bitserial(
     whose popcount is an ``identity_rows`` entry reads its row tile's
     weight stripe, and that read is its shift-added partial. Every other
     noise-free read of such a matrix maps its level stripe's read to
-    counts through one table lookup: per differential pair from
-    ``_pair_table`` for a paired matrix, whose chunks then hold twice
-    the reads, per sign from ``_decode_table`` otherwise (see the module
+    counts through one ``_decode_table`` lookup (see the module
     docstring). Noisy reads, and every read of a matrix without weights,
     decode the float currents of ``pm.stripes``.
     """
@@ -682,14 +613,13 @@ def mvm_bitserial(
 
     @functools.cache
     def level_decoder():
-        table = (_pair_table if pm.paired else _decode_table)(dev, xsz, noise.adc_bits, pm.rows)
-        # a paired column's count is already positive minus negative
-        level_weight = slice_weight[::2] if pm.paired else slice_weight
-        # a count is at most xbar_size * G_max / dG + 1, a difference of two twice that
+        table = _decode_table(dev, xsz, noise.adc_bits, pm.rows)
+        # a count is at most xbar_size * G_max / dG + 1 in magnitude
         delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
-        largest = 2 * (xsz * dev.g_max / delta_g + 1) * np.abs(level_weight).sum()
-        if largest < 2**24:  # shift-add a float32 table's counts in float32
-            level_weight = level_weight.astype(table.dtype)
+        level_weight = slice_weight
+        if (xsz * dev.g_max / delta_g + 1) * np.abs(slice_weight).sum() < 2**24:
+            # shift-add a float32 table's counts in float32
+            level_weight = slice_weight.astype(table.dtype)
 
         def decode_levels(index: np.ndarray, chunk: np.ndarray) -> np.ndarray:
             # the read gives each column's flat table index

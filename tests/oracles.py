@@ -6,10 +6,8 @@ a second, hand-evaluated derivation. The crossbar oracles are the
 straightforward engine: one read per (bit-plane, input sign, row tile,
 column tile, slice, weight sign) and one Gaussian per read and per cell;
 ``oracle_cell_digits`` and ``oracle_bit_planes`` slice weights and
-inputs one slice or bit-plane at a time, ``oracle_pair_table``
-decodes a differential pair's two level sums one table row at a time,
-and ``oracle_identity_rows`` checks every reachable level sum of every
-popcount one count at a time.
+inputs one slice or bit-plane at a time, and ``oracle_identity_rows``
+checks every reachable level sum of every popcount one count at a time.
 The pattern and CKA oracles are the brute-force search: every
 (family, sl, n_cont, start) is generated, every explicit reuse set of a
 count is listed (``all_explicit_patterns``), and every CKA pair centers
@@ -233,21 +231,6 @@ def oracle_identity_rows(dev, xbar_size, adc_bits, rows):
         all(oracle_count(dev, xbar_size, adc_bits, p, k) == k for k in range(p * levels + 1))
         for p in range(rows + 1)
     ])
-
-
-def oracle_pair_table(dev, xbar_size, adc_bits, rows):
-    """Count of a differential pair, positive minus negative, by (p, k_neg, k_pos).
-
-    One (p, k_neg) row at a time, from ``oracle_count`` of both sides.
-    """
-    stride = rows * (2**dev.bits_per_cell - 1) + 1
-    k = np.arange(stride)
-    table = np.empty((rows + 1, stride, stride))
-    for p in range(rows + 1):
-        for k_neg in range(stride):
-            table[p, k_neg] = (oracle_count(dev, xbar_size, adc_bits, p, k)
-                               - oracle_count(dev, xbar_size, adc_bits, p, k_neg))
-    return table
 
 
 def oracle_mvm_bitserial(pm, x_int, noise=NoiseModel(), rng=None):

@@ -6,14 +6,12 @@ exact integer in float64, so the read batching cannot change a result.
 Noise-free counts come from the (popcount, level sum) decode table,
 the ADC count of the ideal current at every entry, rint half-points
 included, which off the half-points must agree with ``_adc_decode`` of
-a float read in any summation order; a paired stripe reads a
-differential pair's count from the pair table, the difference of two
-decode-table counts. A read whose popcount is an identity row of the
-table reads the integer weights instead, so a product's reads must
-split exactly by popcount. With read noise on, drawing only the cells
-of set rows must leave the current distribution that of the dense
-per-cell sampler. Device noise comes from
-the Box-Muller sampler ``_standard_normal``, checked here against the
+a float read in any summation order. A read whose popcount is an
+identity row of the table reads the integer weights instead, so a
+product's reads must split exactly by popcount. With read noise on,
+drawing only the cells of set rows must leave the current distribution
+that of the dense per-cell sampler. Device noise comes from the
+Box-Muller sampler ``_standard_normal``, checked here against the
 normal distribution and the oracle's ziggurat draws.
 """
 
@@ -34,7 +32,6 @@ from oracles import (
     oracle_count,
     oracle_identity_rows,
     oracle_mvm_bitserial,
-    oracle_pair_table,
     oracle_read_currents,
     oracle_tile,
 )
@@ -48,7 +45,6 @@ from xbarsim.funcsim.crossbar import (
     _bit_planes,
     _cell_digits,
     _decode_table,
-    _pair_table,
     _standard_normal,
     ideal_conductances,
     identity_rows,
@@ -422,9 +418,9 @@ def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, mon
     pm = program_matrix(w, sram, tiles, 8, noise)
     mvm_bitserial(pm, x, noise)
     identity = identity_rows(sram, tiles.xbar_size, 6, pm.rows)
-    # a paired stripe stores one column per (slice, column)
+    # a level stripe stores one column per (slice, sign, column)
     level_cols = pm.level_stripes[0].conductances.shape[1]
-    assert pm.paired and level_cols == pm.n_slices * 200
+    assert level_cols == pm.columns == pm.n_slices * 2 * 200
     for state, bits in calls:
         cols = state.conductances.shape[1]
         assert cols in (200, level_cols) and len(bits) * cols <= CHUNK_ELEMENTS
@@ -559,18 +555,11 @@ def test_a_noise_free_read_gives_the_flat_decode_table_index(fefet, xbar_size):
     digits = np.stack([(parts >> (k * fefet.bits_per_cell)) & levels
                        for k in range(pm.n_slices)], axis=1).reshape(100, -1)
     assert len(pm.level_stripes) == math.ceil(100 / xbar_size)
-    # 8 FeFET rows pair their signs; 64 rows would need a 9.7 MB pair table
-    assert pm.paired == (xbar_size == 8)
     for rb, level in enumerate(pm.level_stripes):
         block = digits[rb * xbar_size:(rb + 1) * xbar_size]
         bits = rng.integers(0, 2, size=(50, block.shape[0]))
         k, p = bits @ block, bits.sum(axis=1, keepdims=True)
-        if pm.paired:  # k_pos + stride * k_neg + p * stride^2 per (slice, column)
-            k = k.reshape(50, pm.n_slices, 2, 20)
-            index = k[:, :, 0] + stride * k[:, :, 1] + p[:, :, None] * stride**2
-            assert np.array_equal(level.read_currents(bits), index.reshape(50, -1))
-        else:
-            assert np.array_equal(level.read_currents(bits), k + p * stride)
+        assert np.array_equal(level.read_currents(bits), k + p * stride)
 
 
 def test_a_read_beyond_float32_integers_keeps_no_level_stripe(fefet, monkeypatch):
@@ -745,97 +734,47 @@ def test_a_window_too_narrow_for_float32_counts_keeps_a_float64_table(device, ti
     x = rng.integers(-127, 128, size=(6, 100))
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, dev, tiles, 8, noise)
-    assert pm.paired == (device == "sram")  # both layouts read the float64 table
     assert np.array_equal(mvm_bitserial(pm, x, noise), oracle_mvm_bitserial(pm, x, noise))
 
 
-# (device, xbar_size, rows) of stripes that pair their signs: (rows + 1)
-# * stride^2 float32 entries fit in 2 MiB up to 79 SRAM and 38 FeFET rows
-PAIRED = [("sram", 64, 64), ("sram", 64, 20), ("sram", 80, 79), ("fefet", 64, 38),
-          ("fefet", 8, 8)]
-
-
-@pytest.mark.parametrize("adc_bits", [4, 6, 16])
-@pytest.mark.parametrize("device, xbar_size, rows", PAIRED)
-def test_pair_table_entries_are_count_differences(device, xbar_size, rows, adc_bits, request):
-    dev = request.getfixturevalue(device)
-    stride = rows * (2**dev.bits_per_cell - 1) + 1
-    pairs = _pair_table(dev, xbar_size, adc_bits, rows)
-    assert pairs.shape == (rows + 1, stride, stride) and pairs.dtype == np.float32
-    assert pairs.nbytes <= 2 * 2**20
-    counts = _decode_table(dev, xbar_size, adc_bits, rows)
-    assert np.array_equal(pairs, counts[:, None, :] - counts[:, :, None])
-    # ties included: every entry is the difference of two ideal-current counts
-    assert np.array_equal(pairs, oracle_pair_table(dev, xbar_size, adc_bits, rows))
-
-
-def _no_pair_table(*args):
-    raise AssertionError("pair table built")
-
-
-# the preset 64-row FeFET stripes never pair: their table would be 9.7 MB
-@pytest.mark.parametrize("device, rows, paired", [
-    ("sram", 79, True), ("sram", 80, False), ("fefet", 38, True), ("fefet", 39, False),
-    ("fefet", 64, False),
-])
-def test_stripes_pair_their_signs_while_the_pair_table_fits(device, rows, paired, request,
-                                                            monkeypatch):
-    dev = request.getfixturevalue(device)
-    stride = rows * (2**dev.bits_per_cell - 1) + 1
-    assert ((rows + 1) * stride**2 <= 2**19) == paired
-    if not paired:
-        monkeypatch.setattr(crossbar, "_pair_table", _no_pair_table)
-    rng = np.random.default_rng(rows)
-    w = rng.integers(-127, 128, size=(rows, 3))
-    x = rng.integers(-127, 128, size=(4, rows))
-    noise = NoiseModel(adc_bits=16)
-    pm = program_matrix(w, dev, TileConfig(xbar_size=rows), 8, noise)
-    assert pm.paired == paired
-    signs = 1 if paired else 2  # level-stripe columns per (slice, column)
-    assert pm.level_stripes[0].conductances.shape == (rows, pm.n_slices * signs * 3)
-    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
-
-
+# stripe heights from 16 to 80 rows, the preset 64 among them
+@pytest.mark.parametrize("rows", [16, 32, 38, 39, 64, 79, 80])
 @pytest.mark.parametrize("device", ["sram", "fefet"])
-@settings(max_examples=30, deadline=None)
-@given(xbar_size=st.sampled_from([8, 16, 32, 64]), data=st.data())
-def test_packed_products_equal_the_exact_and_per_sign_products(device, xbar_size, data,
-                                                               sram, fefet):
-    dev = {"sram": sram, "fefet": fefet}[device]
-    in_dim = data.draw(st.integers(1, 2 * xbar_size), label="in_dim")
-    n = data.draw(st.integers(1, 4), label="n")
-    eight_bit = st.integers(-127, 127)
-    w = data.draw(hnp.arrays(np.int64, (in_dim, data.draw(st.integers(1, 5))),
-                             elements=eight_bit), label="w")
-    x = data.draw(hnp.arrays(np.int64, (n, in_dim), elements=eight_bit), label="x")
-    pm = program_matrix(w, dev, TileConfig(xbar_size=xbar_size), 8)
-    assert pm.paired == ((pm.rows + 1) * pm.stride**2 <= 2**19)
-    assert np.array_equal(mvm_bitserial(pm, x, NoiseModel(adc_bits=16)), x @ w)
-    six = NoiseModel(adc_bits=6)  # the per-sign decode, crossbar by crossbar
-    assert np.array_equal(mvm_bitserial(pm, x, six), oracle_mvm_bitserial(pm, x, six))
+def test_level_stripes_hold_one_column_per_slice_sign_and_column(device, rows, request):
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(rows)
+    w = rng.integers(-127, 128, size=(2 * rows + 5, 3))
+    x = rng.integers(-127, 128, size=(4, 2 * rows + 5))
+    pm = program_matrix(w, dev, TileConfig(xbar_size=rows), 8)
+    assert pm.rows == rows and len(pm.level_stripes) == 3
+    for rb, level in enumerate(pm.level_stripes):
+        block = w[rb * rows:(rb + 1) * rows]
+        expected = _cell_digits(block, pm.n_slices, dev.bits_per_cell) + pm.stride
+        assert level.conductances.shape == (len(block), pm.columns)
+        assert level.conductances.dtype == np.float32
+        assert np.array_equal(level.conductances, expected)
+    for adc_bits in (4, 6):
+        noise = NoiseModel(adc_bits=adc_bits)
+        assert np.array_equal(mvm_bitserial(pm, x, noise), oracle_mvm_bitserial(pm, x, noise))
 
 
-def test_a_paired_shift_add_beyond_float32_integers_stays_exact(sram, tiles):
-    # 24 one-bit slices: a read's pair counts of up to 64 times weights up
-    # to 2^23 sum past 2^24, where float32 drops odd integers
+def test_a_level_shift_add_beyond_float32_integers_stays_exact(sram, tiles, monkeypatch):
+    # 24 one-bit slices at 6 ADC bits: counts of up to 65 times weights up
+    # to 2^23 sum past 2^24, where float32 drops odd integers; every read
+    # sets 32 or more of the 64 rows, so none is an identity read
     rng = np.random.default_rng(19)
     w = rng.integers(-(2**24 - 1), 2**24, size=(64, 6))
-    x = rng.integers(-127, 128, size=(5, 64))
-    noise = NoiseModel(adc_bits=16)
+    x = rng.integers(64, 128, size=(5, 64))
+    x[:, :32] = 127
+    x *= rng.choice([-1, 1], size=(5, 1))
+    noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, sram, tiles, 24, noise)
-    assert pm.paired and pm.n_slices == 24
-    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
-
-
-@pytest.mark.parametrize("device", ["sram", "fefet"])
-def test_a_paired_matrix_derives_its_stripes_in_slice_sign_column_order(device, request):
-    dev = request.getfixturevalue(device)
-    w = np.random.default_rng(15).integers(-127, 128, size=(40, 7))
-    pm = program_matrix(w, dev, TileConfig(xbar_size=16), 8)
-    assert pm.paired and len(pm.stripes) == 3
-    for rb, stripe in enumerate(pm.stripes):
-        digits = oracle_cell_digits(w[rb * 16:(rb + 1) * 16], pm.n_slices, dev.bits_per_cell)
-        assert np.array_equal(stripe.conductances, ideal_conductances(digits, dev))
+    assert pm.n_slices == 24
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    assert calls and set(_reads_by_stripe(pm, calls)) == {("level_stripes", 0)}
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
 
 
 @pytest.mark.parametrize("device, xbar_size", [("sram", 64), ("fefet", 16)])
@@ -846,7 +785,6 @@ def test_a_noisy_read_of_a_paired_matrix_equals_reading_its_conductances(device,
     w = rng.integers(-127, 128, size=(100, 30))
     x = rng.integers(-127, 128, size=(12, 100))
     pm = program_matrix(w, dev, TileConfig(xbar_size=xbar_size), 8)
-    assert pm.paired
     written = ProgrammedMatrix(pm.shape, xbar_size, pm.n_slices, dev, written_stripes=tuple(
         CrossbarState(ideal_conductances(
             oracle_cell_digits(w[r0:r0 + xbar_size], pm.n_slices, dev.bits_per_cell), dev), dev)
@@ -857,7 +795,8 @@ def test_a_noisy_read_of_a_paired_matrix_equals_reading_its_conductances(device,
 
 
 def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkeypatch):
-    # one-bit weights of 1 over 1024 columns: a paired chunk holds 32 reads.
+    # one-bit weights of 1 over 1024 columns: a level-stripe chunk holds 16
+    # reads of its 2048 columns, a weight-stripe chunk 32 of its 1024.
     # Input row 100 sets 32 rows, the 6-bit tie (p, k) = (32, 32); the
     # others set 1 to 64 rows but never 32
     w = np.ones((64, 1024), dtype=int)
@@ -867,16 +806,16 @@ def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkey
     x = (np.arange(64) < set_rows[:, None]).astype(int)
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, sram, tiles, 1, noise)
-    assert pm.paired and CHUNK_ELEMENTS // pm.level_stripes[0].conductances.shape[1] == 32
+    assert CHUNK_ELEMENTS // pm.level_stripes[0].conductances.shape[1] == 16
     calls = _record_reads(monkeypatch)
     out = mvm_bitserial(pm, x, noise)
-    # reads of p < 32 set rows read the 1024 weight columns, 32 reads a
-    # chunk as well; the tie and every p > 32 read the level stripe
+    # reads of p < 32 set rows read the weight stripe; the tie and every
+    # p > 32 read the level stripe
     lossless = set_rows < 32
     assert _reads_by_stripe(pm, calls) == {("weight_stripes", 0): list(set_rows[lossless]),
                                            ("level_stripes", 0): list(set_rows[~lossless])}
-    assert len(calls) == math.ceil(lossless.sum() / 32) + math.ceil((~lossless).sum() / 32)
-    assert all(len(bits) <= 32 for _, bits in calls)
+    assert len(calls) == math.ceil(lossless.sum() / 32) + math.ceil((~lossless).sum() / 16)
+    assert all(len(bits) * state.conductances.shape[1] <= CHUNK_ELEMENTS for state, bits in calls)
     assert "stripes" not in vars(pm)
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
@@ -930,7 +869,6 @@ def test_an_all_identity_product_reads_no_table(device, adc_bits, tiles, request
     dev = request.getfixturevalue(device)
     assert identity_rows(dev, tiles.xbar_size, adc_bits, tiles.xbar_size).all()
     monkeypatch.setattr(crossbar, "_decode_table", _no_table)
-    monkeypatch.setattr(crossbar, "_pair_table", _no_table)
     rng = np.random.default_rng(adc_bits)
     w = rng.integers(-127, 128, size=(100, 72))
     x = rng.integers(-127, 128, size=(16, 100))
@@ -938,19 +876,6 @@ def test_an_all_identity_product_reads_no_table(device, adc_bits, tiles, request
     pm = program_matrix(w, dev, tiles, 8, noise)
     assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
     assert "level_stripes" not in vars(pm) and "stripes" not in vars(pm)
-
-
-def test_an_all_identity_product_leaves_the_pair_table_cache_as_it_was(sram, tiles):
-    # the harness's bit-exact probe: 100 x 72 SRAM weights at 7 ADC bits
-    rng = np.random.default_rng(3)
-    w = rng.integers(-127, 128, size=(100, 72))
-    x = rng.integers(-127, 128, size=(16, 100))
-    noise = NoiseModel(adc_bits=7)
-    pm = program_matrix(w, sram, tiles, 8, noise)
-    assert pm.paired
-    before = _pair_table.cache_info()
-    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
-    assert _pair_table.cache_info() == before  # not even looked up
 
 
 def test_a_fefet_product_at_six_adc_bits_reads_no_weight_stripe(fefet, tiles, monkeypatch):
@@ -1012,9 +937,8 @@ def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
     x = rng.integers(-127, 128, size=(32, 128))
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, dev, tiles, 8, noise)
-    # the tables are built inside the traced call
+    # the table is built inside the traced call
     _decode_table.cache_clear()
-    _pair_table.cache_clear()
     tracemalloc.start()
     try:
         mvm_bitserial(pm, x, noise)
