@@ -24,9 +24,17 @@ bit. A noise-free matrix stores only its integer weights (below); the
 stripes it reads are derived from them when a read asks for them.
 
 Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
-bit-plane of both input signs as one batch of reads, drops the reads
-with no set bit in a row tile (they give exactly zero), and reads each
-stripe once per chunk of at most ``CHUNK_ELEMENTS`` currents. A chunk's
+bit-plane of both input signs as one batch of reads, ordered (sign,
+plane, input row), and accumulates them in one of two ways. The
+noise-free identity reads (below) are read a whole bit-plane at a time:
+a row tile with one reads its weight stripe over every plane, the reads
+of other popcounts cleared to zero rows, in blocks of whole planes, or
+of rows of one plane where a plane alone passes the budget of
+``CHUNK_ELEMENTS`` currents. A block's partials, times their signed
+plane weights, reach their input rows by one stacked product and one
+slice add. Every other read is sparse: the reads with no set bit in a
+row tile are dropped (they give exactly zero), each stripe is read once
+per chunk of at most ``CHUNK_ELEMENTS`` currents, and a chunk's
 shift-added counts, times their signed plane weights, reach their input
 rows by one fancy-indexed add per bit-plane in the chunk: within a plane
 every read has its own input row, so no add collides, and the work per
@@ -107,7 +115,9 @@ FeFET below 8 bits. A noise-free read of such a popcount counts every
 column's own level sum, so its shift-added counts are the summed
 weights of its set rows: ``mvm_bitserial`` reads it from the row tile's
 "weight stripe" (``weight_stripes``), the weights as cells, and that
-read is its partial, with no cast, lookup or shift-add. A weight stripe
+read is its partial, with no cast, lookup or shift-add. A tile's
+weight-stripe reads cover all its bit-planes, so they also read the
+zero rows that stand for its other reads. A weight stripe
 is float32 while rows * max|w| < 2^24, so that every partial sum of a
 read is an exact float32 integer in any order, and float64 otherwise.
 Every other noise-free read goes through its level stripe and T, and
@@ -575,11 +585,16 @@ def mvm_bitserial(
     set of bit-planes on their magnitudes with the result subtracted.
     Read noise needs ``rng``. A noise-free read of a matrix with weights
     whose popcount is an ``identity_rows`` entry reads its row tile's
-    weight stripe, and that read is its shift-added partial. Every other
+    weight stripe, and that read is its shift-added partial. A tile with
+    such a read of set rows reads its weight stripe over whole bit-planes,
+    its other reads cleared to zero rows, and adds each block of planes
+    times their plane weights by one stacked product. Every other
     noise-free read of such a matrix maps its level stripe's read to
     counts through one ``_decode_table`` lookup (see the module
     docstring). Noisy reads, and every read of a matrix without weights,
-    decode the float currents of ``pm.stripes``.
+    decode the float currents of ``pm.stripes``. These reads are sparse:
+    a read with no set row is dropped, and each chunk is added with one
+    fancy-indexed add per bit-plane.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
@@ -626,40 +641,55 @@ def mvm_bitserial(
             return shift_add(table.take(index.astype(np.intp)), level_weight)
         return decode_levels
 
+    def read_sparse(slab: np.ndarray, active: np.ndarray, stripe: CrossbarState,
+                    decode) -> None:
+        step = max(1, CHUNK_ELEMENTS // stripe.conductances.shape[1])
+        for a in range(0, active.size, step):
+            reads = active[a:a + step]
+            chunk = slab[reads]
+            partial = decode(stripe.read_currents(chunk, noise, rng), chunk)
+            # acc[row] += plane weight * partial for each read. Reads ascend
+            # in (sign, plane, row) order, plane q holding reads q*n to
+            # q*n + n - 1, so cut at the plane starts each piece has distinct
+            # rows and takes one fancy-indexed add (integer terms, exact)
+            starts = n * np.arange(reads[0] // n + 1, reads[-1] // n + 1)
+            cuts = [0, *np.searchsorted(reads, starts), reads.size]
+            for s, e in zip(cuts[:-1], cuts[1:]):
+                partial[s:e] *= read_weight[reads[s]]
+                acc[read_row[reads[s:e]]] += partial[s:e]
+
+    def read_planes(grid: np.ndarray, stripe: CrossbarState) -> None:
+        # an identity read of the weights is its shift-added partial. A block
+        # is kq whole planes, or kr rows of one plane when a plane alone is
+        # over the element budget; its partials reach acc[r:r + kr] by one
+        # stacked product with their plane weights (integer terms, exact)
+        plane_weight = read_weight[::n]
+        step = max(1, CHUNK_ELEMENTS // out_dim)
+        kq, kr = max(1, step // n), min(n, step)
+        grid = grid.reshape(plane_weight.size, n, -1)
+        for q in range(0, len(grid), kq):
+            for r in range(0, n, kr):
+                block = grid[q:q + kq, r:r + kr]
+                partial = stripe.read_currents(block.reshape(-1, grid.shape[2]))
+                acc[r:r + kr] += (plane_weight[q:q + kq] @ partial.reshape(len(block), -1)
+                                  ).reshape(-1, out_dim)
+
     lossless = None
     if pm.weights is not None and noise.read_var == 0.0:
         lossless = identity_rows(dev, xsz, noise.adc_bits, pm.rows)
 
-    def read_groups(rb: int, slab: np.ndarray):
-        """Row tile ``rb``'s reads by stripe: (reads, stripe, decode of a read)."""
-        if lossless is None:
-            yield np.flatnonzero(slab.any(axis=1)), pm.stripes[rb], decode_currents
-            return
-        popcount = np.count_nonzero(slab, axis=1)
-        active = np.flatnonzero(popcount)
-        identity = lossless[popcount[active]]
-        if identity.any():
-            # an identity read's counts are its level sums, so its read of the
-            # weights is already its shift-added partial
-            yield active[identity], pm.weight_stripes[rb], lambda sums, chunk: sums
-        if not identity.all():
-            yield active[~identity], pm.level_stripes[rb], level_decoder()
-
     for rb in range(pm.row_blocks):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
-        for active, stripe, decode in read_groups(rb, slab):
-            step = max(1, CHUNK_ELEMENTS // stripe.conductances.shape[1])
-            for a in range(0, active.size, step):
-                reads = active[a:a + step]
-                chunk = slab[reads]
-                partial = decode(stripe.read_currents(chunk, noise, rng), chunk)
-                # acc[row] += plane weight * partial for each read. Reads ascend
-                # in (sign, plane, row) order, plane q holding reads q*n to
-                # q*n + n - 1, so cut at the plane starts each piece has distinct
-                # rows and takes one fancy-indexed add (integer terms, exact)
-                starts = n * np.arange(reads[0] // n + 1, reads[-1] // n + 1)
-                cuts = [0, *np.searchsorted(reads, starts), reads.size]
-                for s, e in zip(cuts[:-1], cuts[1:]):
-                    partial[s:e] *= read_weight[reads[s]]
-                    acc[read_row[reads[s:e]]] += partial[s:e]
+        if lossless is None:
+            read_sparse(slab, np.flatnonzero(slab.any(axis=1)), pm.stripes[rb], decode_currents)
+            continue
+        popcount = np.count_nonzero(slab, axis=1)
+        identity = lossless[popcount]  # true for every all-zero read
+        if popcount[identity].any():
+            # every plane is read whole from the weights, its other reads
+            # cleared to zero rows
+            read_planes(slab if identity.all() else slab & identity[:, None],
+                        pm.weight_stripes[rb])
+        if not identity.all():
+            read_sparse(slab, np.flatnonzero(~identity), pm.level_stripes[rb], level_decoder())
     return np.rint(acc).astype(np.int64)

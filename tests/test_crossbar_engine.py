@@ -399,11 +399,56 @@ def _stripe_of(pm, state):
 
 
 def _reads_by_stripe(pm, calls):
-    """The recorded reads as {(stripe kind, row tile): popcounts in read order}."""
+    """The recorded reads as {(stripe kind, row tile): popcounts in read order}.
+
+    A weight stripe reads whole bit-planes, with zero rows in place of the
+    reads it does not count; those are left out.
+    """
     found = {}
     for state, bits in calls:
-        found.setdefault(_stripe_of(pm, state), []).extend(bits.sum(axis=1))
+        kind = _stripe_of(pm, state)
+        p = bits.sum(axis=1)
+        found.setdefault(kind, []).extend(p[p > 0] if kind[0] == "weight_stripes" else p)
     return found
+
+
+def _assert_each_set_bit_is_read_once(pm, calls, x, identity):
+    """Check every row tile's recorded reads of ``x`` against the two schedules.
+
+    A tile with an identity read of a set row reads its weight stripe over
+    every bit-plane, in (sign, plane, row) order, with the reads of other
+    popcounts cleared: in blocks of kq = step // n whole planes, or of
+    kr = step rows of one plane when n > step = CHUNK_ELEMENTS // out_dim.
+    Its level stripe reads the other reads, set rows only, in order and in
+    chunks within ``CHUNK_ELEMENTS``. So each (plane, row) with a set bit
+    is read once, from one stripe.
+    """
+    bits = oracle_bit_planes(x)[0]
+    n, out_dim = len(x), pm.shape[1]
+    planes, step = len(bits) // n, CHUNK_ELEMENTS // out_dim
+    if n <= step:
+        kq = step // n
+        blocks = [n * min(kq, planes - q) for q in range(0, planes, kq)]
+    else:
+        blocks = [min(step, n - r) for _ in range(planes) for r in range(0, n, step)]
+    for rb in range(pm.row_blocks):
+        slab = bits[:, rb * pm.xbar_size:(rb + 1) * pm.xbar_size]
+        p = slab.sum(axis=1)
+        counted = identity[p]
+        by_kind = {kind: [b for state, b in calls if _stripe_of(pm, state) == (kind, rb)]
+                   for kind in ("weight_stripes", "level_stripes")}
+        weight_reads, level_reads = by_kind["weight_stripes"], by_kind["level_stripes"]
+        if (p[counted] > 0).any():
+            assert [len(b) for b in weight_reads] == blocks
+            assert np.array_equal(np.concatenate(weight_reads), slab & counted[:, None])
+        else:
+            assert not weight_reads
+        if counted.all():
+            assert not level_reads
+        else:
+            assert np.array_equal(np.concatenate(level_reads), slab[~counted])
+            assert all(len(b) * pm.columns <= CHUNK_ELEMENTS for b in level_reads)
+        assert all(len(b) * out_dim <= CHUNK_ELEMENTS for b in weight_reads)
 
 
 def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, monkeypatch):
@@ -434,11 +479,14 @@ def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, mon
     # the 22-row tile never reaches p = 32; the others read both stripes
     assert set(found) == {("weight_stripes", 0), ("weight_stripes", 1),
                           ("weight_stripes", 2), ("level_stripes", 0), ("level_stripes", 1)}
-    # one read per stripe and full chunk
+    # 14 bit-planes of 32 reads: a weight stripe is read in blocks of 5
+    # whole planes (163 reads fit a chunk), a level stripe once per chunk
+    _assert_each_set_bit_is_read_once(pm, calls, x, identity)
+    assert len(bits) == 14 * 32
     for key, popcounts in found.items():
-        chunk = CHUNK_ELEMENTS // (200 if key[0] == "weight_stripes" else level_cols)
-        assert sum(_stripe_of(pm, state) == key for state, _ in calls) == \
-            math.ceil(len(popcounts) / chunk)
+        chunks = 3 if key[0] == "weight_stripes" else \
+            math.ceil(len(popcounts) / (CHUNK_ELEMENTS // level_cols))
+        assert sum(_stripe_of(pm, state) == key for state, _ in calls) == chunks
 
 
 def test_level_stripes_hold_the_digits_of_noise_free_writes_only(fefet, tiles):
@@ -579,8 +627,10 @@ def test_a_read_beyond_float32_integers_keeps_no_level_stripe(fefet, monkeypatch
 
 
 def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
-    # 511 set rows of 16 one-bit slices of 65535: each positive read sums
-    # to 511 * 65535, odd and over 2^24, which float32 cannot hold
+    # 511 set rows of 65535: each read sums to 511 * 65535, odd and over
+    # 2^24, which float32 cannot hold. At 10 ADC bits every popcount of a
+    # 512-row SRAM tile is an identity row, so all three bit-planes are read
+    # from the float64 weight stripe and shift-added by one stacked product
     tiles = TileConfig(xbar_size=512, adc_bits=10)
     w = np.full((512, 2), 2**16 - 1)
     x = np.zeros((2, 512), dtype=int)
@@ -588,8 +638,10 @@ def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
     x[1, 1:] = -3
     noise = NoiseModel(adc_bits=10)
     pm = program_matrix(w, sram, tiles, 16, noise)
-    assert pm.level_stripes is not None
+    assert identity_rows(sram, 512, 10, 512).all()
     assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+    assert pm.weight_stripes[0].conductances.dtype == np.float64
+    assert "level_stripes" not in vars(pm)
 
 
 # 32 set rows over top-level cells: SRAM (p, k) = (32, 32) and FeFET
@@ -619,6 +671,7 @@ def test_a_tie_is_decoded_from_the_table(device, tiles, request, monkeypatch):
         expected["weight_stripes", 0] = [p - 1]
     assert _reads_by_stripe(pm, calls) == expected
     assert len(calls) == len(expected)
+    _assert_each_set_bit_is_read_once(pm, calls, x, identity)
 
 
 def test_a_tie_count_does_not_depend_on_which_cells_hold_the_levels(fefet, tiles):
@@ -796,7 +849,8 @@ def test_a_noisy_read_of_a_paired_matrix_equals_reading_its_conductances(device,
 
 def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkeypatch):
     # one-bit weights of 1 over 1024 columns: a level-stripe chunk holds 16
-    # reads of its 2048 columns, a weight-stripe chunk 32 of its 1024.
+    # reads of its 2048 columns, a weight-stripe chunk 32 rows of the one
+    # bit-plane of 200 input rows, over its 1024 columns.
     # Input row 100 sets 32 rows, the 6-bit tie (p, k) = (32, 32); the
     # others set 1 to 64 rows but never 32
     w = np.ones((64, 1024), dtype=int)
@@ -814,8 +868,9 @@ def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkey
     lossless = set_rows < 32
     assert _reads_by_stripe(pm, calls) == {("weight_stripes", 0): list(set_rows[lossless]),
                                            ("level_stripes", 0): list(set_rows[~lossless])}
-    assert len(calls) == math.ceil(lossless.sum() / 32) + math.ceil((~lossless).sum() / 16)
+    assert len(calls) == math.ceil(200 / 32) + math.ceil((~lossless).sum() / 16)
     assert all(len(bits) * state.conductances.shape[1] <= CHUNK_ELEMENTS for state, bits in calls)
+    _assert_each_set_bit_is_read_once(pm, calls, x, identity_rows(sram, 64, 6, 64))
     assert "stripes" not in vars(pm)
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
@@ -854,6 +909,7 @@ def test_a_product_whose_reads_straddle_the_last_identity_row_equals_the_oracle(
     assert set(found) == {("weight_stripes", 0), ("level_stripes", 0)}
     assert set(found["weight_stripes", 0]) == {30, 31}
     assert set(found["level_stripes", 0]) == {32, 33}
+    _assert_each_set_bit_is_read_once(pm, calls, x, identity_rows(sram, 64, 6, 64))
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
 
@@ -910,6 +966,43 @@ def test_wide_weights_read_a_float64_weight_stripe_exactly(sram, tiles):
     narrow = program_matrix(w >> 17, sram, tiles, 8, noise)
     assert narrow.weight_stripes[0].conductances.dtype == np.float32
     assert np.array_equal(mvm_bitserial(narrow, x, noise), x @ (w >> 17))
+
+
+# (device, ADC bits, input rows, output columns). 100 columns take
+# CHUNK_ELEMENTS // 100 = 327 reads a chunk, under the 600 reads of one
+# bit-plane; 3 columns take 10922, 10 whole planes of 1000 reads. At 16 ADC
+# bits every read is an identity read; at 6 SRAM bits a plane that sets
+# 32 or more of a tile's rows is read through its level stripe.
+PLANE_CHUNKS = [("sram", 16, 600, 100), ("fefet", 16, 600, 100), ("sram", 16, 1000, 3),
+                ("fefet", 16, 1000, 3), ("sram", 6, 600, 100), ("sram", 6, 1000, 3)]
+
+
+@pytest.mark.parametrize("device, adc_bits, n, out_dim", PLANE_CHUNKS)
+def test_identity_reads_are_chunked_within_and_across_bit_planes(device, adc_bits, n, out_dim,
+                                                                  request, monkeypatch):
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(n + out_dim)
+    w = rng.integers(-127, 128, size=(100, out_dim))
+    # one sign per input row, so a bit-plane sets about half of its rows
+    x = rng.integers(1, 128, size=(n, 100)) * rng.choice([-1, 1], size=(n, 1))
+    noise = NoiseModel(adc_bits=adc_bits)
+    pm = program_matrix(w, dev, TileConfig(adc_bits=adc_bits), 8, noise)
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    monkeypatch.undo()
+    identity = identity_rows(dev, 64, adc_bits, 64)
+    planes = len(oracle_bit_planes(x)[0]) // n
+    step = CHUNK_ELEMENTS // out_dim
+    assert planes == 14 and (n > step if out_dim == 100 else 1 < step // n < planes)
+    _assert_each_set_bit_is_read_once(pm, calls, x, identity)
+    found = _reads_by_stripe(pm, calls)
+    assert {kind for kind, _ in found} == (
+        {"weight_stripes"} if adc_bits == 16 else {"weight_stripes", "level_stripes"})
+    if adc_bits == 16:
+        assert identity.all() and "level_stripes" not in vars(pm)
+        assert np.array_equal(out, x @ w)
+    else:
+        assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
 
 
 @settings(max_examples=40, deadline=None)
