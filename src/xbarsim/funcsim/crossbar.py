@@ -40,11 +40,12 @@ rows by one fancy-indexed add per bit-plane in the chunk: within a plane
 every read has its own input row, so no add collides, and the work per
 read is out_dim whatever the number of input rows. Every term is an
 integer, and the float64 accumulator and every float64 shift-add are
-exact in any order while their sums stay below 2^53 in magnitude, the
-one bound that holds for every product. Read noise is
-drawn only for the (read, row) pairs whose bit is set, in chunks of the
-same element budget: a row at 0 carries no current whatever its noise,
-so the output distribution is that of drawing every cell.
+exact in any order while their sums stay below 2^53 in magnitude;
+``mvm_bitserial`` raises on inputs wide enough for a product to pass
+that. Read noise is drawn only for the (read, row) pairs whose bit is
+set, in chunks of the same element budget: a row at 0 carries no current
+whatever its noise, so the output distribution is that of drawing every
+cell.
 
 A noisy read works in float32 window units. Each cell is
 u = (g - G_min) / (G_max - G_min), its noise gain g * sigma / (G_max -
@@ -74,8 +75,7 @@ k = 0; a normal lies beyond that with probability about 3e-11. float32
 rounding moves a draw by about 1e-7 of its value (median) and by at
 most about 3e-5 (at radii near 0, where (k + 1) 2^-32 rounds near 1),
 far below any noise variation. The draws are N(0, 1) in distribution,
-but not numpy's stream: noisy FeFET and hybrid outputs differ from
-earlier versions for the same seed.
+but not numpy's stream.
 
 Column currents are digitized by a flash ADC whose full scale is the
 worst-case accumulation xbar_size * G_max (fixed, input independent),
@@ -125,22 +125,21 @@ the level stripes are built only for a matrix that has such a read.
 ``mvm_bitserial`` reads each chunk once through its stripe and maps
 every level-stripe index to its count with one ``take``. T is built
 once per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
-applied to the ideal current p * G_min + k * dG. One stacked BLAS
-product with the slice weights shift-adds the counts: they are
-integers, each at most xbar_size * G_max / dG + 1 in magnitude, and the
-weights are powers of two, so every product and partial sum is an
-integer. The sums run in float64, and in float32 when a chunk's largest
-possible sum is below 2^24 (the shipped devices on 64-row tiles at up
-to 16-bit weights). The table is the one noise-free decode, a code
+applied to the ideal current p * G_min + k * dG, and keeps its float64
+counts. As for a noisy read's counts, one stacked float64 product with
+the slice weights shift-adds them: the counts are integers and the
+weights powers of two, so every product and partial sum is an integer.
+The table is the one noise-free decode, a code
 value on a rint half-point included (SRAM at 6 bits, (p, k) = (32, 32),
 is exactly 31.5): a noise-free count depends on p and k alone, as a
 flash ADC's code depends on the current alone, whichever cells hold the
 levels and in whatever order a float read would sum them. Off the
 half-points a float read of the conductances gives the same count,
 since it differs from the ideal current by a few roundings per cell,
-far below an ADC step. T holds one float32 per (p, k) for stripes of
+far below an ADC step. T holds one float64 per (p, k) for stripes of
 min(xbar_size, in_dim) rows, so its extent follows the rows actually
-read.
+read: 33.8 KB for SRAM and 100.4 KB for FeFET on 64-row tiles, and
+about 134 MB for either at the level-stripe bound.
 """
 
 from __future__ import annotations
@@ -167,12 +166,9 @@ _ANGLE_UNIT = np.float32(2.0 * np.pi * 2.0**-32)
 def _standard_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous float32 array ``out`` with N(0, 1) draws; return it.
 
-    Vectorized Box-Muller on h = ceil(n / 2) 64-bit words from
-    ``rng.integers``, one word per pair: its top 32 bits k give the radius
-    sqrt(-2 ln((k + 1) 2^-32)), its low 32 bits j the angle 2 pi j 2^-32,
-    all in float32. The first h values are r cos, the last n - h are
-    r sin (one sine is dropped when n is odd). The radii are built in
-    ``out`` itself; the temporaries are the h words and their halves.
+    The Box-Muller fill of the module docstring's "Noise draws" (one sine
+    is dropped when n is odd). The radii are built in ``out`` itself; the
+    temporaries are the h words and their halves.
     """
     if out.dtype != np.float32 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float32 array")
@@ -204,12 +200,9 @@ class NoiseModel:
     The model holds no randomness: noisy writes and reads draw from the
     ``rng`` their caller passes (``SimContext`` owns one per inference,
     derived from its ``seed``). eps is the variation times a float32
-    standard normal from ``_standard_normal``'s Box-Muller fill (one
-    64-bit word per pair of draws, |eps| <= sqrt(64 ln 2) = 6.66 times the
-    variation, a bound a normal exceeds with probability about 3e-11);
-    see the module docstring's "Noise draws". Noisy reads add it to each
-    cell in float32 window units and clip to [0, 1], the edges of the
-    [G_min, G_max] window.
+    standard normal from ``_standard_normal`` (see the module docstring's
+    "Noise draws"). Noisy reads add it to each cell in float32 window
+    units and clip to [0, 1], the edges of the [G_min, G_max] window.
     """
 
     read_var: float = 0.0
@@ -375,9 +368,7 @@ class ProgrammedMatrix:
     def stripes(self) -> tuple[CrossbarState, ...]:
         if self.written_stripes is not None:
             return self.written_stripes
-        bpc = self.device.bits_per_cell
-        return tuple(CrossbarState(ideal_conductances(_cell_digits(block, self.n_slices, bpc),
-                                                      self.device), self.device)
+        return tuple(CrossbarState(_ideal_stripe(block, self.n_slices, self.device), self.device)
                      for block in self._row_tiles())
 
     @functools.cached_property
@@ -436,6 +427,12 @@ def _cell_digits(block: np.ndarray, n_slices: int, bits_per_cell: int) -> np.nda
     return digits.reshape(block.shape[0], -1)
 
 
+def _ideal_stripe(block: np.ndarray, n_slices: int, dev: DeviceParams) -> np.ndarray:
+    """Ideal float64 conductances of a signed matrix, columns ordered (slice, sign, column)."""
+    level_g = ideal_conductances(np.arange(1 << dev.bits_per_cell), dev)
+    return level_g[_cell_digits(block, n_slices, dev.bits_per_cell)]
+
+
 def program_matrix(
     w_int: np.ndarray,
     dev: DeviceParams,
@@ -472,10 +469,9 @@ def program_matrix(
         weights = w_int.copy()
         weights.setflags(write=False)
         return ProgrammedMatrix(w_int.shape, x, n_slices, dev, weights=weights)
-    level_g = ideal_conductances(np.arange(1 << bpc), dev)
     stripes = []
     for r0 in range(0, in_dim, x):
-        g = level_g[_cell_digits(w_int[r0:r0 + x], n_slices, bpc)]
+        g = _ideal_stripe(w_int[r0:r0 + x], n_slices, dev)
         if noise.write_var > 0.0:
             eps = _standard_normal(rng, np.empty(g.shape, dtype=np.float32))
             eps *= noise.write_var
@@ -521,19 +517,17 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
     """Noise-free counts of a read of up to ``rows`` cells, by (popcount, level sum).
 
     Entry (p, k) is ``_adc_decode`` of the ideal current p * G_min + k * dG,
-    rint half-points included. Counts are small integers, so the table is
-    float32, exact for every count while the counts stay below 2^23 in
-    magnitude; only a nearly degenerate window (G_max / dG of order 10^7
-    and up) passes that, and keeps the table in float64. It is read-only
-    and holds 4 * (rows + 1) * (rows * (2^bits_per_cell - 1) + 1) bytes.
+    rint half-points included, in the float64 that ``_adc_decode``
+    returns. The table is read-only and holds 8 * (rows + 1) * (rows *
+    (2^bits_per_cell - 1) + 1) bytes: 33.8 KB for SRAM and 100.4 KB for
+    FeFET at 64 rows, about 134 MB at the level-stripe bound of
+    ``program_matrix``.
     """
     levels = 2**dev.bits_per_cell - 1
     popcount = np.arange(rows + 1, dtype=np.float64)
     delta_g = (dev.g_max - dev.g_min) / levels
     currents = dev.g_min * popcount[:, None] + np.arange(rows * levels + 1) * delta_g
     counts = _adc_decode(currents, popcount, dev, xbar_size, adc_bits)
-    if np.abs(counts).max() < 2**23:
-        counts = counts.astype(np.float32)
     counts.setflags(write=False)
     return counts
 
@@ -554,15 +548,16 @@ def identity_rows(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
     return identity
 
 
-def _bit_planes(x_int: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bit_planes(x_int: np.ndarray, tops: tuple[int, int]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every bit-plane of both input signs as one read batch, ordered (sign, plane, row).
 
-    Returns the (reads, in_dim) bool bits, each read's input row and
-    its signed plane weight; an all-zero input has no reads.
+    ``tops`` are the largest magnitudes of the positive and of the
+    negative inputs. Returns the (reads, in_dim) bool bits, each read's
+    input row and its signed plane weight; an all-zero input has no reads.
     """
     planes, weights = [], []
-    for in_sign, xs in ((1, np.maximum(x_int, 0)), (-1, np.maximum(-x_int, 0))):
-        top = int(xs.max())
+    for in_sign, xs, top in zip((1, -1), (np.maximum(x_int, 0), np.maximum(-x_int, 0)), tops):
         plane = np.arange(top.bit_length())
         # masked in the narrowest unsigned dtype that holds every magnitude
         dtype = np.min_scalar_type(top)
@@ -594,7 +589,8 @@ def mvm_bitserial(
     docstring). Noisy reads, and every read of a matrix without weights,
     decode the float currents of ``pm.stripes``. These reads are sparse:
     a read with no set row is dropped, and each chunk is added with one
-    fancy-indexed add per bit-plane.
+    fancy-indexed add per bit-plane. Raises ValueError on inputs wide
+    enough for a product to pass 2^53, where float64 stops being exact.
     """
     x_int = np.asarray(x_int, dtype=np.int64)
     if x_int.ndim == 1:
@@ -606,40 +602,37 @@ def mvm_bitserial(
         raise ValueError("noisy reads need an explicit rng stream")
     n = x_int.shape[0]
     acc = np.zeros((n, out_dim), dtype=np.float64)
-    if not out_dim or not x_int.any():
+    # the largest positive input and negative-input magnitude, with no int64
+    # negation (-(-2^63) wraps)
+    tops = (int(x_int.max(initial=0)), -int(x_int.min(initial=0)))
+    if not out_dim or not any(tops):
         return acc.astype(np.int64)
     xsz, dev = pm.xbar_size, pm.device
-    bits, read_row, read_weight = _bit_planes(x_int)
     # shift-and-add weight of each stripe column group, ordered (slice, sign)
     slice_weight = np.array([
         sgn * float(1 << (k * dev.bits_per_cell))
         for k in range(pm.n_slices) for sgn in (1, -1)
     ])
-
-    def shift_add(counts: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        # integer counts times powers of two: every partial sum is an integer
-        # of at most max|count| * sum|weight|, exact in float64 below 2^53 and
-        # in float32 below 2^24, in any summation order
-        return (weight @ counts.reshape(-1, weight.size, out_dim)).astype(np.float64, copy=False)
+    # A read decodes to a count of at most its level sum plus half an ADC
+    # step in magnitude (+1 for rounding). An output sums, per row tile,
+    # counts times sum|slice_weight| per read and 2^P - 1 per input sign
+    # over its planes, P the sign's bit length: while that stays below
+    # 2^53 every float64 sum of these integer terms is exact in any order.
+    levels = (1 << dev.bits_per_cell) - 1
+    half_step = xsz * dev.g_max * levels / (2 * (2**noise.adc_bits - 1) * (dev.g_max - dev.g_min))
+    count = pm.rows * levels + half_step + 1
+    plane_weights = sum((1 << top.bit_length()) - 1 for top in tops)
+    if plane_weights * np.abs(slice_weight).sum() * count * pm.row_blocks >= 2**53:
+        raise ValueError(f"inputs of up to {max(tops).bit_length()} bits can sum past 2^53, "
+                         "where float64 no longer holds every integer")
+    bits, read_row, read_weight = _bit_planes(x_int, tops)
 
     def decode_currents(currents: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-        popcount = chunk.sum(axis=1, dtype=np.intp)
-        return shift_add(_adc_decode(currents, popcount, dev, xsz, noise.adc_bits), slice_weight)
+        return _adc_decode(currents, chunk.sum(axis=1, dtype=np.intp), dev, xsz, noise.adc_bits)
 
-    @functools.cache
-    def level_decoder():
-        table = _decode_table(dev, xsz, noise.adc_bits, pm.rows)
-        # a count is at most xbar_size * G_max / dG + 1 in magnitude
-        delta_g = (dev.g_max - dev.g_min) / (2**dev.bits_per_cell - 1)
-        level_weight = slice_weight
-        if (xsz * dev.g_max / delta_g + 1) * np.abs(slice_weight).sum() < 2**24:
-            # shift-add a float32 table's counts in float32
-            level_weight = slice_weight.astype(table.dtype)
-
-        def decode_levels(index: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-            # the read gives each column's flat table index
-            return shift_add(table.take(index.astype(np.intp)), level_weight)
-        return decode_levels
+    def decode_levels(index: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+        # the read gives each column's flat table index
+        return _decode_table(dev, xsz, noise.adc_bits, pm.rows).take(index.astype(np.intp))
 
     def read_sparse(slab: np.ndarray, active: np.ndarray, stripe: CrossbarState,
                     decode) -> None:
@@ -648,6 +641,10 @@ def mvm_bitserial(
             reads = active[a:a + step]
             chunk = slab[reads]
             partial = decode(stripe.read_currents(chunk, noise, rng), chunk)
+            # rebinding frees the counts before the next chunk is read; counts
+            # kept alive through the next chunk make the heap trim and fault
+            # its pages in again on every chunk
+            partial = slice_weight @ partial.reshape(-1, slice_weight.size, out_dim)
             # acc[row] += plane weight * partial for each read. Reads ascend
             # in (sign, plane, row) order, plane q holding reads q*n to
             # q*n + n - 1, so cut at the plane starts each piece has distinct
@@ -691,5 +688,5 @@ def mvm_bitserial(
             read_planes(slab if identity.all() else slab & identity[:, None],
                         pm.weight_stripes[rb])
         if not identity.all():
-            read_sparse(slab, np.flatnonzero(~identity), pm.level_stripes[rb], level_decoder())
+            read_sparse(slab, np.flatnonzero(~identity), pm.level_stripes[rb], decode_levels)
     return np.rint(acc).astype(np.int64)

@@ -330,6 +330,24 @@ def test_a_matrix_with_no_output_columns_gives_an_empty_product(device, noisy, t
     assert currents.shape == (2, 0)
 
 
+def test_inputs_that_can_sum_past_float64_integers_raise(sram, tiles):
+    # w = [[1]] on SRAM at 6 ADC bits: a one-row read decodes to at most its
+    # level sum 1, plus half an ADC step (64 * G_max / dG / 126 = 0.51),
+    # plus 1, and a slice pair weighs 2. Inputs of one sign and up to 50
+    # bits stay below 2^53 (5.03 * (2^50 - 1)); 51 bits do not. float64
+    # rounds 2^53 + 1 to 2^53, and -2^63 has no int64 negation.
+    pm = program_matrix(np.array([[1]]), sram, tiles, 1)
+    noise = NoiseModel(adc_bits=6)
+    for x in (2**50 - 1, -(2**50 - 1)):
+        assert mvm_bitserial(pm, np.array([[x]]), noise).tolist() == [[x]]
+    for x in (2**50, -2**50, 2**53 + 1, -2**63):
+        with pytest.raises(ValueError, match="2\\^53"):
+            mvm_bitserial(pm, np.array([[x]]), noise)
+    # both signs at 50 bits double the bound
+    with pytest.raises(ValueError, match="2\\^53"):
+        mvm_bitserial(pm, np.array([[2**50 - 1], [-(2**50 - 1)]]), noise)
+
+
 def test_read_rows_must_be_binary(fefet, tiles):
     xb = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8).stripes[0]
     with pytest.raises(ValueError, match="binary"):
@@ -584,7 +602,8 @@ def test_cell_digits_equal_the_slice_by_slice_reference(w, sign, bits_per_cell, 
        sign=SIGNS)
 def test_bit_planes_equal_the_plane_by_plane_reference(x, sign):
     x = _signed(x, sign)
-    for got, expected in zip(_bit_planes(x), oracle_bit_planes(x)):
+    tops = (int(x.max(initial=0)), -int(x.min(initial=0)))
+    for got, expected in zip(_bit_planes(x, tops), oracle_bit_planes(x)):
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
 
@@ -624,24 +643,6 @@ def test_a_read_beyond_float32_integers_keeps_no_level_stripe(fefet, monkeypatch
     pm = program_matrix(w, fefet, TileConfig(xbar_size=4096, adc_bits=14), 8, noise)
     assert pm.level_stripes is None
     assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
-
-
-def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
-    # 511 set rows of 65535: each read sums to 511 * 65535, odd and over
-    # 2^24, which float32 cannot hold. At 10 ADC bits every popcount of a
-    # 512-row SRAM tile is an identity row, so all three bit-planes are read
-    # from the float64 weight stripe and shift-added by one stacked product
-    tiles = TileConfig(xbar_size=512, adc_bits=10)
-    w = np.full((512, 2), 2**16 - 1)
-    x = np.zeros((2, 512), dtype=int)
-    x[0, :511] = 1
-    x[1, 1:] = -3
-    noise = NoiseModel(adc_bits=10)
-    pm = program_matrix(w, sram, tiles, 16, noise)
-    assert identity_rows(sram, 512, 10, 512).all()
-    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
-    assert pm.weight_stripes[0].conductances.dtype == np.float64
-    assert "level_stripes" not in vars(pm)
 
 
 # 32 set rows over top-level cells: SRAM (p, k) = (32, 32) and FeFET
@@ -740,7 +741,7 @@ def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits,
     xsz = tiles.xbar_size
     levels = 2**dev.bits_per_cell - 1
     table = _decode_table(dev, xsz, adc_bits, xsz)
-    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float32
+    assert table.shape == (xsz + 1, xsz * levels + 1) and table.dtype == np.float64
     # every entry, ties included, is the count of the ideal current
     assert np.array_equal(table, oracle_count(dev, xsz, adc_bits, *np.indices(table.shape)))
     ties = _exact_ties(dev, xsz, adc_bits, table.shape)
@@ -773,7 +774,7 @@ def test_every_safe_table_entry_holds_in_every_summation_order(device, adc_bits,
 
 
 @pytest.mark.parametrize("device", ["sram", "fefet"])
-def test_a_window_too_narrow_for_float32_counts_keeps_a_float64_table(device, tiles, request):
+def test_a_narrow_window_decodes_exact_counts(device, tiles, request):
     # r_off a part in 1e9 above r_on: G_max / dG is about 1e9, and the ADC
     # steps decode to counts in the tens of millions, past float32's integers
     dev = request.getfixturevalue(device)
@@ -831,8 +832,7 @@ def test_a_level_shift_add_beyond_float32_integers_stays_exact(sram, tiles, monk
 
 
 @pytest.mark.parametrize("device, xbar_size", [("sram", 64), ("fefet", 16)])
-def test_a_noisy_read_of_a_paired_matrix_equals_reading_its_conductances(device, xbar_size,
-                                                                          request):
+def test_a_noisy_read_of_weights_equals_reading_their_conductances(device, xbar_size, request):
     dev = request.getfixturevalue(device)
     rng = np.random.default_rng(16)
     w = rng.integers(-127, 128, size=(100, 30))
@@ -966,6 +966,20 @@ def test_wide_weights_read_a_float64_weight_stripe_exactly(sram, tiles):
     narrow = program_matrix(w >> 17, sram, tiles, 8, noise)
     assert narrow.weight_stripes[0].conductances.dtype == np.float32
     assert np.array_equal(mvm_bitserial(narrow, x, noise), x @ (w >> 17))
+    # 511 set rows of 65535 sum to 511 * 65535, odd and over 2^24. At 10
+    # ADC bits every popcount of a 512-row SRAM tile is an identity row, so
+    # all three bit-planes are read from the float64 weight stripe
+    tall = TileConfig(xbar_size=512, adc_bits=10)
+    w = np.full((512, 2), 2**16 - 1)
+    x = np.zeros((2, 512), dtype=int)
+    x[0, :511] = 1
+    x[1, 1:] = -3
+    noise = NoiseModel(adc_bits=10)
+    pm = program_matrix(w, sram, tall, 16, noise)
+    assert identity_rows(sram, 512, 10, 512).all()
+    assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
+    assert pm.weight_stripes[0].conductances.dtype == np.float64
+    assert "level_stripes" not in vars(pm)
 
 
 # (device, ADC bits, input rows, output columns). 100 columns take
@@ -1030,8 +1044,9 @@ def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
     x = rng.integers(-127, 128, size=(32, 128))
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, dev, tiles, 8, noise)
-    # the table is built inside the traced call
+    # the table and the identity rows are built inside the traced call
     _decode_table.cache_clear()
+    identity_rows.cache_clear()
     tracemalloc.start()
     try:
         mvm_bitserial(pm, x, noise)
