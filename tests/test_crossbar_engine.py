@@ -966,16 +966,20 @@ def test_wide_weights_read_a_float64_weight_stripe_exactly(sram, tiles):
     narrow = program_matrix(w >> 17, sram, tiles, 8, noise)
     assert narrow.weight_stripes[0].conductances.dtype == np.float32
     assert np.array_equal(mvm_bitserial(narrow, x, noise), x @ (w >> 17))
-    # 511 set rows of 65535 sum to 511 * 65535, odd and over 2^24. At 10
-    # ADC bits every popcount of a 512-row SRAM tile is an identity row, so
-    # all three bit-planes are read from the float64 weight stripe
-    tall = TileConfig(xbar_size=512, adc_bits=10)
+
+
+def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
+    # 511 set rows of 65535: each read sums to 511 * 65535, odd and over
+    # 2^24, which float32 cannot hold. At 10 ADC bits every popcount of a
+    # 512-row SRAM tile is an identity row, so all three bit-planes are read
+    # from the float64 weight stripe
+    tiles = TileConfig(xbar_size=512, adc_bits=10)
     w = np.full((512, 2), 2**16 - 1)
     x = np.zeros((2, 512), dtype=int)
     x[0, :511] = 1
     x[1, 1:] = -3
     noise = NoiseModel(adc_bits=10)
-    pm = program_matrix(w, sram, tall, 16, noise)
+    pm = program_matrix(w, sram, tiles, 16, noise)
     assert identity_rows(sram, 512, 10, 512).all()
     assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
     assert pm.weight_stripes[0].conductances.dtype == np.float64
