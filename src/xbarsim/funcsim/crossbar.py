@@ -433,6 +433,22 @@ def _ideal_stripe(block: np.ndarray, n_slices: int, dev: DeviceParams) -> np.nda
     return level_g[_cell_digits(block, n_slices, dev.bits_per_cell)]
 
 
+def _exact_int64(values, name: str) -> np.ndarray:
+    """``values`` as int64, raising ValueError on any value the cast would
+    change: a non-integral or non-finite one, or one outside int64. Signed
+    integers, bools and narrower unsigned ones cast unchecked; floats and
+    uint64 are checked, and any other dtype raises."""
+    a = np.asarray(values)
+    if np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind in "fu":  # float, or uint64
+        with np.errstate(invalid="ignore"):
+            cast = a.astype(np.int64)
+        if np.all(cast == a):
+            return cast
+    raise ValueError(f"{name} must hold integers within int64")
+
+
 def program_matrix(
     w_int: np.ndarray,
     dev: DeviceParams,
@@ -446,7 +462,7 @@ def program_matrix(
     Every stripe draws its write noise from ``rng`` in turn, so no two
     crossbars repeat each other's noise; write noise needs ``rng``.
     """
-    w_int = np.asarray(w_int, dtype=np.int64)
+    w_int = _exact_int64(w_int, "weight matrix")
     if w_int.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
     bpc = dev.bits_per_cell
@@ -592,7 +608,7 @@ def mvm_bitserial(
     fancy-indexed add per bit-plane. Raises ValueError on inputs wide
     enough for a product to pass 2^53, where float64 stops being exact.
     """
-    x_int = np.asarray(x_int, dtype=np.int64)
+    x_int = _exact_int64(x_int, "inputs")
     if x_int.ndim == 1:
         x_int = x_int[None, :]
     in_dim, out_dim = pm.shape

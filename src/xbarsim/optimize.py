@@ -38,7 +38,7 @@ from .patterns import (
     label,
     source_array,
 )
-from .similarity import centered, cka_score
+from .similarity import cka_matrix
 
 Scorer = Callable[[ReusePattern], float]
 
@@ -122,21 +122,17 @@ def make_cka_scorer(attention_outputs: Sequence[np.ndarray]) -> Scorer:
     a forward pass of the unmodified model. Reusing encoder i drops its
     own attention in favour of a transform of encoder source(i)'s, so
     the penalty is their dissimilarity; low totals mean the pattern
-    discards little information. Each output is centered once, and a
-    pair's penalty ``pen[src * n + i]`` is computed on its first use.
+    discards little information. The penalty table ``pen[src * n + i]``
+    is filled once, from one ``cka_matrix`` call; a batch only looks its
+    pairs up and sums them.
     """
-    outputs = [centered(a) for a in attention_outputs]
-    n = len(outputs)
-    pen = np.full(n * n, np.nan)
+    n = len(attention_outputs)
+    pen = (1.0 - cka_matrix(attention_outputs)).ravel()
 
     def batch(sets: np.ndarray) -> np.ndarray:
         if sets.size and sets.max() >= n:
             raise ValueError(f"pattern needs {sets.max() + 1} encoder activations, have {n}")
-        pairs = source_array(sets) * n + sets
-        for pair in dict.fromkeys(pairs[np.isnan(pen[pairs])].tolist()):
-            src, i = divmod(pair, n)
-            pen[pair] = 1.0 - cka_score(outputs[src], outputs[i])
-        vals = pen[pairs]
+        vals = pen[source_array(sets) * n + sets]
         total = np.zeros(len(sets))
         for j in range(sets.shape[1]):  # in reuse-set order: the sequential sum, bit for
             total += vals[:, j]         # bit; .sum(axis=1) sums pairwise from 8 reusers on

@@ -1,68 +1,71 @@
 """Linear centered kernel alignment between activation matrices.
 
-cka(X, Y) = ||Yc^T Xc||_F^2 / (||Xc^T Xc||_F * ||Yc^T Yc||_F)
+cka(X, Y) = <Kx, Ky>_F / (||Kx||_F * ||Ky||_F),   K = Xc Xc^T
 
-with Xc, Yc column-centered (features centered over samples). The
-feature-space form avoids the t x t Gram matrices and is exact for
-the linear kernel. Scores live in [0, 1]; 1 for identical inputs,
-invariant to orthogonal transforms and isotropic scaling.
+with Xc column-centered (features centered over samples) and K its
+t x t Gram matrix over the t samples; <Kx, Ky>_F = ||Yc^T Xc||_F^2, so
+this sample-space form is the feature-space one. Each activation is
+centered and multiplied by its transpose once (t^2 d multiply-adds);
+after that a pair costs t^2 multiply-adds, the elementwise product of
+two flattened Grams summed along the row, where the feature-space cross
+term costs t d_x d_y. For 12 activations of 32 x 64, all 66 pairs take
+0.85M multiply-adds, against 10.2M in feature space. Scores live in
+[0, 1]; 1 for identical inputs, invariant to orthogonal transforms and
+isotropic scaling.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 
-class Centered(NamedTuple):
-    """One activation, column-centered, with its self-norm ||Xc^T Xc||_F."""
-
-    xc: np.ndarray
-    self_norm: float
-
-
-def centered(a: np.ndarray) -> Centered:
-    """Center a (samples x features) activation and take its self-norm.
-
-    ``cka_score`` needs both for each operand; computing them once per
-    activation lets every pair that shares it compute only the cross term.
-    """
+def _gram(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
-        raise ValueError("cka_score expects 2-D activation matrices")
+        raise ValueError("CKA expects 2-D (samples x features) activation matrices")
     ac = a - a.mean(axis=0, keepdims=True)
-    return Centered(ac, np.linalg.norm(ac.T @ ac, "fro"))
+    return ac @ ac.T
 
 
-def cka_score(a: np.ndarray | Centered, b: np.ndarray | Centered) -> float:
-    """Linear CKA between two (samples x features) activation matrices.
+def cka_matrix(activations: Sequence[np.ndarray]) -> np.ndarray:
+    """Pairwise linear CKA over a list of (samples x features) activations.
 
-    Either operand may be a raw array or its ``centered`` record; the
-    score is the same bit for bit. Degenerate inputs with no variance
-    score 0 (with a logged diagnostic) rather than raising: a constant
-    activation carries no alignable structure.
+    Entry (i, j) is ``cka_score(activations[i], activations[j])``; the
+    diagonal is 1. Degenerate inputs with no variance score 0 against
+    every other (with one logged diagnostic) rather than raising: a
+    constant activation carries no alignable structure.
     """
-    a = a if isinstance(a, Centered) else centered(a)
-    b = b if isinstance(b, Centered) else centered(b)
-    if a.xc.shape[0] != b.xc.shape[0]:
-        raise ValueError(f"sample counts differ: {a.xc.shape[0]} vs {b.xc.shape[0]}")
-    if a.self_norm == 0.0 or b.self_norm == 0.0:
-        logger.warning("cka_score: zero-variance input, returning 0")
-        return 0.0
-    cross = np.linalg.norm(b.xc.T @ a.xc, "fro") ** 2
-    return float(cross / (a.self_norm * b.self_norm))
-
-
-def cka_matrix(activations: "list[np.ndarray]") -> np.ndarray:
-    """Pairwise CKA over a list of activation matrices."""
-    records = [centered(a) for a in activations]
-    n = len(records)
+    grams = [_gram(a) for a in activations]
+    counts = sorted({len(k) for k in grams})
+    if len(counts) > 1:
+        raise ValueError(f"sample counts differ: {counts}")
+    n = len(grams)
     out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = cka_score(records[i], records[j])
-    return out
+    if n < 2:
+        return out
+    t = counts[0]
+    flat = np.stack(grams).reshape(n, t * t)
+    # One power of two per Gram, from its largest (diagonal) entry, keeps
+    # K * K finite and normal for inputs scaled by up to about 1e+-150, and
+    # changes no bit of a score.
+    flat = np.ldexp(flat, -np.frexp(flat[:, :: t + 1].max(axis=1, initial=0.0))[1][:, None])
+    norms = np.sqrt((flat * flat).sum(axis=1))
+    if not norms.all():
+        logger.warning("cka_matrix: zero-variance input, scoring it 0")
+    cross = np.zeros((n, n))
+    for i in range(n - 1):
+        cross[i, i + 1:] = (flat[i] * flat[i + 1:]).sum(axis=1)
+    den = np.outer(norms, norms)
+    np.divide(cross, den, out=cross, where=den > 0)
+    return out + cross + cross.T
+
+
+def cka_score(a: np.ndarray, b: np.ndarray) -> float:
+    """Linear CKA between two (samples x features) activation matrices:
+    the off-diagonal entry of their ``cka_matrix``, bit for bit."""
+    return float(cka_matrix([a, b])[0, 1])

@@ -11,11 +11,12 @@ checks every reachable level sum of every popcount one count at a time.
 The pattern and CKA oracles are the brute-force search: every
 (family, sl, n_cont, start) is generated, every explicit reuse set of a
 count is listed (``all_explicit_patterns``), and every CKA pair centers
-both operands from scratch. The reuse-set rules the library states once
-on arrays have their one-pattern references here: ``reuse_sources``
-walks back to each reuser's source, ``select_best`` takes the minimal
-(score, reuse set). ``rows_from_json`` reads a report document back
-into rows.
+both operands and forms their Gram matrices from scratch (the
+feature-space form is a second, independent CKA oracle). The reuse-set
+rules the library states once on arrays have their one-pattern
+references here: ``reuse_sources`` walks back to each reuser's source,
+``select_best`` takes the minimal (score, reuse set). ``rows_from_json``
+reads a report document back into rows.
 """
 
 import itertools
@@ -399,12 +400,29 @@ def rows_from_json(text):
             for r in json.loads(text)["rows"]]
 
 
-def oracle_cka_score(a, b):
-    """Linear CKA with both operands centered and normed on every call."""
+def _centered(a):
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ac = a - a.mean(axis=0, keepdims=True)
-    bc = b - b.mean(axis=0, keepdims=True)
+    return a - a.mean(axis=0, keepdims=True)
+
+
+def oracle_cka_score(a, b):
+    """Linear CKA of one pair in sample space, from both operands' t x t
+    Gram matrices formed on every call: <Ka, Kb> / (||Ka|| ||Kb||), each
+    a row sum of elementwise products."""
+    ac, bc = _centered(a), _centered(b)
+    ka, kb = ac @ ac.T, bc @ bc.T
+    cross = (ka * kb).sum()
+    norm_a = np.sqrt((ka * ka).sum())
+    norm_b = np.sqrt((kb * kb).sum())
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(cross / (norm_a * norm_b))
+
+
+def oracle_cka_score_feature_space(a, b):
+    """Linear CKA of one pair in feature space:
+    ||Bc^T Ac||^2 / (||Ac^T Ac|| ||Bc^T Bc||)."""
+    ac, bc = _centered(a), _centered(b)
     cross = np.linalg.norm(bc.T @ ac, "fro") ** 2
     norm_a = np.linalg.norm(ac.T @ ac, "fro")
     norm_b = np.linalg.norm(bc.T @ bc, "fro")

@@ -348,6 +348,26 @@ def test_inputs_that_can_sum_past_float64_integers_raise(sram, tiles):
         mvm_bitserial(pm, np.array([[2**50 - 1], [-(2**50 - 1)]]), noise)
 
 
+CHANGED_BY_AN_INT64_CAST = [
+    [[1.7]], [[1.9]], [[np.nan]], [[-np.inf]], [[2.0**63]], [[2**70]], [["1"]],
+    np.array([[2**64 - 1]], dtype=np.uint64),
+]
+
+
+@pytest.mark.parametrize("bad", CHANGED_BY_AN_INT64_CAST,
+                         ids=["1.7", "1.9", "nan", "-inf", "2^63", "2^70", "str", "uint64-max"])
+def test_values_an_int64_cast_would_change_raise(bad, sram, tiles):
+    """Weights and inputs are taken as given or refused, never truncated or
+    wrapped; integral floats and unsigned values within int64 pass."""
+    with pytest.raises(ValueError, match="weight matrix must hold integers within int64"):
+        program_matrix(bad, sram, tiles, 8)
+    pm = program_matrix(np.array([[1.0]]), sram, tiles, 8)
+    assert mvm_bitserial(pm, np.array([[3.0]])).tolist() == [[3]]
+    assert mvm_bitserial(pm, np.array([[3]], dtype=np.uint64)).tolist() == [[3]]
+    with pytest.raises(ValueError, match="inputs must hold integers within int64"):
+        mvm_bitserial(pm, bad)
+
+
 def test_read_rows_must_be_binary(fefet, tiles):
     xb = program_matrix(np.ones((8, 8), dtype=int), fefet, tiles, 8).stripes[0]
     with pytest.raises(ValueError, match="binary"):

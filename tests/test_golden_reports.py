@@ -197,28 +197,28 @@ FUNCSIM_GOLDEN = {
          "57061e9d36b7774d4ad1d77125cd2444d24687a48b53d28e68c9e9cf552313cb"),
     ("SRAM", "--encoders 2"):
         ("053233be5ef2bf2936be34ace4d3cfa1b1af6ff9c99fa63670d9e9b0ca34449e",
-         "3caa429c3165dc12b4e243dee939eebf9cbf155712bd1a1f9dfbb4aa04be8a2e"),
+         "013d38c1ced1de3177faff8cda9ccad4ba55a4911f5453310bbd2a0bb57caef2"),
     ("FeFET", "--encoders 4 --reuse 1,3"):
         ("fccdfb178228af2d31be153aeb37281eeaec4d53a981ed4f79b07c4f67917800",
-         "66bc0126973cea91029627087b913d5946a7fb61d7e311a73d35250ae288b348"),
+         "6b27294966d8c3601f76d34d0b56d94bee35c2335458e524cdc1e705517fc89d"),
     ("SRAM", "--encoders 4 --reuse 1,3"):
         ("9b244407b4a64fd4c1b787650b6ed7ddc2f1aa7bbc9513540deea1c5cf4c1f2f",
-         "0ac51ec01af0ad9545ac2490eeaac1ac62aa4b79b1df0d4351bd575912beeb4f"),
+         "2b5108ee4d0d9afe9831f9aa440e2ecbc421c9bf15026532b6598d7aca86c9cd"),
     ("hybrid", "--encoders 4 --reuse 1,3"):
         ("6b0760f3b806a50389cc12181afd06839d9853f93250a42bd1387344a44362fb",
          "3f9fc03bb831de11bf7d52e92a575c1eaf88f84f77d4ee1980f1d703f7d278f0"),
     ("FeFET", "--encoders 2 --adc-bits 8"):
         ("c4d9c7f4a3dedfaa7b3137b801598bddf6cad580ef849465fabab0bb2ff26db6",
-         "df242f68c7448130a1c9bc8714fc4991950204ef817c03bee24546fec84a7f0d"),
+         "b30526f3e90e2cf02a6482a574b3c6f02364f7cb6f7b47ed1a121012e32442ac"),
     ("hybrid", "--encoders 2 --adc-bits 8"):
         ("2637a4ecaa354af76fbfa1e1fb49e6efd456944c084a843582a0640b53344f1f",
          "620b4c0a41d267f070f6af125973c18e34465cc778ce1b2883b869f3897c975e"),
     ("FeFET", "--encoders 2 --adc-bits 4 --no-noise"):
         ("df18d26aa0bbb4c79de787e6ce286d0057dbee0cdbed002e00ec3d39f7e4ae56",
-         "91df3aae3e6a663118f150adee6509c73c36348c7cd6be907fb9ace0663be4e9"),
+         "67afb53f7160ec7be998a68cd2ab2d693fa0304865fbf74da75c0e9ae644187c"),
     ("SRAM", "--encoders 2 --adc-bits 4 --no-noise"):
         ("e3fd393594a976c98bb6694085e34b2d6966ca4932d1efb4ae266040f8daf773",
-         "b6296002e7252e008f5ed96db7a5ac6df59050e58fc496e1bb58180fb32c059f"),
+         "87c0dfde3824f22607a1cd6d3be539f3b8e5a1b836e1dd6e557c95b86e0d2a72"),
     ("hybrid", "--encoders 2 --adc-bits 4 --no-noise"):
         ("98e980dc924f9f27841872fea0bbcf2b2e0ebe9b1c8410782218faf6485e50a3",
          "7d5be0a6e3ac1fcef01b8742209c75d19a74341dc67d9e2c4978bd82d8b8b959"),
@@ -250,7 +250,7 @@ def test_funcsim_output_matches_golden(case, tmp_path):
 
 # sha256 of optimize_patterns.json from ``optimize --model DeiT-S
 # --device FeFET --target-delay 7``
-OPTIMIZE_GOLDEN = "dc651e39da800d23950a96ca8059c0eefbb22bbc8c8ed23be58416b4c1ef02aa"
+OPTIMIZE_GOLDEN = "d3f8e217f404000d45440c1d35575f93c83c9fc9e853d84c2fbcb5614ad9f778"
 
 
 def test_optimize_patterns_match_golden(tmp_path):
@@ -265,7 +265,7 @@ def test_optimize_patterns_match_golden(tmp_path):
 # scores each add up 9 penalties.
 OPTIMIZE_RANKING_GOLDEN = {
     ("DeiT-S", "FeFET", "7"): (
-        "dc651e39da800d23950a96ca8059c0eefbb22bbc8c8ed23be58416b4c1ef02aa",
+        "d3f8e217f404000d45440c1d35575f93c83c9fc9e853d84c2fbcb5614ad9f778",
         (
             "  pyramid      4+6+8+9+11           score=0.0468 <- selected",
             "  pyramid      6+8+9+10+11          score=0.0471",
@@ -280,7 +280,7 @@ OPTIMIZE_RANKING_GOLDEN = {
         ),
     ),
     ("LV-ViT-S", "hybrid", "7"): (
-        "a2ee24b65976d555e42ead5553d0225cd8a93fbf497657f46d356c341c656987",
+        "4a19502b5b4287ae666f1bc18679be20889a1d62aa81ffd955d8f1578594047d",
         (
             "  pyramid      4+6+8+9+10+11+12+13+15 score=0.0955 <- selected",
             "  pyramid      6+8+9+10+11+12+13+14+15 score=0.1026",

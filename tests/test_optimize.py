@@ -12,7 +12,6 @@ from oracles import (
     gen_continuous,
     gen_strided,
     oracle_cka_scorer,
-    reuse_sources,
     select_best,
 )
 from xbarsim.optimize import (
@@ -29,7 +28,7 @@ from xbarsim.patterns import (
     enumerate_patterns,
     explicit_pattern,
 )
-from xbarsim.similarity import Centered, cka_score
+from xbarsim.similarity import cka_matrix, cka_score
 
 # The package re-exports the function optimize(), which hides the module.
 optimize_mod = importlib.import_module("xbarsim.optimize")
@@ -131,7 +130,8 @@ class TestCkaScorer:
 
 
 class TestCkaScorerMatchesPerPairOracle:
-    """Centering once per encoder leaves every score unchanged bit for bit."""
+    """A penalty table filled once gives every score of the per-pair
+    oracle bit for bit."""
 
     @staticmethod
     def _all_patterns(n):
@@ -144,38 +144,21 @@ class TestCkaScorerMatchesPerPairOracle:
         for p in self._all_patterns(n):
             assert scorer(p) == oracle(p), p.label()
 
-    def test_each_encoder_centered_once(self, monkeypatch):
-        acts = synthetic_attention_outputs(12)
-        seen = []
-        center = optimize_mod.centered
-
-        def counting(a):
-            seen.append(a)
-            return center(a)
-
-        monkeypatch.setattr(optimize_mod, "centered", counting)
-        scorer = make_cka_scorer(acts)
-        for p in self._all_patterns(12):
-            scorer(p)
-        assert len(seen) == len(acts)
-        assert all(s is a for s, a in zip(seen, acts))
-
-    def test_cka_score_called_once_per_distinct_pair(self, monkeypatch):
+    def test_one_cka_matrix_call_at_construction_and_none_per_batch(self, monkeypatch):
         acts = synthetic_attention_outputs(12)
         calls = []
 
-        def counting(a, b):
-            calls.append((a, b))
-            return cka_score(a, b)
+        def counting(activations):
+            calls.append(activations)
+            return cka_matrix(activations)
 
-        monkeypatch.setattr(optimize_mod, "cka_score", counting)
+        monkeypatch.setattr(optimize_mod, "cka_matrix", counting)
         scorer = make_cka_scorer(acts)
-        pairs = set()
+        assert len(calls) == 1 and calls[0] is acts
         for p in self._all_patterns(12):
             scorer(p)
-            pairs.update((src, i) for i, src in reuse_sources(p.reuse_set).items())
-        assert len(calls) == len(pairs)
-        assert all(isinstance(x, Centered) for call in calls for x in call)
+        scorer.batch(enumerate_patterns(12, 5).sets)
+        assert len(calls) == 1
 
 
 class TestExternalScorer:
