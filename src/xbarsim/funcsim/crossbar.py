@@ -25,27 +25,36 @@ stripes it reads are derived from them when a read asks for them.
 
 Inputs are fed one bit-plane at a time. ``mvm_bitserial`` stacks every
 bit-plane of both input signs as one batch of reads, ordered (sign,
-plane, input row), and accumulates them in one of two ways. The
-noise-free identity reads (below) are read a whole bit-plane at a time:
-a row tile with one reads its weight stripe over every plane, the reads
-of other popcounts cleared to zero rows, in blocks of whole planes, or
-of rows of one plane where a plane alone passes the budget of
-``CHUNK_ELEMENTS`` currents. A block's partials, times their signed
-plane weights, reach their input rows by one stacked product and one
-slice add. Every other read is sparse: the reads with no set bit in a
-row tile are dropped (they give exactly zero), each stripe is read once
-per chunk of at most ``CHUNK_ELEMENTS`` currents, and a chunk's
-shift-added counts, times their signed plane weights, reach their input
-rows by one fancy-indexed add per bit-plane in the chunk: within a plane
-every read has its own input row, so no add collides, and the work per
-read is out_dim whatever the number of input rows. Every term is an
-integer, and the float64 accumulator and every float64 shift-add are
-exact in any order while their sums stay below 2^53 in magnitude;
-``mvm_bitserial`` raises on inputs wide enough for a product to pass
-that. Read noise is drawn only for the (read, row) pairs whose bit is
-set, in chunks of the same element budget: a row at 0 carries no current
-whatever its noise, so the output distribution is that of drawing every
-cell.
+plane, input row), from one broadcast shift-and-mask of the input
+magnitudes (``_bit_planes``), and keeps one signed weight per plane:
+with n input rows, read i is input row i % n of plane i // n, and a
+read derives its row and plane weight from i only when it is made. The
+reads accumulate in one of two ways. The noise-free identity reads
+(below) are read a whole bit-plane at a time: a row tile with one reads
+its weight stripe over every plane, the reads of other popcounts cleared
+to zero rows, in blocks of whole planes, or of rows of one plane where a
+plane alone passes the budget of ``CHUNK_ELEMENTS`` currents. A block's
+partials, times their signed plane weights, reach their input rows by
+one stacked product and one slice add. A tile counts its reads' set
+rows (their popcounts) only where a read can leave the identity: a tile
+whose every popcount, 0 to its row count, is an identity row reads its
+whole planes uncounted, if it has a set bit at all (every 16-row
+QK^T tile at 6 SRAM ADC bits, every tile at 7 SRAM or 8 FeFET bits);
+any other tile sums each read's bits in the narrowest unsigned dtype
+that holds its row count. Every other read is sparse: the reads with no
+set bit in a row tile are dropped (they give exactly zero), each stripe
+is read once per chunk of at most ``CHUNK_ELEMENTS`` currents, and a
+chunk's shift-added counts, times their signed plane weights, reach
+their input rows by one fancy-indexed add per bit-plane in the chunk:
+within a plane every read has its own input row, so no add collides,
+and the work per read is out_dim whatever the number of input rows.
+Every term is an integer, and the float64 accumulator and every float64
+shift-add are exact in any order while their sums stay below 2^53 in
+magnitude; ``mvm_bitserial`` raises on inputs wide enough for a product
+to pass that. Read noise is drawn only for the (read, row) pairs whose
+bit is set, in chunks of the same element budget: a row at 0 carries no
+current whatever its noise, so the output distribution is that of
+drawing every cell.
 
 A noisy read works in float32 window units. Each cell is
 u = (g - G_min) / (G_max - G_min), its noise gain g * sigma / (G_max -
@@ -397,7 +406,7 @@ class ProgrammedMatrix:
         """
         if self.weights is None:
             return None
-        top = int(np.abs(self.weights).max(initial=0))
+        top = max(int(self.weights.max(initial=0)), -int(self.weights.min(initial=0)))
         dtype = np.float32 if self.rows * top < 1 << 24 else np.float64
         return tuple(CrossbarState(block.astype(dtype), self.device)
                      for block in self._row_tiles())
@@ -564,24 +573,36 @@ def identity_rows(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
     return identity
 
 
-def _bit_planes(x_int: np.ndarray, tops: tuple[int, int]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _slice_weights(n_slices: int, bits_per_cell: int) -> np.ndarray:
+    """Shift-and-add weight of each stripe column group, ordered (slice, sign); read-only."""
+    weights = np.array([sgn * float(1 << (k * bits_per_cell))
+                        for k in range(n_slices) for sgn in (1, -1)])
+    weights.setflags(write=False)
+    return weights
+
+
+def _bit_planes(x_int: np.ndarray, tops: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Every bit-plane of both input signs as one read batch, ordered (sign, plane, row).
 
     ``tops`` are the largest magnitudes of the positive and of the
-    negative inputs. Returns the (reads, in_dim) bool bits, each read's
-    input row and its signed plane weight; an all-zero input has no reads.
+    negative inputs, below 2^53. Returns the (reads, in_dim) bool bits
+    and one signed weight per plane: read i is input row i % n of plane
+    i // n, n = len(x_int). Both signs' planes come from one broadcast
+    shift-and-mask of |x_int| in the narrowest unsigned dtype that holds
+    the larger top, each masked by its inputs' sign. An all-zero input
+    has no reads.
     """
-    planes, weights = [], []
-    for in_sign, xs, top in zip((1, -1), (np.maximum(x_int, 0), np.maximum(-x_int, 0)), tops):
-        plane = np.arange(top.bit_length())
-        # masked in the narrowest unsigned dtype that holds every magnitude
-        dtype = np.min_scalar_type(top)
-        planes.append((xs.astype(dtype) & (1 << plane).astype(dtype)[:, None, None]) != 0)
-        weights.append(in_sign * 2.0**plane)
-    bits = np.concatenate(planes).reshape(-1, x_int.shape[1])
-    n = x_int.shape[0]
-    return bits, np.tile(np.arange(n), bits.shape[0] // n), np.repeat(np.concatenate(weights), n)
+    n, in_dim = x_int.shape
+    p_pos, p_neg = (top.bit_length() for top in tops)
+    dtype = np.min_scalar_type(max(tops))
+    plane_bit = (1 << np.arange(max(p_pos, p_neg))).astype(dtype)
+    planes = (np.abs(x_int).astype(dtype) & plane_bit[:, None, None]) != 0
+    plane_weight = np.concatenate((2.0 ** np.arange(p_pos), -(2.0 ** np.arange(p_neg))))
+    bits = np.empty((p_pos + p_neg, n, in_dim), dtype=np.bool_)
+    np.logical_and(planes[:p_pos], x_int > 0, out=bits[:p_pos])
+    np.logical_and(planes[:p_neg], x_int < 0, out=bits[p_pos:])
+    return bits.reshape(-1, in_dim), plane_weight
 
 
 def mvm_bitserial(
@@ -594,19 +615,26 @@ def mvm_bitserial(
 
     ``x_int`` is (n, in_dim) signed; negative inputs run as a second
     set of bit-planes on their magnitudes with the result subtracted.
-    Read noise needs ``rng``. A noise-free read of a matrix with weights
-    whose popcount is an ``identity_rows`` entry reads its row tile's
-    weight stripe, and that read is its shift-added partial. A tile with
-    such a read of set rows reads its weight stripe over whole bit-planes,
-    its other reads cleared to zero rows, and adds each block of planes
-    times their plane weights by one stacked product. Every other
-    noise-free read of such a matrix maps its level stripe's read to
-    counts through one ``_decode_table`` lookup (see the module
-    docstring). Noisy reads, and every read of a matrix without weights,
-    decode the float currents of ``pm.stripes``. These reads are sparse:
-    a read with no set row is dropped, and each chunk is added with one
-    fancy-indexed add per bit-plane. Raises ValueError on inputs wide
-    enough for a product to pass 2^53, where float64 stops being exact.
+    Read noise needs ``rng``. The bit-planes come from ``_bit_planes``,
+    ordered (sign, plane, row) with one signed weight per plane: read i
+    is input row i % n, weighted by the weight of plane i // n, and
+    both are derived only for the reads that are made.
+
+    A noise-free read of a matrix with weights whose popcount is an
+    ``identity_rows`` entry reads its row tile's weight stripe, and that
+    read is its shift-added partial. A tile with such a read of set rows
+    reads its weight stripe over whole bit-planes, its other reads
+    cleared to zero rows, and adds each block of planes times their
+    plane weights by one stacked product. A tile whose every popcount,
+    0 to its row count, is an identity row takes no popcount; any other
+    takes them all. Every other noise-free read of such a matrix maps
+    its level stripe's read to counts through one ``_decode_table``
+    lookup (see the module docstring). Noisy reads, and every read of a
+    matrix without weights, decode the float currents of
+    ``pm.stripes``. These reads are sparse: a read with no set row is
+    dropped, and each chunk is added with one fancy-indexed add per
+    bit-plane. Raises ValueError on inputs wide enough for a product to
+    pass 2^53, where float64 stops being exact.
     """
     x_int = _exact_int64(x_int, "inputs")
     if x_int.ndim == 1:
@@ -624,11 +652,7 @@ def mvm_bitserial(
     if not out_dim or not any(tops):
         return acc.astype(np.int64)
     xsz, dev = pm.xbar_size, pm.device
-    # shift-and-add weight of each stripe column group, ordered (slice, sign)
-    slice_weight = np.array([
-        sgn * float(1 << (k * dev.bits_per_cell))
-        for k in range(pm.n_slices) for sgn in (1, -1)
-    ])
+    slice_weight = _slice_weights(pm.n_slices, dev.bits_per_cell)
     # A read decodes to a count of at most its level sum plus half an ADC
     # step in magnitude (+1 for rounding). An output sums, per row tile,
     # counts times sum|slice_weight| per read and 2^P - 1 per input sign
@@ -641,7 +665,7 @@ def mvm_bitserial(
     if plane_weights * np.abs(slice_weight).sum() * count * pm.row_blocks >= 2**53:
         raise ValueError(f"inputs of up to {max(tops).bit_length()} bits can sum past 2^53, "
                          "where float64 no longer holds every integer")
-    bits, read_row, read_weight = _bit_planes(x_int, tops)
+    bits, plane_weight = _bit_planes(x_int, tops)
 
     def decode_currents(currents: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         return _adc_decode(currents, chunk.sum(axis=1, dtype=np.intp), dev, xsz, noise.adc_bits)
@@ -665,18 +689,17 @@ def mvm_bitserial(
             # in (sign, plane, row) order, plane q holding reads q*n to
             # q*n + n - 1, so cut at the plane starts each piece has distinct
             # rows and takes one fancy-indexed add (integer terms, exact)
-            starts = n * np.arange(reads[0] // n + 1, reads[-1] // n + 1)
-            cuts = [0, *np.searchsorted(reads, starts), reads.size]
+            row, plane = reads % n, reads // n
+            cuts = [0, *np.flatnonzero(plane[1:] != plane[:-1]) + 1, reads.size]
             for s, e in zip(cuts[:-1], cuts[1:]):
-                partial[s:e] *= read_weight[reads[s]]
-                acc[read_row[reads[s:e]]] += partial[s:e]
+                partial[s:e] *= plane_weight[plane[s]]
+                acc[row[s:e]] += partial[s:e]
 
     def read_planes(grid: np.ndarray, stripe: CrossbarState) -> None:
         # an identity read of the weights is its shift-added partial. A block
         # is kq whole planes, or kr rows of one plane when a plane alone is
         # over the element budget; its partials reach acc[r:r + kr] by one
         # stacked product with their plane weights (integer terms, exact)
-        plane_weight = read_weight[::n]
         step = max(1, CHUNK_ELEMENTS // out_dim)
         kq, kr = max(1, step // n), min(n, step)
         grid = grid.reshape(plane_weight.size, n, -1)
@@ -690,13 +713,20 @@ def mvm_bitserial(
     lossless = None
     if pm.weights is not None and noise.read_var == 0.0:
         lossless = identity_rows(dev, xsz, noise.adc_bits, pm.rows)
+        # the first popcount that is not an identity row, if any: a tile of
+        # fewer rows reads only identity rows, so it needs no popcount
+        lossy = lossless.size if lossless.all() else int(lossless.argmin())
 
     for rb in range(pm.row_blocks):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
         if lossless is None:
             read_sparse(slab, np.flatnonzero(slab.any(axis=1)), pm.stripes[rb], decode_currents)
             continue
-        popcount = np.count_nonzero(slab, axis=1)
+        if slab.shape[1] < lossy:
+            if slab.any():
+                read_planes(slab, pm.weight_stripes[rb])
+            continue
+        popcount = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
         identity = lossless[popcount]  # true for every all-zero read
         if popcount[identity].any():
             # every plane is read whole from the weights, its other reads

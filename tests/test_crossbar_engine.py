@@ -623,9 +623,15 @@ def test_cell_digits_equal_the_slice_by_slice_reference(w, sign, bits_per_cell, 
 def test_bit_planes_equal_the_plane_by_plane_reference(x, sign):
     x = _signed(x, sign)
     tops = (int(x.max(initial=0)), -int(x.min(initial=0)))
-    for got, expected in zip(_bit_planes(x, tops), oracle_bit_planes(x)):
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert np.array_equal(got, expected)
+    bits, plane_weight = _bit_planes(x, tops)
+    expected_bits, expected_rows, expected_weights = oracle_bit_planes(x)
+    assert bits.dtype == expected_bits.dtype and bits.shape == expected_bits.shape
+    assert np.array_equal(bits, expected_bits)
+    # read i is input row i % n of plane i // n
+    reads = np.arange(len(bits))
+    assert np.array_equal(reads % len(x), expected_rows)
+    assert plane_weight.dtype == expected_weights.dtype
+    assert np.array_equal(plane_weight[reads // len(x)], expected_weights)
 
 
 @pytest.mark.parametrize("xbar_size", [64, 8])
@@ -930,6 +936,36 @@ def test_a_product_whose_reads_straddle_the_last_identity_row_equals_the_oracle(
     assert set(found["weight_stripes", 0]) == {30, 31}
     assert set(found["level_stripes", 0]) == {32, 33}
     _assert_each_set_bit_is_read_once(pm, calls, x, identity_rows(sram, 64, 6, 64))
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
+# (device, rows of the second row tile, its reads by stripe). At 6 ADC
+# bits on 64-row tiles SRAM's identity rows are p < 32 and FeFET's p = 0.
+SHORT_TILES = [
+    ("sram", 31, {("weight_stripes", 1): [31, 16]}),
+    ("sram", 32, {("weight_stripes", 1): [16], ("level_stripes", 1): [32]}),
+    ("fefet", 31, {("level_stripes", 1): [31, 16]}),
+]
+
+
+@pytest.mark.parametrize("device, tile_rows, expected", SHORT_TILES)
+def test_a_short_tile_reads_its_weights_only_below_the_first_lossy_popcount(
+        device, tile_rows, expected, tiles, request, monkeypatch):
+    # one bit-plane over the second tile: input row 0 sets all of its rows,
+    # input row 1 the first 16; the first tile has no set bit and no read
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(27)
+    w = rng.integers(-127, 128, size=(64 + tile_rows, 20))
+    x = np.zeros((2, 64 + tile_rows), dtype=int)
+    x[0, 64:] = 1
+    x[1, 64:80] = 1
+    noise = NoiseModel(adc_bits=6)
+    pm = program_matrix(w, dev, tiles, 8, noise)
+    assert pm.rows == 64
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    assert _reads_by_stripe(pm, calls) == expected
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
 

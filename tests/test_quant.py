@@ -56,3 +56,20 @@ def test_roundtrip_property(x, bits):
     q = quantize(x, bits=bits)
     assert np.max(np.abs(q.values * q.scale - x)) <= q.scale / 2 + 1e-9
     assert np.abs(q.values).max() <= 2 ** (bits - 1) - 1
+
+
+@pytest.mark.parametrize("x, bits, match", [
+    ([[np.nan, 1.0]], 8, "NaN or infinite"),
+    ([[np.inf, 1.0]], 8, "NaN or infinite"),
+    ([[1.0, -np.inf]], 8, "NaN or infinite"),
+    ([[3.0]], 55, "bits <= 54"),
+    ([[3.0]], 63, "bits <= 54"),
+    ([[3.0]], 64, "bits <= 54"),
+])
+def test_unrepresentable_inputs_rejected(x, bits, match):
+    # NaN and inf have no integer, and past 54 bits values round beyond qmax
+    with pytest.raises(ValueError, match=match):
+        quantize(np.array(x), bits=bits)
+    # at 54 bits qmax = 2^53 - 1 is still a float64 integer
+    qmax = 2**53 - 1
+    assert quantize(np.array([[3.0, -3.0]]), bits=54).values.tolist() == [[qmax, -qmax]]
