@@ -43,9 +43,6 @@ class ReusePattern:
     kind: PatternKind
     n_encoders: int
     reuse_set: tuple[int, ...]
-    sl: int | None = None
-    n_cont: int | None = None
-    start: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reuse_set", tuple(sorted(self.reuse_set)))
@@ -65,7 +62,13 @@ def label(reuse_set: Iterable[int]) -> str:
 
 
 def validate_pattern(p: ReusePattern) -> None:
-    """Structural validity: range, no encoder 0, family parameters and layout."""
+    """Structural validity: range, no encoder 0, and a family's layout.
+
+    A family pattern's parameters are read off its set: steps of sl
+    (1 when continuous, else the widest step and at least 2), and for a
+    pyramid a run of n_cont = unit steps + 1 consecutive indices when it
+    has any unit step; the set must be the ``_offsets`` of those.
+    """
     s = p.reuse_set
     if len(set(s)) != len(s):
         raise ValueError(f"duplicate indices in reuse set {s}")
@@ -74,20 +77,14 @@ def validate_pattern(p: ReusePattern) -> None:
             f"reuse set {s} out of range for n_encoders={p.n_encoders} "
             "(encoder 0 can never reuse)"
         )
-    if p.start is not None and (not s or p.start != s[0]):
-        raise ValueError(f"start {p.start} is not the first index of reuse set {s}")
-    if p.n_cont is not None and not 0 <= p.n_cont <= len(s):
-        raise ValueError(f"n_cont {p.n_cont} outside [0, {len(s)}] for reuse set {s}")
     if p.kind is PatternKind.EXPLICIT:
         return
-    if p.kind is not PatternKind.CONTINUOUS and (p.sl is None or p.sl < 2):
-        raise ValueError(f"{p.kind.value} pattern needs sl >= 2")
-    if p.kind is PatternKind.PYRAMID and p.n_cont is None:
-        raise ValueError("pyramid pattern needs n_cont")
-    sl = 1 if p.kind is PatternKind.CONTINUOUS else p.sl
-    n_cont = p.n_cont if p.kind is PatternKind.PYRAMID else 0
+    steps = [b - a for a, b in zip(s, s[1:])]
+    sl = 1 if p.kind is PatternKind.CONTINUOUS else max([2, *steps])
+    units = steps.count(1)
+    n_cont = units + 1 if p.kind is PatternKind.PYRAMID and units else 0
     if [i - s[0] for i in s] != _offsets(len(s), sl, n_cont).tolist():
-        raise ValueError(f"{p.kind.value} pattern {s} does not match its parameters")
+        raise ValueError(f"{p.kind.value} pattern {s} does not match its family's layout")
 
 
 def source_array(sets: np.ndarray) -> np.ndarray:
@@ -118,26 +115,20 @@ class PatternSet:
     """The distinct uniform patterns of one (n_encoders, n_reuse) as arrays.
 
     Row k is the reuse set ``sets[k]``, rows in lexicographic order, and
-    ``family[k]`` (an index into ``UNIFORM_FAMILIES``), ``sl[k]`` and
-    ``n_cont[k]`` are the parameters of its representative. Indexing
-    builds a row's ``ReusePattern``.
+    ``family[k]`` (an index into ``UNIFORM_FAMILIES``) is the family of
+    its representative. Indexing builds a row's ``ReusePattern``.
     """
 
     n_encoders: int
     sets: np.ndarray
     family: np.ndarray
-    sl: np.ndarray
-    n_cont: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sets)
 
     def __getitem__(self, k: int) -> ReusePattern:
-        kind, reuse_set = UNIFORM_FAMILIES[self.family[k]], tuple(self.sets[k].tolist())
-        return ReusePattern(kind, self.n_encoders, reuse_set,
-                            sl=None if kind is PatternKind.CONTINUOUS else int(self.sl[k]),
-                            n_cont=int(self.n_cont[k]) if kind is PatternKind.PYRAMID else None,
-                            start=reuse_set[0])
+        return ReusePattern(UNIFORM_FAMILIES[self.family[k]], self.n_encoders,
+                            tuple(self.sets[k].tolist()))
 
 
 def explicit_pattern(n_encoders: int, indices: Iterable[int]) -> ReusePattern:
@@ -181,6 +172,5 @@ def enumerate_patterns(
     order = np.lexsort(sets.T[::-1])
     sets, gen = sets[order], gen[order]
     first = (np.diff(sets, axis=0, prepend=-1) != 0).any(axis=1)  # unlike the row above
-    gen = gen[first]
-    return PatternSet(n_encoders, sets[first], family[gen], sl[gen], n_cont[gen])
+    return PatternSet(n_encoders, sets[first], family[gen[first]])
 

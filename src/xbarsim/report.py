@@ -119,12 +119,7 @@ class ReportRow:
     breakdown: dict | None = None
 
 
-_FAMILIES = {
-    "all": UNIFORM_FAMILIES,
-    "strided": (PatternKind.STRIDED,),
-    "continuous": (PatternKind.CONTINUOUS,),
-    "pyramid": (PatternKind.PYRAMID,),
-}
+_FAMILIES = {"all": UNIFORM_FAMILIES, **{kind.value: (kind,) for kind in UNIFORM_FAMILIES}}
 
 
 def pattern_families(spec: str) -> tuple[PatternKind, ...]:

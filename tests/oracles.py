@@ -316,7 +316,7 @@ def gen_strided(n_encoders, n_reuse, sl, start):
     indices = _materialize(start, [sl] * (n_reuse - 1), n_encoders)
     if indices is None:
         return None
-    return ReusePattern(PatternKind.STRIDED, n_encoders, indices, sl=sl, start=start)
+    return ReusePattern(PatternKind.STRIDED, n_encoders, indices)
 
 
 def gen_continuous(n_encoders, n_reuse, start):
@@ -325,7 +325,7 @@ def gen_continuous(n_encoders, n_reuse, start):
     indices = _materialize(start, [1] * (n_reuse - 1), n_encoders)
     if indices is None:
         return None
-    return ReusePattern(PatternKind.CONTINUOUS, n_encoders, indices, start=start)
+    return ReusePattern(PatternKind.CONTINUOUS, n_encoders, indices)
 
 
 def gen_pyramid(n_encoders, n_reuse, sl, n_cont, start):
@@ -334,9 +334,7 @@ def gen_pyramid(n_encoders, n_reuse, sl, n_cont, start):
     indices = _materialize(start, _pyramid_steps(n_reuse, n_cont, sl), n_encoders)
     if indices is None:
         return None
-    return ReusePattern(
-        PatternKind.PYRAMID, n_encoders, indices, sl=sl, n_cont=n_cont, start=start
-    )
+    return ReusePattern(PatternKind.PYRAMID, n_encoders, indices)
 
 
 def oracle_enumerate_patterns(n_encoders, n_reuse, families=ALL_FAMILIES):

@@ -139,6 +139,7 @@ def test_optimize_rejects_explicit_patterns(tmp_path, capsys):
         "--out", str(tmp_path),
     ], capsys)
     assert re.search("simulate-only", err)
+    assert err.endswith("pattern ranking takes one of all, strided, continuous, pyramid\n")
 
 
 FUNCSIM_TOY = ["--dim", "16", "--tokens", "4", "--device", "FeFET"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,28 +31,27 @@ S, C, P = PatternKind.STRIDED, PatternKind.CONTINUOUS, PatternKind.PYRAMID
 
 
 def enumerated(n, k, kind):
-    """{reuse set: (sl, n_cont)} of the patterns ``enumerate_patterns``
-    keeps for one family."""
-    return {p.reuse_set: (p.sl, p.n_cont) for p in enumerate_patterns(n, k, (kind,))}
+    """The reuse sets ``enumerate_patterns`` keeps for one family."""
+    return {p.reuse_set for p in enumerate_patterns(n, k, (kind,))}
 
 
 class TestGenerators:
     """The reference layouts of the test oracle's generators, each one
-    also kept by ``enumerate_patterns`` with its parameters."""
+    also kept by ``enumerate_patterns``."""
 
     def test_strided_reference_layout(self):
         p = gen_strided(9, 4, sl=2, start=1)
         assert p.reuse_set == (1, 3, 5, 7)
-        assert enumerated(9, 4, S)[(1, 3, 5, 7)] == (2, None)
+        assert (1, 3, 5, 7) in enumerated(9, 4, S)
 
     def test_strided_shifted_start(self):
         assert gen_strided(9, 4, sl=2, start=2).reuse_set == (2, 4, 6, 8)
-        assert enumerated(9, 4, S)[(2, 4, 6, 8)] == (2, None)
+        assert (2, 4, 6, 8) in enumerated(9, 4, S)
 
     def test_strided_does_not_fit(self):
         assert gen_strided(9, 4, sl=4, start=1) is None
         assert gen_strided(9, 4, sl=1, start=1) is None  # stride must be >= 2
-        assert {sl for sl, _ in enumerated(9, 4, S).values()} == {2}
+        assert {s[1] - s[0] for s in enumerated(9, 4, S)} == {2}
 
     def test_continuous_reference_layout(self):
         assert gen_continuous(9, 4, start=1).reuse_set == (1, 2, 3, 4)
@@ -65,17 +65,17 @@ class TestGenerators:
     def test_pyramid_reference_layout(self):
         p = gen_pyramid(9, 4, sl=2, n_cont=2, start=1)
         assert p.reuse_set == (1, 3, 4, 6)
-        assert enumerated(9, 4, P)[(1, 3, 4, 6)] == (2, 2)
+        assert (1, 3, 4, 6) in enumerated(9, 4, P)
 
     def test_pyramid_degenerates_to_continuous(self):
         p = gen_pyramid(12, 4, sl=2, n_cont=4, start=1)
         assert p.reuse_set == gen_continuous(12, 4, start=1).reuse_set
-        assert enumerated(12, 4, P)[(1, 2, 3, 4)] == (2, 4)
+        assert (1, 2, 3, 4) in enumerated(12, 4, P)
 
     def test_pyramid_degenerates_to_strided(self):
         p = gen_pyramid(12, 4, sl=2, n_cont=0, start=1)
         assert p.reuse_set == gen_strided(12, 4, sl=2, start=1).reuse_set
-        assert enumerated(12, 4, P)[(1, 3, 5, 7)] == (2, 0)
+        assert (1, 3, 5, 7) in enumerated(12, 4, P)
 
     def test_zero_start_rejected(self):
         assert gen_strided(9, 3, sl=2, start=0) is None
@@ -94,30 +94,25 @@ class TestValidation:
 
     def test_family_structure_enforced(self):
         with pytest.raises(ValueError):
-            ReusePattern(PatternKind.STRIDED, 9, (1, 3, 6), sl=2, start=1)
+            ReusePattern(PatternKind.STRIDED, 9, (1, 3, 6))
         with pytest.raises(ValueError):
-            ReusePattern(PatternKind.CONTINUOUS, 9, (1, 3), start=1)
+            ReusePattern(PatternKind.CONTINUOUS, 9, (1, 3))
 
-    @pytest.mark.parametrize(
-        "kind, reuse_set, params",
-        [
-            (PatternKind.STRIDED, (3, 5, 7), dict(sl=2, start=1)),
-            (PatternKind.PYRAMID, (3, 5, 7), dict(sl=2, n_cont=0, start=9)),
-            (PatternKind.CONTINUOUS, (3, 4), dict(start=4)),
-        ],
-    )
-    def test_start_must_be_first_index(self, kind, reuse_set, params):
-        with pytest.raises(ValueError, match="start"):
-            ReusePattern(kind, 12, reuse_set, **params)
-        ReusePattern(kind, 12, reuse_set, **{**params, "start": reuse_set[0]})
-
-    def test_n_cont_within_reuse_count(self):
-        # (3, 4, 5) is consecutive, so only the range check can reject it.
-        with pytest.raises(ValueError, match="n_cont"):
-            ReusePattern(PatternKind.PYRAMID, 12, (3, 4, 5), sl=2, n_cont=10)
-        with pytest.raises(ValueError, match="n_cont"):
-            ReusePattern(PatternKind.PYRAMID, 12, (3, 5, 7), sl=2, n_cont=-1)
-        ReusePattern(PatternKind.PYRAMID, 12, (3, 4, 5), sl=2, n_cont=3)
+    @pytest.mark.parametrize("kind", [S, C, P], ids=lambda kind: kind.value)
+    def test_a_family_pattern_is_exactly_an_enumerated_set(self, kind):
+        """A family pattern carries no parameters: it constructs from its
+        set alone exactly when ``enumerate_patterns`` keeps that set for
+        the family, and an explicit pattern takes any in-range set."""
+        for n in range(3, 15):
+            for k in range(1, n):
+                kept = {tuple(row) for row in enumerate_patterns(n, k, (kind,)).sets.tolist()}
+                for s in itertools.combinations(range(1, n), k):
+                    assert explicit_pattern(n, s).reuse_set == s
+                    if s in kept:
+                        assert ReusePattern(kind, n, s).reuse_set == s
+                    else:
+                        with pytest.raises(ValueError, match="layout"):
+                            ReusePattern(kind, n, s)
 
     def test_generated_patterns_all_validate(self):
         for p in enumerate_patterns(12, 5):
@@ -173,7 +168,7 @@ _SUBSETS = {
 
 
 class TestEnumerationMatchesBruteForce:
-    """Same list under ==: order, and each set's kind/sl/n_cont/start."""
+    """Same list under ==: order, and each set's kind."""
 
     @pytest.mark.parametrize("subset", _SUBSETS)
     def test_every_small_stack(self, subset):

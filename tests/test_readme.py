@@ -1,14 +1,20 @@
-"""The README's library sketch runs as written, and its funcsim names exist."""
+"""The README's library sketch runs as written, and its funcsim and
+pattern-ranking names exist."""
 
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 
-from xbarsim import funcsim
-from xbarsim.funcsim import crossbar
+import oracles
+import xbarsim
+from xbarsim import funcsim, patterns
+from xbarsim.funcsim import crossbar, forward
+
+optimize = importlib.import_module("xbarsim.optimize")  # the package exports a function of that name
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +56,43 @@ def test_the_funcsim_paragraph_names_only_what_the_crossbar_engine_has():
         assert (hasattr(crossbar, name) or hasattr(crossbar.CrossbarState, name)
                 or name in parameters or hasattr(funcsim, name)
                 or hasattr(np.random, name)), name
+
+
+def _pattern_paragraph():
+    """The README paragraph that describes pattern ranking."""
+    (paragraph,) = [p for p in README.read_text(encoding="utf-8").split("\n\n")
+                    if p.startswith("Pattern ranking works on arrays.")]
+    return paragraph
+
+
+def _members(cls):
+    return {field.name for field in dataclasses.fields(cls)} | set(dir(cls))
+
+
+def test_the_pattern_paragraph_names_only_what_the_library_has():
+    library, references = _pattern_paragraph().split("The per-family generators")
+    results = re.findall(r"`result\.(\w+)", library)
+    assert set(results) == {"best", "candidates", "scores"}
+    assert set(results) <= _members(optimize.OptimizationResult)
+    # a bare name, a call's parentheses dropped, is a pattern or optimize
+    # name or a member of a pattern or result type; the paragraph also
+    # names a scorer's `batch`, `model_forward` that uses `source_array`,
+    # and the label of the empty set
+    known = (set(dir(patterns)) | set(dir(optimize))
+             | _members(patterns.PatternSet) | _members(patterns.ReusePattern)
+             | _members(optimize.OptimizationResult)
+             | set(dir(optimize.make_cka_scorer(optimize.synthetic_attention_outputs(4)))))
+    assert forward.source_array is patterns.source_array and hasattr(funcsim, "model_forward")
+    known |= {"model_forward", patterns.label(())}
+    bare = re.findall(r"`(\w+)(?:\([\w, ]*\))?`", library)
+    assert {"PatternSet", "ReusePattern", "validate_pattern", "batch", "none"} <= set(bare)
+    for name in bare:
+        assert name in known, name
+    assert patterns.label((2, 5, 8)) in re.findall(r"`([\w+]+)`", library)
+    # past the library names, the test-suite references: in
+    # tests/oracles.py and not exported
+    assert "`tests/oracles.py`" in references
+    named = re.findall(r"`(\w+)`", references)
+    assert {"gen_strided", "select_best", "rows_from_json"} <= set(named)
+    for name in named:
+        assert name in known or hasattr(oracles, name) and not hasattr(xbarsim, name), name
