@@ -13,7 +13,6 @@ from .patterns import (
 )
 from .mapping import (
     DeviceAssignment,
-    DeviceKind,
     DeviceParams,
     MappingResult,
     TileConfig,

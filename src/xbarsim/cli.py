@@ -106,10 +106,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    families = pattern_families(args.patterns)  # before the scenario rejects explicit:i,j,k
     inputs = resolve(_scenario(args))
     scenario, cfg, baseline_ms = inputs.scenario, inputs.table.cfg, inputs.ladder[0].d_vit_ms
-    result = optimize(inputs.ladder, args.target_delay[0], make_scorer(inputs),
-                      pattern_families(scenario.patterns))
+    result = optimize(inputs.ladder, args.target_delay[0], make_scorer(inputs), families)
     if not result.feasible:
         if result.optimal_n_reuse is None:
             print(f"target {result.target_delay_ms} ms infeasible "
@@ -151,7 +151,7 @@ def cmd_funcsim(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((cfg.t, cfg.d))
 
-    # settings are read and validated for every device, exact included
+    # every section of the file is checked here, for every device, exact included
     sc = cfgmod.ScenarioConfig(args.config)
     device = sc.preset_name("device", args.device, "exact")
     if device == "exact" and sc.has_section("device"):

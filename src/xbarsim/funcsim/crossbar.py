@@ -29,19 +29,12 @@ plane, input row), from one broadcast shift-and-mask of the input
 magnitudes (``_bit_planes``), and keeps one signed weight per plane:
 with n input rows, read i is input row i % n of plane i // n, and a
 read derives its row and plane weight from i only when it is made. The
-reads accumulate in one of two ways. The noise-free identity reads
-(below) are read a whole bit-plane at a time: a row tile with one reads
-its weight stripe over every plane, the reads of other popcounts cleared
-to zero rows, in blocks of whole planes, or of rows of one plane where a
-plane alone passes the budget of ``CHUNK_ELEMENTS`` currents. A block's
-partials, times their signed plane weights, reach their input rows by
-one stacked product and one slice add. A tile counts its reads' set
-rows (their popcounts) only where a read can leave the identity: a tile
-whose every popcount, 0 to its row count, is an identity row reads its
-whole planes uncounted, if it has a set bit at all (every 16-row
-QK^T tile at 6 SRAM ADC bits, every tile at 7 SRAM or 8 FeFET bits);
-any other tile sums each read's bits in the narrowest unsigned dtype
-that holds its row count. Every other read is sparse: the reads with no
+reads accumulate in one of two ways. Weight-stripe reads (see "Noise-free
+routing" below) are read a whole bit-plane at a time, in blocks of whole
+planes, or of rows of one plane where a plane alone passes the budget of
+``CHUNK_ELEMENTS`` currents; a block's partials, times their signed plane
+weights, reach their input rows by one stacked product and one slice
+add. Every other read is sparse: the reads with no
 set bit in a row tile are dropped (they give exactly zero), each stripe
 is read once per chunk of at most ``CHUNK_ELEMENTS`` currents, and a
 chunk's shift-added counts, times their signed plane weights, reach
@@ -116,39 +109,36 @@ weights, ``ideal_conductances`` of its cell digits, are built and
 cached, in (slice, sign, column) order, only when a noisy read or a
 caller asks for ``stripes``.
 
-Identity reads. ``identity_rows`` marks each popcount p whose row of T
-is the identity over every level sum a read of p cells can reach, 0 to
-p * (2^bits_per_cell - 1). On 64-row tiles that is p < 32 for SRAM at
-6 ADC bits, every p for SRAM at 7 bits and FeFET at 8, and no p > 0 for
-FeFET below 8 bits. A noise-free read of such a popcount counts every
-column's own level sum, so its shift-added counts are the summed
-weights of its set rows: ``mvm_bitserial`` reads it from the row tile's
-"weight stripe" (``weight_stripes``), the weights as cells, and that
-read is its partial, with no cast, lookup or shift-add. A tile's
-weight-stripe reads cover all its bit-planes, so they also read the
-zero rows that stand for its other reads. A weight stripe
-is float32 while rows * max|w| < 2^24, so that every partial sum of a
-read is an exact float32 integer in any order, and float64 otherwise.
-Every other noise-free read goes through its level stripe and T, and
-the level stripes are built only for a matrix that has such a read.
-``mvm_bitserial`` reads each chunk once through its stripe and maps
-every level-stripe index to its count with one ``take``. T is built
-once per (device, xbar_size, adc_bits, rows) by ``_adc_decode`` itself,
-applied to the ideal current p * G_min + k * dG, and keeps its float64
-counts. As for a noisy read's counts, one stacked float64 product with
-the slice weights shift-adds them: the counts are integers and the
-weights powers of two, so every product and partial sum is an integer.
-The table is the one noise-free decode, a code
-value on a rint half-point included (SRAM at 6 bits, (p, k) = (32, 32),
-is exactly 31.5): a noise-free count depends on p and k alone, as a
-flash ADC's code depends on the current alone, whichever cells hold the
-levels and in whatever order a float read would sum them. Off the
-half-points a float read of the conductances gives the same count,
-since it differs from the ideal current by a few roundings per cell,
-far below an ADC step. T holds one float64 per (p, k) for stripes of
-min(xbar_size, in_dim) rows, so its extent follows the rows actually
-read: 33.8 KB for SRAM and 100.4 KB for FeFET on 64-row tiles, and
-about 134 MB for either at the level-stripe bound.
+Noise-free routing. ``first_lossy_popcount`` is the smallest popcount p
+whose row of T is not the identity over the level sums a read of p cells
+can reach: on 64-row tiles 32 for SRAM at 6 ADC bits, 1 for FeFET below
+8 bits, and none (rows + 1) for SRAM at 7 bits and FeFET at 8. A
+noise-free read at or above it goes through its level stripe and T.
+Every other read counts each column's own level sum, so its shift-added
+counts are the summed weights of its set rows, and it is read from the
+row tile's "weight stripe" (``weight_stripes``), the weights as cells,
+that read being its partial. The route is exact for any threshold at or
+below this one, since T decodes every read correctly, those below it too.
+A weight stripe is float32 while rows * max|w| < 2^24, so that every
+partial sum of a read is an exact float32 integer in any order, and
+float64 otherwise.
+
+Decode table. A level-stripe read maps every index to its count with one
+``take``. T is built once per (device, xbar_size, adc_bits, rows) by
+``_adc_decode`` itself, applied to the ideal current p * G_min + k * dG,
+and keeps its float64 counts. As for a noisy read's counts, one stacked
+float64 product with the slice weights shift-adds them: the counts are
+integers and the weights powers of two, so every product and partial sum
+is an integer. The table is the one noise-free decode, a code value on a
+rint half-point included (SRAM at 6 bits, (p, k) = (32, 32), is exactly
+31.5): a noise-free count depends on p and k alone, as a flash ADC's
+code depends on the current alone, whichever cells hold the levels and
+in whatever order a float read would sum them. Off the half-points a
+float read of the conductances gives the same count, since it differs
+from the ideal current by a few roundings per cell, far below an ADC
+step. T covers the rows of the tallest stripe, min(xbar_size, in_dim),
+so its extent follows the rows actually read (sizes in
+``_decode_table``).
 """
 
 from __future__ import annotations
@@ -399,7 +389,7 @@ class ProgrammedMatrix:
 
     @functools.cached_property
     def weight_stripes(self) -> tuple[CrossbarState, ...] | None:
-        """The weights of each row tile as cells, for the identity reads.
+        """The weights of each row tile as cells, for reads below the first lossy popcount.
 
         float32 while rows * max|w| < 2^24, float64 otherwise. None for a
         matrix without weights.
@@ -558,19 +548,18 @@ def _decode_table(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -
 
 
 @functools.lru_cache(maxsize=16)
-def identity_rows(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> np.ndarray:
-    """Whether a noise-free read of p set rows counts its own level sum, by p.
+def first_lossy_popcount(dev: DeviceParams, xbar_size: int, adc_bits: int, rows: int) -> int:
+    """The smallest popcount p whose noise-free count can differ from its level sum.
 
-    Entry p is true where row p of ``_decode_table`` maps every level sum
-    a read of p cells can reach, 0 to p * (2^bits_per_cell - 1), to
-    itself. Read-only, one bool per popcount 0 to ``rows``.
+    That is the first row of ``_decode_table`` that is not the identity
+    over the level sums a read of p cells can reach, 0 to
+    p * (2^bits_per_cell - 1); rows + 1 if every row is.
     """
     counts = _decode_table(dev, xbar_size, adc_bits, rows)
     k = np.arange(counts.shape[1])
     reach = k <= ((1 << dev.bits_per_cell) - 1) * np.arange(rows + 1)[:, None]
-    identity = ((counts == k) | ~reach).all(axis=1)
-    identity.setflags(write=False)
-    return identity
+    lossy = np.append(((counts != k) & reach).any(axis=1), True)
+    return int(lossy.argmax())
 
 
 @functools.lru_cache(maxsize=None)
@@ -620,21 +609,15 @@ def mvm_bitserial(
     is input row i % n, weighted by the weight of plane i // n, and
     both are derived only for the reads that are made.
 
-    A noise-free read of a matrix with weights whose popcount is an
-    ``identity_rows`` entry reads its row tile's weight stripe, and that
-    read is its shift-added partial. A tile with such a read of set rows
-    reads its weight stripe over whole bit-planes, its other reads
-    cleared to zero rows, and adds each block of planes times their
-    plane weights by one stacked product. A tile whose every popcount,
-    0 to its row count, is an identity row takes no popcount; any other
-    takes them all. Every other noise-free read of such a matrix maps
-    its level stripe's read to counts through one ``_decode_table``
-    lookup (see the module docstring). Noisy reads, and every read of a
-    matrix without weights, decode the float currents of
-    ``pm.stripes``. These reads are sparse: a read with no set row is
-    dropped, and each chunk is added with one fancy-indexed add per
-    bit-plane. Raises ValueError on inputs wide enough for a product to
-    pass 2^53, where float64 stops being exact.
+    A noise-free read of a matrix with weights goes through its level
+    stripe and one ``_decode_table`` lookup if its popcount is at least
+    ``first_lossy_popcount``, and through its row tile's weight stripe,
+    in whole bit-planes, otherwise (see the module docstring). Noisy
+    reads, and every read of a matrix without weights, decode the float
+    currents of ``pm.stripes``. Level and float reads are sparse: a read
+    with no set row is dropped, and each chunk is added with one
+    fancy-indexed add per bit-plane. Raises ValueError on inputs wide
+    enough for a product to pass 2^53, where float64 stops being exact.
     """
     x_int = _exact_int64(x_int, "inputs")
     if x_int.ndim == 1:
@@ -696,7 +679,7 @@ def mvm_bitserial(
                 acc[row[s:e]] += partial[s:e]
 
     def read_planes(grid: np.ndarray, stripe: CrossbarState) -> None:
-        # an identity read of the weights is its shift-added partial. A block
+        # a weight-stripe read is its shift-added partial. A block
         # is kq whole planes, or kr rows of one plane when a plane alone is
         # over the element budget; its partials reach acc[r:r + kr] by one
         # stacked product with their plane weights (integer terms, exact)
@@ -710,29 +693,20 @@ def mvm_bitserial(
                 acc[r:r + kr] += (plane_weight[q:q + kq] @ partial.reshape(len(block), -1)
                                   ).reshape(-1, out_dim)
 
-    lossless = None
-    if pm.weights is not None and noise.read_var == 0.0:
-        lossless = identity_rows(dev, xsz, noise.adc_bits, pm.rows)
-        # the first popcount that is not an identity row, if any: a tile of
-        # fewer rows reads only identity rows, so it needs no popcount
-        lossy = lossless.size if lossless.all() else int(lossless.argmin())
-
+    threshold = (first_lossy_popcount(dev, xsz, noise.adc_bits, pm.rows)
+                 if pm.weights is not None and noise.read_var == 0.0 else None)
     for rb in range(pm.row_blocks):
         slab = bits[:, rb * xsz:(rb + 1) * xsz]
-        if lossless is None:
+        if threshold is None:
             read_sparse(slab, np.flatnonzero(slab.any(axis=1)), pm.stripes[rb], decode_currents)
             continue
-        if slab.shape[1] < lossy:
-            if slab.any():
-                read_planes(slab, pm.weight_stripes[rb])
-            continue
-        popcount = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
-        identity = lossless[popcount]  # true for every all-zero read
-        if popcount[identity].any():
-            # every plane is read whole from the weights, its other reads
-            # cleared to zero rows
-            read_planes(slab if identity.all() else slab & identity[:, None],
-                        pm.weight_stripes[rb])
-        if not identity.all():
-            read_sparse(slab, np.flatnonzero(~identity), pm.level_stripes[rb], decode_levels)
+        planes = slab
+        if slab.shape[1] >= threshold:  # a shorter tile has no lossy read
+            popcount = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
+            lossy = np.flatnonzero(popcount >= threshold)
+            if lossy.size:
+                read_sparse(slab, lossy, pm.level_stripes[rb], decode_levels)
+                planes = slab & (popcount < threshold)[:, None]
+        if planes.any():
+            read_planes(planes, pm.weight_stripes[rb])
     return np.rint(acc).astype(np.int64)

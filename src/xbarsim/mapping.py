@@ -14,15 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from .workload import LayerKind, LayerSpec
-
-
-class DeviceKind(Enum):
-    FEFET = "FeFET"
-    SRAM = "SRAM"
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,6 @@ class DeviceParams:
     by the functional simulator; SRAM arrays carry zeros.
     """
 
-    kind: DeviceKind
     bits_per_cell: int
     e_read_xbar_pj: float
     e_write_xbar_pj: float

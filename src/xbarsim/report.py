@@ -94,6 +94,9 @@ class Scenario:
             check_target(target)
         if self.patterns.startswith("explicit:"):
             explicit_indices(self.patterns)
+            if self.target_delays_ms:
+                raise ValueError("--patterns explicit:i,j,k fixes the reuse set and "
+                                 "takes no --target-delay")
         else:
             pattern_families(self.patterns)
         if self.scorer != "cka" and not self.scorer.startswith("external:"):
@@ -269,9 +272,6 @@ def run_scenario(inputs: Inputs) -> list[ReportRow]:
     base = inputs.baseline()
     rows = [_row(scenario, base, "none", base.edap)]
     if scenario.patterns.startswith("explicit:"):
-        if scenario.target_delays_ms:
-            raise ValueError("--patterns explicit:i,j,k fixes the reuse set and "
-                             "takes no --target-delay")
         pat = explicit_pattern(inputs.table.cfg.n_encoders,
                                explicit_indices(scenario.patterns))
         rows.append(_row(scenario, inputs.ladder[pat.n_reuse], pat.label(), base.edap))

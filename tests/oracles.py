@@ -7,7 +7,8 @@ straightforward engine: one read per (bit-plane, input sign, row tile,
 column tile, slice, weight sign) and one Gaussian per read and per cell;
 ``oracle_cell_digits`` and ``oracle_bit_planes`` slice weights and
 inputs one slice or bit-plane at a time, and ``oracle_identity_rows``
-checks every reachable level sum of every popcount one count at a time.
+checks every reachable level sum of every popcount, one popcount at a
+time.
 The pattern and CKA oracles are the brute-force search: every
 (family, sl, n_cont, start) is generated, every explicit reuse set of a
 count is listed (``all_explicit_patterns``), and every CKA pair centers
@@ -27,7 +28,7 @@ import numpy as np
 
 from xbarsim.cost import CostOptions, SoftmaxUnitParams
 from xbarsim.funcsim.crossbar import CrossbarState, NoiseModel
-from xbarsim.mapping import DeviceKind, DeviceParams, TileConfig
+from xbarsim.mapping import DeviceParams, TileConfig
 from xbarsim.patterns import PatternKind, ReusePattern, explicit_pattern
 from xbarsim.report import CSV_COLUMNS, ReportRow
 from xbarsim.workload import ModelConfig, attention_layers, ffn_layers, tb_layer
@@ -132,7 +133,6 @@ def random_setup(rng):
         include_stem=rng.random() < 0.5,
     )
     dev = DeviceParams(
-        DeviceKind.FEFET,
         bits_per_cell=rng.choice([1, 2, 4]),
         e_read_xbar_pj=rng.uniform(1, 100),
         e_write_xbar_pj=rng.uniform(1, 300),
@@ -229,8 +229,8 @@ def oracle_identity_rows(dev, xbar_size, adc_bits, rows):
     """Whether every level sum a read of p set rows can reach counts as itself, by p."""
     levels = 2**dev.bits_per_cell - 1
     return np.array([
-        all(oracle_count(dev, xbar_size, adc_bits, p, k) == k for k in range(p * levels + 1))
-        for p in range(rows + 1)
+        np.array_equal(oracle_count(dev, xbar_size, adc_bits, p, k), k)
+        for p in range(rows + 1) for k in [np.arange(p * levels + 1)]
     ])
 
 

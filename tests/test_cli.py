@@ -186,6 +186,13 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
      "--reuse '1,x': i,j,k takes integer encoder indices"),
     (["funcsim", "--reuse", "1,1", *FUNCSIM_TOY], r"duplicate indices in reuse set \(1, 1\)"),
     (["simulate", "--patterns", "explicit:2,2"], r"duplicate indices in reuse set \(2, 2\)"),
+    # every section of a file is checked, also one the command does not read
+    (["funcsim", "--encoders", "1", *FUNCSIM_TOY, "--config", "NO_MODEL_INI"],
+     "unknown model preset 'NoSuchModel'"),
+    (["funcsim", "--encoders", "1", *FUNCSIM_TOY, "--config", "DIGITAL_INI"],
+     r"unknown key 'bogus' in \[digital\]"),
+    (["simulate", "--target-delay", "7", "--config", "NOISE_INI"],
+     r"unknown key 'bogus_key' in \[noise\]"),
 ], ids=["funcsim-reuse-0", "funcsim-heads-3", "funcsim-adc-bits-0",
         "funcsim-exact-adc-bits-0", "funcsim-adc-bits-54",
         "funcsim-exact-bad-tiles-key", "funcsim-exact-device-section", "simulate-missing-config",
@@ -196,17 +203,23 @@ EXACT_TOY = ["--encoders", "1", "--dim", "16", "--tokens", "4", "--heads", "2",
         "simulate-list-scores", "simulate-nan-scores", "simulate-unknown-family",
         "simulate-explicit-not-integers", "simulate-explicit-unknown-scorer",
         "optimize-unknown-scorer", "funcsim-reuse-not-integers", "funcsim-reuse-duplicate",
-        "simulate-explicit-duplicate"])
+        "simulate-explicit-duplicate", "funcsim-unknown-model-preset",
+        "funcsim-unknown-digital-key", "simulate-unknown-noise-key"])
 def test_bad_input_is_a_usage_error(argv, match, tmp_path, capsys):
     files = {"BAD_TILES_INI": tmp_path / "bad.ini", "DEVICE_INI": tmp_path / "device.ini",
              "MISSING_INI": tmp_path / "missing.ini",
              "EMPTY_MODEL_INI": tmp_path / "empty.ini",
+             "NO_MODEL_INI": tmp_path / "no_model.ini", "DIGITAL_INI": tmp_path / "digital.ini",
+             "NOISE_INI": tmp_path / "noise.ini",
              "external:MISSING_JSON": f"external:{tmp_path / 'missing.json'}",
              "external:LIST_JSON": f"external:{tmp_path / 'list.json'}",
              "external:NAN_JSON": f"external:{tmp_path / 'nan.json'}"}
     files["BAD_TILES_INI"].write_text("[tiles]\nbogus_key = 1\n")
-    files["DEVICE_INI"].write_text("[device]\nbogus_key = 1\n")
+    files["DEVICE_INI"].write_text("[device]\nread_var = 0.05\n")
     files["EMPTY_MODEL_INI"].write_text("[model]\nn_encoders = 0\n")
+    files["NO_MODEL_INI"].write_text("[model]\npreset = NoSuchModel\n")
+    files["DIGITAL_INI"].write_text("[digital]\nbogus = 1\n")
+    files["NOISE_INI"].write_text("[noise]\nbogus_key = 1\n")
     (tmp_path / "list.json").write_text("[1, 2]\n")
     (tmp_path / "nan.json").write_text('{"1,2": 0.5, "5,7,9": NaN}\n')
     argv = [str(files.get(a, a)) for a in argv]
@@ -221,14 +234,14 @@ BAD_VALUES = {
     "device-nan": ("[device]\ne_read_xbar_pj = nan\n",
                    r"e_read_xbar_pj in \[device\]: not a finite number: 'nan'"),
     "digital-inf": ("[digital]\nvec_delay_us = inf\n",
-                    r"vec_delay_us in \[cost\]/\[digital\]: not a finite number: 'inf'"),
+                    r"vec_delay_us in \[digital\]: not a finite number: 'inf'"),
     "model-inf": ("[model]\nmlp_ratio = inf\n",
                   r"mlp_ratio in \[model\]: not a finite number: 'inf'"),
     "digital-negative": ("[digital]\nvec_delay_us = -500\n",
                          "vec_delay_us must be non-negative"),
     "cost-negative": ("[cost]\ntb_area_mm2 = -1\n", "tb_area_mm2 must be non-negative"),
     "cost-not-boolean": ("[cost]\npad_to_tiles = maybe\n",
-                         r"pad_to_tiles in \[cost\]/\[digital\]: not a boolean: 'maybe'"),
+                         r"pad_to_tiles in \[cost\]: not a boolean: 'maybe'"),
     "pruning-negative": ("[token_pruning]\npredictor_delay_ms = -5\n",
                          r"\[token_pruning\] predictor_delay_ms must be non-negative"),
 }

@@ -10,7 +10,6 @@ from xbarsim.config import (
     load_pruning_overhead,
     load_tile_config,
 )
-from xbarsim.mapping import DeviceKind
 
 
 def test_preset_inventory():
@@ -35,7 +34,6 @@ def test_lvvit_and_bert_presets():
 
 def test_fefet_preset_constants():
     dev = load_device_params("FeFET")
-    assert dev.kind is DeviceKind.FEFET
     assert dev.bits_per_cell == 2
     assert (dev.e_read_xbar_pj, dev.e_write_xbar_pj) == (25.0, 118.0)
     assert (dev.d_read_xbar_us, dev.d_write_xbar_us) == (0.02, 3.3)
@@ -103,7 +101,7 @@ def test_scenario_config_file(tmp_path):
     sc = ScenarioConfig(str(user))
     assert sc.model().t == 196
     assert sc.model().n_encoders == 16
-    assert sc.device().kind is DeviceKind.SRAM
+    assert sc.device().bits_per_cell == 1  # the SRAM preset
     assert sc.tiles().xbar_size == 128
     assert sc.softmax().d_div_ns == 9.0
     assert not sc.cost_options().pad_to_tiles
@@ -147,6 +145,21 @@ def test_unknown_token_pruning_key_rejected(tmp_path):
     user.write_text("[token_pruning]\npredictor_energy_mJ = 0.5\n")
     with pytest.raises(ValueError, match="unknown key 'predictor_energy_mJ'"):
         ScenarioConfig(str(user)).pruning_overhead()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[model]\npreset = NoSuchModel\n", "unknown model preset 'NoSuchModel'"),
+    ("[device]\npreset = ReRAM\n", "unknown device preset 'ReRAM'"),
+    ("[digital]\nbogus = 1\n", r"unknown key 'bogus' in \[digital\]"),
+    ("[noise]\nseed = 1.5\n", r"seed in \[noise\]: not an integer"),
+    ("[tiles]\npreset = big\n", r"unknown key 'preset' in \[tiles\]"),
+    ("[device]\nkind = FeFET\n", r"unknown key 'kind' in \[device\]"),
+])
+def test_every_section_is_checked_when_the_file_is_loaded(text, match, tmp_path):
+    user = tmp_path / "scenario.ini"
+    user.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        ScenarioConfig(str(user))
 
 
 def test_token_pruning_override(tmp_path):

@@ -6,8 +6,8 @@ exact integer in float64, so the read batching cannot change a result.
 Noise-free counts come from the (popcount, level sum) decode table,
 the ADC count of the ideal current at every entry, rint half-points
 included, which off the half-points must agree with ``_adc_decode`` of
-a float read in any summation order. A read whose popcount is an
-identity row of the table reads the integer weights instead, so a
+a float read in any summation order. A read whose popcount is below
+``first_lossy_popcount`` reads the integer weights instead, so a
 product's reads must split exactly by popcount. With read noise on,
 drawing only the cells of set rows must leave the current distribution
 that of the dense per-cell sampler. Device noise comes from the
@@ -46,8 +46,8 @@ from xbarsim.funcsim.crossbar import (
     _cell_digits,
     _decode_table,
     _standard_normal,
+    first_lossy_popcount,
     ideal_conductances,
-    identity_rows,
     mvm_bitserial,
     program_matrix,
 )
@@ -450,13 +450,14 @@ def _reads_by_stripe(pm, calls):
     return found
 
 
-def _assert_each_set_bit_is_read_once(pm, calls, x, identity):
+def _assert_each_set_bit_is_read_once(pm, calls, x, threshold):
     """Check every row tile's recorded reads of ``x`` against the two schedules.
 
-    A tile with an identity read of a set row reads its weight stripe over
-    every bit-plane, in (sign, plane, row) order, with the reads of other
-    popcounts cleared: in blocks of kq = step // n whole planes, or of
-    kr = step rows of one plane when n > step = CHUNK_ELEMENTS // out_dim.
+    A tile with a set bit in a read below ``threshold`` reads its weight
+    stripe over every bit-plane, in (sign, plane, row) order, with the
+    reads at or above it cleared: in blocks of kq = step // n whole
+    planes, or of kr = step rows of one plane when n > step =
+    CHUNK_ELEMENTS // out_dim.
     Its level stripe reads the other reads, set rows only, in order and in
     chunks within ``CHUNK_ELEMENTS``. So each (plane, row) with a set bit
     is read once, from one stripe.
@@ -472,7 +473,7 @@ def _assert_each_set_bit_is_read_once(pm, calls, x, identity):
     for rb in range(pm.row_blocks):
         slab = bits[:, rb * pm.xbar_size:(rb + 1) * pm.xbar_size]
         p = slab.sum(axis=1)
-        counted = identity[p]
+        counted = p < threshold
         by_kind = {kind: [b for state, b in calls if _stripe_of(pm, state) == (kind, rb)]
                    for kind in ("weight_stripes", "level_stripes")}
         weight_reads, level_reads = by_kind["weight_stripes"], by_kind["level_stripes"]
@@ -500,7 +501,7 @@ def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, mon
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, sram, tiles, 8, noise)
     mvm_bitserial(pm, x, noise)
-    identity = identity_rows(sram, tiles.xbar_size, 6, pm.rows)
+    threshold = first_lossy_popcount(sram, tiles.xbar_size, 6, pm.rows)
     # a level stripe stores one column per (slice, sign, column)
     level_cols = pm.level_stripes[0].conductances.shape[1]
     assert level_cols == pm.columns == pm.n_slices * 2 * 200
@@ -512,14 +513,14 @@ def test_noise_free_reads_one_level_stripe_per_stripe_and_chunk(sram, tiles, mon
     for rb in range(pm.row_blocks):
         p = bits[:, rb * 64:(rb + 1) * 64].sum(axis=1)
         p = p[p > 0]
-        assert found.get(("weight_stripes", rb), []) == list(p[identity[p]])
-        assert found.get(("level_stripes", rb), []) == list(p[~identity[p]])
+        assert found.get(("weight_stripes", rb), []) == list(p[p < threshold])
+        assert found.get(("level_stripes", rb), []) == list(p[p >= threshold])
     # the 22-row tile never reaches p = 32; the others read both stripes
     assert set(found) == {("weight_stripes", 0), ("weight_stripes", 1),
                           ("weight_stripes", 2), ("level_stripes", 0), ("level_stripes", 1)}
     # 14 bit-planes of 32 reads: a weight stripe is read in blocks of 5
     # whole planes (163 reads fit a chunk), a level stripe once per chunk
-    _assert_each_set_bit_is_read_once(pm, calls, x, identity)
+    _assert_each_set_bit_is_read_once(pm, calls, x, threshold)
     assert len(bits) == 14 * 32
     for key, popcounts in found.items():
         chunks = 3 if key[0] == "weight_stripes" else \
@@ -690,15 +691,16 @@ def test_a_tie_is_decoded_from_the_table(device, tiles, request, monkeypatch):
     x[2, :p - 1] = 1  # one bit short of the tie
     pm, calls = _product_without_conductances(w, x, dev, tiles, weight_bits,
                                               NoiseModel(adc_bits=6), monkeypatch)
-    # a tie is never an identity row; SRAM's p - 1 = 31 is one, FeFET's is not
-    identity = identity_rows(dev, tiles.xbar_size, 6, tiles.xbar_size)
-    assert not identity[p] and identity[p - 1] == (device == "sram")
-    expected = {("level_stripes", 0): [p, p] if identity[p - 1] else [p, p, p - 1]}
-    if identity[p - 1]:
+    # a tie is never below the threshold; SRAM's p - 1 = 31 is, FeFET's is not
+    threshold = first_lossy_popcount(dev, tiles.xbar_size, 6, tiles.xbar_size)
+    below = p - 1 < threshold
+    assert p >= threshold and below == (device == "sram")
+    expected = {("level_stripes", 0): [p, p] if below else [p, p, p - 1]}
+    if below:
         expected["weight_stripes", 0] = [p - 1]
     assert _reads_by_stripe(pm, calls) == expected
     assert len(calls) == len(expected)
-    _assert_each_set_bit_is_read_once(pm, calls, x, identity)
+    _assert_each_set_bit_is_read_once(pm, calls, x, threshold)
 
 
 def test_a_tie_count_does_not_depend_on_which_cells_hold_the_levels(fefet, tiles):
@@ -841,7 +843,7 @@ def test_level_stripes_hold_one_column_per_slice_sign_and_column(device, rows, r
 def test_a_level_shift_add_beyond_float32_integers_stays_exact(sram, tiles, monkeypatch):
     # 24 one-bit slices at 6 ADC bits: counts of up to 65 times weights up
     # to 2^23 sum past 2^24, where float32 drops odd integers; every read
-    # sets 32 or more of the 64 rows, so none is an identity read
+    # sets 32 or more of the 64 rows, at or above the first lossy popcount
     rng = np.random.default_rng(19)
     w = rng.integers(-(2**24 - 1), 2**24, size=(64, 6))
     x = rng.integers(64, 128, size=(5, 64))
@@ -896,25 +898,94 @@ def test_a_chunk_with_a_tie_is_read_through_its_level_stripe(sram, tiles, monkey
                                            ("level_stripes", 0): list(set_rows[~lossless])}
     assert len(calls) == math.ceil(200 / 32) + math.ceil((~lossless).sum() / 16)
     assert all(len(bits) * state.conductances.shape[1] <= CHUNK_ELEMENTS for state, bits in calls)
-    _assert_each_set_bit_is_read_once(pm, calls, x, identity_rows(sram, 64, 6, 64))
+    _assert_each_set_bit_is_read_once(pm, calls, x, first_lossy_popcount(sram, 64, 6, 64))
     assert "stripes" not in vars(pm)
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+
+
+@pytest.mark.parametrize("adc_bits", range(1, 15))
+@pytest.mark.parametrize("device", ["sram", "fefet"])
+def test_identity_rows_are_exactly_those_below_the_first_lossy_popcount(device, adc_bits,
+                                                                         request):
+    # stripes of 1 to 64 rows on the shipped 64-row crossbar, and a full
+    # 128-row one
+    dev = request.getfixturevalue(device)
+    for xbar_size, rows in [*((64, rows) for rows in range(1, 65)), (128, 128)]:
+        threshold = first_lossy_popcount(dev, xbar_size, adc_bits, rows)
+        assert isinstance(threshold, int) and 1 <= threshold <= rows + 1
+        identity = oracle_identity_rows(dev, xbar_size, adc_bits, rows)
+        assert np.array_equal(identity, np.arange(rows + 1) < threshold), rows
 
 
 @pytest.mark.parametrize("rows", [16, 32, 64])
 @pytest.mark.parametrize("adc_bits", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("device", ["sram", "fefet"])
 def test_identity_rows_equal_the_count_by_count_reference(device, adc_bits, rows, request):
+    # full crossbars of 16 to 64 rows: the identity rows are those below
+    # the first lossy popcount, which a read of no set row never reaches
     dev = request.getfixturevalue(device)
-    identity = identity_rows(dev, rows, adc_bits, rows)
-    assert identity.dtype == np.bool_ and identity.shape == (rows + 1,)
-    assert np.array_equal(identity, oracle_identity_rows(dev, rows, adc_bits, rows))
-    assert identity[0]  # a read of no set row counts 0
+    threshold = first_lossy_popcount(dev, rows, adc_bits, rows)
+    assert threshold >= 1
+    assert np.array_equal(np.arange(rows + 1) < threshold,
+                          oracle_identity_rows(dev, rows, adc_bits, rows))
     if (device, adc_bits, rows) == ("sram", 6, 64):
-        assert np.array_equal(identity, np.arange(rows + 1) < 32)
+        assert threshold == 32
     if device == "fefet" and adc_bits < 8 and rows == 64:
-        assert not identity[1:].any()  # an ADC step of about 3 counts
+        assert threshold == 1  # an ADC step of about 3 counts
+
+
+@pytest.mark.parametrize("device, adc_bits", [("sram", 6), ("fefet", 8)])
+@pytest.mark.parametrize("lower", ["one", "true_minus_one"])
+def test_any_lower_threshold_leaves_the_product_unchanged(device, adc_bits, lower, request,
+                                                          monkeypatch):
+    # T decodes every read correctly, so routing more reads through it
+    # changes no count
+    dev = request.getfixturevalue(device)
+    rng = np.random.default_rng(adc_bits)
+    w = rng.integers(-127, 128, size=(150, 40))
+    x = rng.integers(-127, 128, size=(24, 150))
+    x[rng.random(x.shape) < 0.4] = 0
+    x[0] = 127  # seven planes that set every row
+    noise = NoiseModel(adc_bits=adc_bits)
+    tiles = TileConfig(adc_bits=adc_bits)
+    expected = mvm_bitserial(program_matrix(w, dev, tiles, 8, noise), x, noise)
+    true = first_lossy_popcount(dev, 64, adc_bits, 64)
+    threshold = 1 if lower == "one" else true - 1
+    assert 1 <= threshold < true
+    monkeypatch.setattr(crossbar, "first_lossy_popcount", lambda *args: threshold)
+    pm = program_matrix(w, dev, tiles, 8, noise)
+    calls = _record_reads(monkeypatch)
+    assert mvm_bitserial(pm, x, noise).tobytes() == expected.tobytes()
+    assert ("level_stripes", 0) in _reads_by_stripe(pm, calls)
+    _assert_each_set_bit_is_read_once(pm, calls, x, threshold)
+
+
+def test_identity_rows_above_the_first_lossy_popcount_are_read_through_the_table(
+        fefet, monkeypatch):
+    # on a 42-row FeFET crossbar at 7 ADC bits popcounts 17 to 21 are lossy
+    # and 22 to 42 identity rows again; those reads take T, which decodes
+    # them exactly
+    tiles = TileConfig(xbar_size=42, adc_bits=7)
+    identity = oracle_identity_rows(fefet, 42, 7, 42)
+    assert first_lossy_popcount(fefet, 42, 7, 42) == 17
+    assert not identity[17:22].any() and identity[22:].all()
+    rng = np.random.default_rng(29)
+    w = rng.integers(-127, 128, size=(42, 12))
+    x = (np.arange(42) < rng.choice([10, 16, 17, 21, 22, 30, 42], size=(9, 1))).astype(int)
+    noise = NoiseModel(adc_bits=7)
+    pm = program_matrix(w, fefet, tiles, 8, noise)
+    calls = _record_reads(monkeypatch)
+    out = mvm_bitserial(pm, x, noise)
+    found = _reads_by_stripe(pm, calls)
+    assert set(found["weight_stripes", 0]) <= {10, 16}
+    assert set(found["level_stripes", 0]) <= {17, 21, 22, 30, 42}
+    assert max(found["level_stripes", 0]) >= 22
+    _assert_each_set_bit_is_read_once(pm, calls, x, 17)
+    monkeypatch.undo()
+    assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
+    exact = identity[x.sum(axis=1)]  # an input row of one bit-plane is one read
+    assert exact.any() and np.array_equal(out[exact], (x @ w)[exact])
 
 
 def test_a_product_whose_reads_straddle_the_last_identity_row_equals_the_oracle(
@@ -935,13 +1006,13 @@ def test_a_product_whose_reads_straddle_the_last_identity_row_equals_the_oracle(
     assert set(found) == {("weight_stripes", 0), ("level_stripes", 0)}
     assert set(found["weight_stripes", 0]) == {30, 31}
     assert set(found["level_stripes", 0]) == {32, 33}
-    _assert_each_set_bit_is_read_once(pm, calls, x, identity_rows(sram, 64, 6, 64))
+    _assert_each_set_bit_is_read_once(pm, calls, x, first_lossy_popcount(sram, 64, 6, 64))
     monkeypatch.undo()
     assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
 
 
 # (device, rows of the second row tile, its reads by stripe). At 6 ADC
-# bits on 64-row tiles SRAM's identity rows are p < 32 and FeFET's p = 0.
+# bits on 64-row tiles the first lossy popcount is 32 for SRAM and 1 for FeFET.
 SHORT_TILES = [
     ("sram", 31, {("weight_stripes", 1): [31, 16]}),
     ("sram", 32, {("weight_stripes", 1): [16], ("level_stripes", 1): [32]}),
@@ -977,9 +1048,10 @@ def _no_table(*args):
 @pytest.mark.parametrize("device, adc_bits", [("sram", 7), ("fefet", 8)])
 def test_an_all_identity_product_reads_no_table(device, adc_bits, tiles, request,
                                                 monkeypatch):
-    # every popcount is an identity row (read once here, before the patch)
+    # no popcount is lossy (read once here, before the patch)
     dev = request.getfixturevalue(device)
-    assert identity_rows(dev, tiles.xbar_size, adc_bits, tiles.xbar_size).all()
+    assert first_lossy_popcount(dev, tiles.xbar_size, adc_bits, tiles.xbar_size) == \
+        tiles.xbar_size + 1
     monkeypatch.setattr(crossbar, "_decode_table", _no_table)
     rng = np.random.default_rng(adc_bits)
     w = rng.integers(-127, 128, size=(100, 72))
@@ -1008,7 +1080,7 @@ def test_a_fefet_product_at_six_adc_bits_reads_no_weight_stripe(fefet, tiles, mo
 def test_wide_weights_read_a_float64_weight_stripe_exactly(sram, tiles):
     # 64 rows of 24-bit weights sum past 2^24, where float32 drops odd
     # integers; at 7 ADC bits every SRAM read reads the weight stripe
-    assert identity_rows(sram, tiles.xbar_size, 7, tiles.xbar_size).all()
+    assert first_lossy_popcount(sram, tiles.xbar_size, 7, tiles.xbar_size) == tiles.xbar_size + 1
     rng = np.random.default_rng(26)
     w = rng.integers(-(2**24 - 1), 2**24, size=(64, 6))
     x = rng.integers(-127, 128, size=(5, 64))
@@ -1026,8 +1098,8 @@ def test_wide_weights_read_a_float64_weight_stripe_exactly(sram, tiles):
 
 def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
     # 511 set rows of 65535: each read sums to 511 * 65535, odd and over
-    # 2^24, which float32 cannot hold. At 10 ADC bits every popcount of a
-    # 512-row SRAM tile is an identity row, so all three bit-planes are read
+    # 2^24, which float32 cannot hold. At 10 ADC bits no popcount of a
+    # 512-row SRAM tile is lossy, so all three bit-planes are read
     # from the float64 weight stripe
     tiles = TileConfig(xbar_size=512, adc_bits=10)
     w = np.full((512, 2), 2**16 - 1)
@@ -1036,7 +1108,7 @@ def test_a_shift_add_beyond_float32_integers_stays_exact(sram):
     x[1, 1:] = -3
     noise = NoiseModel(adc_bits=10)
     pm = program_matrix(w, sram, tiles, 16, noise)
-    assert identity_rows(sram, 512, 10, 512).all()
+    assert first_lossy_popcount(sram, 512, 10, 512) == 513
     assert np.array_equal(mvm_bitserial(pm, x, noise), x @ w)
     assert pm.weight_stripes[0].conductances.dtype == np.float64
     assert "level_stripes" not in vars(pm)
@@ -1064,16 +1136,16 @@ def test_identity_reads_are_chunked_within_and_across_bit_planes(device, adc_bit
     calls = _record_reads(monkeypatch)
     out = mvm_bitserial(pm, x, noise)
     monkeypatch.undo()
-    identity = identity_rows(dev, 64, adc_bits, 64)
+    threshold = first_lossy_popcount(dev, 64, adc_bits, 64)
     planes = len(oracle_bit_planes(x)[0]) // n
     step = CHUNK_ELEMENTS // out_dim
     assert planes == 14 and (n > step if out_dim == 100 else 1 < step // n < planes)
-    _assert_each_set_bit_is_read_once(pm, calls, x, identity)
+    _assert_each_set_bit_is_read_once(pm, calls, x, threshold)
     found = _reads_by_stripe(pm, calls)
     assert {kind for kind, _ in found} == (
         {"weight_stripes"} if adc_bits == 16 else {"weight_stripes", "level_stripes"})
     if adc_bits == 16:
-        assert identity.all() and "level_stripes" not in vars(pm)
+        assert threshold == 65 and "level_stripes" not in vars(pm)
         assert np.array_equal(out, x @ w)
     else:
         assert np.array_equal(out, oracle_mvm_bitserial(pm, x, noise))
@@ -1104,9 +1176,9 @@ def test_noise_free_product_keeps_temporaries_small(device, tiles, request):
     x = rng.integers(-127, 128, size=(32, 128))
     noise = NoiseModel(adc_bits=6)
     pm = program_matrix(w, dev, tiles, 8, noise)
-    # the table and the identity rows are built inside the traced call
+    # the table and the threshold are built inside the traced call
     _decode_table.cache_clear()
-    identity_rows.cache_clear()
+    first_lossy_popcount.cache_clear()
     tracemalloc.start()
     try:
         mvm_bitserial(pm, x, noise)

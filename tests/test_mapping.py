@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from oracles import encoder_layers
 from xbarsim.mapping import (
-    DeviceKind,
     DeviceParams,
     TileConfig,
     crossbars_for_layer,
@@ -142,11 +141,11 @@ def test_slice_factor_rounding(fefet, sram):
 
 def test_device_param_validation():
     with pytest.raises(ValueError):
-        DeviceParams(DeviceKind.FEFET, 0, 1, 1, 1, 1, 1)
+        DeviceParams(0, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        DeviceParams(DeviceKind.FEFET, 2, 1, 1, 1, 1, 1, read_var=1.5)
+        DeviceParams(2, 1, 1, 1, 1, 1, read_var=1.5)
     with pytest.raises(ValueError):
-        DeviceParams(DeviceKind.FEFET, 2, 1, 1, 1, 1, 1, r_on_ohm=1e7, r_off_ohm=1e5)
+        DeviceParams(2, 1, 1, 1, 1, 1, r_on_ohm=1e7, r_off_ohm=1e5)
 
 
 def test_device_for_rejects_an_assignment_without_the_kind(fefet):

@@ -51,7 +51,7 @@ def test_the_funcsim_paragraph_names_only_what_the_crossbar_engine_has():
                                     crossbar.CrossbarState.read_currents)
                   for name in inspect.signature(call).parameters}
     bare = re.findall(r"`(\w+)(?:\([\w, ]*\))?`", paragraph)
-    assert "identity_rows" in bare
+    assert "first_lossy_popcount" in bare
     for name in bare:
         assert (hasattr(crossbar, name) or hasattr(crossbar.CrossbarState, name)
                 or name in parameters or hasattr(funcsim, name)

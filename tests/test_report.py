@@ -108,6 +108,10 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             Scenario("bad", "DeiT-S", "FeFET", target_delays_ms=(0.0,))
 
+    def test_an_explicit_pattern_with_a_target_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="fixes the reuse set and takes no --target-delay"):
+            Scenario("exp", "DeiT-S", "FeFET", (7.0,), patterns="explicit:2,5,8")
+
 
 class TestEmission:
     def test_csv_header_exact(self, deit_rows):
